@@ -4,7 +4,7 @@ from .amm import (PoolSpec, Position, Reserves, align_range, fee_for_move,
                   impermanent_loss, liquidity_from_x, lvr_penalty,
                   position_value, price_at_tick, range_reserves, reserves, tick_index)
 from .data import Candle, DataError, PriceSeries, gbm_generate, load_candles, resample_hourly
-from .env import (EnvConfig, EpisodeTrace, FeatureStats, LPEnv, StepInfo,
+from .env import (EnvConfig, EpisodeTrace, FeatureStats, LPEnv, MarketTape, StepInfo,
                   StepOutcome, compute_features, compute_stats, passive_policy,
                   run_passive, run_policy)
 from .harness import (ConfigError, ExperimentConfig, SearchGrid, Window,

@@ -242,9 +242,6 @@ def main(argv=None) -> int:
     except data.DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -8,6 +8,7 @@ then advances close-to-close and the reward is fee - lvr - gas.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,10 @@ OBS_NAMES = (
     "price", "tick", "width", "liquidity", "ewma_vol", "ma24", "ma168",
     "bb_upper", "bb_mid", "bb_lower", "adxr", "bop", "dx",
 )
+
+# Observation entries that depend only on the data slice; the other two,
+# width and liquidity, follow the agent's position.
+MARKET_ENTRIES = (0, 1, 4, 5, 6, 7, 8, 9, 10, 11, 12)
 
 GAS_PER_LEG = "per_leg"  # gas per on-chain leg: deploy g, rebalance 2g
 GAS_FLAT = "flat"        # single gas charge for any nonzero action
@@ -63,6 +68,25 @@ def compute_features(series: PriceSeries, alpha: float = 0.05) -> Features:
     )
 
 
+class MarketTape:
+    """Exogenous state of one candle slice, computed once.
+
+    The price path does not depend on the agent's actions, so ticks,
+    features and the raw market entries of every observation are fixed by
+    the slice alone.
+    """
+
+    def __init__(self, series: PriceSeries):
+        self.closes = series.closes
+        self.ticks = np.array([amm.tick_index(p) for p in self.closes], dtype=np.int64)
+        self.features = f = compute_features(series)
+        # (len, 11) raw market entries in observation order
+        self.market = np.column_stack([
+            self.closes, self.ticks, f.ewma_vol, f.ma24, f.ma168, f.bb_upper,
+            f.bb_mid, f.bb_lower, f.adxr, f.bop, f.dx,
+        ])
+
+
 @dataclass(frozen=True)
 class FeatureStats:
     """Per-entry mean/std used to z-score observations; frozen at train time."""
@@ -71,38 +95,60 @@ class FeatureStats:
     std: np.ndarray
 
     def normalize(self, vector: np.ndarray) -> np.ndarray:
-        out = np.where(self.std > 0, (vector - self.mean) / np.where(self.std > 0, self.std, 1.0), 0.0)
-        return np.where(np.isfinite(out), out, 0.0)
+        """Z-score observation vectors (the last axis); zero where the std
+        is not positive or the result is not finite."""
+        ok = self.std > 0
+        out = np.subtract(vector, self.mean)
+        out /= np.where(ok, self.std, 1.0)
+        out[..., ~ok] = 0.0
+        out[~np.isfinite(out)] = 0.0
+        return out
+
+    def normalize_entry(self, index: int, value: float) -> float:
+        """normalize() of observation entry `index` alone."""
+        std = self.std[index]
+        if not std > 0:
+            return 0.0
+        z = (value - self.mean[index]) / std
+        return z if math.isfinite(z) else 0.0
 
 
-def compute_stats(series: PriceSeries, action_set, pool: PoolSpec, x0: float) -> FeatureStats:
-    """Observation stats from a (training) slice.
+def compute_stats(series: PriceSeries | MarketTape, action_set, pool: PoolSpec,
+                  x0: float) -> FeatureStats:
+    """Observation stats from a (training) slice or its tape.
 
     Market entries use the post-warmup feature rows; the width entry uses the
     action set; the liquidity entry uses the liquidity each nonzero width
     would hold at each post-warmup close.
     """
-    feats = compute_features(series)
-    closes = series.closes
+    tape = series if isinstance(series, MarketTape) else MarketTape(series)
     start = MIN_HISTORY - 1
-    if len(series) <= start:
-        raise ValueError(f"series of {len(series)} rows is shorter than the {MIN_HISTORY}-row warmup")
-    ticks = np.array([amm.tick_index(p) for p in closes[start:]], dtype=float)
-    market = np.column_stack([
-        closes[start:], ticks, feats.ewma_vol[start:], feats.ma24[start:],
-        feats.ma168[start:], feats.bb_upper[start:], feats.bb_mid[start:],
-        feats.bb_lower[start:], feats.adxr[start:], feats.bop[start:], feats.dx[start:],
-    ])
+    if len(tape.closes) <= start:
+        raise ValueError(f"series of {len(tape.closes)} rows is shorter than the {MIN_HISTORY}-row warmup")
+    if x0 <= 0:
+        raise ValueError(f"x0 must be positive, got {x0}")
+    market = tape.market[start:]
+    closes = tape.closes[start:]
+    ticks = tape.ticks[start:]
+    spacing = pool.tick_spacing
 
     widths = np.array(action_set, dtype=float)
-    liqs = [0.0]
+    liqs = [np.zeros(1)]
     for width in action_set:
         if width == 0:
             continue
-        for price, tick in zip(closes[start:], ticks):
-            _, upper = amm.align_range(int(tick), int(width), pool.tick_spacing)
-            liqs.append(amm.liquidity_from_x(x0, price, amm.price_at_tick(upper)))
-    liqs = np.array(liqs)
+        if width < spacing:
+            raise ValueError(f"half width {width} is below tick spacing {spacing}")
+        # amm.align_range's upper tick; the scalar price_at_tick keeps every
+        # bound bitwise equal to the one Position.open computes
+        upper = -(-(ticks + int(width)) // spacing) * spacing
+        distinct, where = np.unique(upper, return_inverse=True)
+        upper_price = np.array([amm.price_at_tick(int(u)) for u in distinct])[where]
+        if np.any(closes >= upper_price):
+            raise ValueError(f"a close sits at or above its width-{width} upper bound")
+        # amm.liquidity_from_x, elementwise
+        liqs.append(x0 / (1.0 / np.sqrt(closes) - 1.0 / np.sqrt(upper_price)))
+    liqs = np.concatenate(liqs)
 
     mean = np.empty(OBS_SIZE)
     std = np.empty(OBS_SIZE)
@@ -149,7 +195,6 @@ class StepInfo:
     fee: float
     lvr: float
     gas: float
-    il: float
 
 
 @dataclass(frozen=True)
@@ -169,15 +214,24 @@ class LPEnv:
 
     def __init__(self, config: EnvConfig):
         self.config = config
-        self._features = compute_features(config.data)
-        self._closes = config.data.closes
-        self._ticks = np.array([amm.tick_index(p) for p in self._closes])
+        tape = MarketTape(config.data)
         self._stats = config.stats or compute_stats(
-            config.data, config.action_set, config.pool, config.x0)
+            tape, config.action_set, config.pool, config.x0)
+        self._closes = tape.closes.tolist()
+        self._ticks = tape.ticks
+        self._sigma = tape.features.ewma_vol.tolist()
+        # every observation z-scored up front; width and liquidity are raw
+        # zeros here, the no-position value, and overwritten while a
+        # position is open
+        obs = np.zeros((len(self._closes), OBS_SIZE))
+        obs[:, MARKET_ENTRIES] = tape.market
+        self._obs = self._stats.normalize(obs)
         self._start = MIN_HISTORY - 1
         self._last = len(config.data) - 1
         self._t = None
         self.position: Position | None = None
+        self._range_prices = None  # (lower, upper) price of the open position
+        self._position_obs = None  # its normalized (width, liquidity)
         self.episode_step = 0
 
     @property
@@ -200,11 +254,13 @@ class LPEnv:
     def current_price(self) -> float:
         if self._t is None:
             raise RuntimeError("reset() must be called first")
-        return float(self._closes[self._t])
+        return self._closes[self._t]
 
     def reset(self) -> np.ndarray:
         self._t = self._start
         self.position = None
+        self._range_prices = None
+        self._position_obs = None
         self.episode_step = 0
         return self._observe()
 
@@ -217,7 +273,8 @@ class LPEnv:
             raise ValueError(f"action index {action_index} out of range")
 
         pool = self.config.pool
-        price = float(self._closes[self._t])
+        t = self._t
+        price = self._closes[t]
         width = self.config.action_set[action_index]
         gas = 0.0
         if width != 0:
@@ -225,21 +282,17 @@ class LPEnv:
                 gas = 2.0 * pool.gas_cost  # withdraw + redeploy
             else:
                 gas = pool.gas_cost
-            lower, upper = amm.align_range(int(self._ticks[self._t]), width, pool.tick_spacing)
-            self.position = Position.open(lower, upper, price, self.config.x0)
+            self._open(width, price)
 
         fee = 0.0
         lvr = 0.0
-        il = 0.0
-        next_price = float(self._closes[self._t + 1])
-        if self.position is not None:
-            pos = self.position
-            fee = amm.fee_for_move(pos.liquidity, pool.fee_rate, price, next_price,
-                                   pos.lower_price, pos.upper_price)
-            in_range = pos.lower_price <= price <= pos.upper_price
-            sigma = float(self._features.ewma_vol[self._t])
-            lvr = amm.lvr_penalty(pos.liquidity, sigma, price, in_range)
-            il = amm.impermanent_loss(pos, next_price)
+        pos = self.position
+        if pos is not None:
+            lower_price, upper_price = self._range_prices
+            fee = amm.fee_for_move(pos.liquidity, pool.fee_rate, price, self._closes[t + 1],
+                                   lower_price, upper_price)
+            in_range = lower_price <= price <= upper_price
+            lvr = amm.lvr_penalty(pos.liquidity, self._sigma[t], price, in_range)
         reward = fee - lvr - gas
 
         self._t += 1
@@ -248,23 +301,22 @@ class LPEnv:
             observation=self._observe(),
             reward=reward,
             done=self.done,
-            info=StepInfo(fee=fee, lvr=lvr, gas=gas, il=il),
+            info=StepInfo(fee=fee, lvr=lvr, gas=gas),
         )
 
+    def _open(self, width: int, price: float):
+        lower, upper = amm.align_range(int(self._ticks[self._t]), width, self.config.pool.tick_spacing)
+        pos = Position.open(lower, upper, price, self.config.x0)
+        self.position = pos
+        self._range_prices = (pos.lower_price, pos.upper_price)
+        self._position_obs = (self._stats.normalize_entry(2, (upper - lower) / 2.0),
+                              self._stats.normalize_entry(3, pos.liquidity))
+
     def _observe(self) -> np.ndarray:
-        t = self._t
-        f = self._features
-        width = 0.0
-        liq = 0.0
-        if self.position is not None:
-            width = (self.position.upper_tick - self.position.lower_tick) / 2.0
-            liq = self.position.liquidity
-        raw = np.array([
-            self._closes[t], self._ticks[t], width, liq, f.ewma_vol[t],
-            f.ma24[t], f.ma168[t], f.bb_upper[t], f.bb_mid[t], f.bb_lower[t],
-            f.adxr[t], f.bop[t], f.dx[t],
-        ])
-        return self._stats.normalize(raw)
+        obs = self._obs[self._t].copy()
+        if self._position_obs is not None:
+            obs[2], obs[3] = self._position_obs
+        return obs
 
 
 def passive_policy(width: int = 50, period: int = 500):

@@ -120,6 +120,7 @@ class AgentOutcome:
     train_reward: float
     result: TrainResult | None
     error: str | None = None
+    stats: FeatureStats | None = None  # observation stats of the spec's action set
 
 
 @dataclass
@@ -155,10 +156,10 @@ def _train_agent(args):
         result = train(lambda: LPEnv(config), spec, seed)
     except TrainingDiverged as exc:
         return AgentOutcome(index=index, spec=spec, train_reward=-np.inf,
-                            result=None, error=str(exc))
+                            result=None, error=str(exc), stats=stats)
     trace = run_policy(LPEnv(config), greedy_action_fn(result.actor))
-    return AgentOutcome(index=index, spec=spec,
-                        train_reward=trace.total_reward, result=result)
+    return AgentOutcome(index=index, spec=spec, train_reward=trace.total_reward,
+                        result=result, stats=stats)
 
 
 def train_and_select(series: PriceSeries, window: Window, grid: SearchGrid,
@@ -196,8 +197,7 @@ def train_and_select(series: PriceSeries, window: Window, grid: SearchGrid,
     if not trained:
         return None, outcomes, None
     selected = max(trained, key=lambda o: (o.train_reward, -o.index))
-    stats = stats_cache[selected.spec.action_set]
-    return selected, outcomes, stats
+    return selected, outcomes, selected.stats
 
 
 def _test_slice(series: PriceSeries, window: Window) -> PriceSeries:
@@ -209,6 +209,13 @@ def _test_slice(series: PriceSeries, window: Window) -> PriceSeries:
     return series.slice(start, window.test_end)
 
 
+def _active_trace(test_data: PriceSeries, outcome: AgentOutcome, stats, pool: PoolSpec,
+                  x0: float, gas_mode: str) -> EpisodeTrace:
+    env = LPEnv(EnvConfig(pool=pool, action_set=outcome.spec.action_set, x0=x0,
+                          data=test_data, stats=stats, gas_mode=gas_mode))
+    return run_policy(env, greedy_action_fn(outcome.result.actor))
+
+
 def evaluate_on_test(series: PriceSeries, window: Window, selected: AgentOutcome,
                      stats, pool: PoolSpec, x0: float, gas_mode: str = "per_leg",
                      passive_width: int = 50, passive_period: int = 500
@@ -216,9 +223,7 @@ def evaluate_on_test(series: PriceSeries, window: Window, selected: AgentOutcome
     """Greedy rollout of the selected agent plus the passive baseline on the
     test slice, both normalized with the frozen training stats."""
     test_data = _test_slice(series, window)
-    active_env = LPEnv(EnvConfig(pool=pool, action_set=selected.spec.action_set,
-                                 x0=x0, data=test_data, stats=stats, gas_mode=gas_mode))
-    active = run_policy(active_env, greedy_action_fn(selected.result.actor))
+    active = _active_trace(test_data, selected, stats, pool, x0, gas_mode)
 
     passive_set = (0, passive_width)
     passive_stats = compute_stats(series.slice(window.train_start, window.train_end),
@@ -246,17 +251,11 @@ def run_window(series: PriceSeries, window: Window, grid: SearchGrid,
     if selection == SELECT_TEST_LEAKY:
         # replication mode: rescore every trained agent on the test slice and
         # pick the best; leaks test data into selection by construction
-        best = None
-        for outcome in outcomes:
-            if outcome.result is None:
-                continue
-            o_stats = compute_stats(series.slice(window.train_start, window.train_end),
-                                    outcome.spec.action_set, pool, x0)
-            active, _ = evaluate_on_test(series, window, outcome, o_stats, pool, x0,
-                                         gas_mode, passive_width, passive_period)
-            if best is None or active.total_reward > best[1].total_reward:
-                best = (outcome, active, o_stats)
-        selected, _, stats = best
+        test_data = _test_slice(series, window)
+        selected = max(
+            (o for o in outcomes if o.result is not None),
+            key=lambda o: _active_trace(test_data, o, o.stats, pool, x0, gas_mode).total_reward)
+        stats = selected.stats
     elif selection != SELECT_TRAIN:
         raise ConfigError(f"unknown selection mode {selection!r}")
 

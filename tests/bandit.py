@@ -31,5 +31,5 @@ class ContextualBandit:
             observation=self._rng.standard_normal(self.obs_dim),
             reward=reward,
             done=self._step >= self.episode_len,
-            info=StepInfo(fee=reward, lvr=0.0, gas=0.0, il=0.0),
+            info=StepInfo(fee=reward, lvr=0.0, gas=0.0),
         )

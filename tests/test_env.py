@@ -24,6 +24,53 @@ def step_series(n_before, n_after, p0, p1):
     return PriceSeries(1609459200 + HOUR * np.arange(n), opens, highs, lows, closes)
 
 
+def tick_series(n, spacing, seed=0, start_tick=80000):
+    """Closes exactly on tick prices: a random walk over multiples of spacing."""
+    rng = np.random.default_rng(seed)
+    ticks = start_tick + spacing * np.cumsum(rng.integers(-3, 4, n))
+    closes = np.array([amm.price_at_tick(int(i)) for i in ticks])
+    opens = np.concatenate([[closes[0]], closes[:-1]])
+    highs = np.maximum(opens, closes)
+    lows = np.minimum(opens, closes)
+    return PriceSeries(1609459200 + HOUR * np.arange(n), opens, highs, lows, closes)
+
+
+def reference_stats(series, action_set, pool, x0):
+    """compute_stats as a per-close loop over align_range and liquidity_from_x."""
+    feats = env.compute_features(series)
+    closes = series.closes
+    start = MIN_HISTORY - 1
+    ticks = np.array([amm.tick_index(p) for p in closes[start:]], dtype=float)
+    market = np.column_stack([
+        closes[start:], ticks, feats.ewma_vol[start:], feats.ma24[start:],
+        feats.ma168[start:], feats.bb_upper[start:], feats.bb_mid[start:],
+        feats.bb_lower[start:], feats.adxr[start:], feats.bop[start:], feats.dx[start:],
+    ])
+    widths = np.array(action_set, dtype=float)
+    liqs = [0.0]
+    for width in action_set:
+        if width == 0:
+            continue
+        for price, tick in zip(closes[start:], ticks):
+            _, upper = amm.align_range(int(tick), int(width), pool.tick_spacing)
+            liqs.append(amm.liquidity_from_x(x0, price, amm.price_at_tick(upper)))
+    liqs = np.array(liqs)
+    mean = np.empty(env.OBS_SIZE)
+    std = np.empty(env.OBS_SIZE)
+    mean[[0, 1]] = market[:, :2].mean(axis=0)
+    std[[0, 1]] = market[:, :2].std(axis=0)
+    mean[2], std[2] = widths.mean(), widths.std()
+    mean[3], std[3] = liqs.mean(), liqs.std()
+    mean[4:], std[4:] = market[:, 2:].mean(axis=0), market[:, 2:].std(axis=0)
+    return mean, std
+
+
+def reference_normalize(stats, vector):
+    out = np.where(stats.std > 0,
+                   (vector - stats.mean) / np.where(stats.std > 0, stats.std, 1.0), 0.0)
+    return np.where(np.isfinite(out), out, 0.0)
+
+
 def gbm_env(n_hours=260, seed=0, vol=0.005, action_set=(0, 20, 50), x0=2.0,
             gas_mode="per_leg"):
     series = data.gbm_generate(seed=seed, n_hours=n_hours, p_start=3000.0,
@@ -234,6 +281,79 @@ class TestObservation:
         obs = e.reset()
         assert obs[2] == pytest.approx((0.0 - stats.mean[2]) / stats.std[2])
         assert obs[3] == pytest.approx((0.0 - stats.mean[3]) / stats.std[3])
+
+
+class TestMarketTape:
+    CASES = [
+        (1, (0, 1, 7, 50)),
+        (10, (0, 10, 20, 30)),
+        (10, (0, 50, 100)),
+        (60, (0, 60, 120)),
+        (60, (0, 90, 600)),
+    ]
+
+    @pytest.mark.parametrize("spacing,action_set", CASES)
+    def test_stats_match_per_close_loop(self, spacing, action_set):
+        pool = PoolSpec(fee_rate=0.0005, tick_spacing=spacing, gas_cost=5.0)
+        series_list = [
+            data.gbm_generate(seed=spacing, n_hours=600, p_start=3000.0, vol=0.01),
+            data.gbm_generate(seed=7, n_hours=400, p_start=0.05, vol=0.03),
+            tick_series(500, spacing, seed=spacing),
+        ]
+        for series in series_list:
+            for x0 in (2.0, 10.0):
+                got = env.compute_stats(series, action_set, pool, x0)
+                mean, std = reference_stats(series, action_set, pool, x0)
+                assert np.array_equal(got.mean, mean)
+                assert np.array_equal(got.std, std)
+
+    def test_stats_from_tape_equal_stats_from_series(self):
+        series = data.gbm_generate(seed=3, n_hours=400, p_start=3000.0, vol=0.01)
+        a = env.compute_stats(series, (0, 20, 50), POOL, 2.0)
+        b = env.compute_stats(env.MarketTape(series), (0, 20, 50), POOL, 2.0)
+        assert np.array_equal(a.mean, b.mean) and np.array_equal(a.std, b.std)
+
+    def test_stats_reject_width_below_spacing(self):
+        series = data.gbm_generate(seed=3, n_hours=300, p_start=3000.0, vol=0.01)
+        with pytest.raises(ValueError):
+            env.compute_stats(series, (0, 5), POOL, 2.0)
+
+    def test_ticks_match_scalar_tick_index(self):
+        for series in (data.gbm_generate(seed=4, n_hours=500, p_start=3000.0, vol=0.02),
+                       tick_series(500, 1, seed=4), tick_series(500, 60, seed=5)):
+            tape = env.MarketTape(series)
+            assert tape.ticks.tolist() == [amm.tick_index(p) for p in series.closes]
+
+    @pytest.mark.parametrize("own_stats", [False, True])
+    def test_observations_match_per_step_normalize(self, own_stats):
+        train = data.gbm_generate(seed=23, n_hours=400, p_start=3000.0, vol=0.01)
+        series = data.gbm_generate(seed=24, n_hours=420, p_start=2800.0, vol=0.02)
+        action_set = (0, 10, 20, 50)
+        stats = env.compute_stats(series if own_stats else train, action_set, POOL, 2.0)
+        e = LPEnv(EnvConfig(pool=POOL, action_set=action_set, x0=2.0, data=series,
+                            stats=stats))
+        f = env.compute_features(series)
+        closes = series.closes
+        ticks = [amm.tick_index(p) for p in closes]
+        rng = np.random.default_rng(25)
+        obs = e.reset()
+        t = MIN_HISTORY - 1
+        while True:
+            pos = e.position
+            width = 0.0 if pos is None else (pos.upper_tick - pos.lower_tick) / 2.0
+            liq = 0.0 if pos is None else pos.liquidity
+            raw = np.array([
+                closes[t], ticks[t], width, liq, f.ewma_vol[t], f.ma24[t], f.ma168[t],
+                f.bb_upper[t], f.bb_mid[t], f.bb_lower[t], f.adxr[t], f.bop[t], f.dx[t],
+            ])
+            want = reference_normalize(stats, raw)
+            assert np.array_equal(obs, want)
+            assert np.array_equal(stats.normalize(raw), want)
+            if e.done:
+                break
+            obs = e.step(int(rng.integers(0, e.n_actions))).observation
+            t += 1
+        assert t == len(series) - 1
 
 
 class TestPassivePolicy:

@@ -186,6 +186,31 @@ class TestRunWindow:
             key=lambda o: _test_reward(self.series, self.windows[0], o))
         assert result.selected.index == best_on_test.index
 
+    @pytest.mark.parametrize("selection", ["train", "test_leaky"])
+    def test_stats_once_per_action_set_plus_passive(self, monkeypatch, selection):
+        from activelp import env
+
+        calls = []
+        original = env.compute_stats
+
+        def counting(series, action_set, pool, x0):
+            calls.append(tuple(action_set))
+            return original(series, action_set, pool, x0)
+
+        monkeypatch.setattr(harness, "compute_stats", counting)
+        monkeypatch.setattr(env, "compute_stats", counting)
+        grid = SearchGrid(action_sets=((0, 20, 50), (0, 50, 100)),
+                          activations=("tanh",), hidden_layers=((4,),),
+                          learning_rates=(1e-3,), clip_ranges=(0.2,),
+                          entropy_coefs=(1e-3,), gammas=(0.99,))
+        result = run_window(self.series, self.windows[0], grid, n_agents=4, seed=5,
+                            pool=POOL, x0=2.0, selection=selection,
+                            train_overrides={**TINY_TRAINING, "total_timesteps": 300})
+        assert not result.failed
+        distinct = {o.spec.action_set for o in result.agents}
+        assert len(distinct) == 2
+        assert sorted(calls) == sorted([*distinct, (0, 50)])
+
 
 def _test_reward(series, window, outcome):
     from activelp.env import compute_stats
