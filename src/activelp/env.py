@@ -73,7 +73,8 @@ class MarketTape:
 
     The price path does not depend on the agent's actions, so ticks,
     features and the raw market entries of every observation are fixed by
-    the slice alone.
+    the slice alone. Environments and stats over the same slice can share
+    one tape; none of them writes to it.
     """
 
     def __init__(self, series: PriceSeries):
@@ -85,6 +86,9 @@ class MarketTape:
             self.closes, self.ticks, f.ewma_vol, f.ma24, f.ma168, f.bb_upper,
             f.bb_mid, f.bb_lower, f.adxr, f.bop, f.dx,
         ])
+
+    def __len__(self) -> int:
+        return len(self.closes)
 
 
 @dataclass(frozen=True)
@@ -165,7 +169,7 @@ class EnvConfig:
     pool: PoolSpec
     action_set: tuple[int, ...]
     x0: float
-    data: PriceSeries
+    data: PriceSeries | MarketTape  # a slice, or its tape to share
     stats: FeatureStats | None = None
     gas_mode: str = GAS_PER_LEG
 
@@ -214,7 +218,7 @@ class LPEnv:
 
     def __init__(self, config: EnvConfig):
         self.config = config
-        tape = MarketTape(config.data)
+        tape = config.data if isinstance(config.data, MarketTape) else MarketTape(config.data)
         self._stats = config.stats or compute_stats(
             tape, config.action_set, config.pool, config.x0)
         self._closes = tape.closes.tolist()

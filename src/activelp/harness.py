@@ -16,7 +16,7 @@ import numpy as np
 from .amm import PoolSpec
 from .data import PriceSeries, load_candles, _iso
 from .env import (MIN_HISTORY, EnvConfig, EpisodeTrace, FeatureStats, LPEnv,
-                  compute_stats, run_passive, run_policy)
+                  MarketTape, compute_stats, run_passive, run_policy)
 from .ppo import AgentSpec, TrainResult, TrainingDiverged, greedy_action_fn, \
     save_checkpoint, save_training_curve, train
 
@@ -148,27 +148,29 @@ def _agent_seed(seed: int, window_index: int, agent_index: int) -> np.random.See
 
 def _train_agent(args):
     """Worker: train one agent and score it on the train slice (greedy pass)."""
-    (index, spec, train_slice, pool, x0, gas_mode, stats, seed_entropy) = args
-    config = EnvConfig(pool=pool, action_set=spec.action_set, x0=x0,
-                       data=train_slice, stats=stats, gas_mode=gas_mode)
+    (index, spec, train_tape, pool, x0, gas_mode, stats, seed_entropy) = args
+    env = LPEnv(EnvConfig(pool=pool, action_set=spec.action_set, x0=x0,
+                          data=train_tape, stats=stats, gas_mode=gas_mode))
     seed = int(np.random.SeedSequence(seed_entropy).generate_state(1)[0])
     try:
-        result = train(lambda: LPEnv(config), spec, seed)
+        result = train(lambda: env, spec, seed)
     except TrainingDiverged as exc:
         return AgentOutcome(index=index, spec=spec, train_reward=-np.inf,
                             result=None, error=str(exc), stats=stats)
-    trace = run_policy(LPEnv(config), greedy_action_fn(result.actor))
+    # run_policy resets the env, so the greedy pass reuses the training one
+    trace = run_policy(env, greedy_action_fn(result.actor))
     return AgentOutcome(index=index, spec=spec, train_reward=trace.total_reward,
                         result=result, stats=stats)
 
 
-def train_and_select(series: PriceSeries, window: Window, grid: SearchGrid,
+def train_and_select(train_tape: MarketTape, window: Window, grid: SearchGrid,
                      n_agents: int, seed: int, pool: PoolSpec, x0: float,
                      gas_mode: str = "per_leg", train_overrides: dict | None = None,
                      n_jobs: int = 1) -> tuple[AgentOutcome | None, list[AgentOutcome], FeatureStats]:
-    """Train n_agents randomly drawn specs on the train slice and pick the one
-    with the highest greedy cumulative train reward. Reads only train data."""
-    train_slice = series.slice(window.train_start, window.train_end)
+    """Train n_agents randomly drawn specs on the window's train slice, given
+    as its tape, and pick the one with the highest greedy cumulative train
+    reward. The stats and every agent's env share the tape; the test slice
+    is never passed in."""
     # spec sampling gets its own stream, disjoint from the per-agent seeds
     spec_rng = np.random.default_rng(np.random.SeedSequence([seed, window.index, 1 << 20]))
     overrides = train_overrides or {}
@@ -179,8 +181,8 @@ def train_and_select(series: PriceSeries, window: Window, grid: SearchGrid,
     for k, spec in enumerate(specs):
         key = spec.action_set
         if key not in stats_cache:
-            stats_cache[key] = compute_stats(train_slice, spec.action_set, pool, x0)
-        tasks.append((k, spec, train_slice, pool, x0, gas_mode, stats_cache[key],
+            stats_cache[key] = compute_stats(train_tape, spec.action_set, pool, x0)
+        tasks.append((k, spec, train_tape, pool, x0, gas_mode, stats_cache[key],
                       _agent_seed(seed, window.index, k).entropy))
 
     if n_jobs > 1:
@@ -209,27 +211,26 @@ def _test_slice(series: PriceSeries, window: Window) -> PriceSeries:
     return series.slice(start, window.test_end)
 
 
-def _active_trace(test_data: PriceSeries, outcome: AgentOutcome, stats, pool: PoolSpec,
+def _active_trace(test_tape: MarketTape, outcome: AgentOutcome, stats, pool: PoolSpec,
                   x0: float, gas_mode: str) -> EpisodeTrace:
     env = LPEnv(EnvConfig(pool=pool, action_set=outcome.spec.action_set, x0=x0,
-                          data=test_data, stats=stats, gas_mode=gas_mode))
+                          data=test_tape, stats=stats, gas_mode=gas_mode))
     return run_policy(env, greedy_action_fn(outcome.result.actor))
 
 
-def evaluate_on_test(series: PriceSeries, window: Window, selected: AgentOutcome,
-                     stats, pool: PoolSpec, x0: float, gas_mode: str = "per_leg",
-                     passive_width: int = 50, passive_period: int = 500
-                     ) -> tuple[EpisodeTrace, EpisodeTrace]:
+def evaluate_on_test(train_tape: MarketTape, test_tape: MarketTape,
+                     selected: AgentOutcome, stats, pool: PoolSpec, x0: float,
+                     gas_mode: str = "per_leg", passive_width: int = 50,
+                     passive_period: int = 500) -> tuple[EpisodeTrace, EpisodeTrace]:
     """Greedy rollout of the selected agent plus the passive baseline on the
-    test slice, both normalized with the frozen training stats."""
-    test_data = _test_slice(series, window)
-    active = _active_trace(test_data, selected, stats, pool, x0, gas_mode)
+    test slice's tape, both normalized with the frozen training stats (the
+    passive stats come from the train slice's tape)."""
+    active = _active_trace(test_tape, selected, stats, pool, x0, gas_mode)
 
     passive_set = (0, passive_width)
-    passive_stats = compute_stats(series.slice(window.train_start, window.train_end),
-                                  passive_set, pool, x0)
+    passive_stats = compute_stats(train_tape, passive_set, pool, x0)
     passive_env = LPEnv(EnvConfig(pool=pool, action_set=passive_set, x0=x0,
-                                  data=test_data, stats=passive_stats, gas_mode=gas_mode))
+                                  data=test_tape, stats=passive_stats, gas_mode=gas_mode))
     passive = run_passive(passive_env, passive_width, passive_period)
     return active, passive
 
@@ -239,8 +240,10 @@ def run_window(series: PriceSeries, window: Window, grid: SearchGrid,
                gas_mode: str = "per_leg", selection: str = SELECT_TRAIN,
                passive_width: int = 50, passive_period: int = 500,
                train_overrides: dict | None = None, n_jobs: int = 1) -> WindowResult:
+    # one tape per slice, shared by every env and stats computation over it
+    train_tape = MarketTape(series.slice(window.train_start, window.train_end))
     selected, outcomes, stats = train_and_select(
-        series, window, grid, n_agents, seed, pool, x0, gas_mode,
+        train_tape, window, grid, n_agents, seed, pool, x0, gas_mode,
         train_overrides, n_jobs)
     test_end_ts = int(series.timestamps[window.test_end - 1])
     if selected is None:
@@ -248,19 +251,19 @@ def run_window(series: PriceSeries, window: Window, grid: SearchGrid,
                             selected=None, active_trace=None, passive_trace=None,
                             failed=True)
 
+    test_tape = MarketTape(_test_slice(series, window))
     if selection == SELECT_TEST_LEAKY:
         # replication mode: rescore every trained agent on the test slice and
         # pick the best; leaks test data into selection by construction
-        test_data = _test_slice(series, window)
         selected = max(
             (o for o in outcomes if o.result is not None),
-            key=lambda o: _active_trace(test_data, o, o.stats, pool, x0, gas_mode).total_reward)
+            key=lambda o: _active_trace(test_tape, o, o.stats, pool, x0, gas_mode).total_reward)
         stats = selected.stats
     elif selection != SELECT_TRAIN:
         raise ConfigError(f"unknown selection mode {selection!r}")
 
-    active, passive = evaluate_on_test(series, window, selected, stats, pool, x0,
-                                       gas_mode, passive_width, passive_period)
+    active, passive = evaluate_on_test(train_tape, test_tape, selected, stats, pool,
+                                       x0, gas_mode, passive_width, passive_period)
     return WindowResult(window=window, test_end_ts=test_end_ts, agents=outcomes,
                         selected=selected, active_trace=active, passive_trace=passive,
                         failed=False)

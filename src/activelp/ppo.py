@@ -27,14 +27,33 @@ class TrainingDiverged(RuntimeError):
 
 
 class Mlp:
-    """Fully connected network: affine + activation per hidden layer, linear output."""
+    """Fully connected network: affine + activation per hidden layer, linear output.
+
+    All parameters live in one flat buffer `theta`; `weights` and `biases` are
+    views on it. Each weight keeps the memory order it was given: BLAS sums
+    F- and C-ordered operands in different orders, so a change of layout
+    would change the last bits of every product.
+    """
 
     def __init__(self, weights, biases, activation):
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
-        self.weights = list(weights)
-        self.biases = list(biases)
+        weights = [np.asarray(w) for w in weights]
+        biases = [np.asarray(b) for b in biases]
         self.activation = activation
+        # (shape, Fortran-ordered) per weight
+        self._layout = [(w.shape, w.flags.f_contiguous and not w.flags.c_contiguous)
+                        for w in weights]
+        self.theta = np.empty(sum(w.size + b.size for w, b in zip(weights, biases)))
+        views = self.views(self.theta)
+        self.weights = views[0::2]
+        self.biases = views[1::2]
+        for view, value in zip(self.weights + self.biases, weights + biases):
+            view[...] = value
+
+    def __reduce__(self):
+        # rebuilt through __init__ so the unpickled views share one buffer
+        return Mlp, (self.weights, self.biases, self.activation)
 
     @classmethod
     def build(cls, sizes, activation, rng, out_gain: float = 1.0) -> "Mlp":
@@ -51,6 +70,18 @@ class Mlp:
             biases.append(np.zeros(n_out))
         return cls(weights, biases, activation)
 
+    def views(self, buf: np.ndarray) -> list:
+        """Per-tensor views of a vector laid out like `theta`, in `params` order."""
+        out = []
+        offset = 0
+        for (n_in, n_out), fortran in self._layout:
+            chunk = buf[offset:offset + n_in * n_out]
+            out.append(chunk.reshape(n_out, n_in).T if fortran else chunk.reshape(n_in, n_out))
+            offset += n_in * n_out
+            out.append(buf[offset:offset + n_out])
+            offset += n_out
+        return out
+
     @property
     def params(self):
         out = []
@@ -59,9 +90,10 @@ class Mlp:
         return out
 
     def n_params(self) -> int:
-        return sum(p.size for p in self.params)
+        return self.theta.size
 
     def flat(self) -> np.ndarray:
+        """Parameters in `params` order, each tensor in C order."""
         return np.concatenate([p.ravel() for p in self.params])
 
     def load_flat(self, vec: np.ndarray):
@@ -104,55 +136,61 @@ class Mlp:
             act.append(h)
         return h, (pre, act)
 
-    def backward(self, cache, grad_out: np.ndarray):
-        """Gradients of sum(grad_out * output) w.r.t. params, matching .params order."""
+    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
+        """Gradient of sum(grad_out * output) w.r.t. the parameters, laid out
+        like `theta` (see `views`)."""
         pre, act = cache
-        grads = [None] * (2 * len(self.weights))
+        grad = np.empty_like(self.theta)
+        grads = self.views(grad)
         delta = grad_out
         for i in range(len(self.weights) - 1, -1, -1):
             if i != len(self.weights) - 1:
                 delta = delta * self._act_grad(pre[i], act[i + 1])
-            grads[2 * i] = act[i].T @ delta
-            grads[2 * i + 1] = delta.sum(axis=0)
+            grads[2 * i][...] = act[i].T @ delta
+            grads[2 * i + 1][...] = delta.sum(axis=0)
             if i > 0:
                 delta = delta @ self.weights[i].T
-        return grads
+        return grad
 
     def copy(self) -> "Mlp":
-        return Mlp([w.copy() for w in self.weights],
-                   [b.copy() for b in self.biases], self.activation)
+        return Mlp(self.weights, self.biases, self.activation)
 
 
 # ---------------------------------------------------------------------------
 # categorical policy head
 
 
+def _softmax(logits):
+    """(probs, log-probs) over the last axis, stabilized by max subtraction."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    ez = np.exp(z)
+    total = ez.sum(axis=-1, keepdims=True)
+    return ez / total, z - np.log(total)
+
+
 @dataclass
 class Categorical:
-    """Softmax distribution over rows of logits, stabilized by max subtraction."""
+    """Softmax distribution over rows of logits."""
 
     logits: np.ndarray
 
     def __post_init__(self):
-        z = self.logits - self.logits.max(axis=-1, keepdims=True)
-        ez = np.exp(z)
-        self.probs = ez / ez.sum(axis=-1, keepdims=True)
-        self.logps = z - np.log(ez.sum(axis=-1, keepdims=True))
+        self.probs, self.logps = _softmax(self.logits)
 
-    def sample(self, rng) -> np.ndarray:
-        cdf = np.cumsum(self.probs, axis=-1)
-        u = rng.random(self.probs.shape[0])
+    @staticmethod
+    def sample(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Inverse-CDF draw per row of `probs`, one uniform of `u` per row:
+        the number of cdf entries at or below it, clamped to the last
+        category."""
+        cdf = np.cumsum(probs, axis=-1)
         idx = (u[:, None] >= cdf).sum(axis=-1)
-        return np.minimum(idx, self.probs.shape[1] - 1)
+        return np.minimum(idx, probs.shape[1] - 1)
 
     def log_prob(self, actions: np.ndarray) -> np.ndarray:
         return self.logps[np.arange(self.logps.shape[0]), actions]
 
     def entropy(self) -> np.ndarray:
         return -(self.probs * self.logps).sum(axis=-1)
-
-    def greedy(self) -> np.ndarray:
-        return self.logits.argmax(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +258,7 @@ def ppo_objective(batch: RolloutBatch, actor: Mlp, critic: Mlp,
     J = E[min(r*A, clip(r, 1-eps, 1+eps)*A)] - c1*MSE(V, G) + c2*E[H], with r
     the probability ratio against the collection-time log-probs. Returns
     (J, terms, actor_grads, critic_grads) where the gradients point in the
-    ascent direction of J.
+    ascent direction of J and are laid out like each network's `theta`.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
@@ -265,26 +303,26 @@ def ppo_objective(batch: RolloutBatch, actor: Mlp, critic: Mlp,
 
 
 class Adam:
-    """Adaptive moment estimation, applied as gradient ascent on the objective."""
+    """Adaptive moment estimation over one flat parameter vector, updated in
+    place as gradient ascent on the objective."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = params
+    def __init__(self, theta, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.theta = theta
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
         self.t = 0
 
-    def ascend(self, grads):
+    def ascend(self, grad):
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * (g * g)
-            p += self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * (grad * grad)
+        self.theta += self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +392,16 @@ def _collect_rollout(env, actor, critic, rng, n_steps, obs, episode_returns, run
     rew_buf = np.empty(n_steps)
     val_buf = np.empty(n_steps)
     done_buf = np.zeros(n_steps, dtype=bool)
+    uniforms = rng.random(n_steps)
     for i in range(n_steps):
         row = obs[None, :]
-        dist = Categorical(actor.forward(row))
-        action = int(dist.sample(rng)[0])
+        probs, logps = _softmax(actor.forward(row))
+        action = int(Categorical.sample(probs, uniforms[i:i + 1])[0])
         value = float(critic.forward(row)[0, 0])
         out = env.step(action)
         obs_buf[i] = obs
         act_buf[i] = action
-        lp_buf[i] = float(dist.log_prob(np.array([action]))[0])
+        lp_buf[i] = logps[0, action]
         rew_buf[i] = out.reward
         val_buf[i] = value
         running[0] += out.reward
@@ -388,8 +427,8 @@ def train(env_factory, spec: AgentSpec, seed: int) -> TrainResult:
     sizes = [env.obs_dim, *spec.hidden_layers]
     actor = Mlp.build(sizes + [env.n_actions], spec.activation, rng, out_gain=0.01)
     critic = Mlp.build(sizes + [1], spec.activation, rng)
-    opt_actor = Adam(actor.params, spec.learning_rate)
-    opt_critic = Adam(critic.params, spec.learning_rate)
+    opt_actor = Adam(actor.theta, spec.learning_rate)
+    opt_critic = Adam(critic.theta, spec.learning_rate)
 
     obs = env.reset()
     running = [0.0]
@@ -422,7 +461,7 @@ def train(env_factory, spec: AgentSpec, seed: int) -> TrainResult:
                         f"non-finite objective at update {update} ({timesteps} steps)")
                 opt_actor.ascend(ga)
                 opt_critic.ascend(gc)
-        if not all(np.all(np.isfinite(p)) for p in actor.params + critic.params):
+        if not (np.isfinite(actor.theta).all() and np.isfinite(critic.theta).all()):
             raise TrainingDiverged(f"non-finite parameters at update {update}")
 
         objective, terms, _, _ = ppo_objective(

@@ -4,7 +4,7 @@ import pytest
 from activelp import data, harness
 from activelp.amm import PoolSpec
 from activelp.data import PriceSeries
-from activelp.env import MIN_HISTORY
+from activelp.env import MIN_HISTORY, MarketTape
 from activelp.harness import (ConfigError, ExperimentConfig, SearchGrid,
                               emit_report, make_windows, run_window, sample_spec,
                               train_and_select)
@@ -146,15 +146,24 @@ class TestRunWindow:
         np.testing.assert_array_equal(a.active_trace.reward, b.active_trace.reward)
         np.testing.assert_array_equal(a.passive_trace.reward, b.passive_trace.reward)
 
-    def test_selection_never_touches_test_data(self):
+    def test_selection_never_touches_test_data(self, monkeypatch):
+        # every slice of the series taken by the time selection returns ends
+        # before the test period
         tracked = TrackingSeries(self.series)
         window = self.windows[0]
-        selected, outcomes, stats = train_and_select(
-            tracked, window, TINY_GRID, n_agents=2, seed=1, pool=POOL, x0=2.0,
-            train_overrides=TINY_TRAINING)
-        assert selected is not None
-        assert tracked.requests, "expected data access through slice()"
-        for start, stop in tracked.requests:
+        seen = []
+
+        def tracking_select(*args, **kwargs):
+            out = train_and_select(*args, **kwargs)
+            seen.extend(tracked.requests)
+            return out
+
+        monkeypatch.setattr(harness, "train_and_select", tracking_select)
+        result = run_window(tracked, window, TINY_GRID, n_agents=2, seed=1, pool=POOL,
+                            x0=2.0, train_overrides=TINY_TRAINING)
+        assert not result.failed
+        assert seen, "expected data access through slice()"
+        for start, stop in seen:
             assert stop <= window.test_start
 
     def test_parallel_training_matches_sequential(self):
@@ -212,11 +221,42 @@ class TestRunWindow:
         assert sorted(calls) == sorted([*distinct, (0, 50)])
 
 
+    @pytest.mark.parametrize("selection", ["train", "test_leaky"])
+    def test_one_tape_per_slice_and_one_env_per_agent(self, monkeypatch, selection):
+        from activelp import env
+
+        features, envs = [], []
+        compute_features, init = env.compute_features, env.LPEnv.__init__
+
+        def counting_features(series, *args, **kwargs):
+            features.append(len(series))
+            return compute_features(series, *args, **kwargs)
+
+        def counting_init(self, config):
+            envs.append(config.action_set)
+            init(self, config)
+
+        monkeypatch.setattr(env, "compute_features", counting_features)
+        monkeypatch.setattr(env.LPEnv, "__init__", counting_init)
+        window = self.windows[0]
+        result = run_window(self.series, window, TINY_GRID, n_agents=3, seed=5,
+                            pool=POOL, x0=2.0, selection=selection,
+                            train_overrides={**TINY_TRAINING, "total_timesteps": 300})
+        assert not result.failed
+        train_len = window.train_end - window.train_start
+        test_len = window.test_end - window.test_start + MIN_HISTORY
+        assert sorted(features) == sorted([train_len, test_len])
+        # one env per agent (training and greedy pass), the active and the
+        # passive test env, plus one test env per agent when rescoring on test
+        assert len(envs) == 3 + 2 + (3 if selection == "test_leaky" else 0)
+
+
 def _test_reward(series, window, outcome):
     from activelp.env import compute_stats
-    stats = compute_stats(series.slice(window.train_start, window.train_end),
-                          outcome.spec.action_set, POOL, 2.0)
-    active, _ = harness.evaluate_on_test(series, window, outcome, stats, POOL, 2.0)
+    train_tape = MarketTape(series.slice(window.train_start, window.train_end))
+    stats = compute_stats(train_tape, outcome.spec.action_set, POOL, 2.0)
+    test_tape = MarketTape(harness._test_slice(series, window))
+    active, _ = harness.evaluate_on_test(train_tape, test_tape, outcome, stats, POOL, 2.0)
     return active.total_reward
 
 

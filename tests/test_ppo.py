@@ -53,17 +53,19 @@ def random_batch(rng, actor, critic, n=8, logp_jitter=0.05):
 
 
 def flat_grads(actor_grads, critic_grads):
-    return np.concatenate([g.ravel() for g in actor_grads + critic_grads])
+    return np.concatenate([actor_grads, critic_grads])
 
 
 def fd_grads(batch, actor, critic, clip, c1, c2, h=1e-5):
-    theta0 = np.concatenate([actor.flat(), critic.flat()])
-    na = actor.flat().size
+    """Central differences along each entry of the two `theta` buffers, so
+    they line up with the analytic gradients only if those share its layout."""
+    theta0 = np.concatenate([actor.theta, critic.theta])
+    na = actor.theta.size
 
     def value(theta):
         a, c = actor.copy(), critic.copy()
-        a.load_flat(theta[:na])
-        c.load_flat(theta[na:])
+        a.theta[...] = theta[:na]
+        c.theta[...] = theta[na:]
         J, _, _, _ = ppo_objective(batch, a, c, clip, c1, c2)
         return J
 
@@ -119,6 +121,83 @@ class TestMlp:
         assert np.max(np.abs(mlp.weights[-1])) < 0.02
 
 
+def is_fortran(a):
+    return a.flags.f_contiguous and not a.flags.c_contiguous
+
+
+class TestMlpBuffer:
+    SIZES = [13, 4, 8, 2, 5]  # 4->8 and 2->5 are built Fortran-ordered
+
+    def test_tensors_are_views_on_theta_in_build_order(self):
+        mlp = Mlp.build(self.SIZES, "tanh", np.random.default_rng(3))
+        assert mlp.theta.size == mlp.n_params() == sum(p.size for p in mlp.params)
+        for w, n_in, n_out in zip(mlp.weights, self.SIZES[:-1], self.SIZES[1:]):
+            assert np.shares_memory(w, mlp.theta)
+            assert is_fortran(w) == (n_in < n_out)
+        for b in mlp.biases:
+            assert np.shares_memory(b, mlp.theta)
+        mlp.theta[...] = 0.0
+        assert all(np.all(p == 0.0) for p in mlp.params)
+
+    def test_construction_keeps_given_order_and_values(self):
+        rng = np.random.default_rng(5)
+        weights = [np.asfortranarray(rng.standard_normal((3, 4))),
+                   np.ascontiguousarray(rng.standard_normal((4, 2)))]
+        biases = [rng.standard_normal(4), rng.standard_normal(2)]
+        mlp = Mlp(weights, biases, "relu")
+        assert is_fortran(mlp.weights[0]) and mlp.weights[1].flags.c_contiguous
+        for got, want in zip(mlp.params, [weights[0], biases[0], weights[1], biases[1]]):
+            np.testing.assert_array_equal(got, want)
+            assert not np.shares_memory(got, want)
+
+    def test_flat_is_c_order_and_round_trips(self):
+        mlp = Mlp.build(self.SIZES, "tanh", np.random.default_rng(7))
+        want = np.concatenate([np.ascontiguousarray(p).reshape(-1) for p in mlp.params])
+        np.testing.assert_array_equal(mlp.flat(), want)
+        other = Mlp.build(self.SIZES, "tanh", np.random.default_rng(8))
+        other.load_flat(mlp.flat())
+        np.testing.assert_array_equal(other.theta, mlp.theta)
+
+    def test_views_of_a_gradient_match_the_parameter_layout(self):
+        mlp = Mlp.build(self.SIZES, "sigmoid", np.random.default_rng(9))
+        vec = np.arange(mlp.theta.size, dtype=float)
+        for view, p in zip(mlp.views(vec), mlp.params):
+            assert view.shape == p.shape and view.strides == p.strides
+
+    def test_copy_is_independent_with_same_layout(self):
+        mlp = Mlp.build(self.SIZES, "tanh", np.random.default_rng(11))
+        dup = mlp.copy()
+        assert not np.shares_memory(dup.theta, mlp.theta)
+        for a, b in zip(dup.params, mlp.params):
+            assert np.shares_memory(a, dup.theta) and a.strides == b.strides
+        x = np.random.default_rng(12).standard_normal((1, 13))
+        np.testing.assert_array_equal(dup.forward(x), mlp.forward(x))
+        dup.theta += 1.0
+        assert not np.array_equal(dup.flat(), mlp.flat())
+
+    def test_pickle_keeps_one_buffer_and_layout(self):
+        import pickle
+
+        mlp = Mlp.build(self.SIZES, "relu", np.random.default_rng(13))
+        back = pickle.loads(pickle.dumps(mlp))
+        np.testing.assert_array_equal(back.theta, mlp.theta)
+        for a, b in zip(back.params, mlp.params):
+            assert np.shares_memory(a, back.theta) and a.strides == b.strides
+
+    def test_checkpoint_keeps_layout(self, tmp_path):
+        spec = AgentSpec(action_set=(0, 10, 20, 30, 40), activation="tanh",
+                         hidden_layers=(4, 2), rollout_length=64, total_timesteps=64)
+        actor = Mlp.build([5, 4, 2, 5], "tanh", np.random.default_rng(15), out_gain=0.01)
+        critic = Mlp.build([5, 4, 2, 1], "tanh", np.random.default_rng(16))
+        result = ppo.TrainResult(spec, actor, critic, [], 64, False)
+        ppo.save_checkpoint(tmp_path / "agent.npz", result)
+        loaded = ppo.load_checkpoint(tmp_path / "agent.npz")
+        for net, back in ((actor, loaded.actor), (critic, loaded.critic)):
+            np.testing.assert_array_equal(back.theta, net.theta)
+            for a, b in zip(back.params, net.params):
+                assert np.shares_memory(a, back.theta) and a.strides == b.strides
+
+
 class TestCategorical:
     def test_uniform_from_zero_logits(self):
         dist = Categorical(np.zeros((3, 5)))
@@ -147,14 +226,20 @@ class TestCategorical:
     def test_log_prob_of_samples_finite(self):
         rng = np.random.default_rng(53)
         dist = Categorical(rng.standard_normal((200, 5)))
-        actions = dist.sample(rng)
+        actions = Categorical.sample(dist.probs, rng.random(200))
         assert np.all(np.isfinite(dist.log_prob(actions)))
 
     def test_sampling_frequencies(self):
         rng = np.random.default_rng(55)
         logits = np.tile(np.log(np.array([0.5, 0.3, 0.2])), (20000, 1))
-        counts = np.bincount(Categorical(logits).sample(rng), minlength=3)
+        u = rng.random(20000)
+        counts = np.bincount(Categorical.sample(Categorical(logits).probs, u), minlength=3)
         np.testing.assert_allclose(counts / 20000, [0.5, 0.3, 0.2], atol=0.02)
+
+    def test_sample_counts_cdf_entries_at_or_below_u(self):
+        probs = np.array([[0.25, 0.5, 0.25]] * 5)
+        u = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        np.testing.assert_array_equal(Categorical.sample(probs, u), [0, 1, 1, 2, 2])
 
 
 class TestReturnsAndAdvantages:
@@ -257,8 +342,8 @@ class TestObjective:
 
         actor_a = actor.copy()
         actor_b = actor.copy()
-        Adam(actor_a.params, lr=1e-3).ascend(ppo_grads)
-        Adam(actor_b.params, lr=1e-3).ascend(vanilla)
+        Adam(actor_a.theta, lr=1e-3).ascend(ppo_grads)
+        Adam(actor_b.theta, lr=1e-3).ascend(vanilla)
         np.testing.assert_allclose(actor_a.flat(), actor_b.flat(), atol=1e-10)
 
     def test_empty_batch_rejected(self):
@@ -396,3 +481,136 @@ class TestPersistence:
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("update,timesteps,mean_episode_reward")
         assert len(lines) == 1 + len(result.curve)
+
+
+# ---------------------------------------------------------------------------
+# reference trainer: the loop as it stood before the lean rollout step and
+# the flat-buffer Adam, kept as the bitwise oracle for `train`
+
+
+class ReferenceMlp(Mlp):
+    """Computes with the arrays it is given, one per tensor, as networks did
+    before they shared a flat buffer; `theta` only lends its layout to the
+    gradient views."""
+
+    def __init__(self, weights, biases, activation):
+        super().__init__(weights, biases, activation)
+        self.weights = list(weights)
+        self.biases = list(biases)
+
+
+class ReferenceAdam:
+    """Adam with one Python step per tensor."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def ascend(self, grads):
+        self.t += 1
+        b1c = 1.0 - self.beta1 ** self.t
+        b2c = 1.0 - self.beta2 ** self.t
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
+            v[...] = self.beta2 * v + (1.0 - self.beta2) * (g * g)
+            p += self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+
+
+def reference_collect_rollout(env, actor, critic, rng, n_steps, obs, episode_returns, running):
+    """A Categorical, two cached forwards and one rng.random(1) per step."""
+    obs_buf = np.empty((n_steps, env.obs_dim))
+    act_buf = np.empty(n_steps, dtype=int)
+    lp_buf = np.empty(n_steps)
+    rew_buf = np.empty(n_steps)
+    val_buf = np.empty(n_steps)
+    done_buf = np.zeros(n_steps, dtype=bool)
+    for i in range(n_steps):
+        row = obs[None, :]
+        dist = Categorical(actor.forward_cached(row)[0])
+        cdf = np.cumsum(dist.probs, axis=-1)
+        u = rng.random(dist.probs.shape[0])
+        idx = (u[:, None] >= cdf).sum(axis=-1)
+        action = int(np.minimum(idx, dist.probs.shape[1] - 1)[0])
+        value = float(critic.forward_cached(row)[0][0, 0])
+        out = env.step(action)
+        obs_buf[i] = obs
+        act_buf[i] = action
+        lp_buf[i] = float(dist.log_prob(np.array([action]))[0])
+        rew_buf[i] = out.reward
+        val_buf[i] = value
+        running[0] += out.reward
+        if out.done:
+            done_buf[i] = True
+            episode_returns.append(running[0])
+            running[0] = 0.0
+            obs = env.reset()
+        else:
+            obs = out.observation
+    return RolloutBatch(obs_buf, act_buf, lp_buf, rew_buf, val_buf, done_buf), obs
+
+
+def reference_train(env, spec, seed):
+    """`train` without early stopping: (actor, critic, curve objectives)."""
+    rng = np.random.default_rng(seed)
+    sizes = [env.obs_dim, *spec.hidden_layers]
+    actor = ReferenceMlp.build(sizes + [env.n_actions], spec.activation, rng, out_gain=0.01)
+    critic = ReferenceMlp.build(sizes + [1], spec.activation, rng)
+    opt_actor = ReferenceAdam(actor.params, spec.learning_rate)
+    opt_critic = ReferenceAdam(critic.params, spec.learning_rate)
+    coefs = (spec.clip_range, spec.value_coef, spec.entropy_coef)
+    obs = env.reset()
+    running, episode_returns, objectives = [0.0], [], []
+    for start in range(0, spec.total_timesteps, spec.rollout_length):
+        n = min(spec.rollout_length, spec.total_timesteps - start)
+        batch, obs = reference_collect_rollout(env, actor, critic, rng, n, obs,
+                                               episode_returns, running)
+        batch.returns = compute_returns(batch.rewards, spec.gamma, batch.dones)
+        batch.advantages = advantages(batch.returns, batch.values)
+        for _ in range(spec.epochs):
+            order = rng.permutation(n)
+            for lo in range(0, n, spec.minibatch_size):
+                mb = batch.select(order[lo:lo + spec.minibatch_size])
+                _, _, ga, gc = ppo_objective(mb, actor, critic, *coefs)
+                opt_actor.ascend(actor.views(ga))
+                opt_critic.ascend(critic.views(gc))
+        objectives.append(float(ppo_objective(batch, actor, critic, *coefs)[0]))
+    return actor, critic, objectives
+
+
+class TestGridOracle:
+    def test_train_matches_reference_bitwise_on_every_grid_shape(self):
+        from activelp import data
+        from activelp.amm import PoolSpec
+        from activelp.env import MIN_HISTORY, EnvConfig, LPEnv, MarketTape
+        from activelp.harness import SearchGrid
+
+        grid = SearchGrid.default()
+        pool = PoolSpec(fee_rate=0.003, tick_spacing=10, gas_cost=1.0)
+        # 40-step episodes, so rollouts cross episode ends
+        tape = MarketTape(data.gbm_generate(seed=4, n_hours=MIN_HISTORY + 40,
+                                            p_start=3000.0, drift=0.0, vol=0.004))
+        checked = 0
+        # 3, 4 and 5 actions put Fortran-ordered output layers on the
+        # narrow hidden widths
+        for action_set in ((0, 10, 20), (0, 10, 20, 30), (0, 10, 20, 30, 40)):
+            config = EnvConfig(pool=pool, action_set=action_set, x0=2.0, data=tape)
+            for activation in grid.activations:
+                for hidden in grid.hidden_layers:
+                    spec = AgentSpec(action_set=action_set, activation=activation,
+                                     hidden_layers=hidden, learning_rate=1e-2,
+                                     rollout_length=48, total_timesteps=96, epochs=2,
+                                     minibatch_size=16, patience=10**6)
+                    got = train(lambda: LPEnv(config), spec, seed=17)
+                    actor, critic, objectives = reference_train(LPEnv(config), spec, seed=17)
+                    label = (action_set, activation, hidden)
+                    assert np.array_equal(got.actor.flat(), actor.flat()), label
+                    assert np.array_equal(got.critic.flat(), critic.flat()), label
+                    assert [s.objective for s in got.curve] == objectives, label
+                    checked += 1
+        assert checked == 3 * len(grid.activations) * len(grid.hidden_layers)
