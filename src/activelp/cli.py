@@ -136,11 +136,13 @@ def cmd_train(args) -> int:
     pool = _pool_from_args(args)
     config = env.EnvConfig(pool=pool, action_set=spec.action_set, x0=args.x0,
                            data=series)
-    result = ppo.train(lambda: env.LPEnv(config), spec, args.seed)
+    train_env = env.LPEnv(config)
+    result = ppo.train(lambda: train_env, spec, args.seed)
     ppo.save_checkpoint(args.out, result)
     if args.curve:
         ppo.save_training_curve(args.curve, result.curve)
-    trace = env.run_policy(env.LPEnv(config), ppo.greedy_action_fn(result.actor))
+    # run_policy resets the env, so the greedy pass reuses the training one
+    trace = env.run_policy(train_env, ppo.greedy_action_fn(result.actor))
     print(f"trained {result.timesteps} timesteps"
           f"{' (early stop)' if result.stopped_early else ''}; "
           f"greedy cumulative reward {trace.total_reward:.4f}")
@@ -165,7 +167,7 @@ def cmd_baseline(args) -> int:
     pool = _pool_from_args(args)
     config = env.EnvConfig(pool=pool, action_set=(0, args.width), x0=args.x0,
                            data=series)
-    trace = env.run_passive(env.LPEnv(config), args.width, args.period)
+    trace = env.run_passive(config, args.width, args.period)
     if args.out_trace:
         trace.to_csv(args.out_trace)
     deployments = int(np.sum(trace.action > 0))

@@ -7,7 +7,6 @@ then advances close-to-close and the reward is fee - lvr - gas.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -33,6 +32,11 @@ MARKET_ENTRIES = (0, 1, 4, 5, 6, 7, 8, 9, 10, 11, 12)
 GAS_PER_LEG = "per_leg"  # gas per on-chain leg: deploy g, rebalance 2g
 GAS_FLAT = "flat"        # single gas charge for any nonzero action
 
+TRACE_HEADER = "t,price,action,width,L,fee,lvr,gas,reward"
+# EpisodeTrace fields in TRACE_HEADER order
+TRACE_COLUMNS = ("t", "price", "action", "width", "liquidity", "fee", "lvr", "gas", "reward")
+_CSV_BLOCK = 512
+
 
 @dataclass(frozen=True)
 class Features:
@@ -47,12 +51,6 @@ class Features:
     adxr: np.ndarray
     bop: np.ndarray
     dx: np.ndarray
-
-    @property
-    def warmup_complete(self) -> np.ndarray:
-        cols = (self.ewma_vol, self.ma24, self.ma168, self.bb_upper,
-                self.bb_mid, self.bb_lower, self.adxr, self.bop, self.dx)
-        return np.all(np.isfinite(np.column_stack(cols)), axis=1)
 
 
 def compute_features(series: PriceSeries, alpha: float = 0.05) -> Features:
@@ -73,8 +71,9 @@ class MarketTape:
 
     The price path does not depend on the agent's actions, so ticks,
     features and the raw market entries of every observation are fixed by
-    the slice alone. Environments and stats over the same slice can share
-    one tape; none of them writes to it.
+    the slice alone, and so is the range a width would open at each hour.
+    Environments and stats over the same slice can share one tape; they add
+    range tables to its cache and change nothing else.
     """
 
     def __init__(self, series: PriceSeries):
@@ -86,9 +85,51 @@ class MarketTape:
             self.closes, self.ticks, f.ewma_vol, f.ma24, f.ma168, f.bb_upper,
             f.bb_mid, f.bb_lower, f.adxr, f.bop, f.dx,
         ])
+        self._ranges: dict[tuple, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.closes)
+
+    def range_table(self, width: int, spacing: int, x0: float) -> np.ndarray:
+        """(len, 5) rows of the position that half-width `width` opens at each
+        hour: lower tick, upper tick, liquidity, lower price, upper price.
+
+        Each row equals `amm.align_range` followed by `Position.open` at that
+        hour's close, bitwise. Built on first use and cached.
+        """
+        key = (width, spacing, x0)
+        table = self._ranges.get(key)
+        if table is None:
+            table = self._ranges[key] = _range_table(self.closes, self.ticks, width,
+                                                     spacing, x0)
+        return table
+
+
+def _range_table(closes, ticks, width, spacing, x0) -> np.ndarray:
+    if width < spacing:
+        raise ValueError(f"half width {width} is below tick spacing {spacing}")
+    # amm.align_range's floor and ceil as integer division
+    lower = (ticks - int(width)) // spacing * spacing
+    upper = -(-(ticks + int(width)) // spacing) * spacing
+    # the scalar price_at_tick keeps every bound bitwise equal to the one
+    # Position.open computes
+    distinct, where = np.unique(np.concatenate([lower, upper]), return_inverse=True)
+    bounds = np.array([amm.price_at_tick(int(i)) for i in distinct])[where]
+    lower_price, upper_price = bounds[:len(ticks)], bounds[len(ticks):]
+    if np.any(closes >= upper_price) or np.any(closes < lower_price):
+        raise ValueError(f"a close sits outside its width-{width} range")
+    table = np.empty((len(ticks), 5))
+    table[:, 0] = lower
+    table[:, 1] = upper
+    # amm.liquidity_from_x, elementwise
+    table[:, 2] = x0 / (1.0 / np.sqrt(closes) - 1.0 / np.sqrt(upper_price))
+    table[:, 3] = lower_price
+    table[:, 4] = upper_price
+    return table
+
+
+def _tape(data: PriceSeries | MarketTape) -> MarketTape:
+    return data if isinstance(data, MarketTape) else MarketTape(data)
 
 
 @dataclass(frozen=True)
@@ -98,11 +139,12 @@ class FeatureStats:
     mean: np.ndarray
     std: np.ndarray
 
-    def normalize(self, vector: np.ndarray) -> np.ndarray:
+    def normalize(self, vector: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Z-score observation vectors (the last axis); zero where the std
-        is not positive or the result is not finite."""
+        is not positive or the result is not finite. `out=vector` works in
+        place."""
         ok = self.std > 0
-        out = np.subtract(vector, self.mean)
+        out = np.subtract(vector, self.mean, out=out)
         out /= np.where(ok, self.std, 1.0)
         out[..., ~ok] = 0.0
         out[~np.isfinite(out)] = 0.0
@@ -125,34 +167,17 @@ def compute_stats(series: PriceSeries | MarketTape, action_set, pool: PoolSpec,
     action set; the liquidity entry uses the liquidity each nonzero width
     would hold at each post-warmup close.
     """
-    tape = series if isinstance(series, MarketTape) else MarketTape(series)
+    tape = _tape(series)
     start = MIN_HISTORY - 1
     if len(tape.closes) <= start:
         raise ValueError(f"series of {len(tape.closes)} rows is shorter than the {MIN_HISTORY}-row warmup")
     if x0 <= 0:
         raise ValueError(f"x0 must be positive, got {x0}")
     market = tape.market[start:]
-    closes = tape.closes[start:]
-    ticks = tape.ticks[start:]
-    spacing = pool.tick_spacing
-
     widths = np.array(action_set, dtype=float)
-    liqs = [np.zeros(1)]
-    for width in action_set:
-        if width == 0:
-            continue
-        if width < spacing:
-            raise ValueError(f"half width {width} is below tick spacing {spacing}")
-        # amm.align_range's upper tick; the scalar price_at_tick keeps every
-        # bound bitwise equal to the one Position.open computes
-        upper = -(-(ticks + int(width)) // spacing) * spacing
-        distinct, where = np.unique(upper, return_inverse=True)
-        upper_price = np.array([amm.price_at_tick(int(u)) for u in distinct])[where]
-        if np.any(closes >= upper_price):
-            raise ValueError(f"a close sits at or above its width-{width} upper bound")
-        # amm.liquidity_from_x, elementwise
-        liqs.append(x0 / (1.0 / np.sqrt(closes) - 1.0 / np.sqrt(upper_price)))
-    liqs = np.concatenate(liqs)
+    liqs = np.concatenate([np.zeros(1)] + [
+        tape.range_table(width, pool.tick_spacing, x0)[start:, 2]
+        for width in action_set if width != 0])
 
     mean = np.empty(OBS_SIZE)
     std = np.empty(OBS_SIZE)
@@ -218,25 +243,27 @@ class LPEnv:
 
     def __init__(self, config: EnvConfig):
         self.config = config
-        tape = config.data if isinstance(config.data, MarketTape) else MarketTape(config.data)
+        tape = _tape(config.data)
         self._stats = config.stats or compute_stats(
             tape, config.action_set, config.pool, config.x0)
         self._closes = tape.closes.tolist()
-        self._ticks = tape.ticks
         self._sigma = tape.features.ewma_vol.tolist()
+        # the range each action opens at each hour; None for hold
+        self._tables = [None] + [tape.range_table(width, config.pool.tick_spacing, config.x0)
+                                 for width in config.action_set[1:]]
         # every observation z-scored up front; width and liquidity are raw
         # zeros here, the no-position value, and overwritten while a
         # position is open
         obs = np.zeros((len(self._closes), OBS_SIZE))
         obs[:, MARKET_ENTRIES] = tape.market
-        self._obs = self._stats.normalize(obs)
+        self._obs = self._stats.normalize(obs, out=obs)
         self._start = MIN_HISTORY - 1
         self._last = len(config.data) - 1
         self._t = None
-        self.position: Position | None = None
-        self._range_prices = None  # (lower, upper) price of the open position
+        # open position: its range_table row and the hour it opened at
+        self._range = None
+        self._opened_at = None
         self._position_obs = None  # its normalized (width, liquidity)
-        self.episode_step = 0
 
     @property
     def obs_dim(self) -> int:
@@ -260,12 +287,19 @@ class LPEnv:
             raise RuntimeError("reset() must be called first")
         return self._closes[self._t]
 
+    @property
+    def position(self) -> Position | None:
+        """The open position, built on request; None while none is open."""
+        if self._range is None:
+            return None
+        lower, upper = int(self._range[0]), int(self._range[1])
+        return Position.open(lower, upper, self._closes[self._opened_at], self.config.x0)
+
     def reset(self) -> np.ndarray:
         self._t = self._start
-        self.position = None
-        self._range_prices = None
+        self._range = None
+        self._opened_at = None
         self._position_obs = None
-        self.episode_step = 0
         return self._observe()
 
     def step(self, action_index: int) -> StepOutcome:
@@ -279,28 +313,25 @@ class LPEnv:
         pool = self.config.pool
         t = self._t
         price = self._closes[t]
-        width = self.config.action_set[action_index]
         gas = 0.0
-        if width != 0:
-            if self.config.gas_mode == GAS_PER_LEG and self.position is not None:
+        if action_index != 0:
+            if self.config.gas_mode == GAS_PER_LEG and self._range is not None:
                 gas = 2.0 * pool.gas_cost  # withdraw + redeploy
             else:
                 gas = pool.gas_cost
-            self._open(width, price)
+            self._open(action_index)
 
         fee = 0.0
         lvr = 0.0
-        pos = self.position
-        if pos is not None:
-            lower_price, upper_price = self._range_prices
-            fee = amm.fee_for_move(pos.liquidity, pool.fee_rate, price, self._closes[t + 1],
+        if self._range is not None:
+            _, _, liquidity, lower_price, upper_price = self._range
+            fee = amm.fee_for_move(liquidity, pool.fee_rate, price, self._closes[t + 1],
                                    lower_price, upper_price)
             in_range = lower_price <= price <= upper_price
-            lvr = amm.lvr_penalty(pos.liquidity, self._sigma[t], price, in_range)
+            lvr = amm.lvr_penalty(liquidity, self._sigma[t], price, in_range)
         reward = fee - lvr - gas
 
         self._t += 1
-        self.episode_step += 1
         return StepOutcome(
             observation=self._observe(),
             reward=reward,
@@ -308,13 +339,11 @@ class LPEnv:
             info=StepInfo(fee=fee, lvr=lvr, gas=gas),
         )
 
-    def _open(self, width: int, price: float):
-        lower, upper = amm.align_range(int(self._ticks[self._t]), width, self.config.pool.tick_spacing)
-        pos = Position.open(lower, upper, price, self.config.x0)
-        self.position = pos
-        self._range_prices = (pos.lower_price, pos.upper_price)
-        self._position_obs = (self._stats.normalize_entry(2, (upper - lower) / 2.0),
-                              self._stats.normalize_entry(3, pos.liquidity))
+    def _open(self, action_index: int):
+        self._range = row = self._tables[action_index][self._t].tolist()
+        self._opened_at = self._t
+        self._position_obs = (self._stats.normalize_entry(2, (row[1] - row[0]) / 2.0),
+                              self._stats.normalize_entry(3, row[2]))
 
     def _observe(self) -> np.ndarray:
         obs = self._obs[self._t].copy()
@@ -359,54 +388,118 @@ class EpisodeTrace:
         return float(self.cumulative_reward[-1])
 
     def to_csv(self, path):
+        dtypes = (np.int64, float, np.int64, np.int64, float, float, float, float, float)
+        cols = [np.asarray(getattr(self, name)).astype(dtype, copy=False)
+                for name, dtype in zip(TRACE_COLUMNS, dtypes)]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "price", "action", "width", "L", "fee", "lvr", "gas", "reward"])
-            for i in range(self.t.size):
-                writer.writerow([
-                    int(self.t[i]), repr(float(self.price[i])), int(self.action[i]),
-                    int(self.width[i]), repr(float(self.liquidity[i])),
-                    repr(float(self.fee[i])), repr(float(self.lvr[i])),
-                    repr(float(self.gas[i])), repr(float(self.reward[i])),
-                ])
+            fh.write(TRACE_HEADER + "\r\n")
+            # a block of rows per write: whole-trace strings would cost
+            # several times the trace's own memory
+            for lo in range(0, self.t.size, _CSV_BLOCK):
+                fh.write("".join([
+                    f"{t},{p!r},{a},{w},{liq!r},{fee!r},{lvr!r},{gas!r},{r!r}\r\n"
+                    for t, p, a, w, liq, fee, lvr, gas, r in zip(
+                        *(c[lo:lo + _CSV_BLOCK].tolist() for c in cols))]))
 
 
 def run_policy(env: LPEnv, action_fn) -> EpisodeTrace:
     """Roll one full episode with action_fn(observation, step) -> action index."""
+    n = env.n_steps
+    price = np.empty(n)
+    action = np.empty(n, dtype=np.int64)
+    width = np.empty(n, dtype=np.int64)
+    liquidity = np.empty(n)
+    fee = np.empty(n)
+    lvr = np.empty(n)
+    gas = np.empty(n)
+    reward = np.empty(n)
     obs = env.reset()
-    rows = []
-    step = 0
-    done = False
-    while not done:
-        action = int(action_fn(obs, step))
-        price = env.current_price
-        out = env.step(action)
-        pos = env.position
-        rows.append((
-            step, price, action,
-            0 if pos is None else (pos.upper_tick - pos.lower_tick) // 2,
-            0.0 if pos is None else pos.liquidity,
-            out.info.fee, out.info.lvr, out.info.gas, out.reward,
-        ))
+    for step in range(n):
+        a = int(action_fn(obs, step))
+        price[step] = env.current_price
+        out = env.step(a)
+        action[step] = a
+        rng = env._range
+        if rng is None:
+            width[step], liquidity[step] = 0, 0.0
+        else:
+            width[step], liquidity[step] = int(rng[1] - rng[0]) // 2, rng[2]
+        info = out.info
+        fee[step], lvr[step], gas[step], reward[step] = info.fee, info.lvr, info.gas, out.reward
         obs = out.observation
-        done = out.done
-        step += 1
-    cols = list(zip(*rows))
+    return EpisodeTrace(t=np.arange(n), price=price, action=action, width=width,
+                        liquidity=liquidity, fee=fee, lvr=lvr, gas=gas, reward=reward)
+
+
+def replay(config: EnvConfig, actions) -> EpisodeTrace:
+    """The trace that stepping an LPEnv over `config` with this sequence of
+    action indices gives, bitwise, computed without stepping.
+
+    The price path does not depend on the actions, so the position live at
+    each step is the one opened at the last nonzero action; its range comes
+    from the tape's range table, and fee, LVR, gas and reward follow the
+    operation order of `amm.fee_for_move`, `amm.lvr_penalty` and `LPEnv.step`.
+    """
+    tape = _tape(config.data)
+    pool = config.pool
+    start = MIN_HISTORY - 1
+    n = len(tape) - MIN_HISTORY
+    actions = np.asarray(actions)
+    if actions.shape != (n,):
+        raise ValueError(f"need one action per step, {n}, got shape {actions.shape}")
+    if not np.issubdtype(actions.dtype, np.integer) or np.any(
+            (actions < 0) | (actions >= len(config.action_set))):
+        raise ValueError(f"action indices must be integers in [0, {len(config.action_set)})")
+    actions = actions.astype(np.int64)
+    steps = np.arange(n)
+    price = tape.closes[start:start + n]
+
+    # step at which the live position opened, -1 before the first one
+    opened = np.where(actions != 0, steps, -1)
+    np.maximum.accumulate(opened, out=opened)
+    live = np.flatnonzero(opened >= 0)
+    rows = np.zeros((n, 5))
+    open_action = actions[opened[live]]
+    for k, width in enumerate(config.action_set[1:], 1):
+        at = live[open_action == k]
+        if at.size:
+            table = tape.range_table(width, pool.tick_spacing, config.x0)
+            rows[at] = table[start + opened[at]]
+
+    fee = np.zeros(n)
+    lvr = np.zeros(n)
+    liq, lower_price, upper_price = rows[live, 2], rows[live, 3], rows[live, 4]
+    p = price[live]
+    # amm.fee_for_move, elementwise
+    factor = pool.fee_rate / (1.0 - pool.fee_rate) * liq
+    a = np.minimum(np.maximum(p, lower_price), upper_price)
+    b = np.minimum(np.maximum(tape.closes[start + 1 + live], lower_price), upper_price)
+    up = factor * (np.sqrt(b) - np.sqrt(a))
+    down = factor * (1.0 / np.sqrt(b) - 1.0 / np.sqrt(a)) * b
+    fee[live] = np.where(b > a, up, np.where(b < a, down, 0.0))
+    # amm.lvr_penalty, elementwise
+    sigma = tape.features.ewma_vol[start + live]
+    in_range = (lower_price <= p) & (p <= upper_price)
+    lvr[live] = np.where(in_range, liq * sigma * sigma * np.sqrt(p) / 4.0, 0.0)
+
+    deploy = actions != 0
+    rebalance = np.zeros(n, dtype=bool)
+    if config.gas_mode == GAS_PER_LEG:
+        rebalance[1:] = opened[:-1] >= 0
+    gas = np.where(deploy, np.where(rebalance, 2.0 * pool.gas_cost, pool.gas_cost), 0.0)
     return EpisodeTrace(
-        t=np.array(cols[0]), price=np.array(cols[1]), action=np.array(cols[2]),
-        width=np.array(cols[3]), liquidity=np.array(cols[4]), fee=np.array(cols[5]),
-        lvr=np.array(cols[6]), gas=np.array(cols[7]), reward=np.array(cols[8]),
+        t=steps, price=price.copy(), action=actions,
+        width=(rows[:, 1] - rows[:, 0]).astype(np.int64) // 2, liquidity=rows[:, 2].copy(),
+        fee=fee, lvr=lvr, gas=gas, reward=fee - lvr - gas,
     )
 
 
-def run_passive(env: LPEnv, width: int = 50, period: int = 500) -> EpisodeTrace:
-    """Run the periodic passive strategy through the environment."""
-    if width not in env.config.action_set:
-        raise ValueError(f"width {width} not in the environment action set {env.config.action_set}")
-    deploy = env.config.action_set.index(width)
-    stream = passive_policy(width, period)
-
-    def act(_obs, step):
-        return deploy if stream(step) else 0
-
-    return run_policy(env, act)
+def run_passive(config: EnvConfig, width: int = 50, period: int = 500) -> EpisodeTrace:
+    """Score the periodic passive strategy (`passive_policy`'s schedule:
+    deploy `width` every `period` steps, hold otherwise) with `replay`."""
+    if width not in config.action_set:
+        raise ValueError(f"width {width} not in the environment action set {config.action_set}")
+    if period < 1:
+        raise ValueError(f"period must be >= 1, got {period}")
+    steps = np.arange(len(config.data) - MIN_HISTORY)
+    return replay(config, np.where(steps % period == 0, config.action_set.index(width), 0))

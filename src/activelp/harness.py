@@ -9,7 +9,7 @@ import json
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -218,20 +218,15 @@ def _active_trace(test_tape: MarketTape, outcome: AgentOutcome, stats, pool: Poo
     return run_policy(env, greedy_action_fn(outcome.result.actor))
 
 
-def evaluate_on_test(train_tape: MarketTape, test_tape: MarketTape,
-                     selected: AgentOutcome, stats, pool: PoolSpec, x0: float,
-                     gas_mode: str = "per_leg", passive_width: int = 50,
+def evaluate_on_test(test_tape: MarketTape, selected: AgentOutcome, stats, pool: PoolSpec,
+                     x0: float, gas_mode: str = "per_leg", passive_width: int = 50,
                      passive_period: int = 500) -> tuple[EpisodeTrace, EpisodeTrace]:
-    """Greedy rollout of the selected agent plus the passive baseline on the
-    test slice's tape, both normalized with the frozen training stats (the
-    passive stats come from the train slice's tape)."""
+    """Greedy rollout of the selected agent, normalized with the frozen
+    training stats, plus the passive baseline on the test slice's tape."""
     active = _active_trace(test_tape, selected, stats, pool, x0, gas_mode)
-
-    passive_set = (0, passive_width)
-    passive_stats = compute_stats(train_tape, passive_set, pool, x0)
-    passive_env = LPEnv(EnvConfig(pool=pool, action_set=passive_set, x0=x0,
-                                  data=test_tape, stats=passive_stats, gas_mode=gas_mode))
-    passive = run_passive(passive_env, passive_width, passive_period)
+    passive = run_passive(EnvConfig(pool=pool, action_set=(0, passive_width), x0=x0,
+                                    data=test_tape, gas_mode=gas_mode),
+                          passive_width, passive_period)
     return active, passive
 
 
@@ -262,8 +257,8 @@ def run_window(series: PriceSeries, window: Window, grid: SearchGrid,
     elif selection != SELECT_TRAIN:
         raise ConfigError(f"unknown selection mode {selection!r}")
 
-    active, passive = evaluate_on_test(train_tape, test_tape, selected, stats, pool,
-                                       x0, gas_mode, passive_width, passive_period)
+    active, passive = evaluate_on_test(test_tape, selected, stats, pool, x0, gas_mode,
+                                       passive_width, passive_period)
     return WindowResult(window=window, test_end_ts=test_end_ts, agents=outcomes,
                         selected=selected, active_trace=active, passive_trace=passive,
                         failed=False)

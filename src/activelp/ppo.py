@@ -89,9 +89,6 @@ class Mlp:
             out.extend((w, b))
         return out
 
-    def n_params(self) -> int:
-        return self.theta.size
-
     def flat(self) -> np.ndarray:
         """Parameters in `params` order, each tensor in C order."""
         return np.concatenate([p.ravel() for p in self.params])

@@ -128,7 +128,7 @@ def test_passive_baseline_structure():
         series = data.gbm_generate(seed=404, n_hours=MIN_HISTORY + 1500,
                                    p_start=3000.0, drift=0.0, vol=0.005)
         e = LPEnv(EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0, data=series))
-        return env.run_passive(e, width=50, period=500)
+        return env.run_passive(e.config, width=50, period=500)
 
     trace = run_once()
     assert trace.t.size == 1500

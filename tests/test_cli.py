@@ -111,6 +111,21 @@ class TestTrainEvaluate:
                     "--checkpoint", str(ckpt), "--out-trace", str(trace_path)]) == 0
         assert trace_path.exists()
 
+    def test_train_computes_features_once(self, tmp_path, candle_file, monkeypatch):
+        from activelp import env
+
+        calls = []
+        compute_features = env.compute_features
+
+        def counting(series, *args, **kwargs):
+            calls.append(len(series))
+            return compute_features(series, *args, **kwargs)
+
+        monkeypatch.setattr(env, "compute_features", counting)
+        assert run(["train", "--candles", str(candle_file), "--out", str(tmp_path / "a.npz"),
+                    "--timesteps", "300", "--seed", "1"]) == 0
+        assert calls == [700]
+
     def test_bad_spec_file_exits_1(self, tmp_path, candle_file):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps({"clip_range": 7.0}))

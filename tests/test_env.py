@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,19 @@ class TestStepMechanics:
             pos = e.position
             got = amm.reserves(pos, price)
             assert got.x == pytest.approx(x0, rel=1e-12)
+
+    def test_position_built_only_on_request(self, monkeypatch):
+        e = gbm_env(seed=7)
+        e.reset()
+        assert e.position is None
+        price = e.current_price
+        with monkeypatch.context() as m:
+            m.setattr(amm.Position, "open", None)  # a step must not build one
+            e.step(2)
+            e.step(0)
+        pos = e.position
+        lower, upper = amm.align_range(amm.tick_index(price), 50, POOL.tick_spacing)
+        assert pos == amm.Position.open(lower, upper, price, 2.0)
 
     def test_fee_matches_amm_for_logged_move(self):
         e = gbm_env(seed=5)
@@ -373,7 +388,7 @@ class TestPassivePolicy:
         series = data.gbm_generate(seed=17, n_hours=MIN_HISTORY + 1500,
                                    p_start=3000.0, vol=0.002)
         e = LPEnv(EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0, data=series))
-        trace = env.run_passive(e, width=50, period=500)
+        trace = env.run_passive(e.config, width=50, period=500)
         assert trace.t.size == 1500
         deploy_steps = trace.t[trace.action > 0]
         assert list(deploy_steps) == [0, 500, 1000]
@@ -383,10 +398,155 @@ class TestPassivePolicy:
     def test_width_must_be_available(self):
         e = gbm_env(action_set=(0, 20))
         with pytest.raises(ValueError):
-            env.run_passive(e, width=50)
+            env.run_passive(e.config, width=50)
+
+
+TRACE_COLUMNS = ("t", "price", "action", "width", "liquidity", "fee", "lvr", "gas", "reward")
+
+
+def assert_same_trace(got, want):
+    for name in TRACE_COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def stepped_trace(config, actions):
+    return env.run_policy(LPEnv(config), lambda obs, step: int(actions[step]))
+
+
+class TestRangeTable:
+    CASES = [(1, (1, 7, 50)), (10, (10, 30, 100)), (60, (60, 120, 600))]
+
+    @pytest.mark.parametrize("spacing,widths", CASES)
+    def test_rows_match_align_range_and_position_open(self, spacing, widths):
+        for series in (data.gbm_generate(seed=spacing, n_hours=300, p_start=3000.0, vol=0.02),
+                       data.gbm_generate(seed=8, n_hours=300, p_start=0.05, vol=0.03),
+                       tick_series(300, spacing, seed=spacing)):
+            tape = env.MarketTape(series)
+            for width in widths:
+                for x0 in (2.0, 10.0):
+                    table = tape.range_table(width, spacing, x0)
+                    assert table.shape == (len(series), 5)
+                    for t, close in enumerate(series.closes.tolist()):
+                        lower, upper = amm.align_range(amm.tick_index(close), width, spacing)
+                        pos = amm.Position.open(lower, upper, close, x0)
+                        liq = amm.liquidity_from_x(x0, close, amm.price_at_tick(upper))
+                        want = [lower, upper, pos.liquidity, pos.lower_price, pos.upper_price]
+                        assert table[t].tolist() == want
+                        assert liq == pos.liquidity
+
+    def test_cached_per_width_spacing_and_x0(self):
+        tape = env.MarketTape(data.gbm_generate(seed=2, n_hours=300, p_start=3000.0, vol=0.01))
+        table = tape.range_table(50, 10, 2.0)
+        assert tape.range_table(50, 10, 2.0) is table
+        assert tape.range_table(50, 10, 3.0) is not table
+        assert tape.range_table(60, 10, 2.0) is not table
+
+    def test_rejects_width_below_spacing(self):
+        tape = env.MarketTape(data.gbm_generate(seed=2, n_hours=300, p_start=3000.0, vol=0.01))
+        with pytest.raises(ValueError):
+            tape.range_table(5, 10, 2.0)
+
+
+class TestReplay:
+    """replay against stepping LPEnv, bitwise in every trace column."""
+
+    # an odd spacing gives ranges an odd number of ticks wide
+    CASES = [(1, (0, 1, 7, 50)), (10, (0, 10, 20, 30)), (15, (0, 15, 30, 45)),
+             (60, (0, 60, 120))]
+
+    @staticmethod
+    def sequences(n, n_actions, rng):
+        held = rng.integers(0, n_actions, n)
+        held[:n // 3] = 0
+        sparse = np.where(rng.random(n) < 0.05, rng.integers(1, n_actions, n), 0)
+        return {
+            "random": rng.integers(0, n_actions, n),
+            "leading holds": held,
+            "sparse": sparse,
+            "all holds": np.zeros(n, dtype=np.int64),
+            "every step": np.full(n, n_actions - 1),
+        }
+
+    @pytest.mark.parametrize("gas_mode", ["per_leg", "flat"])
+    @pytest.mark.parametrize("spacing,action_set", CASES)
+    def test_equals_stepping(self, spacing, action_set, gas_mode):
+        pool = PoolSpec(fee_rate=0.003, tick_spacing=spacing, gas_cost=5.0)
+        rng = np.random.default_rng(spacing)
+        for series in (data.gbm_generate(seed=spacing, n_hours=400, p_start=3000.0, vol=0.03),
+                       tick_series(400, spacing, seed=spacing + 1)):
+            config = EnvConfig(pool=pool, action_set=action_set, x0=2.0, data=series,
+                               gas_mode=gas_mode)
+            n = len(series) - MIN_HISTORY
+            for name, actions in self.sequences(n, len(action_set), rng).items():
+                got = env.replay(config, actions)
+                assert_same_trace(got, stepped_trace(config, actions))
+
+    def test_tape_or_series(self):
+        series = data.gbm_generate(seed=6, n_hours=300, p_start=3000.0, vol=0.02)
+        actions = np.random.default_rng(6).integers(0, 3, len(series) - MIN_HISTORY)
+        by_series = env.replay(EnvConfig(pool=POOL, action_set=(0, 20, 50), x0=2.0,
+                                         data=series), actions)
+        by_tape = env.replay(EnvConfig(pool=POOL, action_set=(0, 20, 50), x0=2.0,
+                                       data=env.MarketTape(series)), actions)
+        assert_same_trace(by_tape, by_series)
+
+    def test_passive_equals_stepping(self):
+        series = data.gbm_generate(seed=12, n_hours=MIN_HISTORY + 1000, p_start=3000.0,
+                                   vol=0.01)
+        for period in (1, 24, 500, 5000):
+            config = EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0, data=series)
+            actions = [1 if step % period == 0 else 0 for step in range(1000)]
+            assert_same_trace(env.run_passive(config, 50, period),
+                              stepped_trace(config, actions))
+
+    def test_rejects_bad_sequences(self):
+        config = EnvConfig(pool=POOL, action_set=(0, 20, 50), x0=2.0,
+                           data=flat_series(MIN_HISTORY + 10))
+        for bad in (np.zeros(9, dtype=int), np.zeros(11, dtype=int), np.full(10, 3),
+                    np.full(10, -1), np.zeros(10)):
+            with pytest.raises(ValueError):
+                env.replay(config, bad)
+
+    def test_passive_rejects_bad_period(self):
+        config = EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0, data=flat_series(300))
+        with pytest.raises(ValueError):
+            env.run_passive(config, 50, period=0)
+
+
+def reference_to_csv(trace, path):
+    """EpisodeTrace.to_csv as one csv.writer row per step."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "price", "action", "width", "L", "fee", "lvr", "gas", "reward"])
+        for i in range(trace.t.size):
+            writer.writerow([
+                int(trace.t[i]), repr(float(trace.price[i])), int(trace.action[i]),
+                int(trace.width[i]), repr(float(trace.liquidity[i])),
+                repr(float(trace.fee[i])), repr(float(trace.lvr[i])),
+                repr(float(trace.gas[i])), repr(float(trace.reward[i])),
+            ])
 
 
 class TestTrace:
+    def test_csv_bytes_match_row_writer(self, tmp_path):
+        values = np.array([-0.0, 0.0, 5e-324, 1e16, 1e-300, 0.1, 2.5e15, -7.25,
+                           3000.123456789, 1.7976931348623157e308, np.nan, np.inf, -np.inf])
+        n = values.size
+        rng = np.random.default_rng(4)
+        trace = env.EpisodeTrace(
+            t=np.arange(n), price=values, action=rng.integers(0, 5, n),
+            width=np.array([0, 50, -3, 10**12, *range(n - 4)]), liquidity=values[::-1].copy(),
+            fee=np.roll(values, 3), lvr=np.roll(values, 5), gas=np.roll(values, 7),
+            reward=np.roll(values, 11))
+        real = env.run_policy(gbm_env(n_hours=260, seed=3), lambda obs, t: t % 3)
+        for i, tr in enumerate((trace, real)):
+            got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
+            tr.to_csv(got)
+            reference_to_csv(tr, want)
+            assert got.read_bytes() == want.read_bytes()
+
     def test_csv_export(self, tmp_path):
         e = gbm_env(n_hours=220, seed=19)
         trace = env.run_policy(e, lambda obs, t: 1 if t == 0 else 0)

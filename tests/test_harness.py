@@ -196,7 +196,7 @@ class TestRunWindow:
         assert result.selected.index == best_on_test.index
 
     @pytest.mark.parametrize("selection", ["train", "test_leaky"])
-    def test_stats_once_per_action_set_plus_passive(self, monkeypatch, selection):
+    def test_stats_once_per_action_set(self, monkeypatch, selection):
         from activelp import env
 
         calls = []
@@ -218,7 +218,8 @@ class TestRunWindow:
         assert not result.failed
         distinct = {o.spec.action_set for o in result.agents}
         assert len(distinct) == 2
-        assert sorted(calls) == sorted([*distinct, (0, 50)])
+        # the passive baseline is scored by replay, which needs no stats
+        assert sorted(calls) == sorted(distinct)
 
 
     @pytest.mark.parametrize("selection", ["train", "test_leaky"])
@@ -246,9 +247,10 @@ class TestRunWindow:
         train_len = window.train_end - window.train_start
         test_len = window.test_end - window.test_start + MIN_HISTORY
         assert sorted(features) == sorted([train_len, test_len])
-        # one env per agent (training and greedy pass), the active and the
-        # passive test env, plus one test env per agent when rescoring on test
-        assert len(envs) == 3 + 2 + (3 if selection == "test_leaky" else 0)
+        # one env per agent (training and greedy pass) and the active test
+        # env, plus one test env per agent when rescoring on test; the
+        # passive baseline is replayed without an env
+        assert len(envs) == 3 + 1 + (3 if selection == "test_leaky" else 0)
 
 
 def _test_reward(series, window, outcome):
@@ -256,7 +258,7 @@ def _test_reward(series, window, outcome):
     train_tape = MarketTape(series.slice(window.train_start, window.train_end))
     stats = compute_stats(train_tape, outcome.spec.action_set, POOL, 2.0)
     test_tape = MarketTape(harness._test_slice(series, window))
-    active, _ = harness.evaluate_on_test(train_tape, test_tape, outcome, stats, POOL, 2.0)
+    active, _ = harness.evaluate_on_test(test_tape, outcome, stats, POOL, 2.0)
     return active.total_reward
 
 

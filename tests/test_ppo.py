@@ -130,7 +130,7 @@ class TestMlpBuffer:
 
     def test_tensors_are_views_on_theta_in_build_order(self):
         mlp = Mlp.build(self.SIZES, "tanh", np.random.default_rng(3))
-        assert mlp.theta.size == mlp.n_params() == sum(p.size for p in mlp.params)
+        assert mlp.theta.size == sum(p.size for p in mlp.params)
         for w, n_in, n_out in zip(mlp.weights, self.SIZES[:-1], self.SIZES[1:]):
             assert np.shares_memory(w, mlp.theta)
             assert is_fortran(w) == (n_in < n_out)
