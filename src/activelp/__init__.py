@@ -3,7 +3,7 @@
 from .amm import (PoolSpec, Position, Reserves, align_range, fee_for_move,
                   impermanent_loss, liquidity_from_x, lvr_penalty,
                   position_value, price_at_tick, range_reserves, reserves, tick_index)
-from .data import Candle, DataError, PriceSeries, gbm_generate, load_candles, resample_hourly
+from .data import DataError, PriceSeries, gbm_generate, load_candles, resample_hourly
 from .env import (EnvConfig, EpisodeTrace, FeatureStats, LPEnv, MarketTape, StepInfo,
                   StepOutcome, compute_features, compute_stats, passive_policy,
                   replay, run_passive, run_policy)

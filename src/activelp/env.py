@@ -78,7 +78,7 @@ class MarketTape:
 
     def __init__(self, series: PriceSeries):
         self.closes = series.closes
-        self.ticks = np.array([amm.tick_index(p) for p in self.closes], dtype=np.int64)
+        self.ticks = np.array([amm.tick_index(p) for p in self.closes.tolist()], dtype=np.int64)
         self.features = f = compute_features(series)
         # (len, 11) raw market entries in observation order
         self.market = np.column_stack([

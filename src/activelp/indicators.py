@@ -66,9 +66,12 @@ def _wilder_smooth(values: np.ndarray, period: int) -> np.ndarray:
     out = np.full(values.size, np.nan)
     if values.size < period:
         return out
-    out[period - 1] = values[:period].mean()
-    for t in range(period, values.size):
-        out[t] = (out[t - 1] * (period - 1) + values[t]) / period
+    out[period - 1] = s = float(values[:period].mean())
+    smoothed = []
+    for x in values[period:].tolist():
+        s = (s * (period - 1) + x) / period
+        smoothed.append(s)
+    out[period:] = smoothed
     return out
 
 

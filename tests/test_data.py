@@ -1,27 +1,18 @@
+import csv
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from activelp import data
-from activelp.data import HOUR, Candle, DataError, PriceSeries
+from activelp.data import HOUR, DataError, PriceSeries
 
 
 def make_series(n, start_ts=1609459200, price=100.0):
     ts = start_ts + HOUR * np.arange(n)
     closes = np.full(n, price)
     return PriceSeries(ts, closes, closes, closes, closes)
-
-
-class TestCandle:
-    def test_valid(self):
-        Candle(0, 10.0, 12.0, 9.0, 11.0)
-
-    def test_rejects_bad_ordering(self):
-        with pytest.raises(DataError):
-            Candle(0, 10.0, 9.5, 9.0, 11.0)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(DataError):
-            Candle(0, 1.0, 1.0, 0.0, 1.0)
 
 
 class TestPriceSeries:
@@ -107,6 +98,25 @@ class TestLoadCandles:
             "timestamp,open,high,low,close\n"
             "1609459200,1,oops,1,1\n")
         with pytest.raises(DataError, match="row 2.*high"):
+            data.load_candles(path)
+
+    def test_one_row_valid_bar(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("timestamp,open,high,low,close\n0,10,12,9,11\n")
+        series = data.load_candles(path)
+        bar = (series.opens[0], series.highs[0], series.lows[0], series.closes[0])
+        assert bar == (10, 12, 9, 11)
+
+    def test_one_row_rejects_bad_ordering(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("timestamp,open,high,low,close\n0,10,9.5,9,11\n")
+        with pytest.raises(DataError, match="row 2: candle at 0 violates OHLC ordering"):
+            data.load_candles(path)
+
+    def test_one_row_rejects_non_positive_low(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("timestamp,open,high,low,close\n0,1,1,0,1\n")
+        with pytest.raises(DataError, match="row 2: non-positive price"):
             data.load_candles(path)
 
     def test_missing_column(self, tmp_path):
@@ -196,3 +206,445 @@ class TestGbm:
         assert np.all(series.lows <= np.minimum(series.opens, series.closes))
         assert np.all(series.highs >= np.maximum(series.opens, series.closes))
         assert np.all(np.diff(series.timestamps) == HOUR)
+
+
+# Row-wise reference: the loaders, resampler, generator and writer as they
+# were before the columnar rewrite (one DictReader row, one Candle and one
+# Python float at a time). The columnar code must match them bitwise,
+# errors included.
+
+@dataclass(frozen=True)
+class _Candle:
+    timestamp: int
+    open: float
+    high: float
+    low: float
+    close: float
+    volume: float | None = None
+
+    def __post_init__(self):
+        if self.low <= 0:
+            raise DataError(f"candle at {self.timestamp} has non-positive price")
+        if not (self.low <= min(self.open, self.close) <= max(self.open, self.close) <= self.high):
+            raise DataError(f"candle at {self.timestamp} violates OHLC ordering")
+
+
+def _series_of(candles, volumes):
+    return PriceSeries(
+        [c.timestamp for c in candles], [c.open for c in candles], [c.high for c in candles],
+        [c.low for c in candles], [c.close for c in candles], volumes,
+    )
+
+
+def rowwise_load_candles(path, fill_gaps=False):
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise DataError(f"{path}: empty file")
+        fields = [f.strip().lower() for f in reader.fieldnames]
+        for col in ["timestamp", "open", "high", "low", "close"]:
+            if col not in fields:
+                raise DataError(f"{path}: missing column {col!r}")
+        has_volume = "volume" in fields
+        for idx, raw in enumerate(reader, start=2):
+            raw = {k.strip().lower(): v for k, v in raw.items() if k is not None}
+            ts = data._parse_timestamp(raw["timestamp"], idx)
+            o = data._parse_float(raw["open"], idx, "open")
+            h = data._parse_float(raw["high"], idx, "high")
+            lo = data._parse_float(raw["low"], idx, "low")
+            c = data._parse_float(raw["close"], idx, "close")
+            if min(o, h, lo, c) <= 0:
+                raise DataError(f"row {idx}: non-positive price")
+            vol = None
+            if has_volume and raw.get("volume") not in (None, ""):
+                vol = data._parse_float(raw["volume"], idx, "volume")
+            try:
+                rows.append(_Candle(ts, o, h, lo, c, vol))
+            except DataError as exc:
+                raise DataError(f"row {idx}: {exc}") from None
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    if fill_gaps:
+        filled = [rows[0]]
+        for cand in rows[1:]:
+            prev = filled[-1]
+            if cand.timestamp <= prev.timestamp:
+                raise DataError(f"timestamps not increasing at {data._iso(cand.timestamp)}")
+            ts = prev.timestamp + HOUR
+            while ts < cand.timestamp:
+                filled.append(_Candle(ts, prev.close, prev.close, prev.close, prev.close,
+                                      0.0 if prev.volume is not None else None))
+                ts += HOUR
+            filled.append(cand)
+        rows = filled
+    volumes = None
+    if any(c.volume is not None for c in rows):
+        volumes = [c.volume if c.volume is not None else 0.0 for c in rows]
+    return _series_of(rows, volumes)
+
+
+def rowwise_load_trades(path):
+    ts, px, vol = [], [], []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise DataError(f"{path}: empty file")
+        fields = [f.strip().lower() for f in reader.fieldnames]
+        for col in ("timestamp", "price"):
+            if col not in fields:
+                raise DataError(f"{path}: missing column {col!r}")
+        has_volume = "volume" in fields
+        for idx, raw in enumerate(reader, start=2):
+            raw = {k.strip().lower(): v for k, v in raw.items() if k is not None}
+            ts.append(data._parse_timestamp(raw["timestamp"], idx))
+            price = data._parse_float(raw["price"], idx, "price")
+            if price <= 0:
+                raise DataError(f"row {idx}: non-positive price")
+            px.append(price)
+            if has_volume:
+                vol.append(data._parse_float(raw.get("volume") or "0", idx, "volume"))
+    if not ts:
+        raise DataError(f"{path}: no data rows")
+    return (np.array(ts, dtype=np.int64), np.array(px, dtype=float),
+            np.array(vol, dtype=float) if has_volume else None)
+
+
+def rowwise_resample_hourly(timestamps, prices, volumes=None):
+    timestamps = np.asarray(timestamps, dtype=np.int64)
+    prices = np.asarray(prices, dtype=float)
+    if volumes is not None:
+        volumes = np.asarray(volumes, dtype=float)
+    hours = timestamps // HOUR
+    candles = []
+    prev_close = None
+    for h in range(int(hours[0]), int(hours[-1]) + 1):
+        mask = hours == h
+        if np.any(mask):
+            bucket = prices[mask]
+            vol = float(volumes[mask].sum()) if volumes is not None else None
+            candles.append(_Candle(h * HOUR, float(bucket[0]), float(bucket.max()),
+                                   float(bucket.min()), float(bucket[-1]), vol))
+            prev_close = float(bucket[-1])
+        else:
+            candles.append(_Candle(h * HOUR, prev_close, prev_close, prev_close, prev_close,
+                                   0.0 if volumes is not None else None))
+    return _series_of(candles, None if volumes is None else [c.volume for c in candles])
+
+
+def rowwise_gbm_generate(seed, n_hours, p_start, drift=0.0, vol=0.0, start_ts=1609459200):
+    rng = np.random.default_rng(seed)
+    n_sub = 4
+    step_drift = (drift - 0.5 * vol * vol) / n_sub
+    step_vol = vol / math.sqrt(n_sub)
+    ts = start_ts + HOUR * np.arange(n_hours, dtype=np.int64)
+    opens, highs, lows, closes = (np.empty(n_hours) for _ in range(4))
+    opens[0] = highs[0] = lows[0] = closes[0] = p_start
+    price = p_start
+    for t in range(1, n_hours):
+        z = rng.standard_normal(n_sub)
+        path = price * np.exp(np.cumsum(step_drift + step_vol * z))
+        opens[t] = price
+        highs[t] = max(price, path.max())
+        lows[t] = min(price, path.min())
+        closes[t] = path[-1]
+        price = closes[t]
+    return PriceSeries(ts, opens, highs, lows, closes)
+
+
+def rowwise_to_csv(series, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        header = ["timestamp", "open", "high", "low", "close"]
+        if series.volumes is not None:
+            header.append("volume")
+        writer.writerow(header)
+        for i in range(len(series)):
+            row = [int(series.timestamps[i]), repr(float(series.opens[i])),
+                   repr(float(series.highs[i])), repr(float(series.lows[i])),
+                   repr(float(series.closes[i]))]
+            if series.volumes is not None:
+                row.append(repr(float(series.volumes[i])))
+            writer.writerow(row)
+
+
+def bitwise_equal(a, b):
+    """Same dtype, shape and bytes; None only equals None."""
+    if a is None or b is None:
+        return a is b
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def series_columns(s):
+    return (s.timestamps, s.opens, s.highs, s.lows, s.closes, s.volumes)
+
+
+def outcome(fn, *args, **kwargs):
+    """A call's result, or its exception's type and message."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # the reference's error type is part of the contract
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(new, ref, columns):
+    if isinstance(ref, tuple) and isinstance(ref[0], type):
+        assert new == ref
+    else:
+        assert not (isinstance(new, tuple) and isinstance(new[0], type)), new
+        assert all(bitwise_equal(a, b) for a, b in zip(columns(new), columns(ref)))
+
+
+E = "timestamp,open,high,low,close"
+EV = E + ",volume"
+# The multi-error files hold several bad rows and the one-row files several
+# bad cells in one row. Each loader reports the first bad row, with that
+# row's checks in order, so parsing whole columns first would name another.
+CANDLE_FILES = {
+    "blank_lines": f"{E}\n\n1609459200,1,2,0.5,1.5\n\n\n1609462800,1.5,2,1,1.2\n\n",
+    "short_row_close": f"{E}\n1609459200,1,2,0.5,1.5\n1609462800,1.5,2,1\n",
+    "short_row_no_volume_cell": f"{EV}\n1609459200,1,2,0.5,1.5,3\n1609462800,1.5,2,1,1.2\n",
+    "short_row_timestamp_only": f"{E}\n1609459200\n",
+    "extra_fields": f"{E}\n1609459200,1,2,0.5,1.5,7,8,9\n1609462800,1.5,2,1,1.2\n",
+    "header_case_and_space": " Timestamp ,OPEN, High,low ,Close, VOLUME\n1609459200,1,2,0.5,1.5,4\n",
+    "header_repeated_name": "timestamp,open,high,low,close,open\n1609459200,9,2,0.5,1.5,1\n",
+    "header_repeated_short_row": "timestamp,open,high,low,close,open\n1609459200,1,2,0.5,1.5\n",
+    "header_names_alike": "timestamp,Open,high,low,close,open\n1609459200,9,2,0.5,1.5,1\n",
+    "quoted_cells": f'{E}\n"1609459200","1.0","2","0.5","1.5"\n"1609462800"," 1.5 ","2e0","1",+1.2\n',
+    "mixed_iso_and_epoch": (f"{E}\n2021-01-01T00:00:00Z,1,2,0.5,1.5\n1609462800,1.5,2,1,1.2\n"
+                            "2021-01-01 02:00:00,1.2,1.4,1.1,1.3\n"
+                            "2021-01-01T03:00:00+00:00,1.3,1.4,1.1,1.2\n"),
+    "padded_timestamp": f"{E}\n 1609459200 ,1,2,0.5,1.5\n",
+    "volume_empty": f"{EV}\n1609459200,1,2,0.5,1.5,\n1609462800,1.5,2,1,1.2,\n",
+    "volume_partly_empty": f"{EV}\n1609459200,1,2,0.5,1.5,\n1609462800,1.5,2,1,1.2,-0.0\n",
+    "volume_space": f"{EV}\n1609459200,1,2,0.5,1.5, \n",
+    "volume_bad": f"{EV}\n1609459200,1,2,0.5,1.5,lots\n",
+    "nan_price": f"{E}\n1609459200,nan,2,0.5,1.5\n",
+    "inf_price": f"{E}\n1609459200,1,inf,0.5,1.5\n",
+    "inf_volume": f"{EV}\n1609459200,1,2,0.5,1.5,-inf\n",
+    "zero_price": f"{E}\n1609459200,1,2,0,1.5\n",
+    "negative_price": f"{E}\n1609459200,1,2,0.5,1.5\n1609462800,1,2,-0.5,1.5\n",
+    "bad_ordering": f"{E}\n1609459200,1,2,0.5,1.5\n1609462800,1,1.2,0.5,1.5\n",
+    "missing_timestamp": f"{E}\n,1,2,0.5,1.5\n",
+    "bad_timestamp": f"{E}\n2021-13-45,1,2,0.5,1.5\n",
+    "float_timestamp": f"{E}\n1609459200.0,1,2,0.5,1.5\n",
+    "header_only": f"{E}\n",
+    "header_only_blank_lines": f"{E}\n\n\n",
+    "empty": "",
+    "blank_first_line": f"\n{E}\n1609459200,1,2,0.5,1.5\n",
+    "missing_column": "timestamp,open,high,close\n1609459200,1,2,1.5\n",
+    "gap": f"{EV}\n1609459200,1,2,0.5,1.5,3\n1609470000,1.5,2,1,1.2,4\n1609473600,1.2,2,1,1.2,\n",
+    "gap_without_volume": f"{E}\n1609459200,1,2,0.5,1.5\n1609470000,1.5,2,1,1.2\n",
+    "gap_off_the_hour": f"{E}\n1609459200,1,2,0.5,1.5\n1609466500,1.5,2,1,1.2\n",
+    "regression": f"{E}\n1609459200,1,2,0.5,1.5\n1609462800,1,2,0.5,1.5\n1609455600,1,2,0.5,1.5\n",
+    "duplicate": f"{E}\n1609459200,1,2,0.5,1.5\n1609459200,1,2,0.5,1.5\n",
+    "timestamp_beyond_int64": f"{E}\n99999999999999999999,1,2,0.5,1.5\n",
+    "timestamp_beyond_int64_then_bad_row": f"{E}\n99999999999999999999,1,2,0.5,1.5\n1,1,x,1,1\n",
+    "multi_error_parse_before_timestamp": f"{E}\n1609459200,1,2,0.5,1.5\n1609462800,1,oops,1,1\nlater,1,2,0.5,1.5\n",
+    "multi_error_ordering_before_parse": f"{E}\n1609459200,1,1.2,0.5,1.5\n1609462800,1,2,0.5,x\n,1,1,1,1\n",
+    "multi_error_volume_before_ordering": f"{EV}\n1609459200,1,2,0.5,1.5,v\n1609462800,1,1.2,0.5,1.5,1\n1609466400,-1,2,0.5,1.5,1\n",
+    "blank_volumes_before_bad_row": f"{EV}\n1609459200,1,2,0.5,1.5,\n1609462800,1,2,0.5,1.5\n1609466400,1,2,0.5,x,1\n",
+    "one_row_timestamp_before_prices": f"{E}\nwhen,1,oops,0.5,1.5\n",
+    "one_row_prices_in_column_order": f"{E}\n1609459200,1,oops,nan,x\n",
+    "one_row_non_positive_before_volume": f"{EV}\n1609459200,1,2,-1,1.5,x\n",
+    "one_row_volume_before_ordering": f"{EV}\n1609459200,1,1.2,0.5,1.5,x\n",
+}
+TRADE_FILES = {
+    "plain": "timestamp,price,volume\n1609459200,3000.5,1.5\n1609459260,3001,0.25\n",
+    "no_volume_column": "timestamp,price\n1609459200,3000.5\n1609459260,3001\n",
+    "volume_cells_empty_and_short": "timestamp,price,volume\n1609459200,3000.5,\n1609459260,3001\n1609459300,3002,-0.0\n",
+    "blank_lines_and_extra_fields": "timestamp,price\n\n1609459200,3000.5,x,y\n\n1609459260,3001\n",
+    "header_case_and_space": "TimeStamp , Price,VOLUME \n1609459200,3000.5,2\n",
+    "quoted_cells": 'timestamp,price\n"1609459200","3000.5"\n',
+    "mixed_iso_and_epoch": "timestamp,price\n2021-01-01T00:00:30Z,3000.5\n1609459260,3001\n",
+    "nan_price": "timestamp,price\n1609459200,nan\n",
+    "inf_volume": "timestamp,price,volume\n1609459200,3000,inf\n",
+    "zero_price": "timestamp,price\n1609459200,0\n",
+    "negative_price": "timestamp,price\n1609459200,3000\n1609459260,-3000\n",
+    "short_row_price": "timestamp,price\n1609459200\n",
+    "volume_space": "timestamp,price,volume\n1609459200,3000, \n",
+    "bad_timestamp": "timestamp,price\nyesterday,3000\n",
+    "header_only": "timestamp,price,volume\n",
+    "empty": "",
+    "missing_column": "timestamp,volume\n1609459200,3\n",
+    "timestamp_beyond_int64": "timestamp,price\n-99999999999999999999,3000\n",
+    "multi_error_parse_before_timestamp": "timestamp,price\n1609459200,3000\n1609459260,oops\nlater,3000\n",
+    "multi_error_price_before_volume": "timestamp,price,volume\n1609459200,-1,x\n1609459260,3000,y\n",
+    "multi_error_volume_before_timestamp": "timestamp,price,volume\n1609459200,1,v\n,3000,1\n",
+    "one_row_timestamp_before_price": "timestamp,price,volume\nwhen,oops,x\n",
+    "blank_volumes_before_bad_row": "timestamp,price,volume\n1609459200,3000,\n1609459260,3000\n1609459300,-1,1\n",
+}
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(text.encode())
+    return path
+
+
+class TestLoaderOracle:
+    @pytest.mark.parametrize("name", sorted(CANDLE_FILES))
+    @pytest.mark.parametrize("fill_gaps", [False, True])
+    def test_candles_match_rowwise(self, tmp_path, name, fill_gaps):
+        path = write(tmp_path, name, CANDLE_FILES[name])
+        assert_same_outcome(outcome(data.load_candles, path, fill_gaps=fill_gaps),
+                            outcome(rowwise_load_candles, path, fill_gaps=fill_gaps),
+                            series_columns)
+
+    @pytest.mark.parametrize("name", sorted(TRADE_FILES))
+    def test_trades_match_rowwise(self, tmp_path, name):
+        path = write(tmp_path, name, TRADE_FILES[name])
+        assert_same_outcome(outcome(data.load_trades, path), outcome(rowwise_load_trades, path),
+                            lambda r: r)
+
+    def test_multi_error_files_name_the_first_bad_row(self, tmp_path):
+        expected = {
+            "multi_error_parse_before_timestamp": "row 3: cannot parse high value 'oops'",
+            "multi_error_ordering_before_parse": "row 2: candle at 1609459200 violates OHLC ordering",
+            "multi_error_volume_before_ordering": "row 2: cannot parse volume value 'v'",
+        }
+        for name, message in expected.items():
+            with pytest.raises(DataError) as info:
+                data.load_candles(write(tmp_path, name, CANDLE_FILES[name]))
+            assert str(info.value) == message
+
+    def test_random_files_match_rowwise(self, tmp_path):
+        rng = np.random.default_rng(11)
+        series = data.gbm_generate(seed=5, n_hours=300, p_start=3000.0, vol=0.02)
+        series = PriceSeries(series.timestamps, series.opens, series.highs, series.lows,
+                             series.closes, rng.exponential(1.0, 300))
+        path = tmp_path / "c.csv"
+        series.to_csv(path)
+        assert data.load_candles(path) == rowwise_load_candles(path) == series
+        ts = np.sort(rng.integers(1609459200, 1609459200 + 50 * HOUR, 9000))
+        lines = [f"{t},{p!r},{v!r}" for t, p, v in zip(
+            ts.tolist(), rng.uniform(1, 5000, ts.size).tolist(), rng.exponential(1, ts.size).tolist())]
+        path = tmp_path / "t.csv"
+        path.write_text("timestamp,price,volume\n" + "\n".join(lines) + "\n")
+        new, ref = data.load_trades(path), rowwise_load_trades(path)
+        assert all(bitwise_equal(a, b) for a, b in zip(new, ref))
+
+    def test_csv_error_after_a_bad_row(self, tmp_path):
+        # the row-wise loader meets the bad row before the line csv rejects
+        limit = csv.field_size_limit(64)
+        try:
+            path = write(tmp_path, "big", f"{E}\n1609459200,1,x,0.5,1.5\n1609462800,{'1' * 100},2,1,1\n")
+            assert outcome(data.load_candles, path) == outcome(rowwise_load_candles, path)
+            assert outcome(data.load_candles, path)[1] == "row 2: cannot parse high value 'x'"
+            path = write(tmp_path, "big2", f"{E}\n1609459200,1,2,0.5,1.5\n1609462800,{'1' * 100},2,1,1\n")
+            assert outcome(data.load_candles, path) == outcome(rowwise_load_candles, path)
+            assert outcome(data.load_candles, path)[0] is csv.Error
+        finally:
+            csv.field_size_limit(limit)
+
+
+class TestBlocks:
+    """Loads with three-row blocks against the default block size."""
+
+    ROWS = [f"{1609459200 + HOUR * i},{i + 1},{i + 3},{i + 0.5},{i + 2},{i}" for i in range(10)]
+
+    def text(self, rows):
+        return EV + "\n" + "\n".join(rows) + "\n"
+
+    def test_result_equals_an_unblocked_load(self, tmp_path, monkeypatch):
+        rows = list(self.ROWS)
+        rows[4] = rows[4].rsplit(",", 1)[0] + ","  # one empty volume cell
+        path = write(tmp_path, "c", self.text(rows))
+        whole = data.load_candles(path)
+        monkeypatch.setattr(data, "_BLOCK_ROWS", 3)
+        assert data.load_candles(path) == whole == rowwise_load_candles(path)
+        trades = write(tmp_path, "t", "timestamp,price,volume\n" + "\n".join(
+            f"{1609459200 + 7 * i},{100 + i},{i % 3}" for i in range(10)) + "\n")
+        got, ref = data.load_trades(trades), rowwise_load_trades(trades)
+        assert all(bitwise_equal(a, b) for a, b in zip(got, ref))
+
+    @pytest.mark.parametrize("bad", [4, 7, 8])  # rows 5, 8 and 9: blocks 2 and 3
+    def test_bad_row_reports_its_row_number(self, tmp_path, monkeypatch, bad):
+        monkeypatch.setattr(data, "_BLOCK_ROWS", 3)
+        rows = list(self.ROWS)
+        rows[bad] = rows[bad].replace(",", ",x", 1)
+        with pytest.raises(DataError) as info:
+            data.load_candles(write(tmp_path, "c", self.text(rows)))
+        assert str(info.value).startswith(f"row {bad + 2}: cannot parse open value")
+
+    def test_blank_lines_across_a_boundary(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_BLOCK_ROWS", 3)
+        rows = list(self.ROWS)
+        rows[6] = f"{1609459200 + 6 * HOUR},-1,9,6.5,8,6"  # row 8
+        text = self.text(rows[:2] + ["", ""] + rows[2:3] + ["", ""] + rows[3:])
+        path = write(tmp_path, "c", text)
+        with pytest.raises(DataError) as info:
+            data.load_candles(path)
+        assert str(info.value) == "row 8: non-positive price"
+        assert outcome(data.load_candles, path) == outcome(rowwise_load_candles, path)
+
+    def test_clean_epoch_files_parse_no_cell_by_cell(self, tmp_path, monkeypatch):
+        """The per-cell parsers only run to report a bad row."""
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
+
+        series = data.gbm_generate(seed=2, n_hours=5000, p_start=3000.0, vol=0.01)
+        candles = tmp_path / "c.csv"
+        series.to_csv(candles)
+        trades = write(tmp_path, "t", "timestamp,price,volume\n" + "\n".join(
+            f"{1609459200 + i},{p!r},{i % 7}" for i, p in enumerate(series.closes.tolist())) + "\n")
+        monkeypatch.setattr(data, "_parse_float", counted(data._parse_float))
+        monkeypatch.setattr(data, "_parse_timestamp", counted(data._parse_timestamp))
+        assert len(data.load_candles(candles)) == 5000
+        assert data.load_trades(trades)[0].size == 5000
+        assert calls == []
+
+
+class TestColumnarOracle:
+    def test_resample_matches_rowwise(self):
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 400))
+            # few trades over many hours: empty and one-trade hours
+            span = int(rng.choice([1, 5, 3 * n]))
+            ts = np.sort(rng.integers(0, span * HOUR, n)) + 1609459200
+            px = rng.uniform(1, 5000, n)
+            vols = rng.exponential(1.0, n) if seed % 3 else None
+            new = data.resample_hourly(ts, px, vols)
+            ref = rowwise_resample_hourly(ts, px, vols)
+            counts = np.bincount(ts // HOUR - ts[0] // HOUR)
+            if span > 5:
+                assert (counts == 0).any() and (counts == 1).any()
+            assert all(bitwise_equal(a, b) for a, b in zip(series_columns(new), series_columns(ref)))
+
+    def test_resample_rejects_nan_as_before(self):
+        ts = np.array([10, HOUR + 10, 2 * HOUR + 10])
+        with pytest.raises(DataError, match=f"^candle at {HOUR} violates OHLC ordering$"):
+            data.resample_hourly(ts, [1.0, math.nan, 2.0])
+        with pytest.raises(DataError, match=f"^candle at {HOUR} violates OHLC ordering$"):
+            rowwise_resample_hourly(ts, [1.0, math.nan, 2.0])
+
+    @pytest.mark.parametrize("args", [(1, 30000, 3000, 0, 0.005), (7, 5000, 1, 0.1, 0.3),
+                                      (3, 1, 100.0, 0.1, 0.2), (3, 2, 100.0, 0.1, 0.2),
+                                      (4, 50, 250.0, 0.01, 0.0),
+                                      (5, 4, 100.0, math.nan, 0.1)])
+    def test_gbm_matches_rowwise(self, args):
+        new, ref = data.gbm_generate(*args), rowwise_gbm_generate(*args)
+        assert all(bitwise_equal(a, b) for a, b in zip(series_columns(new), series_columns(ref)))
+
+    @pytest.mark.parametrize("with_volume", [False, True])
+    def test_to_csv_bytes_match_row_writer(self, tmp_path, with_volume):
+        series = data.gbm_generate(seed=9, n_hours=1100, p_start=3000.0, vol=0.01)
+        highs = series.highs.copy()
+        lows = series.lows.copy()
+        opens, closes = series.opens.copy(), series.closes.copy()
+        opens[3] = highs[3] = lows[3] = closes[3] = 5e-324
+        opens[4] = highs[4] = lows[4] = closes[4] = 1e16
+        volumes = None
+        if with_volume:
+            volumes = np.linspace(-1.0, 1e16, len(series))
+            volumes[:4] = (-0.0, 5e-324, 1e16, 0.0)
+        series = PriceSeries(series.timestamps, opens, highs, lows, closes, volumes)
+        series.to_csv(tmp_path / "new.csv")
+        rowwise_to_csv(series, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

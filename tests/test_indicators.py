@@ -26,6 +26,17 @@ def wilder_oracle(values, period):
     return smoothed
 
 
+def scalar_wilder_smooth(values, period):
+    """_wilder_smooth as it looped over numpy scalars."""
+    out = np.full(values.size, np.nan)
+    if values.size < period:
+        return out
+    out[period - 1] = values[:period].mean()
+    for t in range(period, values.size):
+        out[t] = (out[t - 1] * (period - 1) + values[t]) / period
+    return out
+
+
 def adxr_oracle(dx, period):
     """ADX via Wilder smoothing of defined DX values, then the period-lagged average."""
     n = dx.size
@@ -151,6 +162,17 @@ class TestBollinger:
         defined = ~np.isnan(mid)
         assert np.all(lower[defined] <= mid[defined])
         assert np.all(mid[defined] <= upper[defined])
+
+
+class TestWilderSmooth:
+    def test_bitwise_equal_to_scalar_loop(self):
+        rng = np.random.default_rng(3)
+        for n, period in [(0, 14), (13, 14), (14, 14), (15, 14), (3000, 14), (500, 1), (300, 7)]:
+            values = rng.exponential(1.0, n) * 10.0 ** rng.uniform(-3, 3, n)
+            if n > 100:
+                values[50] = np.nan
+            got = indicators._wilder_smooth(values, period)
+            assert got.tobytes() == scalar_wilder_smooth(values, period).tobytes()
 
 
 class TestDmFamily:
