@@ -47,6 +47,11 @@ class PriceSeries:
                 raise DataError(f"{name} column length {arr.size} != {n}")
         if self.volumes is not None and self.volumes.size != n:
             raise DataError("volume column length mismatch")
+        finite = (np.isfinite(self.opens) & np.isfinite(self.highs)
+                  & np.isfinite(self.lows) & np.isfinite(self.closes))
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise DataError(f"non-finite price at row {i} (ts={self.timestamps[i]})")
         if np.any(self.lows <= 0):
             i = int(np.argmax(self.lows <= 0))
             raise DataError(f"non-positive price at row {i} (ts={self.timestamps[i]})")

@@ -36,6 +36,7 @@ TRACE_HEADER = "t,price,action,width,L,fee,lvr,gas,reward"
 # EpisodeTrace fields in TRACE_HEADER order
 TRACE_COLUMNS = ("t", "price", "action", "width", "liquidity", "fee", "lvr", "gas", "reward")
 _CSV_BLOCK = 512
+_SCORE_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -246,20 +247,24 @@ class LPEnv:
         tape = _tape(config.data)
         self._stats = config.stats or compute_stats(
             tape, config.action_set, config.pool, config.x0)
-        self._closes = tape.closes.tolist()
-        self._sigma = tape.features.ewma_vol.tolist()
+        # the env keeps only what scoring reads, not the tape
+        self._closes = tape.closes
+        self._sigma = tape.features.ewma_vol
         # the range each action opens at each hour; None for hold
         self._tables = [None] + [tape.range_table(width, config.pool.tick_spacing, config.x0)
                                  for width in config.action_set[1:]]
         # every observation z-scored up front; width and liquidity are raw
         # zeros here, the no-position value, and overwritten while a
         # position is open
-        obs = np.zeros((len(self._closes), OBS_SIZE))
+        obs = np.zeros((len(tape), OBS_SIZE))
         obs[:, MARKET_ENTRIES] = tape.market
         self._obs = self._stats.normalize(obs, out=obs)
         self._start = MIN_HISTORY - 1
-        self._last = len(config.data) - 1
+        self._last = len(tape) - 1
+        self._n_actions = len(config.action_set)
         self._t = None
+        # action index taken at each step of the episode in progress
+        self._actions = np.zeros(self._last - self._start, dtype=np.int64)
         # open position: its range_table row and the hour it opened at
         self._range = None
         self._opened_at = None
@@ -271,7 +276,7 @@ class LPEnv:
 
     @property
     def n_actions(self) -> int:
-        return len(self.config.action_set)
+        return self._n_actions
 
     @property
     def n_steps(self) -> int:
@@ -285,7 +290,7 @@ class LPEnv:
     def current_price(self) -> float:
         if self._t is None:
             raise RuntimeError("reset() must be called first")
-        return self._closes[self._t]
+        return float(self._closes[self._t])
 
     @property
     def position(self) -> Position | None:
@@ -293,51 +298,74 @@ class LPEnv:
         if self._range is None:
             return None
         lower, upper = int(self._range[0]), int(self._range[1])
-        return Position.open(lower, upper, self._closes[self._opened_at], self.config.x0)
+        return Position.open(lower, upper, float(self._closes[self._opened_at]),
+                             self.config.x0)
 
     def reset(self) -> np.ndarray:
         self._t = self._start
+        self._actions.fill(0)
         self._range = None
         self._opened_at = None
         self._position_obs = None
         return self._observe()
 
-    def step(self, action_index: int) -> StepOutcome:
+    def advance(self, action_index: int) -> tuple[np.ndarray, bool]:
+        """Take one decision without scoring it: open the chosen range (or
+        hold), record the action and move to the next hour. Returns the next
+        observation and whether the episode is over; `rewards` scores the
+        recorded steps."""
         if self._t is None:
             raise RuntimeError("reset() must be called before step()")
-        if self.done:
+        if self._t >= self._last:
             raise RuntimeError("step() called after the episode ended")
-        if not 0 <= action_index < self.n_actions:
+        if not 0 <= action_index < self._n_actions:
             raise ValueError(f"action index {action_index} out of range")
+        if action_index != 0:
+            self._open(action_index)
+        self._actions[self._t - self._start] = action_index
+        self._t += 1
+        return self._observe(), self._t >= self._last
+
+    def rewards(self, lo: int, hi: int) -> np.ndarray:
+        """Rewards of steps [lo, hi) of the episode in progress, bitwise equal
+        to the ones `step` returns. Only that segment is scored."""
+        return self._trace(lo, hi).reward
+
+    def _trace(self, lo: int, hi: int) -> EpisodeTrace:
+        taken = 0 if self._t is None else self._t - self._start
+        if not 0 <= lo <= hi <= taken:
+            raise ValueError(f"steps [{lo}, {hi}) are not within the {taken} taken")
+        before = np.flatnonzero(self._actions[:lo])
+        opened = int(before[-1]) if before.size else -1
+        return _score(self._closes, self._sigma, self._tables.__getitem__, self.config,
+                      self._actions, lo, hi, opened)
+
+    def step(self, action_index: int) -> StepOutcome:
+        """`advance` plus the step's reward from the scalar amm formulas."""
+        t = self._t
+        had_position = self._range is not None
+        observation, done = self.advance(action_index)
 
         pool = self.config.pool
-        t = self._t
-        price = self._closes[t]
+        price = float(self._closes[t])
         gas = 0.0
         if action_index != 0:
-            if self.config.gas_mode == GAS_PER_LEG and self._range is not None:
+            if self.config.gas_mode == GAS_PER_LEG and had_position:
                 gas = 2.0 * pool.gas_cost  # withdraw + redeploy
             else:
                 gas = pool.gas_cost
-            self._open(action_index)
 
         fee = 0.0
         lvr = 0.0
         if self._range is not None:
             _, _, liquidity, lower_price, upper_price = self._range
-            fee = amm.fee_for_move(liquidity, pool.fee_rate, price, self._closes[t + 1],
+            fee = amm.fee_for_move(liquidity, pool.fee_rate, price, float(self._closes[t + 1]),
                                    lower_price, upper_price)
             in_range = lower_price <= price <= upper_price
-            lvr = amm.lvr_penalty(liquidity, self._sigma[t], price, in_range)
+            lvr = amm.lvr_penalty(liquidity, float(self._sigma[t]), price, in_range)
         reward = fee - lvr - gas
-
-        self._t += 1
-        return StepOutcome(
-            observation=self._observe(),
-            reward=reward,
-            done=self.done,
-            info=StepInfo(fee=fee, lvr=lvr, gas=gas),
-        )
+        return StepOutcome(observation=observation, reward=reward, done=done,
+                           info=StepInfo(fee=fee, lvr=lvr, gas=gas))
 
     def _open(self, action_index: int):
         self._range = row = self._tables[action_index][self._t].tolist()
@@ -350,18 +378,6 @@ class LPEnv:
         if self._position_obs is not None:
             obs[2], obs[3] = self._position_obs
         return obs
-
-
-def passive_policy(width: int = 50, period: int = 500):
-    """Width stream of the periodic passive strategy: redeploy `width` every
-    `period` steps, hold otherwise."""
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
-
-    def width_at(step: int) -> int:
-        return width if step % period == 0 else 0
-
-    return width_at
 
 
 @dataclass
@@ -403,46 +419,20 @@ class EpisodeTrace:
 
 
 def run_policy(env: LPEnv, action_fn) -> EpisodeTrace:
-    """Roll one full episode with action_fn(observation, step) -> action index."""
-    n = env.n_steps
-    price = np.empty(n)
-    action = np.empty(n, dtype=np.int64)
-    width = np.empty(n, dtype=np.int64)
-    liquidity = np.empty(n)
-    fee = np.empty(n)
-    lvr = np.empty(n)
-    gas = np.empty(n)
-    reward = np.empty(n)
+    """Roll one full episode with action_fn(observation, step) -> action index:
+    decide every step with `advance`, then score the whole episode at once."""
     obs = env.reset()
-    for step in range(n):
-        a = int(action_fn(obs, step))
-        price[step] = env.current_price
-        out = env.step(a)
-        action[step] = a
-        rng = env._range
-        if rng is None:
-            width[step], liquidity[step] = 0, 0.0
-        else:
-            width[step], liquidity[step] = int(rng[1] - rng[0]) // 2, rng[2]
-        info = out.info
-        fee[step], lvr[step], gas[step], reward[step] = info.fee, info.lvr, info.gas, out.reward
-        obs = out.observation
-    return EpisodeTrace(t=np.arange(n), price=price, action=action, width=width,
-                        liquidity=liquidity, fee=fee, lvr=lvr, gas=gas, reward=reward)
+    for step in range(env.n_steps):
+        obs, _ = env.advance(int(action_fn(obs, step)))
+    trace = env._trace(0, env.n_steps)
+    trace.action = trace.action.copy()  # not a view of the env's action record
+    return trace
 
 
 def replay(config: EnvConfig, actions) -> EpisodeTrace:
     """The trace that stepping an LPEnv over `config` with this sequence of
-    action indices gives, bitwise, computed without stepping.
-
-    The price path does not depend on the actions, so the position live at
-    each step is the one opened at the last nonzero action; its range comes
-    from the tape's range table, and fee, LVR, gas and reward follow the
-    operation order of `amm.fee_for_move`, `amm.lvr_penalty` and `LPEnv.step`.
-    """
+    action indices gives, bitwise, computed without stepping."""
     tape = _tape(config.data)
-    pool = config.pool
-    start = MIN_HISTORY - 1
     n = len(tape) - MIN_HISTORY
     actions = np.asarray(actions)
     if actions.shape != (n,):
@@ -451,52 +441,79 @@ def replay(config: EnvConfig, actions) -> EpisodeTrace:
             (actions < 0) | (actions >= len(config.action_set))):
         raise ValueError(f"action indices must be integers in [0, {len(config.action_set)})")
     actions = actions.astype(np.int64)
-    steps = np.arange(n)
-    price = tape.closes[start:start + n]
 
-    # step at which the live position opened, -1 before the first one
-    opened = np.where(actions != 0, steps, -1)
-    np.maximum.accumulate(opened, out=opened)
-    live = np.flatnonzero(opened >= 0)
-    rows = np.zeros((n, 5))
-    open_action = actions[opened[live]]
-    for k, width in enumerate(config.action_set[1:], 1):
-        at = live[open_action == k]
-        if at.size:
-            table = tape.range_table(width, pool.tick_spacing, config.x0)
-            rows[at] = table[start + opened[at]]
+    def table(k):
+        return tape.range_table(config.action_set[k], config.pool.tick_spacing, config.x0)
 
-    fee = np.zeros(n)
-    lvr = np.zeros(n)
-    liq, lower_price, upper_price = rows[live, 2], rows[live, 3], rows[live, 4]
-    p = price[live]
-    # amm.fee_for_move, elementwise
-    factor = pool.fee_rate / (1.0 - pool.fee_rate) * liq
-    a = np.minimum(np.maximum(p, lower_price), upper_price)
-    b = np.minimum(np.maximum(tape.closes[start + 1 + live], lower_price), upper_price)
-    up = factor * (np.sqrt(b) - np.sqrt(a))
-    down = factor * (1.0 / np.sqrt(b) - 1.0 / np.sqrt(a)) * b
-    fee[live] = np.where(b > a, up, np.where(b < a, down, 0.0))
-    # amm.lvr_penalty, elementwise
-    sigma = tape.features.ewma_vol[start + live]
-    in_range = (lower_price <= p) & (p <= upper_price)
-    lvr[live] = np.where(in_range, liq * sigma * sigma * np.sqrt(p) / 4.0, 0.0)
+    return _score(tape.closes, tape.features.ewma_vol, table, config, actions, 0, n, -1)
 
-    deploy = actions != 0
-    rebalance = np.zeros(n, dtype=bool)
-    if config.gas_mode == GAS_PER_LEG:
-        rebalance[1:] = opened[:-1] >= 0
-    gas = np.where(deploy, np.where(rebalance, 2.0 * pool.gas_cost, pool.gas_cost), 0.0)
-    return EpisodeTrace(
-        t=steps, price=price.copy(), action=actions,
-        width=(rows[:, 1] - rows[:, 0]).astype(np.int64) // 2, liquidity=rows[:, 2].copy(),
-        fee=fee, lvr=lvr, gas=gas, reward=fee - lvr - gas,
-    )
+
+def _score(closes, sigma, table, config: EnvConfig, actions, lo, hi, opened) -> EpisodeTrace:
+    """Trace of episode steps [lo, hi) given every action index of the
+    episode up to `hi`, `opened`, the step at which the position live at `lo`
+    opened (-1 if none), and `table(k)`, the range table of action k.
+
+    The price path does not depend on the actions, so the position live at
+    each step is the one opened at the last nonzero action; its range comes
+    from the range table, and fee, LVR, gas and reward follow the operation
+    order of `amm.fee_for_move`, `amm.lvr_penalty` and `LPEnv.step`. Steps
+    are scored in blocks, so the temporaries stay small next to the trace.
+    """
+    pool = config.pool
+    n = hi - lo
+    h = MIN_HISTORY - 1 + lo  # hour of step lo
+    trace = EpisodeTrace(
+        t=np.arange(lo, hi), price=closes[h:h + n].copy(), action=actions[lo:hi],
+        width=np.zeros(n, dtype=np.int64), liquidity=np.zeros(n), fee=np.zeros(n),
+        lvr=np.zeros(n), gas=np.zeros(n), reward=np.empty(n))
+    for b0 in range(0, n, _SCORE_BLOCK):
+        block = slice(b0, min(b0 + _SCORE_BLOCK, n))
+        taken = trace.action[block]
+        hour = h + b0  # hour of the block's first step
+
+        # step at which the live position opened, -1 before the first one
+        live_from = np.where(taken != 0, trace.t[block], opened)
+        np.maximum.accumulate(live_from, out=live_from)
+        live = np.flatnonzero(live_from >= 0)
+        rows = np.zeros((taken.size, 5))
+        open_action = actions[live_from[live]]
+        for k in range(1, len(config.action_set)):
+            at = live[open_action == k]
+            if at.size:
+                rows[at] = table(k)[MIN_HISTORY - 1 + live_from[at]]
+        trace.width[block] = (rows[:, 1] - rows[:, 0]).astype(np.int64) // 2
+        trace.liquidity[block] = rows[:, 2]
+
+        liq, lower_price, upper_price = rows[live, 2], rows[live, 3], rows[live, 4]
+        p = trace.price[block][live]
+        # amm.fee_for_move, elementwise
+        factor = pool.fee_rate / (1.0 - pool.fee_rate) * liq
+        a = np.minimum(np.maximum(p, lower_price), upper_price)
+        b = np.minimum(np.maximum(closes[hour + 1 + live], lower_price), upper_price)
+        up = factor * (np.sqrt(b) - np.sqrt(a))
+        down = factor * (1.0 / np.sqrt(b) - 1.0 / np.sqrt(a)) * b
+        trace.fee[block][live] = np.where(b > a, up, np.where(b < a, down, 0.0))
+        # amm.lvr_penalty, elementwise
+        s = sigma[hour + live]
+        in_range = (lower_price <= p) & (p <= upper_price)
+        trace.lvr[block][live] = np.where(in_range, liq * s * s * np.sqrt(p) / 4.0, 0.0)
+
+        # a deployment with a position already open rebalances
+        rebalance = np.zeros(taken.size, dtype=bool)
+        if config.gas_mode == GAS_PER_LEG:
+            rebalance[0] = opened >= 0
+            rebalance[1:] = live_from[:-1] >= 0
+        trace.gas[block] = np.where(taken != 0, np.where(rebalance, 2.0 * pool.gas_cost,
+                                                         pool.gas_cost), 0.0)
+        opened = int(live_from[-1])
+    np.subtract(trace.fee, trace.lvr, out=trace.reward)
+    trace.reward -= trace.gas
+    return trace
 
 
 def run_passive(config: EnvConfig, width: int = 50, period: int = 500) -> EpisodeTrace:
-    """Score the periodic passive strategy (`passive_policy`'s schedule:
-    deploy `width` every `period` steps, hold otherwise) with `replay`."""
+    """Score the periodic passive strategy (deploy `width` every `period`
+    steps, hold otherwise) with `replay`."""
     if width not in config.action_set:
         raise ValueError(f"width {width} not in the environment action set {config.action_set}")
     if period < 1:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field, asdict
+from itertools import accumulate
 
 import numpy as np
 
@@ -115,14 +116,24 @@ class Mlp:
             return 1.0 - a * a
         return a * (1.0 - a)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out, _ = self.forward_cached(x)
-        return out
-
-    def forward_cached(self, x: np.ndarray):
+    def _check_input(self, x: np.ndarray):
         if x.ndim != 2 or x.shape[1] != self.weights[0].shape[0]:
             raise ValueError(
                 f"expected input of shape (N, {self.weights[0].shape[0]}), got {x.shape}")
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """`forward_cached`'s output without the backward cache; the rollout
+        and greedy passes run it on single rows."""
+        self._check_input(x)
+        h = x
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = h @ w + b
+            h = z if i == last else self._act(z)
+        return h
+
+    def forward_cached(self, x: np.ndarray):
+        self._check_input(x)
         pre, act = [], [x]
         h = x
         last = len(self.weights) - 1
@@ -174,20 +185,21 @@ class Categorical:
     def __post_init__(self):
         self.probs, self.logps = _softmax(self.logits)
 
-    @staticmethod
-    def sample(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Inverse-CDF draw per row of `probs`, one uniform of `u` per row:
-        the number of cdf entries at or below it, clamped to the last
-        category."""
-        cdf = np.cumsum(probs, axis=-1)
-        idx = (u[:, None] >= cdf).sum(axis=-1)
-        return np.minimum(idx, probs.shape[1] - 1)
-
     def log_prob(self, actions: np.ndarray) -> np.ndarray:
         return self.logps[np.arange(self.logps.shape[0]), actions]
 
     def entropy(self) -> np.ndarray:
         return -(self.probs * self.logps).sum(axis=-1)
+
+
+def _draw(probs: list, u: float) -> int:
+    """Inverse-CDF draw from one row of probabilities: the number of
+    cumulative sums at or below `u`, clamped to the last category. The sums
+    accumulate in order, as `np.cumsum` does along a row."""
+    for k, cdf in enumerate(accumulate(probs)):
+        if not u >= cdf:
+            return k
+    return len(probs) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +394,13 @@ class TrainResult:
     stopped_early: bool
 
 
-def _collect_rollout(env, actor, critic, rng, n_steps, obs, episode_returns, running):
+def _collect_rollout(env, actor, critic, rng, n_steps, obs, episode_returns, episode):
+    """Choose n_steps actions with `env.advance`, then score them with
+    `env.rewards`, one call per episode segment.
+
+    `episode` is [return so far, steps taken] of the episode in progress, so
+    an episode (and its open position) carries over into the next rollout.
+    """
     obs_buf = np.empty((n_steps, env.obs_dim))
     act_buf = np.empty(n_steps, dtype=int)
     lp_buf = np.empty(n_steps)
@@ -390,30 +408,50 @@ def _collect_rollout(env, actor, critic, rng, n_steps, obs, episode_returns, run
     val_buf = np.empty(n_steps)
     done_buf = np.zeros(n_steps, dtype=bool)
     uniforms = rng.random(n_steps)
+    seg = 0  # buffer index of the episode's first step in this rollout
+
+    def score(start, end):
+        # rewards of buffer steps [start, end), the next steps of the episode
+        lo = episode[1]
+        hi = lo + end - start
+        rewards = env.rewards(lo, hi)
+        rew_buf[start:end] = rewards
+        total = episode[0]
+        for r in rewards:  # one at a time, in step order
+            total += float(r)
+        episode[0], episode[1] = total, hi
+
     for i in range(n_steps):
         row = obs[None, :]
-        probs, logps = _softmax(actor.forward(row))
-        action = int(Categorical.sample(probs, uniforms[i:i + 1])[0])
-        value = float(critic.forward(row)[0, 0])
-        out = env.step(action)
+        # _softmax of the one row, bitwise
+        logits = actor.forward(row)[0]
+        z = logits - logits.max()
+        ez = np.exp(z)
+        norm = ez.sum()
+        action = _draw((ez / norm).tolist(), float(uniforms[i]))
         obs_buf[i] = obs
         act_buf[i] = action
-        lp_buf[i] = logps[0, action]
-        rew_buf[i] = out.reward
-        val_buf[i] = value
-        running[0] += out.reward
-        if out.done:
+        lp_buf[i] = z[action] - np.log(norm)
+        val_buf[i] = critic.forward(row)[0, 0]
+        obs, done = env.advance(action)
+        if done:
             done_buf[i] = True
-            episode_returns.append(running[0])
-            running[0] = 0.0
+            score(seg, i + 1)
+            episode_returns.append(episode[0])
+            episode[0], episode[1] = 0.0, 0
+            seg = i + 1
             obs = env.reset()
-        else:
-            obs = out.observation
+    if seg < n_steps:
+        score(seg, n_steps)
     return RolloutBatch(obs_buf, act_buf, lp_buf, rew_buf, val_buf, done_buf), obs
 
 
 def train(env_factory, spec: AgentSpec, seed: int) -> TrainResult:
     """Run PPO until total_timesteps or early stop; deterministic given seed.
+
+    The env provides `obs_dim`, `n_actions`, `reset() -> obs`,
+    `advance(action) -> (obs, done)` and `rewards(lo, hi)`, the rewards of
+    steps [lo, hi) of the episode in progress.
 
     Early stopping: after each update, the mean return of episodes finished
     since the last evaluation must beat the best seen by more than
@@ -428,7 +466,7 @@ def train(env_factory, spec: AgentSpec, seed: int) -> TrainResult:
     opt_critic = Adam(critic.theta, spec.learning_rate)
 
     obs = env.reset()
-    running = [0.0]
+    episode = [0.0, 0]
     episode_returns: list[float] = []
     curve: list[UpdateStats] = []
     timesteps = 0
@@ -441,7 +479,7 @@ def train(env_factory, spec: AgentSpec, seed: int) -> TrainResult:
     while timesteps < spec.total_timesteps:
         n = min(spec.rollout_length, spec.total_timesteps - timesteps)
         batch, obs = _collect_rollout(env, actor, critic, rng, n, obs,
-                                      episode_returns, running)
+                                      episode_returns, episode)
         timesteps += n
         update += 1
         batch.returns = compute_returns(batch.rewards, spec.gamma, batch.dones)

@@ -1,12 +1,12 @@
 """Contextual bandit with one strictly dominant action, for trainer tests.
 
 Observations are uninformative noise; the target action pays 1, the rest 0,
-so the optimal policy is context-independent and known by construction.
+so the optimal policy is context-independent and known by construction. It
+speaks the trainer's env protocol: `advance` records each action and
+`rewards` scores a range of recorded steps.
 """
 
 import numpy as np
-
-from activelp.env import StepInfo, StepOutcome
 
 
 class ContextualBandit:
@@ -16,20 +16,17 @@ class ContextualBandit:
         self.target = target
         self.episode_len = episode_len
         self._rng = np.random.default_rng(seed)
-        self._step = 0
+        self._actions = []
 
     def reset(self):
-        self._step = 0
+        self._actions = []
         return self._rng.standard_normal(self.obs_dim)
 
-    def step(self, action):
-        if self._step >= self.episode_len:
-            raise RuntimeError("step() after episode end")
-        reward = 1.0 if action == self.target else 0.0
-        self._step += 1
-        return StepOutcome(
-            observation=self._rng.standard_normal(self.obs_dim),
-            reward=reward,
-            done=self._step >= self.episode_len,
-            info=StepInfo(fee=reward, lvr=0.0, gas=0.0),
-        )
+    def advance(self, action):
+        if len(self._actions) >= self.episode_len:
+            raise RuntimeError("advance() after episode end")
+        self._actions.append(action)
+        return self._rng.standard_normal(self.obs_dim), len(self._actions) >= self.episode_len
+
+    def rewards(self, lo, hi):
+        return np.array([1.0 if a == self.target else 0.0 for a in self._actions[lo:hi]])

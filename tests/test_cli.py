@@ -27,6 +27,12 @@ class TestGenerate:
                     "--seed", "4"]) == 0
         assert len(data.load_candles(out)) == 300
 
+    def test_non_finite_drift_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "gbm.csv"
+        assert run(["generate", "--out", str(out), "--hours", "50", "--drift", "nan"]) == 2
+        assert not out.exists()
+        assert "non-finite price at row 1" in capsys.readouterr().err
+
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(["generate", "--out", str(a), "--hours", "100", "--seed", "9"])

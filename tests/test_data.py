@@ -16,6 +16,22 @@ def make_series(n, start_ts=1609459200, price=100.0):
 
 
 class TestPriceSeries:
+    @pytest.mark.parametrize("column", range(4))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_price(self, column, bad):
+        cols = [np.full(5, 10.0) for _ in range(4)]
+        cols[column][3] = bad
+        cols[(column + 1) % 4][4] = bad  # a later row does not hide the first
+        with pytest.raises(DataError, match=f"^non-finite price at row 3 \\(ts={3 * HOUR}\\)$"):
+            PriceSeries(HOUR * np.arange(5), *cols)
+
+    def test_finite_errors_unchanged(self):
+        ts = HOUR * np.arange(3)
+        with pytest.raises(DataError, match=f"^non-positive price at row 1 \\(ts={HOUR}\\)$"):
+            PriceSeries(ts, [1, 1, 1], [1, 1, 1], [1, 0, 1], [1, 1, 1])
+        with pytest.raises(DataError, match=f"^OHLC ordering violated at row 2 \\(ts={2 * HOUR}\\)$"):
+            PriceSeries(ts, [1, 1, 1], [1, 1, 1], [1, 1, 1], [1, 1, 2])
+
     def test_rejects_gap(self):
         ts = [0, HOUR, 3 * HOUR]
         with pytest.raises(DataError, match="missing"):
@@ -626,11 +642,17 @@ class TestColumnarOracle:
 
     @pytest.mark.parametrize("args", [(1, 30000, 3000, 0, 0.005), (7, 5000, 1, 0.1, 0.3),
                                       (3, 1, 100.0, 0.1, 0.2), (3, 2, 100.0, 0.1, 0.2),
-                                      (4, 50, 250.0, 0.01, 0.0),
-                                      (5, 4, 100.0, math.nan, 0.1)])
+                                      (4, 50, 250.0, 0.01, 0.0)])
     def test_gbm_matches_rowwise(self, args):
         new, ref = data.gbm_generate(*args), rowwise_gbm_generate(*args)
         assert all(bitwise_equal(a, b) for a, b in zip(series_columns(new), series_columns(ref)))
+
+    def test_gbm_non_finite_rejected(self):
+        # a nan drift makes every price after the first candle nan
+        msg = f"^non-finite price at row 1 \\(ts={1609459200 + HOUR}\\)$"
+        for generate in (data.gbm_generate, rowwise_gbm_generate):
+            with pytest.raises(DataError, match=msg):
+                generate(5, 4, 100.0, math.nan, 0.1)
 
     @pytest.mark.parametrize("with_volume", [False, True])
     def test_to_csv_bytes_match_row_writer(self, tmp_path, with_volume):

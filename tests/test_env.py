@@ -372,17 +372,19 @@ class TestMarketTape:
 
 
 class TestPassivePolicy:
+    @staticmethod
+    def deploy_steps(width, period, n_steps):
+        series = data.gbm_generate(seed=5, n_hours=MIN_HISTORY + n_steps,
+                                   p_start=3000.0, vol=0.002)
+        config = EnvConfig(pool=POOL, action_set=(0, width), x0=2.0, data=series)
+        trace = env.run_passive(config, width=width, period=period)
+        return trace.t[trace.action > 0].tolist()
+
     def test_schedule(self):
-        stream = env.passive_policy(width=50, period=500)
-        assert stream(0) == 50
-        assert stream(499) == 0
-        assert stream(500) == 50
-        assert stream(1000) == 50
-        assert stream(1001) == 0
+        assert self.deploy_steps(50, 500, 1002) == [0, 500, 1000]
 
     def test_period_one_redeploys_every_step(self):
-        stream = env.passive_policy(width=50, period=1)
-        assert all(stream(t) == 50 for t in range(10))
+        assert self.deploy_steps(50, 1, 10) == list(range(10))
 
     def test_three_deployments_over_1500_steps(self):
         series = data.gbm_generate(seed=17, n_hours=MIN_HISTORY + 1500,
@@ -412,7 +414,26 @@ def assert_same_trace(got, want):
 
 
 def stepped_trace(config, actions):
-    return env.run_policy(LPEnv(config), lambda obs, step: int(actions[step]))
+    """The trace of `actions` from `LPEnv.step`, one step at a time: the
+    independent reference for the vectorized scoring."""
+    e = LPEnv(config)
+    n = e.n_steps
+    cols = {name: np.empty(n) for name in ("price", "liquidity", "fee", "lvr", "gas", "reward")}
+    action = np.empty(n, dtype=np.int64)
+    width = np.empty(n, dtype=np.int64)
+    e.reset()
+    for step in range(n):
+        a = int(actions[step])
+        cols["price"][step] = e.current_price
+        out = e.step(a)
+        action[step] = a
+        pos = e.position
+        width[step] = 0 if pos is None else (pos.upper_tick - pos.lower_tick) // 2
+        cols["liquidity"][step] = 0.0 if pos is None else pos.liquidity
+        cols["fee"][step], cols["lvr"][step], cols["gas"][step] = (
+            out.info.fee, out.info.lvr, out.info.gas)
+        cols["reward"][step] = out.reward
+    return env.EpisodeTrace(t=np.arange(n), action=action, width=width, **cols)
 
 
 class TestRangeTable:
@@ -513,6 +534,120 @@ class TestReplay:
         config = EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0, data=flat_series(300))
         with pytest.raises(ValueError):
             env.run_passive(config, 50, period=0)
+
+
+class TestAdvanceRewards:
+    """`advance` decides and `rewards(lo, hi)` scores: together they must
+    give what `step` gives, bitwise, however the episode is cut."""
+
+    @staticmethod
+    def stepped(config, actions):
+        e = LPEnv(config)
+        obs = [e.reset()]
+        rewards = []
+        for a in actions:
+            out = e.step(int(a))
+            obs.append(out.observation)
+            rewards.append(out.reward)
+        assert out.done
+        return np.array(obs), np.array(rewards)
+
+    @staticmethod
+    def advanced(config, actions, cuts):
+        """Advance through the episode and score each segment between
+        consecutive cuts as soon as its last step is taken."""
+        e = LPEnv(config)
+        obs = [e.reset()]
+        rewards = []
+        bounds = sorted(set(cuts) | {0, len(actions)})
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            for a in actions[lo:hi]:
+                ob, done = e.advance(int(a))
+                obs.append(ob)
+            rewards.extend(e.rewards(lo, hi).tolist())
+        assert done
+        return np.array(obs), np.array(rewards)
+
+    def assert_same(self, config, actions, cuts):
+        want_obs, want = self.stepped(config, actions)
+        got_obs, got = self.advanced(config, actions, cuts)
+        assert got.tobytes() == want.tobytes()
+        assert got_obs.tobytes() == want_obs.tobytes()
+
+    @pytest.mark.parametrize("gas_mode", ["per_leg", "flat"])
+    @pytest.mark.parametrize("spacing,action_set", [(1, (0, 1, 7, 50)), (10, (0, 10, 20, 30)),
+                                                    (60, (0, 60, 120))])
+    def test_random_segments_equal_stepping(self, spacing, action_set, gas_mode):
+        pool = PoolSpec(fee_rate=0.003, tick_spacing=spacing, gas_cost=5.0)
+        rng = np.random.default_rng(spacing + len(gas_mode))
+        for series in (data.gbm_generate(seed=spacing, n_hours=400, p_start=3000.0, vol=0.03),
+                       tick_series(400, spacing, seed=spacing + 1)):
+            config = EnvConfig(pool=pool, action_set=action_set, x0=2.0, data=series,
+                               gas_mode=gas_mode)
+            n = len(series) - MIN_HISTORY
+            for density in (0.02, 0.3, 1.0):
+                actions = np.where(rng.random(n) < density,
+                                   rng.integers(1, len(action_set), n), 0)
+                cuts = rng.integers(0, n, rng.integers(1, 30))
+                self.assert_same(config, actions, cuts)
+
+    @pytest.mark.parametrize("gas_mode", ["per_leg", "flat"])
+    def test_position_open_across_a_boundary(self, gas_mode):
+        config = gbm_env(n_hours=MIN_HISTORY + 40, seed=8, vol=0.01, gas_mode=gas_mode).config
+        actions = np.zeros(40, dtype=np.int64)
+        actions[[3, 20]] = 1, 2  # open at 3, held over 10, rebalanced at 20
+        for cuts in ([10], [4], [3], [20], [21], [10, 20, 21]):
+            self.assert_same(config, actions, cuts)
+        e = LPEnv(config)
+        e.reset()
+        for a in actions:
+            e.advance(int(a))
+        # a segment that starts after the opening step still scores that position
+        assert e.rewards(10, 11)[0] != 0.0 and e.rewards(0, 3).tolist() == [0.0] * 3
+
+    def test_segments_of_length_one(self):
+        config = gbm_env(n_hours=MIN_HISTORY + 60, seed=9, vol=0.01).config
+        actions = np.random.default_rng(9).integers(0, 3, 60)
+        self.assert_same(config, actions, range(60))
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_block_boundaries(self, monkeypatch, block):
+        monkeypatch.setattr(env, "_SCORE_BLOCK", block)
+        config = gbm_env(n_hours=MIN_HISTORY + 150, seed=10, vol=0.01).config
+        rng = np.random.default_rng(block)
+        actions = np.where(rng.random(150) < 0.1, rng.integers(1, 3, 150), 0)
+        self.assert_same(config, actions, [0, 33, 34, 100])
+        assert_same_trace(env.replay(config, actions), stepped_trace(config, actions))
+
+    def test_reset_clears_the_record(self):
+        e = gbm_env(n_hours=MIN_HISTORY + 30, seed=11)
+        e.reset()
+        for _ in range(30):
+            e.advance(2)
+        e.reset()
+        e.advance(0)
+        assert e.rewards(0, 1).tolist() == [0.0]
+        assert e.position is None
+
+    def test_checks(self):
+        e = gbm_env(n_hours=MIN_HISTORY + 5, seed=12)
+        with pytest.raises(RuntimeError, match="reset"):
+            e.advance(0)
+        e.reset()
+        with pytest.raises(ValueError, match="out of range"):
+            e.advance(3)
+        with pytest.raises(ValueError, match="out of range"):
+            e.advance(-1)
+        for _ in range(4):
+            e.advance(1)
+        _, done = e.advance(0)
+        assert done
+        with pytest.raises(RuntimeError, match="ended"):
+            e.advance(0)
+        for lo, hi in ((0, 6), (-1, 2), (3, 2)):
+            with pytest.raises(ValueError, match="taken"):
+                e.rewards(lo, hi)
+        assert e.rewards(2, 2).size == 0
 
 
 def reference_to_csv(trace, path):

@@ -19,6 +19,18 @@ def ewma_vol_oracle(closes, alpha):
     return out
 
 
+def scalar_ewma_volatility(closes, alpha):
+    """ewma_volatility as it looped over numpy scalars."""
+    r2 = np.diff(np.log(closes)) ** 2
+    v = np.empty_like(r2)
+    v[0] = r2[0]
+    for t in range(1, r2.size):
+        v[t] = (1.0 - alpha) * v[t - 1] + alpha * r2[t]
+    out = np.full(closes.size, np.nan)
+    out[1:] = np.sqrt(v)
+    return out
+
+
 def wilder_oracle(values, period):
     smoothed = [sum(values[:period]) / period]
     for x in values[period:]:
@@ -104,6 +116,19 @@ class TestEwmaVolatility:
         got = indicators.ewma_volatility(closes, alpha=0.05)
         want = ewma_vol_oracle(closes, 0.05)
         assert got[1:] == pytest.approx(want[1:], rel=1e-9)
+
+    def test_bitwise_equal_to_scalar_loop(self):
+        rng = np.random.default_rng(7)
+        alphas = (1e-4, 0.01, 0.05, 0.3, 1.0)
+        checked = 0
+        for n in (2, 3, 50, 1000):
+            for vol in (0.0, 1e-6, 0.005, 0.05):
+                closes = 3000 * np.exp(np.cumsum(rng.normal(0, vol, n)))
+                for alpha in alphas:
+                    got = indicators.ewma_volatility(closes, alpha)
+                    assert got.tobytes() == scalar_ewma_volatility(closes, alpha).tobytes()
+                    checked += 1
+        assert checked == 80
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -36,6 +36,11 @@ def forward_oracle(mlp, x):
     return out
 
 
+def draw_rows(probs, u):
+    """`ppo._draw` on each row of `probs`, one uniform of `u` per row."""
+    return np.array([ppo._draw(row, float(x)) for row, x in zip(probs.tolist(), u)])
+
+
 def random_batch(rng, actor, critic, n=8, logp_jitter=0.05):
     obs = rng.standard_normal((n, actor.weights[0].shape[0]))
     n_actions = actor.biases[-1].size
@@ -226,20 +231,43 @@ class TestCategorical:
     def test_log_prob_of_samples_finite(self):
         rng = np.random.default_rng(53)
         dist = Categorical(rng.standard_normal((200, 5)))
-        actions = Categorical.sample(dist.probs, rng.random(200))
+        actions = draw_rows(dist.probs, rng.random(200))
         assert np.all(np.isfinite(dist.log_prob(actions)))
 
     def test_sampling_frequencies(self):
         rng = np.random.default_rng(55)
         logits = np.tile(np.log(np.array([0.5, 0.3, 0.2])), (20000, 1))
         u = rng.random(20000)
-        counts = np.bincount(Categorical.sample(Categorical(logits).probs, u), minlength=3)
+        counts = np.bincount(draw_rows(Categorical(logits).probs, u), minlength=3)
         np.testing.assert_allclose(counts / 20000, [0.5, 0.3, 0.2], atol=0.02)
 
     def test_sample_counts_cdf_entries_at_or_below_u(self):
         probs = np.array([[0.25, 0.5, 0.25]] * 5)
         u = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-        np.testing.assert_array_equal(Categorical.sample(probs, u), [0, 1, 1, 2, 2])
+        np.testing.assert_array_equal(draw_rows(probs, u), [0, 1, 1, 2, 2])
+
+    def test_draw_clamps_to_last_category(self):
+        # the cumulative sums end below u, so every entry counts
+        probs = [0.3, 0.3, 0.3]
+        assert ppo._draw(probs, 0.95) == 2
+        assert ppo._draw(probs, 1.0) == 2
+        assert ppo._draw([1.0], 0.5) == 0
+
+    def test_draw_matches_vectorized_rule(self):
+        """The old `Categorical.sample`: count of np.cumsum entries <= u,
+        clamped, on rows with ties, zeros, tiny and near-one probabilities."""
+        rng = np.random.default_rng(57)
+        rows = [Categorical(rng.standard_normal((1, k)) * scale).probs[0]
+                for k in (1, 2, 3, 4, 5, 7) for scale in (0.01, 1.0, 30.0, 800.0)
+                for _ in range(40)]
+        rows += [np.array(r) for r in ([0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [1e-300, 1.0],
+                                       [0.1] * 10, [1 / 3] * 3)]
+        for probs in rows:
+            cdf = np.cumsum(probs[None, :], axis=-1)
+            for u in [*rng.random(20), *cdf[0], *np.nextafter(cdf[0], 0.0), 0.0, 1.0]:
+                idx = (np.array([u])[:, None] >= cdf).sum(axis=-1)
+                want = int(np.minimum(idx, probs.size - 1)[0])
+                assert ppo._draw(probs.tolist(), float(u)) == want, (probs, u)
 
 
 class TestReturnsAndAdvantages:
@@ -399,10 +427,8 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self):
         class HugeRewardBandit(ContextualBandit):
-            def step(self, action):
-                out = super().step(action)
-                return type(out)(observation=out.observation, reward=1e200,
-                                 done=out.done, info=out.info)
+            def rewards(self, lo, hi):
+                return np.full(super().rewards(lo, hi).size, 1e200)
 
         spec = AgentSpec(action_set=(0, 10), activation="tanh", hidden_layers=(4,),
                          learning_rate=1e-2, rollout_length=256, total_timesteps=2048)
@@ -432,10 +458,8 @@ class TestTrain:
 
     def test_early_stopping_fires_on_flat_rewards(self):
         class ZeroBandit(ContextualBandit):
-            def step(self, action):
-                out = super().step(action)
-                return type(out)(observation=out.observation, reward=0.0,
-                                 done=out.done, info=out.info)
+            def rewards(self, lo, hi):
+                return np.zeros(super().rewards(lo, hi).size)
 
         spec = AgentSpec(action_set=(0, 10), activation="tanh", hidden_layers=(4,),
                          learning_rate=1e-3, rollout_length=256,
@@ -614,3 +638,113 @@ class TestGridOracle:
                     assert [s.objective for s in got.curve] == objectives, label
                     checked += 1
         assert checked == 3 * len(grid.activations) * len(grid.hidden_layers)
+
+
+def lp_config(action_set=(0, 10, 20), n_steps=40):
+    from activelp import data
+    from activelp.amm import PoolSpec
+    from activelp.env import MIN_HISTORY, EnvConfig, MarketTape
+
+    pool = PoolSpec(fee_rate=0.003, tick_spacing=10, gas_cost=1.0)
+    tape = MarketTape(data.gbm_generate(seed=4, n_hours=MIN_HISTORY + n_steps,
+                                        p_start=3000.0, drift=0.0, vol=0.004))
+    return EnvConfig(pool=pool, action_set=action_set, x0=2.0, data=tape)
+
+
+class TestDecideThenScore:
+    """The rollout decides with `advance` and scores with `rewards`; the
+    reference steps `LPEnv.step`. Rollout lengths 1 and 7 cut the 40-step
+    episodes at many places (positions stay open across the cuts), 40 ends
+    every rollout with its episode."""
+
+    @pytest.mark.parametrize("rollout_length", [1, 7, 40])
+    def test_rollouts_match_reference(self, rollout_length):
+        from activelp.env import LPEnv
+
+        config = lp_config()
+        rng = np.random.default_rng(5)
+        actor = Mlp.build([13, 8, 3], "tanh", rng, out_gain=3.0)  # spread-out policy
+        critic = Mlp.build([13, 8, 1], "tanh", rng)
+        envs = LPEnv(config), LPEnv(config)
+        rngs = np.random.default_rng(6), np.random.default_rng(6)
+        obs = [e.reset() for e in envs]
+        returns = [], []
+        episode, running = [0.0, 0], [0.0]
+        n_rollouts = -(-130 // rollout_length)
+        taken = set()
+        for _ in range(n_rollouts):
+            got, obs[0] = ppo._collect_rollout(envs[0], actor, critic, rngs[0], rollout_length,
+                                               obs[0], returns[0], episode)
+            want, obs[1] = reference_collect_rollout(envs[1], actor, critic, rngs[1],
+                                                     rollout_length, obs[1], returns[1], running)
+            for name in ("observations", "actions", "log_probs", "rewards", "values", "dones"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            assert obs[0].tobytes() == obs[1].tobytes()
+            assert episode[0] == running[0]
+            taken.update(got.actions.tolist())
+        assert returns[0] == returns[1] and taken == {0, 1, 2}
+        assert len(returns[0]) == n_rollouts * rollout_length // 40
+
+    @pytest.mark.parametrize("rollout_length", [1, 7, 40])
+    def test_train_matches_reference(self, rollout_length):
+        from activelp.env import LPEnv
+
+        config = lp_config()
+        spec = AgentSpec(action_set=config.action_set, activation="tanh", hidden_layers=(8, 4),
+                         learning_rate=1e-2, rollout_length=rollout_length,
+                         total_timesteps=120, epochs=2, minibatch_size=16, patience=10**6)
+        got = train(lambda: LPEnv(config), spec, seed=17)
+        actor, critic, objectives = reference_train(LPEnv(config), spec, seed=17)
+        assert np.array_equal(got.actor.flat(), actor.flat())
+        assert np.array_equal(got.critic.flat(), critic.flat())
+        assert [s.objective for s in got.curve] == objectives
+
+    def test_no_per_step_scoring_or_cached_forward(self, monkeypatch):
+        """Deterministic guard: training on an LPEnv and a greedy pass call
+        neither the scalar amm rewards, nor `LPEnv.step`, nor the cached
+        forward outside the update."""
+        from activelp import amm, env
+        from activelp.env import LPEnv
+
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        in_update = [False]
+        objective = ppo.ppo_objective
+
+        def update_objective(*args, **kwargs):
+            in_update[0] = True
+            try:
+                return objective(*args, **kwargs)
+            finally:
+                in_update[0] = False
+
+        forward_cached = Mlp.forward_cached
+
+        def rollout_forward_cached(self, x):
+            if not in_update[0]:
+                calls["forward_cached"] = calls.get("forward_cached", 0) + 1
+            return forward_cached(self, x)
+
+        monkeypatch.setattr(amm, "fee_for_move", counted("fee_for_move", amm.fee_for_move))
+        monkeypatch.setattr(amm, "lvr_penalty", counted("lvr_penalty", amm.lvr_penalty))
+        monkeypatch.setattr(LPEnv, "step", counted("step", LPEnv.step))
+        monkeypatch.setattr(ppo, "ppo_objective", update_objective)
+        monkeypatch.setattr(Mlp, "forward_cached", rollout_forward_cached)
+
+        e = LPEnv(lp_config())
+        spec = AgentSpec(action_set=(0, 10, 20), rollout_length=30, total_timesteps=100,
+                         epochs=1, patience=10**6)
+        result = train(lambda: e, spec, seed=3)
+        trace = env.run_policy(e, ppo.greedy_action_fn(result.actor))
+        assert trace.t.size == 40 and calls == {}
+        # the counters do count
+        e.reset()
+        e.step(1)
+        assert calls == {"step": 1, "fee_for_move": 1, "lvr_penalty": 1}
