@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import amm, indicators
-from .amm import PoolSpec, Position
+from .amm import PoolSpec
 from .data import PriceSeries
 
 # Closes required before the first decision; ma168 is the binding lookback.
@@ -220,21 +220,6 @@ class EnvConfig:
             )
 
 
-@dataclass(frozen=True)
-class StepInfo:
-    fee: float
-    lvr: float
-    gas: float
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    observation: np.ndarray
-    reward: float
-    done: bool
-    info: StepInfo
-
-
 class LPEnv:
     """Gym-style environment over one candle slice.
 
@@ -265,10 +250,7 @@ class LPEnv:
         self._t = None
         # action index taken at each step of the episode in progress
         self._actions = np.zeros(self._last - self._start, dtype=np.int64)
-        # open position: its range_table row and the hour it opened at
-        self._range = None
-        self._opened_at = None
-        self._position_obs = None  # its normalized (width, liquidity)
+        self._position_obs = None  # the open position's normalized (width, liquidity)
 
     @property
     def obs_dim(self) -> int:
@@ -282,30 +264,9 @@ class LPEnv:
     def n_steps(self) -> int:
         return self._last - self._start
 
-    @property
-    def done(self) -> bool:
-        return self._t is not None and self._t >= self._last
-
-    @property
-    def current_price(self) -> float:
-        if self._t is None:
-            raise RuntimeError("reset() must be called first")
-        return float(self._closes[self._t])
-
-    @property
-    def position(self) -> Position | None:
-        """The open position, built on request; None while none is open."""
-        if self._range is None:
-            return None
-        lower, upper = int(self._range[0]), int(self._range[1])
-        return Position.open(lower, upper, float(self._closes[self._opened_at]),
-                             self.config.x0)
-
     def reset(self) -> np.ndarray:
         self._t = self._start
         self._actions.fill(0)
-        self._range = None
-        self._opened_at = None
         self._position_obs = None
         return self._observe()
 
@@ -315,9 +276,9 @@ class LPEnv:
         observation and whether the episode is over; `rewards` scores the
         recorded steps."""
         if self._t is None:
-            raise RuntimeError("reset() must be called before step()")
+            raise RuntimeError("reset() must be called before advance()")
         if self._t >= self._last:
-            raise RuntimeError("step() called after the episode ended")
+            raise RuntimeError("advance() called after the episode ended")
         if not 0 <= action_index < self._n_actions:
             raise ValueError(f"action index {action_index} out of range")
         if action_index != 0:
@@ -327,8 +288,8 @@ class LPEnv:
         return self._observe(), self._t >= self._last
 
     def rewards(self, lo: int, hi: int) -> np.ndarray:
-        """Rewards of steps [lo, hi) of the episode in progress, bitwise equal
-        to the ones `step` returns. Only that segment is scored."""
+        """Rewards of steps [lo, hi) of the episode in progress; only that
+        segment is scored."""
         return self._trace(lo, hi).reward
 
     def _trace(self, lo: int, hi: int) -> EpisodeTrace:
@@ -340,36 +301,8 @@ class LPEnv:
         return _score(self._closes, self._sigma, self._tables.__getitem__, self.config,
                       self._actions, lo, hi, opened)
 
-    def step(self, action_index: int) -> StepOutcome:
-        """`advance` plus the step's reward from the scalar amm formulas."""
-        t = self._t
-        had_position = self._range is not None
-        observation, done = self.advance(action_index)
-
-        pool = self.config.pool
-        price = float(self._closes[t])
-        gas = 0.0
-        if action_index != 0:
-            if self.config.gas_mode == GAS_PER_LEG and had_position:
-                gas = 2.0 * pool.gas_cost  # withdraw + redeploy
-            else:
-                gas = pool.gas_cost
-
-        fee = 0.0
-        lvr = 0.0
-        if self._range is not None:
-            _, _, liquidity, lower_price, upper_price = self._range
-            fee = amm.fee_for_move(liquidity, pool.fee_rate, price, float(self._closes[t + 1]),
-                                   lower_price, upper_price)
-            in_range = lower_price <= price <= upper_price
-            lvr = amm.lvr_penalty(liquidity, float(self._sigma[t]), price, in_range)
-        reward = fee - lvr - gas
-        return StepOutcome(observation=observation, reward=reward, done=done,
-                           info=StepInfo(fee=fee, lvr=lvr, gas=gas))
-
     def _open(self, action_index: int):
-        self._range = row = self._tables[action_index][self._t].tolist()
-        self._opened_at = self._t
+        row = self._tables[action_index][self._t].tolist()
         self._position_obs = (self._stats.normalize_entry(2, (row[1] - row[0]) / 2.0),
                               self._stats.normalize_entry(3, row[2]))
 
@@ -430,8 +363,9 @@ def run_policy(env: LPEnv, action_fn) -> EpisodeTrace:
 
 
 def replay(config: EnvConfig, actions) -> EpisodeTrace:
-    """The trace that stepping an LPEnv over `config` with this sequence of
-    action indices gives, bitwise, computed without stepping."""
+    """The trace of this sequence of action indices over `config`, bitwise
+    equal to deciding them one by one with `LPEnv.advance` and scoring with
+    `LPEnv.rewards`, computed without an environment."""
     tape = _tape(config.data)
     n = len(tape) - MIN_HISTORY
     actions = np.asarray(actions)
@@ -455,9 +389,11 @@ def _score(closes, sigma, table, config: EnvConfig, actions, lo, hi, opened) -> 
 
     The price path does not depend on the actions, so the position live at
     each step is the one opened at the last nonzero action; its range comes
-    from the range table, and fee, LVR, gas and reward follow the operation
-    order of `amm.fee_for_move`, `amm.lvr_penalty` and `LPEnv.step`. Steps
-    are scored in blocks, so the temporaries stay small next to the trace.
+    from the range table. Fee and LVR follow the operation order of
+    `amm.fee_for_move` and `amm.lvr_penalty`, and the reward is fee - lvr -
+    gas; `tests/stepper.py` computes the same per step from the scalar
+    formulas and is the reference. Steps are scored in blocks, so the
+    temporaries stay small next to the trace.
     """
     pool = config.pool
     n = hi - lo

@@ -15,8 +15,8 @@ import numpy as np
 
 from .amm import PoolSpec
 from .data import PriceSeries, load_candles, _iso
-from .env import (MIN_HISTORY, EnvConfig, EpisodeTrace, FeatureStats, LPEnv,
-                  MarketTape, compute_stats, run_passive, run_policy)
+from .env import (GAS_FLAT, GAS_PER_LEG, MIN_HISTORY, EnvConfig, EpisodeTrace,
+                  FeatureStats, LPEnv, MarketTape, compute_stats, run_passive, run_policy)
 from .ppo import AgentSpec, TrainResult, TrainingDiverged, greedy_action_fn, \
     save_checkpoint, save_training_curve, train
 
@@ -166,11 +166,11 @@ def _train_agent(args):
 def train_and_select(train_tape: MarketTape, window: Window, grid: SearchGrid,
                      n_agents: int, seed: int, pool: PoolSpec, x0: float,
                      gas_mode: str = "per_leg", train_overrides: dict | None = None,
-                     n_jobs: int = 1) -> tuple[AgentOutcome | None, list[AgentOutcome], FeatureStats]:
+                     n_jobs: int = 1) -> tuple[AgentOutcome | None, list[AgentOutcome]]:
     """Train n_agents randomly drawn specs on the window's train slice, given
     as its tape, and pick the one with the highest greedy cumulative train
-    reward. The stats and every agent's env share the tape; the test slice
-    is never passed in."""
+    reward; each outcome carries its frozen observation stats. The stats and
+    every agent's env share the tape; the test slice is never passed in."""
     # spec sampling gets its own stream, disjoint from the per-agent seeds
     spec_rng = np.random.default_rng(np.random.SeedSequence([seed, window.index, 1 << 20]))
     overrides = train_overrides or {}
@@ -197,9 +197,8 @@ def train_and_select(train_tape: MarketTape, window: Window, grid: SearchGrid,
         if o.error:
             log.warning("window %d agent %d diverged: %s", window.index, o.index, o.error)
     if not trained:
-        return None, outcomes, None
-    selected = max(trained, key=lambda o: (o.train_reward, -o.index))
-    return selected, outcomes, selected.stats
+        return None, outcomes
+    return max(trained, key=lambda o: (o.train_reward, -o.index)), outcomes
 
 
 def _test_slice(series: PriceSeries, window: Window) -> PriceSeries:
@@ -211,19 +210,19 @@ def _test_slice(series: PriceSeries, window: Window) -> PriceSeries:
     return series.slice(start, window.test_end)
 
 
-def _active_trace(test_tape: MarketTape, outcome: AgentOutcome, stats, pool: PoolSpec,
+def _active_trace(test_tape: MarketTape, outcome: AgentOutcome, pool: PoolSpec,
                   x0: float, gas_mode: str) -> EpisodeTrace:
     env = LPEnv(EnvConfig(pool=pool, action_set=outcome.spec.action_set, x0=x0,
-                          data=test_tape, stats=stats, gas_mode=gas_mode))
+                          data=test_tape, stats=outcome.stats, gas_mode=gas_mode))
     return run_policy(env, greedy_action_fn(outcome.result.actor))
 
 
-def evaluate_on_test(test_tape: MarketTape, selected: AgentOutcome, stats, pool: PoolSpec,
+def evaluate_on_test(test_tape: MarketTape, selected: AgentOutcome, pool: PoolSpec,
                      x0: float, gas_mode: str = "per_leg", passive_width: int = 50,
                      passive_period: int = 500) -> tuple[EpisodeTrace, EpisodeTrace]:
     """Greedy rollout of the selected agent, normalized with the frozen
     training stats, plus the passive baseline on the test slice's tape."""
-    active = _active_trace(test_tape, selected, stats, pool, x0, gas_mode)
+    active = _active_trace(test_tape, selected, pool, x0, gas_mode)
     passive = run_passive(EnvConfig(pool=pool, action_set=(0, passive_width), x0=x0,
                                     data=test_tape, gas_mode=gas_mode),
                           passive_width, passive_period)
@@ -237,7 +236,7 @@ def run_window(series: PriceSeries, window: Window, grid: SearchGrid,
                train_overrides: dict | None = None, n_jobs: int = 1) -> WindowResult:
     # one tape per slice, shared by every env and stats computation over it
     train_tape = MarketTape(series.slice(window.train_start, window.train_end))
-    selected, outcomes, stats = train_and_select(
+    selected, outcomes = train_and_select(
         train_tape, window, grid, n_agents, seed, pool, x0, gas_mode,
         train_overrides, n_jobs)
     test_end_ts = int(series.timestamps[window.test_end - 1])
@@ -252,12 +251,11 @@ def run_window(series: PriceSeries, window: Window, grid: SearchGrid,
         # pick the best; leaks test data into selection by construction
         selected = max(
             (o for o in outcomes if o.result is not None),
-            key=lambda o: _active_trace(test_tape, o, o.stats, pool, x0, gas_mode).total_reward)
-        stats = selected.stats
+            key=lambda o: _active_trace(test_tape, o, pool, x0, gas_mode).total_reward)
     elif selection != SELECT_TRAIN:
         raise ConfigError(f"unknown selection mode {selection!r}")
 
-    active, passive = evaluate_on_test(test_tape, selected, stats, pool, x0, gas_mode,
+    active, passive = evaluate_on_test(test_tape, selected, pool, x0, gas_mode,
                                        passive_width, passive_period)
     return WindowResult(window=window, test_end_ts=test_end_ts, agents=outcomes,
                         selected=selected, active_trace=active, passive_trace=passive,
@@ -336,6 +334,14 @@ class ExperimentConfig:
             raise ConfigError("n_agents must be >= 1")
         if config.selection not in (SELECT_TRAIN, SELECT_TEST_LEAKY):
             raise ConfigError(f"unknown selection mode {config.selection!r}")
+        if config.gas_mode not in (GAS_PER_LEG, GAS_FLAT):
+            raise ConfigError(f"unknown gas_mode {config.gas_mode!r}")
+        spacing = config.pool.tick_spacing
+        if config.passive_width <= 0 or config.passive_width % spacing != 0:
+            raise ConfigError(f"passive_width must be a positive multiple of tick spacing "
+                              f"{spacing}, got {config.passive_width}")
+        if config.passive_period < 1:
+            raise ConfigError(f"passive_period must be >= 1, got {config.passive_period}")
         searched = {"action_set", "activation", "hidden_layers", "learning_rate",
                     "clip_range", "entropy_coef", "gamma"}
         allowed = set(AgentSpec.__dataclass_fields__) - searched

@@ -72,7 +72,8 @@ class Mlp:
         return cls(weights, biases, activation)
 
     def views(self, buf: np.ndarray) -> list:
-        """Per-tensor views of a vector laid out like `theta`, in `params` order."""
+        """Per-tensor views of a vector laid out like `theta`: each layer's
+        weight, then its bias."""
         out = []
         offset = 0
         for (n_in, n_out), fortran in self._layout:
@@ -82,25 +83,6 @@ class Mlp:
             out.append(buf[offset:offset + n_out])
             offset += n_out
         return out
-
-    @property
-    def params(self):
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
-
-    def flat(self) -> np.ndarray:
-        """Parameters in `params` order, each tensor in C order."""
-        return np.concatenate([p.ravel() for p in self.params])
-
-    def load_flat(self, vec: np.ndarray):
-        offset = 0
-        for p in self.params:
-            p[...] = vec[offset:offset + p.size].reshape(p.shape)
-            offset += p.size
-        if offset != vec.size:
-            raise ValueError(f"expected {offset} parameters, got {vec.size}")
 
     def _act(self, z):
         if self.activation == "relu":
@@ -159,9 +141,6 @@ class Mlp:
             if i > 0:
                 delta = delta @ self.weights[i].T
         return grad
-
-    def copy(self) -> "Mlp":
-        return Mlp(self.weights, self.biases, self.activation)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +329,6 @@ class AgentSpec:
     entropy_coef: float = 1e-3
     value_coef: float = 0.5
     gamma: float = 0.99
-    gae_lambda: float | None = None  # reserved; Monte-Carlo targets when None
     rollout_length: int = 2500
     total_timesteps: int = 100_000
     epochs: int = 10
@@ -535,6 +513,16 @@ def greedy_action_fn(actor: Mlp):
 # persistence
 
 CHECKPOINT_VERSION = 1
+_META_KEYS = ("version", "spec", "activation", "actor_layers", "critic_layers", "timesteps",
+              "stopped_early")
+
+
+def _check_keys(what, got: dict, want):
+    missing = sorted(set(want) - set(got))
+    unknown = sorted(set(got) - set(want))
+    if missing or unknown:
+        raise ValueError(f"checkpoint {what} is malformed: missing keys {missing}, "
+                         f"unknown keys {unknown}")
 
 
 def save_checkpoint(path, result: TrainResult):
@@ -562,7 +550,12 @@ def load_checkpoint(path) -> TrainResult:
     meta = json.loads(str(blob["meta"]))
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {meta.get('version')}")
-    spec_dict = meta["spec"]
+    _check_keys("metadata", meta, _META_KEYS)
+    fields = AgentSpec.__dataclass_fields__
+    # a null spec entry asks for nothing: files from earlier versions hold
+    # one for a reserved field that was never read and is gone
+    spec_dict = {k: v for k, v in meta["spec"].items() if k in fields or v is not None}
+    _check_keys("agent spec", spec_dict, fields)
     spec_dict["action_set"] = tuple(spec_dict["action_set"])
     spec_dict["hidden_layers"] = tuple(spec_dict["hidden_layers"])
     spec = AgentSpec(**spec_dict)

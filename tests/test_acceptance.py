@@ -14,6 +14,7 @@ from activelp import amm, cli, data, env, ppo
 from activelp.amm import PoolSpec
 from activelp.env import MIN_HISTORY, EnvConfig, LPEnv
 from bandit import ContextualBandit
+from stepper import stepped_trace
 from test_amm import brute_force_fee
 from test_ppo import BANDIT_SPEC, fd_grads, flat_grads, greedy_pick_rate, random_batch
 
@@ -62,16 +63,12 @@ def test_reward_accounting_identity_and_gas_replay():
         series = data.gbm_generate(seed=300 + case, n_hours=240, p_start=3000.0,
                                    drift=0.0, vol=0.01)
         e = LPEnv(EnvConfig(pool=POOL, action_set=(0, 20, 50), x0=2.0, data=series))
-        e.reset()
         actions = rng.integers(0, e.n_actions, e.n_steps)
-        fee, lvr, gas, reward = [], [], [], []
-        for a in actions:
-            out = e.step(int(a))
-            fee.append(out.info.fee)
-            lvr.append(out.info.lvr)
-            gas.append(out.info.gas)
-            reward.append(out.reward)
-        fee, lvr, gas, reward = map(np.array, (fee, lvr, gas, reward))
+        trace = env.replay(e.config, actions)
+        stepped = stepped_trace(e.config, actions)
+        for name in ("fee", "lvr", "gas", "reward"):
+            assert getattr(trace, name).tobytes() == getattr(stepped, name).tobytes(), name
+        fee, lvr, gas, reward = trace.fee, trace.lvr, trace.gas, trace.reward
         assert np.all(reward == fee - lvr - gas)
         assert float(np.sum(reward)) == float(np.sum(fee - lvr - gas))
         open_position = False

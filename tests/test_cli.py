@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from activelp import cli, data
+from activelp import cli, data, ppo
 from activelp.data import HOUR
 
 
@@ -138,6 +138,32 @@ class TestTrainEvaluate:
         assert run(["train", "--candles", str(candle_file),
                     "--out", str(tmp_path / "a.npz"), "--spec", str(spec_file)]) == 1
 
+    def test_gae_lambda_spec_key_exits_1(self, tmp_path, candle_file, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"gae_lambda": 0.95}))
+        assert run(["train", "--candles", str(candle_file),
+                    "--out", str(tmp_path / "a.npz"), "--spec", str(spec_file)]) == 1
+        assert "gae_lambda" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["spec.bogus", "timesteps"])
+    def test_malformed_checkpoint_exits_1(self, tmp_path, candle_file, capsys, key):
+        spec = ppo.AgentSpec(action_set=(0, 20, 50), hidden_layers=(4,))
+        rng = np.random.default_rng(0)
+        result = ppo.TrainResult(spec, ppo.Mlp.build([13, 4, 3], "tanh", rng),
+                                 ppo.Mlp.build([13, 4, 1], "tanh", rng), [], 0, False)
+        ckpt = tmp_path / "agent.npz"
+        ppo.save_checkpoint(ckpt, result)
+        blob = dict(np.load(ckpt, allow_pickle=False))
+        meta = json.loads(str(blob["meta"]))
+        if key == "spec.bogus":
+            meta["spec"]["bogus"] = 1  # a key the spec does not have
+        else:
+            del meta[key]
+        blob["meta"] = json.dumps(meta)
+        np.savez(ckpt, **blob)
+        assert run(["evaluate", "--candles", str(candle_file), "--checkpoint", str(ckpt)]) == 1
+        assert key.split(".")[-1] in capsys.readouterr().err
+
 
 class TestExperiment:
     def _config(self, tmp_path, candles, **extra):
@@ -169,6 +195,23 @@ class TestExperiment:
     def test_missing_data_path_exits_2(self, tmp_path):
         path = self._config(tmp_path, tmp_path / "missing.csv")
         assert run(["experiment", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("bad", [{"passive_width": 55}, {"passive_period": 0},
+                                     {"gas_mode": "per_tx"},
+                                     {"training": {"gae_lambda": None}}],
+                             ids=["width", "period", "gas_mode", "gae_lambda"])
+    def test_bad_config_exits_1_before_training(self, tmp_path, candle_file, monkeypatch,
+                                                capsys, bad):
+        from activelp import harness
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("an agent was trained")
+
+        monkeypatch.setattr(ppo, "train", no_training)
+        monkeypatch.setattr(harness, "train", no_training)
+        path = self._config(tmp_path, candle_file, **bad)
+        assert run(["experiment", "--config", str(path)]) == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_invalid_config_exits_1(self, tmp_path):
         path = tmp_path / "config.json"

@@ -7,6 +7,7 @@ from activelp import amm, data, env
 from activelp.amm import PoolSpec
 from activelp.data import HOUR, PriceSeries
 from activelp.env import MIN_HISTORY, EnvConfig, LPEnv
+from stepper import Stepper, stepped_trace
 
 POOL = PoolSpec(fee_rate=0.0005, tick_spacing=10, gas_cost=5.0)
 
@@ -81,6 +82,10 @@ def gbm_env(n_hours=260, seed=0, vol=0.005, action_set=(0, 20, 50), x0=2.0,
                            data=series, gas_mode=gas_mode))
 
 
+def gbm_stepper(**kwargs):
+    return Stepper(gbm_env(**kwargs).config)
+
+
 class TestConfig:
     def test_action_set_must_start_with_zero(self):
         with pytest.raises(ValueError):
@@ -121,94 +126,81 @@ class TestReset:
 
 class TestStepMechanics:
     def test_hold_without_position_is_neutral(self):
-        e = gbm_env()
-        e.reset()
+        s = gbm_stepper()
+        s.reset()
         for _ in range(10):
-            out = e.step(0)
+            out = s.step(0)
             assert out.reward == 0.0
-            assert out.info.fee == 0.0 and out.info.lvr == 0.0 and out.info.gas == 0.0
+            assert out.fee == 0.0 and out.lvr == 0.0 and out.gas == 0.0
 
     def test_first_deployment_charges_single_gas(self):
-        e = gbm_env()
-        e.reset()
-        out = e.step(1)
-        assert out.info.gas == POOL.gas_cost
-        assert out.reward == out.info.fee - out.info.lvr - out.info.gas
+        s = gbm_stepper()
+        s.reset()
+        out = s.step(1)
+        assert out.gas == POOL.gas_cost
+        assert out.reward == out.fee - out.lvr - out.gas
 
     def test_rebalance_charges_double_gas(self):
-        e = gbm_env()
-        e.reset()
-        e.step(1)
-        out = e.step(2)
-        assert out.info.gas == 2 * POOL.gas_cost
+        s = gbm_stepper()
+        s.reset()
+        s.step(1)
+        out = s.step(2)
+        assert out.gas == 2 * POOL.gas_cost
 
     def test_hold_open_position_charges_no_gas(self):
-        e = gbm_env()
-        e.reset()
-        e.step(1)
-        out = e.step(0)
-        assert out.info.gas == 0.0
+        s = gbm_stepper()
+        s.reset()
+        s.step(1)
+        out = s.step(0)
+        assert out.gas == 0.0
 
     def test_flat_gas_mode_charges_single_fee(self):
-        e = gbm_env(gas_mode="flat")
-        e.reset()
-        assert e.step(1).info.gas == POOL.gas_cost
-        assert e.step(2).info.gas == POOL.gas_cost
+        s = gbm_stepper(gas_mode="flat")
+        s.reset()
+        assert s.step(1).gas == POOL.gas_cost
+        assert s.step(2).gas == POOL.gas_cost
 
     def test_step_after_done_raises(self):
         e = LPEnv(EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0,
                             data=flat_series(MIN_HISTORY + 2)))
         e.reset()
         assert e.n_steps == 2
-        e.step(0)
-        out = e.step(0)
-        assert out.done
+        e.advance(0)
+        _, done = e.advance(0)
+        assert done
         with pytest.raises(RuntimeError):
-            e.step(0)
+            e.advance(0)
 
     def test_invalid_action_raises(self):
         e = gbm_env()
         e.reset()
         with pytest.raises(ValueError):
-            e.step(5)
+            e.advance(5)
 
     def test_step_before_reset_raises(self):
         e = gbm_env()
         with pytest.raises(RuntimeError):
-            e.step(0)
+            e.advance(0)
 
     def test_position_sizing_follows_x0(self):
         for x0 in (2.0, 10.0):
             e = gbm_env(x0=x0)
-            e.reset()
-            price = e.current_price
-            e.step(1)
-            pos = e.position
-            got = amm.reserves(pos, price)
+            trace = env.run_policy(e, lambda obs, t: 1 if t == 0 else 0)
+            price = float(trace.price[0])
+            lower, upper = amm.align_range(amm.tick_index(price), 20, POOL.tick_spacing)
+            got = amm.range_reserves(float(trace.liquidity[0]), price,
+                                     amm.price_at_tick(lower), amm.price_at_tick(upper))
             assert got.x == pytest.approx(x0, rel=1e-12)
-
-    def test_position_built_only_on_request(self, monkeypatch):
-        e = gbm_env(seed=7)
-        e.reset()
-        assert e.position is None
-        price = e.current_price
-        with monkeypatch.context() as m:
-            m.setattr(amm.Position, "open", None)  # a step must not build one
-            e.step(2)
-            e.step(0)
-        pos = e.position
-        lower, upper = amm.align_range(amm.tick_index(price), 50, POOL.tick_spacing)
-        assert pos == amm.Position.open(lower, upper, price, 2.0)
 
     def test_fee_matches_amm_for_logged_move(self):
         e = gbm_env(seed=5)
-        e.reset()
-        p_from = e.current_price
-        out = e.step(2)
-        pos = e.position
+        trace = env.run_policy(e, lambda obs, t: 2 if t == 0 else 0)
+        p_from, p_to = float(trace.price[0]), float(trace.price[1])
+        lower, upper = amm.align_range(amm.tick_index(p_from), 50, POOL.tick_spacing)
+        pos = amm.Position.open(lower, upper, p_from, 2.0)
         want = amm.fee_for_move(pos.liquidity, POOL.fee_rate, p_from,
-                                e.current_price, pos.lower_price, pos.upper_price)
-        assert out.info.fee == want
+                                p_to, pos.lower_price, pos.upper_price)
+        assert trace.fee[0] == want
 
 
 class TestAccounting:
@@ -216,16 +208,10 @@ class TestAccounting:
         rng = np.random.default_rng(31)
         for case in range(20):
             e = gbm_env(n_hours=240, seed=100 + case, vol=0.01)
-            e.reset()
             actions = rng.integers(0, e.n_actions, e.n_steps)
-            fees, lvrs, gases, rewards = [], [], [], []
-            for a in actions:
-                out = e.step(int(a))
-                fees.append(out.info.fee)
-                lvrs.append(out.info.lvr)
-                gases.append(out.info.gas)
-                rewards.append(out.reward)
-            fees, lvrs, gases, rewards = map(np.array, (fees, lvrs, gases, rewards))
+            trace = env.replay(e.config, actions)
+            assert_same_trace(trace, stepped_trace(e.config, actions))
+            fees, lvrs, gases, rewards = trace.fee, trace.lvr, trace.gas, trace.reward
             # per-step identity is exact, so any consistent aggregation agrees
             assert np.all(rewards == fees - lvrs - gases)
             assert float(np.sum(rewards)) == float(np.sum(fees - lvrs - gases))
@@ -242,26 +228,26 @@ class TestAccounting:
 
     def test_out_of_range_stasis(self):
         series = step_series(MIN_HISTORY + 5, 40, 3000.0, 4000.0)
-        e = LPEnv(EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0, data=series))
-        e.reset()
-        e.step(1)  # deploy around 3000
-        pos = e.position
-        while e.current_price != 4000.0:
-            e.step(0)  # hold through the jump hour
+        s = Stepper(EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0, data=series))
+        s.reset()
+        s.step(1)  # deploy around 3000
+        pos = s.position
+        while s.price != 4000.0:
+            s.step(0)  # hold through the jump hour
         assert 4000.0 > pos.upper_price
-        while not e.done:
-            out = e.step(0)
-            assert out.info.fee == 0.0
-            assert out.info.lvr == 0.0
+        while not s.done:
+            out = s.step(0)
+            assert out.fee == 0.0
+            assert out.lvr == 0.0
             assert out.reward == 0.0
 
     def test_determinism(self):
         def run():
-            e = gbm_env(n_hours=250, seed=9, vol=0.02)
-            e.reset()
+            s = gbm_stepper(n_hours=250, seed=9, vol=0.02)
+            s.reset()
             rewards = []
-            for t in range(e.n_steps):
-                rewards.append(e.step(t % e.n_actions).reward)
+            for t in range(s.n_steps):
+                rewards.append(s.step(t % s.n_actions).reward)
             return np.array(rewards)
 
         a, b = run(), run()
@@ -284,9 +270,10 @@ class TestObservation:
     def test_entries_always_finite(self):
         e = gbm_env(seed=13, vol=0.05)
         obs = e.reset()
-        while not e.done:
+        done = False
+        while not done:
             assert np.all(np.isfinite(obs))
-            obs = e.step(1).observation
+            obs, done = e.advance(1)
 
     def test_width_and_liquidity_zero_without_position(self):
         series = data.gbm_generate(seed=15, n_hours=300, p_start=3000.0, vol=0.01)
@@ -345,16 +332,16 @@ class TestMarketTape:
         series = data.gbm_generate(seed=24, n_hours=420, p_start=2800.0, vol=0.02)
         action_set = (0, 10, 20, 50)
         stats = env.compute_stats(series if own_stats else train, action_set, POOL, 2.0)
-        e = LPEnv(EnvConfig(pool=POOL, action_set=action_set, x0=2.0, data=series,
-                            stats=stats))
+        s = Stepper(EnvConfig(pool=POOL, action_set=action_set, x0=2.0, data=series,
+                              stats=stats))
         f = env.compute_features(series)
         closes = series.closes
         ticks = [amm.tick_index(p) for p in closes]
         rng = np.random.default_rng(25)
-        obs = e.reset()
+        obs = s.reset()
         t = MIN_HISTORY - 1
         while True:
-            pos = e.position
+            pos = s.position
             width = 0.0 if pos is None else (pos.upper_tick - pos.lower_tick) / 2.0
             liq = 0.0 if pos is None else pos.liquidity
             raw = np.array([
@@ -364,9 +351,9 @@ class TestMarketTape:
             want = reference_normalize(stats, raw)
             assert np.array_equal(obs, want)
             assert np.array_equal(stats.normalize(raw), want)
-            if e.done:
+            if s.done:
                 break
-            obs = e.step(int(rng.integers(0, e.n_actions))).observation
+            obs = s.step(int(rng.integers(0, s.n_actions))).observation
             t += 1
         assert t == len(series) - 1
 
@@ -413,29 +400,6 @@ def assert_same_trace(got, want):
         assert a.tobytes() == b.tobytes(), name
 
 
-def stepped_trace(config, actions):
-    """The trace of `actions` from `LPEnv.step`, one step at a time: the
-    independent reference for the vectorized scoring."""
-    e = LPEnv(config)
-    n = e.n_steps
-    cols = {name: np.empty(n) for name in ("price", "liquidity", "fee", "lvr", "gas", "reward")}
-    action = np.empty(n, dtype=np.int64)
-    width = np.empty(n, dtype=np.int64)
-    e.reset()
-    for step in range(n):
-        a = int(actions[step])
-        cols["price"][step] = e.current_price
-        out = e.step(a)
-        action[step] = a
-        pos = e.position
-        width[step] = 0 if pos is None else (pos.upper_tick - pos.lower_tick) // 2
-        cols["liquidity"][step] = 0.0 if pos is None else pos.liquidity
-        cols["fee"][step], cols["lvr"][step], cols["gas"][step] = (
-            out.info.fee, out.info.lvr, out.info.gas)
-        cols["reward"][step] = out.reward
-    return env.EpisodeTrace(t=np.arange(n), action=action, width=width, **cols)
-
-
 class TestRangeTable:
     CASES = [(1, (1, 7, 50)), (10, (10, 30, 100)), (60, (60, 120, 600))]
 
@@ -471,7 +435,7 @@ class TestRangeTable:
 
 
 class TestReplay:
-    """replay against stepping LPEnv, bitwise in every trace column."""
+    """replay against the scalar stepper, bitwise in every trace column."""
 
     # an odd spacing gives ranges an odd number of ticks wide
     CASES = [(1, (0, 1, 7, 50)), (10, (0, 10, 20, 30)), (15, (0, 15, 30, 45)),
@@ -538,15 +502,15 @@ class TestReplay:
 
 class TestAdvanceRewards:
     """`advance` decides and `rewards(lo, hi)` scores: together they must
-    give what `step` gives, bitwise, however the episode is cut."""
+    give what the scalar stepper gives, bitwise, however the episode is cut."""
 
     @staticmethod
     def stepped(config, actions):
-        e = LPEnv(config)
-        obs = [e.reset()]
+        s = Stepper(config)
+        obs = [s.reset()]
         rewards = []
         for a in actions:
-            out = e.step(int(a))
+            out = s.step(int(a))
             obs.append(out.observation)
             rewards.append(out.reward)
         assert out.done
@@ -625,13 +589,15 @@ class TestAdvanceRewards:
         for _ in range(30):
             e.advance(2)
         e.reset()
-        e.advance(0)
+        obs, _ = e.advance(0)
         assert e.rewards(0, 1).tolist() == [0.0]
-        assert e.position is None
+        fresh = gbm_env(n_hours=MIN_HISTORY + 30, seed=11)
+        fresh.reset()
+        assert obs.tobytes() == fresh.advance(0)[0].tobytes()  # no position left open
 
     def test_checks(self):
         e = gbm_env(n_hours=MIN_HISTORY + 5, seed=12)
-        with pytest.raises(RuntimeError, match="reset"):
+        with pytest.raises(RuntimeError, match=r"reset\(\) must be called before advance\(\)"):
             e.advance(0)
         e.reset()
         with pytest.raises(ValueError, match="out of range"):
@@ -642,12 +608,32 @@ class TestAdvanceRewards:
             e.advance(1)
         _, done = e.advance(0)
         assert done
-        with pytest.raises(RuntimeError, match="ended"):
+        with pytest.raises(RuntimeError, match=r"advance\(\) called after the episode ended"):
             e.advance(0)
         for lo, hi in ((0, 6), (-1, 2), (3, 2)):
             with pytest.raises(ValueError, match="taken"):
                 e.rewards(lo, hi)
         assert e.rewards(2, 2).size == 0
+
+
+class TestStepper:
+    def test_calls_none_of_the_code_it_checks(self, monkeypatch):
+        """The oracle steps a full episode with the scoring kernel, `replay`
+        and the range tables disabled."""
+        config = gbm_env(n_hours=MIN_HISTORY + 80, seed=14, vol=0.02).config
+        actions = np.random.default_rng(14).integers(0, 3, 80)
+        want = env.replay(config, actions)
+        s = Stepper(config)  # its LPEnv builds range tables here, before the patches
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the stepper called the code under test")
+
+        monkeypatch.setattr(env, "_score", forbidden)
+        monkeypatch.setattr(env, "replay", forbidden)
+        monkeypatch.setattr(env.MarketTape, "range_table", forbidden)
+        s.reset()
+        rewards = [s.step(int(a)).reward for a in actions]
+        assert s.done and np.array(rewards).tobytes() == want.reward.tobytes()
 
 
 def reference_to_csv(trace, path):

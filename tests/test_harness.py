@@ -8,6 +8,7 @@ from activelp.env import MIN_HISTORY, MarketTape
 from activelp.harness import (ConfigError, ExperimentConfig, SearchGrid,
                               emit_report, make_windows, run_window, sample_spec,
                               train_and_select)
+from test_ppo import flat
 
 POOL = PoolSpec(fee_rate=0.0005, tick_spacing=10, gas_cost=5.0)
 
@@ -180,8 +181,8 @@ class TestRunWindow:
                             seed=3, pool=POOL, x0=2.0,
                             train_overrides=TINY_TRAINING)
         a, b = result.agents
-        fa = a.result.actor.flat()
-        fb = b.result.actor.flat()
+        fa = flat(a.result.actor)
+        fb = flat(b.result.actor)
         assert fa.shape == fb.shape
         assert not np.array_equal(fa, fb)
 
@@ -257,8 +258,11 @@ def _test_reward(series, window, outcome):
     from activelp.env import compute_stats
     train_tape = MarketTape(series.slice(window.train_start, window.train_end))
     stats = compute_stats(train_tape, outcome.spec.action_set, POOL, 2.0)
+    # the test pass reads the agent's own frozen stats: they must be the train slice's
+    assert outcome.stats.mean.tobytes() == stats.mean.tobytes()
+    assert outcome.stats.std.tobytes() == stats.std.tobytes()
     test_tape = MarketTape(harness._test_slice(series, window))
-    active, _ = harness.evaluate_on_test(test_tape, outcome, stats, POOL, 2.0)
+    active, _ = harness.evaluate_on_test(test_tape, outcome, POOL, 2.0)
     return active.total_reward
 
 
@@ -359,6 +363,18 @@ class TestExperimentConfig:
                      "gammas": [0.99]},
         })
         assert config.grid.action_sets == ((0, 20),)
+
+    @pytest.mark.parametrize("key,bad", [
+        ("passive_width", {"passive_width": 55}), ("passive_width", {"passive_width": 0}),
+        ("passive_width", {"passive_width": -50}),
+        ("passive_width", {"passive_width": 20,
+                           "pool": {"fee_rate": 0.003, "tick_spacing": 60, "gas_cost": 5.0}}),
+        ("passive_period", {"passive_period": 0}), ("passive_period", {"passive_period": -3}),
+        ("gas_mode", {"gas_mode": "per_tx"}),
+    ])
+    def test_bad_passive_baseline_or_gas_mode(self, key, bad):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict({"data": "x", "output_dir": "y", **bad})
 
     def test_x0_key_switches_sizing(self):
         config = ExperimentConfig.from_dict({"data": "x", "output_dir": "y", "x0": 10.0})

@@ -9,6 +9,18 @@ from activelp.ppo import (Adam, AgentSpec, Categorical, Mlp, RolloutBatch,
                           TrainingDiverged, advantages, compute_returns,
                           ppo_objective, train)
 from bandit import ContextualBandit
+from stepper import Stepper
+
+
+def params(net):
+    """The network's tensors: each layer's weight, then its bias."""
+    return [p for layer in zip(net.weights, net.biases) for p in layer]
+
+
+def flat(net):
+    """Every tensor of `params` in C order, concatenated: the values the
+    network computes with, whether or not they live in `theta`."""
+    return np.concatenate([p.ravel() for p in params(net)])
 
 
 def forward_oracle(mlp, x):
@@ -68,7 +80,8 @@ def fd_grads(batch, actor, critic, clip, c1, c2, h=1e-5):
     na = actor.theta.size
 
     def value(theta):
-        a, c = actor.copy(), critic.copy()
+        a = Mlp(actor.weights, actor.biases, actor.activation)
+        c = Mlp(critic.weights, critic.biases, critic.activation)
         a.theta[...] = theta[:na]
         c.theta[...] = theta[na:]
         J, _, _, _ = ppo_objective(batch, a, c, clip, c1, c2)
@@ -104,14 +117,6 @@ class TestMlp:
         want = forward_oracle(mlp, x)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
-    def test_flat_round_trip(self):
-        rng = np.random.default_rng(43)
-        mlp = Mlp.build([4, 3, 2], "tanh", rng)
-        vec = mlp.flat()
-        other = Mlp.build([4, 3, 2], "tanh", np.random.default_rng(99))
-        other.load_flat(vec)
-        np.testing.assert_array_equal(other.flat(), vec)
-
     def test_shape_mismatch_raises(self):
         rng = np.random.default_rng(45)
         mlp = Mlp.build([4, 3], "tanh", rng)
@@ -135,14 +140,14 @@ class TestMlpBuffer:
 
     def test_tensors_are_views_on_theta_in_build_order(self):
         mlp = Mlp.build(self.SIZES, "tanh", np.random.default_rng(3))
-        assert mlp.theta.size == sum(p.size for p in mlp.params)
+        assert mlp.theta.size == sum(p.size for p in params(mlp))
         for w, n_in, n_out in zip(mlp.weights, self.SIZES[:-1], self.SIZES[1:]):
             assert np.shares_memory(w, mlp.theta)
             assert is_fortran(w) == (n_in < n_out)
         for b in mlp.biases:
             assert np.shares_memory(b, mlp.theta)
         mlp.theta[...] = 0.0
-        assert all(np.all(p == 0.0) for p in mlp.params)
+        assert all(np.all(p == 0.0) for p in params(mlp))
 
     def test_construction_keeps_given_order_and_values(self):
         rng = np.random.default_rng(5)
@@ -151,34 +156,15 @@ class TestMlpBuffer:
         biases = [rng.standard_normal(4), rng.standard_normal(2)]
         mlp = Mlp(weights, biases, "relu")
         assert is_fortran(mlp.weights[0]) and mlp.weights[1].flags.c_contiguous
-        for got, want in zip(mlp.params, [weights[0], biases[0], weights[1], biases[1]]):
+        for got, want in zip(params(mlp), [weights[0], biases[0], weights[1], biases[1]]):
             np.testing.assert_array_equal(got, want)
             assert not np.shares_memory(got, want)
-
-    def test_flat_is_c_order_and_round_trips(self):
-        mlp = Mlp.build(self.SIZES, "tanh", np.random.default_rng(7))
-        want = np.concatenate([np.ascontiguousarray(p).reshape(-1) for p in mlp.params])
-        np.testing.assert_array_equal(mlp.flat(), want)
-        other = Mlp.build(self.SIZES, "tanh", np.random.default_rng(8))
-        other.load_flat(mlp.flat())
-        np.testing.assert_array_equal(other.theta, mlp.theta)
 
     def test_views_of_a_gradient_match_the_parameter_layout(self):
         mlp = Mlp.build(self.SIZES, "sigmoid", np.random.default_rng(9))
         vec = np.arange(mlp.theta.size, dtype=float)
-        for view, p in zip(mlp.views(vec), mlp.params):
+        for view, p in zip(mlp.views(vec), params(mlp)):
             assert view.shape == p.shape and view.strides == p.strides
-
-    def test_copy_is_independent_with_same_layout(self):
-        mlp = Mlp.build(self.SIZES, "tanh", np.random.default_rng(11))
-        dup = mlp.copy()
-        assert not np.shares_memory(dup.theta, mlp.theta)
-        for a, b in zip(dup.params, mlp.params):
-            assert np.shares_memory(a, dup.theta) and a.strides == b.strides
-        x = np.random.default_rng(12).standard_normal((1, 13))
-        np.testing.assert_array_equal(dup.forward(x), mlp.forward(x))
-        dup.theta += 1.0
-        assert not np.array_equal(dup.flat(), mlp.flat())
 
     def test_pickle_keeps_one_buffer_and_layout(self):
         import pickle
@@ -186,7 +172,7 @@ class TestMlpBuffer:
         mlp = Mlp.build(self.SIZES, "relu", np.random.default_rng(13))
         back = pickle.loads(pickle.dumps(mlp))
         np.testing.assert_array_equal(back.theta, mlp.theta)
-        for a, b in zip(back.params, mlp.params):
+        for a, b in zip(params(back), params(mlp)):
             assert np.shares_memory(a, back.theta) and a.strides == b.strides
 
     def test_checkpoint_keeps_layout(self, tmp_path):
@@ -199,7 +185,7 @@ class TestMlpBuffer:
         loaded = ppo.load_checkpoint(tmp_path / "agent.npz")
         for net, back in ((actor, loaded.actor), (critic, loaded.critic)):
             np.testing.assert_array_equal(back.theta, net.theta)
-            for a, b in zip(back.params, net.params):
+            for a, b in zip(params(back), params(net)):
                 assert np.shares_memory(a, back.theta) and a.strides == b.strides
 
 
@@ -368,11 +354,11 @@ class TestObjective:
 
         _, _, ppo_grads, _ = ppo_objective(batch, actor, critic, 1e9, 0.0, 0.0)
 
-        actor_a = actor.copy()
-        actor_b = actor.copy()
+        actor_a = Mlp(actor.weights, actor.biases, actor.activation)
+        actor_b = Mlp(actor.weights, actor.biases, actor.activation)
         Adam(actor_a.theta, lr=1e-3).ascend(ppo_grads)
         Adam(actor_b.theta, lr=1e-3).ascend(vanilla)
-        np.testing.assert_allclose(actor_a.flat(), actor_b.flat(), atol=1e-10)
+        np.testing.assert_allclose(flat(actor_a), flat(actor_b), atol=1e-10)
 
     def test_empty_batch_rejected(self):
         rng = np.random.default_rng(69)
@@ -411,16 +397,16 @@ class TestTrain:
         fresh_actor = Mlp.build([5, 4, 3], "tanh", rng, out_gain=0.01)
         fresh_critic = Mlp.build([5, 4, 1], "tanh", rng)
         result = train(lambda: ContextualBandit(seed=3), spec, seed=0)
-        np.testing.assert_array_equal(result.actor.flat(), fresh_actor.flat())
-        np.testing.assert_array_equal(result.critic.flat(), fresh_critic.flat())
+        np.testing.assert_array_equal(flat(result.actor), flat(fresh_actor))
+        np.testing.assert_array_equal(flat(result.critic), flat(fresh_critic))
 
     def test_seeded_determinism(self):
         spec = AgentSpec(action_set=(0, 10), activation="relu", hidden_layers=(6,),
                          learning_rate=1e-3, rollout_length=512, total_timesteps=2048)
         a = train(lambda: ContextualBandit(seed=5), spec, seed=11)
         b = train(lambda: ContextualBandit(seed=5), spec, seed=11)
-        np.testing.assert_array_equal(a.actor.flat(), b.actor.flat())
-        np.testing.assert_array_equal(b.critic.flat(), a.critic.flat())
+        np.testing.assert_array_equal(flat(a.actor), flat(b.actor))
+        np.testing.assert_array_equal(flat(b.critic), flat(a.critic))
         assert a.timesteps == b.timesteps
         assert [s.objective for s in a.curve] == [s.objective for s in b.curve]
 
@@ -478,8 +464,8 @@ class TestPersistence:
         ppo.save_checkpoint(path, result)
         loaded = ppo.load_checkpoint(path)
         assert loaded.spec == spec
-        np.testing.assert_array_equal(loaded.actor.flat(), result.actor.flat())
-        np.testing.assert_array_equal(loaded.critic.flat(), result.critic.flat())
+        np.testing.assert_array_equal(flat(loaded.actor), flat(result.actor))
+        np.testing.assert_array_equal(flat(loaded.critic), flat(result.critic))
         assert loaded.timesteps == result.timesteps
 
     def test_unsupported_checkpoint_version_rejected(self, tmp_path):
@@ -495,6 +481,36 @@ class TestPersistence:
         np.savez(path, **blob)
         with pytest.raises(ValueError, match="version"):
             ppo.load_checkpoint(path)
+
+    def test_v1_file_with_gae_lambda_loads(self, tmp_path):
+        """A checkpoint as earlier versions wrote it, with the never-read
+        `gae_lambda` in its spec."""
+        rng = np.random.default_rng(21)
+        actor = Mlp.build([5, 4, 2, 3], "relu", rng, out_gain=0.01)
+        critic = Mlp.build([5, 4, 2, 1], "relu", rng)
+        spec = {"action_set": [0, 10, 20], "activation": "relu", "hidden_layers": [4, 2],
+                "learning_rate": 0.001, "clip_range": 0.1, "entropy_coef": 0.0001,
+                "value_coef": 0.5, "gamma": 0.999, "gae_lambda": None,
+                "rollout_length": 256, "total_timesteps": 512, "epochs": 10,
+                "minibatch_size": 64, "patience": 5, "improvement_threshold": 0.01}
+        meta = {"version": 1, "spec": spec, "activation": "relu", "actor_layers": 3,
+                "critic_layers": 3, "timesteps": 512, "stopped_early": True}
+        arrays = {}
+        for name, net in (("actor", actor), ("critic", critic)):
+            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+                arrays[f"{name}_w{i}"], arrays[f"{name}_b{i}"] = w, b
+        path = tmp_path / "v1.npz"
+        np.savez(path, meta=json.dumps(meta), **arrays)
+        loaded = ppo.load_checkpoint(path)
+        assert loaded.spec == AgentSpec(
+            action_set=(0, 10, 20), activation="relu", hidden_layers=(4, 2),
+            learning_rate=1e-3, clip_range=0.1, entropy_coef=1e-4, gamma=0.999,
+            rollout_length=256, total_timesteps=512)
+        assert (loaded.timesteps, loaded.stopped_early) == (512, True)
+        for net, back in ((actor, loaded.actor), (critic, loaded.critic)):
+            assert flat(back).tobytes() == flat(net).tobytes()
+            for a, b in zip(params(back), params(net)):
+                assert a.strides == b.strides
 
     def test_curve_csv(self, tmp_path):
         spec = AgentSpec(action_set=(0, 10), activation="tanh", hidden_layers=(4,),
@@ -547,7 +563,8 @@ class ReferenceAdam:
 
 
 def reference_collect_rollout(env, actor, critic, rng, n_steps, obs, episode_returns, running):
-    """A Categorical, two cached forwards and one rng.random(1) per step."""
+    """A Categorical, two cached forwards and one rng.random(1) per step; `env`
+    is a `Stepper`, so every reward comes from the scalar amm formulas."""
     obs_buf = np.empty((n_steps, env.obs_dim))
     act_buf = np.empty(n_steps, dtype=int)
     lp_buf = np.empty(n_steps)
@@ -585,8 +602,8 @@ def reference_train(env, spec, seed):
     sizes = [env.obs_dim, *spec.hidden_layers]
     actor = ReferenceMlp.build(sizes + [env.n_actions], spec.activation, rng, out_gain=0.01)
     critic = ReferenceMlp.build(sizes + [1], spec.activation, rng)
-    opt_actor = ReferenceAdam(actor.params, spec.learning_rate)
-    opt_critic = ReferenceAdam(critic.params, spec.learning_rate)
+    opt_actor = ReferenceAdam(params(actor), spec.learning_rate)
+    opt_critic = ReferenceAdam(params(critic), spec.learning_rate)
     coefs = (spec.clip_range, spec.value_coef, spec.entropy_coef)
     obs = env.reset()
     running, episode_returns, objectives = [0.0], [], []
@@ -631,10 +648,10 @@ class TestGridOracle:
                                      rollout_length=48, total_timesteps=96, epochs=2,
                                      minibatch_size=16, patience=10**6)
                     got = train(lambda: LPEnv(config), spec, seed=17)
-                    actor, critic, objectives = reference_train(LPEnv(config), spec, seed=17)
+                    actor, critic, objectives = reference_train(Stepper(config), spec, seed=17)
                     label = (action_set, activation, hidden)
-                    assert np.array_equal(got.actor.flat(), actor.flat()), label
-                    assert np.array_equal(got.critic.flat(), critic.flat()), label
+                    assert np.array_equal(flat(got.actor), flat(actor)), label
+                    assert np.array_equal(flat(got.critic), flat(critic)), label
                     assert [s.objective for s in got.curve] == objectives, label
                     checked += 1
         assert checked == 3 * len(grid.activations) * len(grid.hidden_layers)
@@ -653,7 +670,7 @@ def lp_config(action_set=(0, 10, 20), n_steps=40):
 
 class TestDecideThenScore:
     """The rollout decides with `advance` and scores with `rewards`; the
-    reference steps `LPEnv.step`. Rollout lengths 1 and 7 cut the 40-step
+    reference steps the scalar `Stepper`. Rollout lengths 1 and 7 cut the 40-step
     episodes at many places (positions stay open across the cuts), 40 ends
     every rollout with its episode."""
 
@@ -665,7 +682,7 @@ class TestDecideThenScore:
         rng = np.random.default_rng(5)
         actor = Mlp.build([13, 8, 3], "tanh", rng, out_gain=3.0)  # spread-out policy
         critic = Mlp.build([13, 8, 1], "tanh", rng)
-        envs = LPEnv(config), LPEnv(config)
+        envs = LPEnv(config), Stepper(config)
         rngs = np.random.default_rng(6), np.random.default_rng(6)
         obs = [e.reset() for e in envs]
         returns = [], []
@@ -695,15 +712,15 @@ class TestDecideThenScore:
                          learning_rate=1e-2, rollout_length=rollout_length,
                          total_timesteps=120, epochs=2, minibatch_size=16, patience=10**6)
         got = train(lambda: LPEnv(config), spec, seed=17)
-        actor, critic, objectives = reference_train(LPEnv(config), spec, seed=17)
-        assert np.array_equal(got.actor.flat(), actor.flat())
-        assert np.array_equal(got.critic.flat(), critic.flat())
+        actor, critic, objectives = reference_train(Stepper(config), spec, seed=17)
+        assert np.array_equal(flat(got.actor), flat(actor))
+        assert np.array_equal(flat(got.critic), flat(critic))
         assert [s.objective for s in got.curve] == objectives
 
     def test_no_per_step_scoring_or_cached_forward(self, monkeypatch):
         """Deterministic guard: training on an LPEnv and a greedy pass call
-        neither the scalar amm rewards, nor `LPEnv.step`, nor the cached
-        forward outside the update."""
+        neither the scalar amm rewards nor the cached forward outside the
+        update."""
         from activelp import amm, env
         from activelp.env import LPEnv
 
@@ -734,7 +751,6 @@ class TestDecideThenScore:
 
         monkeypatch.setattr(amm, "fee_for_move", counted("fee_for_move", amm.fee_for_move))
         monkeypatch.setattr(amm, "lvr_penalty", counted("lvr_penalty", amm.lvr_penalty))
-        monkeypatch.setattr(LPEnv, "step", counted("step", LPEnv.step))
         monkeypatch.setattr(ppo, "ppo_objective", update_objective)
         monkeypatch.setattr(Mlp, "forward_cached", rollout_forward_cached)
 
@@ -745,6 +761,7 @@ class TestDecideThenScore:
         trace = env.run_policy(e, ppo.greedy_action_fn(result.actor))
         assert trace.t.size == 40 and calls == {}
         # the counters do count
-        e.reset()
-        e.step(1)
-        assert calls == {"step": 1, "fee_for_move": 1, "lvr_penalty": 1}
+        s = Stepper(lp_config())
+        s.reset()
+        s.step(1)
+        assert calls == {"fee_for_move": 1, "lvr_penalty": 1}
