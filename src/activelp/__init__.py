@@ -11,6 +11,6 @@ from .harness import (ConfigError, ExperimentConfig, SearchGrid, Window,
                       run_window, sample_spec)
 from .ppo import (AgentSpec, Categorical, Mlp, RolloutBatch, TrainingDiverged,
                   TrainResult, advantages, compute_returns, greedy_action_fn,
-                  load_checkpoint, ppo_objective, save_checkpoint, train)
+                  load_checkpoint, ppo_objective, save_checkpoint, train, train_population)
 
 __version__ = "0.1.0"

@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from .data import PriceSeries, load_candles, _iso
 from .env import (GAS_FLAT, GAS_PER_LEG, MIN_HISTORY, EnvConfig, EpisodeTrace,
                   FeatureStats, LPEnv, MarketTape, compute_stats, run_passive, run_policy)
 from .ppo import AgentSpec, TrainResult, TrainingDiverged, greedy_action_fn, \
-    save_checkpoint, save_training_curve, train
+    lockstep_groups, save_checkpoint, save_training_curve, train_population
 
 log = logging.getLogger(__name__)
 
@@ -146,21 +147,23 @@ def _agent_seed(seed: int, window_index: int, agent_index: int) -> np.random.See
     return np.random.SeedSequence([seed, window_index, agent_index])
 
 
-def _train_agent(args):
-    """Worker: train one agent and score it on the train slice (greedy pass)."""
-    (index, spec, train_tape, pool, x0, gas_mode, stats, seed_entropy) = args
-    env = LPEnv(EnvConfig(pool=pool, action_set=spec.action_set, x0=x0,
-                          data=train_tape, stats=stats, gas_mode=gas_mode))
-    seed = int(np.random.SeedSequence(seed_entropy).generate_state(1)[0])
-    try:
-        result = train(lambda: env, spec, seed)
-    except TrainingDiverged as exc:
-        return AgentOutcome(index=index, spec=spec, train_reward=-np.inf,
-                            result=None, error=str(exc), stats=stats)
-    # run_policy resets the env, so the greedy pass reuses the training one
-    trace = run_policy(env, greedy_action_fn(result.actor))
-    return AgentOutcome(index=index, spec=spec, train_reward=trace.total_reward,
-                        result=result, stats=stats)
+def _train_agents(args):
+    """Worker: train agents as one population and score each on the train
+    slice (greedy pass); returns their outcomes."""
+    indices, specs, envs, seeds = args
+    outcomes = []
+    for index, spec, env, result in zip(indices, specs, envs,
+                                        train_population(envs, specs, seeds)):
+        stats = env.config.stats
+        if isinstance(result, TrainingDiverged):
+            outcomes.append(AgentOutcome(index=index, spec=spec, train_reward=-np.inf,
+                                         result=None, error=str(result), stats=stats))
+            continue
+        # run_policy resets the env, so the greedy pass reuses the training one
+        trace = run_policy(env, greedy_action_fn(result.actor))
+        outcomes.append(AgentOutcome(index=index, spec=spec, train_reward=trace.total_reward,
+                                     result=result, stats=stats))
+    return outcomes
 
 
 def train_and_select(train_tape: MarketTape, window: Window, grid: SearchGrid,
@@ -169,27 +172,35 @@ def train_and_select(train_tape: MarketTape, window: Window, grid: SearchGrid,
                      n_jobs: int = 1) -> tuple[AgentOutcome | None, list[AgentOutcome]]:
     """Train n_agents randomly drawn specs on the window's train slice, given
     as its tape, and pick the one with the highest greedy cumulative train
-    reward; each outcome carries its frozen observation stats. The stats and
-    every agent's env share the tape; the test slice is never passed in."""
+    reward; each outcome carries its frozen observation stats. The agents
+    train as one population, each in its own env; the stats and every env
+    share the tape, and the test slice is never passed in. With n_jobs > 1,
+    each lockstep group trains in a worker process."""
     # spec sampling gets its own stream, disjoint from the per-agent seeds
     spec_rng = np.random.default_rng(np.random.SeedSequence([seed, window.index, 1 << 20]))
     overrides = train_overrides or {}
     specs = [sample_spec(grid, spec_rng, **overrides) for _ in range(n_agents)]
 
     stats_cache: dict[tuple, FeatureStats] = {}
-    tasks = []
-    for k, spec in enumerate(specs):
+    envs = []
+    for spec in specs:
         key = spec.action_set
         if key not in stats_cache:
             stats_cache[key] = compute_stats(train_tape, spec.action_set, pool, x0)
-        tasks.append((k, spec, train_tape, pool, x0, gas_mode, stats_cache[key],
-                      _agent_seed(seed, window.index, k).entropy))
+        envs.append(LPEnv(EnvConfig(pool=pool, action_set=spec.action_set, x0=x0,
+                                    data=train_tape, stats=stats_cache[key],
+                                    gas_mode=gas_mode)))
+    seeds = [int(_agent_seed(seed, window.index, k).generate_state(1)[0])
+             for k in range(n_agents)]
 
     if n_jobs > 1:
+        # whole lockstep groups to the workers
+        tasks = [(group, [specs[k] for k in group], [envs[k] for k in group],
+                  [seeds[k] for k in group]) for group in lockstep_groups(envs, specs)]
         with ProcessPoolExecutor(max_workers=n_jobs) as pool_executor:
-            outcomes = list(pool_executor.map(_train_agent, tasks))
+            outcomes = [o for part in pool_executor.map(_train_agents, tasks) for o in part]
     else:
-        outcomes = [_train_agent(task) for task in tasks]
+        outcomes = _train_agents((range(n_agents), specs, envs, seeds))
     outcomes.sort(key=lambda o: o.index)
 
     trained = [o for o in outcomes if o.result is not None]
@@ -328,10 +339,20 @@ class ExperimentConfig:
             except (KeyError, TypeError) as exc:
                 raise ConfigError(f"invalid grid override: {exc}") from None
         config = cls(**kwargs)
-        if config.x0 <= 0:
-            raise ConfigError(f"x0 must be positive, got {config.x0}")
+        for key in ("train_len", "test_len", "stride", "n_agents", "seed", "passive_width",
+                    "passive_period", "n_jobs"):
+            value = getattr(config, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        x0 = config.x0
+        if isinstance(x0, bool) or not isinstance(x0, (int, float)) or not 0 < x0 < math.inf:
+            raise ConfigError(f"x0 must be a positive finite number, got {x0!r}")
         if config.n_agents < 1:
             raise ConfigError("n_agents must be >= 1")
+        if config.n_jobs < 1:
+            raise ConfigError(f"n_jobs must be >= 1, got {config.n_jobs}")
+        if config.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {config.seed}")
         if config.selection not in (SELECT_TRAIN, SELECT_TEST_LEAKY):
             raise ConfigError(f"unknown selection mode {config.selection!r}")
         if config.gas_mode not in (GAS_PER_LEG, GAS_FLAT):
@@ -342,6 +363,8 @@ class ExperimentConfig:
                               f"{spacing}, got {config.passive_width}")
         if config.passive_period < 1:
             raise ConfigError(f"passive_period must be >= 1, got {config.passive_period}")
+        if not isinstance(config.training, dict):
+            raise ConfigError("training must be a JSON object")
         searched = {"action_set", "activation", "hidden_layers", "learning_rate",
                     "clip_range", "entropy_coef", "gamma"}
         allowed = set(AgentSpec.__dataclass_fields__) - searched
@@ -349,6 +372,10 @@ class ExperimentConfig:
         if bad:
             raise ConfigError(
                 f"training overrides {sorted(bad)} are not overridable; allowed: {sorted(allowed)}")
+        try:
+            AgentSpec(**config.training)
+        except ValueError as exc:
+            raise ConfigError(f"invalid training override: {exc}") from None
         return config
 
 

@@ -5,6 +5,14 @@ Monte-Carlo discounted returns, the policy update maximizes the clipped
 surrogate plus an entropy bonus, and optimization uses Adam over minibatches.
 Everything is numpy with explicit backprop so gradients can be checked
 against finite differences.
+
+Training runs a population at a time. An `Mlp` holds A networks of one shape,
+and `train_population` trains the agents that share a network shape and a
+schedule in lockstep: each rollout step makes one stacked actor and one
+stacked critic forward, and each minibatch one stacked objective and one
+Adam step, for the whole group. Every agent keeps its own random stream and
+call order and computes bitwise what it would compute alone; `train` is the
+population of one.
 """
 
 from __future__ import annotations
@@ -16,7 +24,13 @@ from itertools import accumulate
 
 import numpy as np
 
-ACTIVATIONS = ("sigmoid", "relu", "tanh")
+# each activation, and its derivative from the pre-activation z and output a
+_ACTIVATIONS = {
+    "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda z, a: a * (1.0 - a)),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0).astype(float)),
+    "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
+}
+ACTIVATIONS = tuple(_ACTIVATIONS)
 
 
 class TrainingDiverged(RuntimeError):
@@ -27,13 +41,20 @@ class TrainingDiverged(RuntimeError):
 # networks
 
 
-class Mlp:
-    """Fully connected network: affine + activation per hidden layer, linear output.
+def _fortran(w: np.ndarray) -> bool:
+    return w.flags.f_contiguous and not w.flags.c_contiguous
 
-    All parameters live in one flat buffer `theta`; `weights` and `biases` are
-    views on it. Each weight keeps the memory order it was given: BLAS sums
-    F- and C-ordered operands in different orders, so a change of layout
-    would change the last bits of every product.
+
+class Mlp:
+    """A population of A fully connected networks of one shape: affine +
+    activation per hidden layer, linear output. A single network is A = 1.
+
+    All parameters live in one (A, P) buffer `theta`, a row per network;
+    `weights[i]` is an (A, n_in, n_out) and `biases[i]` an (A, 1, n_out) view
+    on it. Each weight keeps the memory order it was given: BLAS sums F- and
+    C-ordered operands in different orders, so a change of layout would
+    change the last bits of every product. Inputs and outputs put the
+    population first: (A, n, features).
     """
 
     def __init__(self, weights, biases, activation):
@@ -41,16 +62,22 @@ class Mlp:
             raise ValueError(f"unknown activation {activation!r}")
         weights = [np.asarray(w) for w in weights]
         biases = [np.asarray(b) for b in biases]
-        self.activation = activation
         # (shape, Fortran-ordered) per weight
-        self._layout = [(w.shape, w.flags.f_contiguous and not w.flags.c_contiguous)
-                        for w in weights]
-        self.theta = np.empty(sum(w.size + b.size for w, b in zip(weights, biases)))
-        views = self.views(self.theta)
-        self.weights = views[0::2]
-        self.biases = views[1::2]
+        layout = [(w.shape[1:], _fortran(w[0])) for w in weights]
+        size = sum(w[0].size + b[0].size for w, b in zip(weights, biases))
+        self._bind(np.empty((weights[0].shape[0], size)), layout, activation)
         for view, value in zip(self.weights + self.biases, weights + biases):
             view[...] = value
+
+    def _bind(self, theta, layout, activation):
+        self.theta = theta
+        self._layout = layout
+        self.activation = activation
+        views = self.views(theta)
+        self.weights = views[0::2]
+        self.biases = views[1::2]
+        self._hidden = list(zip(self.weights[:-1], self.biases[:-1]))
+        self._act, self._act_grad = _ACTIVATIONS[activation]
 
     def __reduce__(self):
         # rebuilt through __init__ so the unpickled views share one buffer
@@ -58,8 +85,8 @@ class Mlp:
 
     @classmethod
     def build(cls, sizes, activation, rng, out_gain: float = 1.0) -> "Mlp":
-        """Orthogonal-style init; out_gain scales the output layer (0.01 for a
-        near-uniform initial policy)."""
+        """One network with orthogonal-style init; out_gain scales the output
+        layer (0.01 for a near-uniform initial policy)."""
         weights, biases = [], []
         for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
             a = rng.standard_normal((n_in, n_out))
@@ -67,80 +94,86 @@ class Mlp:
             sign = np.where(np.diag(r) < 0, -1.0, 1.0)
             q = q * sign if n_in >= n_out else (q * sign).T
             gain = out_gain if i == len(sizes) - 2 else 1.0
-            weights.append(gain * q)
-            biases.append(np.zeros(n_out))
+            weights.append((gain * q)[None])
+            biases.append(np.zeros((1, 1, n_out)))
         return cls(weights, biases, activation)
 
+    @classmethod
+    def stack(cls, nets) -> "Mlp":
+        """The networks of `nets`, all of one shape, layout and activation, as
+        one population in a buffer of its own."""
+        net = cls.__new__(cls)
+        net._bind(np.concatenate([n.theta for n in nets]), nets[0]._layout, nets[0].activation)
+        return net
+
+    def take(self, rows) -> "Mlp":
+        """The networks at `rows`, in a buffer of their own."""
+        net = type(self).__new__(type(self))
+        net._bind(self.theta[rows], self._layout, self.activation)
+        return net
+
     def views(self, buf: np.ndarray) -> list:
-        """Per-tensor views of a vector laid out like `theta`: each layer's
+        """Per-tensor views of an array laid out like `theta`: each layer's
         weight, then its bias."""
+        rows = buf.shape[0]
         out = []
         offset = 0
         for (n_in, n_out), fortran in self._layout:
-            chunk = buf[offset:offset + n_in * n_out]
-            out.append(chunk.reshape(n_out, n_in).T if fortran else chunk.reshape(n_in, n_out))
+            chunk = buf[:, offset:offset + n_in * n_out]
+            out.append(chunk.reshape(rows, n_out, n_in).transpose(0, 2, 1) if fortran
+                       else chunk.reshape(rows, n_in, n_out))
             offset += n_in * n_out
-            out.append(buf[offset:offset + n_out])
+            out.append(buf[:, offset:offset + n_out].reshape(rows, 1, n_out))
             offset += n_out
         return out
 
-    def _act(self, z):
-        if self.activation == "relu":
-            return np.maximum(z, 0.0)
-        if self.activation == "tanh":
-            return np.tanh(z)
-        return 1.0 / (1.0 + np.exp(-z))
-
-    def _act_grad(self, z, a):
-        if self.activation == "relu":
-            return (z > 0).astype(float)
-        if self.activation == "tanh":
-            return 1.0 - a * a
-        return a * (1.0 - a)
-
     def _check_input(self, x: np.ndarray):
-        if x.ndim != 2 or x.shape[1] != self.weights[0].shape[0]:
-            raise ValueError(
-                f"expected input of shape (N, {self.weights[0].shape[0]}), got {x.shape}")
+        size, n_in = self.weights[0].shape[:2]
+        if x.ndim != 3 or x.shape[0] != size or x.shape[2] != n_in:
+            raise ValueError(f"expected input of shape ({size}, N, {n_in}), got {x.shape}")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """`forward_cached`'s output without the backward cache; the rollout
-        and greedy passes run it on single rows."""
+        """`forward_cached`'s output without the backward cache; the rollout,
+        the training curve and the greedy passes run it."""
         self._check_input(x)
         h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
-            h = z if i == last else self._act(z)
-        return h
+        for w, b in self._hidden:
+            h = self._act(h @ w + b)
+        return h @ self.weights[-1] + self.biases[-1]
 
     def forward_cached(self, x: np.ndarray):
         self._check_input(x)
         pre, act = [], [x]
         h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for w, b in self._hidden:
             z = h @ w + b
+            h = self._act(z)
             pre.append(z)
-            h = z if i == last else self._act(z)
             act.append(h)
+        h = h @ self.weights[-1] + self.biases[-1]
+        pre.append(h)
+        act.append(h)
         return h, (pre, act)
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        """Gradient of sum(grad_out * output) w.r.t. the parameters, laid out
-        like `theta` (see `views`)."""
+        """Gradient of sum(grad_out * output) w.r.t. each network's
+        parameters, laid out like `theta` (see `views`)."""
         pre, act = cache
-        grad = np.empty_like(self.theta)
-        grads = self.views(grad)
+        rows = self.theta.shape[0]
+        last = len(self.weights) - 1
+        pieces = [None] * (2 * last + 2)
         delta = grad_out
-        for i in range(len(self.weights) - 1, -1, -1):
-            if i != len(self.weights) - 1:
+        for i in range(last, -1, -1):
+            if i != last:
                 delta = delta * self._act_grad(pre[i], act[i + 1])
-            grads[2 * i][...] = act[i].T @ delta
-            grads[2 * i + 1][...] = delta.sum(axis=0)
+            grad_w = act[i].transpose(0, 2, 1) @ delta
+            # each row of theta holds a Fortran-ordered weight transposed
+            pieces[2 * i] = (grad_w.transpose(0, 2, 1) if self._layout[i][1]
+                             else grad_w).reshape(rows, -1)
+            pieces[2 * i + 1] = delta.sum(axis=1)
             if i > 0:
-                delta = delta @ self.weights[i].T
-        return grad
+                delta = delta @ self.weights[i].transpose(0, 2, 1)
+        return np.concatenate(pieces, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +190,7 @@ def _softmax(logits):
 
 @dataclass
 class Categorical:
-    """Softmax distribution over rows of logits."""
+    """Softmax distribution over the last axis of logits."""
 
     logits: np.ndarray
 
@@ -165,20 +198,31 @@ class Categorical:
         self.probs, self.logps = _softmax(self.logits)
 
     def log_prob(self, actions: np.ndarray) -> np.ndarray:
-        return self.logps[np.arange(self.logps.shape[0]), actions]
+        return self.logps.reshape(-1)[_flat_index(actions, self.logps.shape[-1])]
 
     def entropy(self) -> np.ndarray:
         return -(self.probs * self.logps).sum(axis=-1)
 
 
-def _draw(probs: list, u: float) -> int:
-    """Inverse-CDF draw from one row of probabilities: the number of
-    cumulative sums at or below `u`, clamped to the last category. The sums
-    accumulate in order, as `np.cumsum` does along a row."""
-    for k, cdf in enumerate(accumulate(probs)):
-        if not u >= cdf:
-            return k
-    return len(probs) - 1
+def _flat_index(actions: np.ndarray, m: int) -> np.ndarray:
+    """Where each row's entry at `actions` sits in a flattened (..., m) array."""
+    return np.arange(0, actions.size * m, m).reshape(actions.shape) + actions
+
+
+def _draw(probs: np.ndarray, u) -> list[int]:
+    """Inverse-CDF draws, one per row of `probs` (A, m) with its uniform in
+    `u`: the number of cumulative sums at or below u, clamped to the last
+    category. Each row's sums accumulate Python floats in order, as
+    `np.cumsum` adds along a row. The rows are drawn in Python because a
+    group holds few agents: at one or two rows, the four numpy calls of a
+    vectorized draw cost several times as much."""
+    out = []
+    for row, x in zip(probs.tolist(), u):
+        for k, cdf in enumerate(accumulate(row)):
+            if not x >= cdf:
+                break
+        out.append(k)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +263,9 @@ def advantages(returns, values) -> np.ndarray:
 
 @dataclass
 class RolloutBatch:
+    """Steps of a population's rollouts: every field is (A, n, ...), a row of
+    steps per agent."""
+
     observations: np.ndarray
     actions: np.ndarray
     log_probs: np.ndarray
@@ -229,74 +276,99 @@ class RolloutBatch:
     advantages: np.ndarray = field(default=None)
 
     def __len__(self):
-        return self.actions.size
+        return self.actions.shape[1]
 
     def select(self, idx) -> "RolloutBatch":
+        """Each agent's steps at its row of `idx`, (A, k)."""
+        rows = np.arange(idx.shape[0])[:, None]
+        # the (A, n) fields are C-contiguous: take from them flattened
+        flat = idx + rows * self.actions.shape[1]
+        return RolloutBatch(self.observations[rows, idx], *(
+            a.take(flat) for a in (self.actions, self.log_probs, self.rewards, self.values,
+                                   self.dones, self.returns, self.advantages)))
+
+    def rows(self, rows) -> "RolloutBatch":
+        """The steps of the agents at `rows`."""
         return RolloutBatch(
-            self.observations[idx], self.actions[idx], self.log_probs[idx],
-            self.rewards[idx], self.values[idx], self.dones[idx],
-            self.returns[idx], self.advantages[idx],
-        )
+            self.observations[rows], self.actions[rows], self.log_probs[rows],
+            self.rewards[rows], self.values[rows], self.dones[rows],
+            self.returns[rows], self.advantages[rows])
+
+
+def _column(coef) -> np.ndarray:
+    """A per-agent coefficient, (A,), or one for all, broadcast over (A, n)."""
+    return np.asarray(coef)[..., None]
+
+
+def _surrogate(batch: RolloutBatch, logits, values, clip_range, value_coef, entropy_coef):
+    """Per agent J and its terms from the networks' outputs on the batch,
+    and the intermediates its gradient reuses."""
+    adv = batch.advantages
+    dist = Categorical(logits)
+    ratio = np.exp(dist.log_prob(batch.actions) - batch.log_probs)
+    clip = _column(clip_range)
+    clipped = np.clip(ratio, 1.0 - clip, 1.0 + clip)
+    surr1 = ratio * adv
+    surr2 = clipped * adv
+    ent = dist.entropy()
+    err = values[..., 0] - batch.returns
+    # sum / n is np.mean's arithmetic without its per-call overhead
+    n = adv.shape[1]
+    terms = {"policy": np.minimum(surr1, surr2).sum(axis=1) / n,
+             "value_loss": (err * err).sum(axis=1) / n,
+             "entropy": ent.sum(axis=1) / n}
+    objective = (terms["policy"] - value_coef * terms["value_loss"]
+                 + entropy_coef * terms["entropy"])
+    return objective, terms, (dist, ratio, surr1, surr2, ent, err)
 
 
 def ppo_objective(batch: RolloutBatch, actor: Mlp, critic: Mlp,
-                  clip_range: float, value_coef: float, entropy_coef: float):
-    """Clipped-surrogate objective and its gradients.
+                  clip_range, value_coef, entropy_coef):
+    """Clipped-surrogate objective and its gradients, for each agent of a
+    population at once.
 
     J = E[min(r*A, clip(r, 1-eps, 1+eps)*A)] - c1*MSE(V, G) + c2*E[H], with r
-    the probability ratio against the collection-time log-probs. Returns
-    (J, terms, actor_grads, critic_grads) where the gradients point in the
-    ascent direction of J and are laid out like each network's `theta`.
+    the probability ratio against the collection-time log-probs. The
+    coefficients are per agent, (A,), or one value for all. Returns
+    (J, terms, actor_grads, critic_grads): J and each term are (A,), and the
+    gradients point in the ascent direction of J and are laid out like each
+    network's `theta`.
     """
-    if len(batch) == 0:
-        raise ValueError("empty batch")
     n = len(batch)
-    adv = batch.advantages
-
+    if n == 0:
+        raise ValueError("empty batch")
     logits, actor_cache = actor.forward_cached(batch.observations)
-    dist = Categorical(logits)
-    lp = dist.log_prob(batch.actions)
-    ratio = np.exp(lp - batch.log_probs)
-    clipped = np.clip(ratio, 1.0 - clip_range, 1.0 + clip_range)
-    surr1 = ratio * adv
-    surr2 = clipped * adv
-    policy_term = float(np.minimum(surr1, surr2).mean())
-    ent = dist.entropy()
-    entropy_term = float(ent.mean())
-
-    v_out, critic_cache = critic.forward_cached(batch.observations)
-    v = v_out[:, 0]
-    err = v - batch.returns
-    value_loss = float(np.mean(err * err))
-
-    objective = policy_term - value_coef * value_loss + entropy_coef * entropy_term
+    values, critic_cache = critic.forward_cached(batch.observations)
+    objective, terms, (dist, ratio, surr1, surr2, ent, err) = _surrogate(
+        batch, logits, values, clip_range, value_coef, entropy_coef)
 
     # d policy_term / d log-prob of the taken action; the clipped branch is
     # flat in ratio whenever it is strictly selected.
     active = surr1 <= surr2
-    coeff = np.where(active, adv * ratio, 0.0) / n
+    coeff = np.where(active, batch.advantages * ratio, 0.0) / n
 
-    one_hot = np.zeros_like(dist.probs)
-    one_hot[np.arange(n), batch.actions] = 1.0
-    d_logits = coeff[:, None] * (one_hot - dist.probs)
+    # one_hot - probs, with 1.0 - p as -p + 1.0
+    d_logits = -dist.probs
+    d_logits.reshape(-1)[_flat_index(batch.actions, d_logits.shape[-1])] += 1.0
+    d_logits *= coeff[..., None]
     # entropy bonus: dH/dz_j = -p_j * (log p_j + H)
-    d_logits += entropy_coef / n * (-dist.probs * (dist.logps + ent[:, None]))
+    d_logits += (_column(entropy_coef) / n)[..., None] * (
+        -dist.probs * (dist.logps + ent[..., None]))
     actor_grads = actor.backward(actor_cache, d_logits)
 
-    d_v = (-value_coef * 2.0 / n) * err
-    critic_grads = critic.backward(critic_cache, d_v[:, None])
-
-    terms = {"policy": policy_term, "value_loss": value_loss, "entropy": entropy_term}
+    d_v = (-_column(value_coef) * 2.0 / n) * err
+    critic_grads = critic.backward(critic_cache, d_v[..., None])
     return objective, terms, actor_grads, critic_grads
 
 
 class Adam:
-    """Adaptive moment estimation over one flat parameter vector, updated in
-    place as gradient ascent on the objective."""
+    """Adaptive moment estimation over an (A, P) parameter buffer, a row per
+    network, updated in place as gradient ascent on the objective; `lr` is
+    one rate per row, or one for all."""
 
     def __init__(self, theta, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.theta = theta
-        self.lr = lr
+        self.lr = _column(lr)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
@@ -308,9 +380,17 @@ class Adam:
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * (grad * grad)
+        # in place, with the arithmetic of m = beta1 * m + (1 - beta1) * grad
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * (grad * grad)
         self.theta += self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.eps)
+
+    def keep(self, rows, theta):
+        """Drop every row but `rows`, whose parameters now live in `theta`."""
+        self.theta = theta
+        self.lr, self.m, self.v = self.lr[rows], self.m[rows], self.v[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +419,15 @@ class AgentSpec:
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        for name in ("learning_rate", "clip_range", "entropy_coef", "value_coef", "gamma",
+                     "improvement_threshold"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        for name in ("rollout_length", "total_timesteps", "epochs", "minibatch_size", "patience"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
         if not 0.0 < self.clip_range < 1.0:
@@ -347,8 +436,6 @@ class AgentSpec:
             raise ValueError("gamma must be in (0, 1]")
         if self.entropy_coef < 0 or self.value_coef < 0:
             raise ValueError("coefficients must be >= 0")
-        if self.rollout_length < 1 or self.total_timesteps < 1:
-            raise ValueError("rollout_length and total_timesteps must be >= 1")
 
 
 @dataclass
@@ -372,139 +459,255 @@ class TrainResult:
     stopped_early: bool
 
 
-def _collect_rollout(env, actor, critic, rng, n_steps, obs, episode_returns, episode):
-    """Choose n_steps actions with `env.advance`, then score them with
-    `env.rewards`, one call per episode segment.
+@dataclass
+class _Agent:
+    """One agent's training state outside the stacked arrays."""
 
-    `episode` is [return so far, steps taken] of the episode in progress, so
-    an episode (and its open position) carries over into the next rollout.
+    index: int  # position in train_population's arguments
+    spec: AgentSpec
+    env: object
+    rng: np.random.Generator
+    curve: list = field(default_factory=list)
+    returns: list = field(default_factory=list)  # of the finished episodes
+    episode_return: float = 0.0  # so far, of the episode in progress
+    episode_steps: int = 0
+    best: float = -np.inf
+    misses: int = 0
+    evaluated: int = 0
+
+
+class _Group:
+    """Agents of one network shape and schedule, trained in lockstep. Row r of
+    every stacked array (networks, Adam moments, coefficients, the current
+    observations and rollout) belongs to `agents[r]`."""
+
+    def __init__(self, agents: list[_Agent], actor: Mlp, critic: Mlp):
+        self.agents = agents
+        self.actor, self.critic = actor, critic
+        specs = [agent.spec for agent in agents]
+        lr = [s.learning_rate for s in specs]
+        self.opt_actor = Adam(self.actor.theta, lr)
+        self.opt_critic = Adam(self.critic.theta, lr)
+        self.clip_range = np.array([s.clip_range for s in specs])
+        self.value_coef = np.array([s.value_coef for s in specs])
+        self.entropy_coef = np.array([s.entropy_coef for s in specs])
+        self.obs = np.stack([agent.env.reset() for agent in agents])
+        self.batch = None
+
+    def keep(self, rows):
+        """Compact every stacked array to the agents at `rows`."""
+        self.agents = [self.agents[r] for r in rows]
+        self.actor, self.critic = self.actor.take(rows), self.critic.take(rows)
+        self.opt_actor.keep(rows, self.actor.theta)
+        self.opt_critic.keep(rows, self.critic.theta)
+        self.clip_range, self.value_coef, self.entropy_coef, self.obs = (
+            self.clip_range[rows], self.value_coef[rows], self.entropy_coef[rows],
+            self.obs[rows])
+        self.batch = self.batch.rows(rows)
+
+    def drop(self, bad, make_outcome, out):
+        """Record `make_outcome(row)` for the agents at the true rows of
+        `bad` and compact them out; False when no agent is left."""
+        for r in np.flatnonzero(bad).tolist():
+            out[self.agents[r].index] = make_outcome(r)
+        self.keep(np.flatnonzero(~bad))
+        return bool(self.agents)
+
+    def result(self, r, timesteps, stopped_early) -> TrainResult:
+        agent = self.agents[r]
+        return TrainResult(spec=agent.spec, actor=self.actor.take([r]),
+                           critic=self.critic.take([r]), curve=agent.curve,
+                           timesteps=timesteps, stopped_early=stopped_early)
+
+    def rollout(self, n):
+        """Choose n actions per agent with its env's `advance`, one stacked
+        actor and one stacked critic forward per step, and score each
+        agent's steps with `env.rewards`, one call per episode segment. An
+        episode (and its open position) carries over into the next rollout.
+        Log-probs come from the buffered logits afterwards, then each agent's
+        returns and advantages; `batch` holds the result."""
+        self.batch = None  # the last rollout's, no longer needed
+        agents, actor, critic = self.agents, self.actor, self.critic
+        size = len(agents)
+        # each agent draws its uniforms in one call, as it would alone; per step, a row of A
+        uniforms = np.stack([agent.rng.random(n) for agent in agents], axis=1).tolist()
+        # column i + 1 is the observation after step i
+        obs = np.empty((size, n + 1, self.obs.shape[1]))
+        obs[:, 0] = self.obs
+        logits = np.empty((size, n, actor.biases[-1].shape[-1]))
+        values = np.empty((size, n, 1))
+        actions = []
+        rewards = np.empty((size, n))
+        dones = np.zeros((size, n), dtype=bool)
+        seg = [0] * size  # index of each agent's episode's first step here
+        for i in range(n):
+            x = obs[:, i:i + 1]
+            out = actor.forward(x)
+            logits[:, i:i + 1] = out
+            ez = np.exp(out - np.maximum.reduce(out, axis=2, keepdims=True))
+            drawn = _draw((ez / np.add.reduce(ez, axis=2, keepdims=True))[:, 0], uniforms[i])
+            actions.append(drawn)
+            values[:, i:i + 1] = critic.forward(x)
+            for r, (agent, action) in enumerate(zip(agents, drawn)):
+                obs[r, i + 1], done = agent.env.advance(action)
+                if done:
+                    dones[r, i] = True
+                    self._score(agent, rewards[r, seg[r]:i + 1])
+                    agent.returns.append(agent.episode_return)
+                    agent.episode_return, agent.episode_steps = 0.0, 0
+                    seg[r] = i + 1
+                    obs[r, i + 1] = agent.env.reset()
+        for r, agent in enumerate(agents):
+            if seg[r] < n:
+                self._score(agent, rewards[r, seg[r]:])
+        self.obs = obs[:, n].copy()
+        actions = np.array(actions, dtype=np.int64).T.copy()
+        values = values[..., 0]
+        returns = np.stack([compute_returns(r, agent.spec.gamma, d)
+                            for agent, r, d in zip(agents, rewards, dones)])
+        self.batch = RolloutBatch(
+            obs[:, :n], actions, Categorical(logits).log_prob(actions), rewards, values, dones,
+            returns, np.stack([advantages(g, v) for g, v in zip(returns, values)]))
+
+    def curve_terms(self):
+        """The objective and its terms on the whole rollout, per agent, for
+        the training curve: no gradient, so forward passes only."""
+        batch = self.batch
+        objective, terms, _ = _surrogate(
+            batch, self.actor.forward(batch.observations),
+            self.critic.forward(batch.observations),
+            self.clip_range, self.value_coef, self.entropy_coef)
+        return objective, terms
+
+    @staticmethod
+    def _score(agent, out):
+        """Fill `out` with the rewards of the episode's next len(out) steps."""
+        lo = agent.episode_steps
+        hi = lo + out.size
+        out[...] = agent.env.rewards(lo, hi)
+        total = agent.episode_return
+        for r in out.tolist():  # one at a time, in step order
+            total += r
+        agent.episode_return, agent.episode_steps = total, hi
+
+
+def lockstep_groups(envs, specs) -> list[list[int]]:
+    """The indices of the agents that train in lockstep, in order of first
+    appearance: one network shape (observation size, action count,
+    activation, hidden layers) and one schedule (rollout length, total
+    steps, epochs, minibatch size)."""
+    groups: dict[tuple, list[int]] = {}
+    for i, (env, spec) in enumerate(zip(envs, specs)):
+        key = (env.obs_dim, env.n_actions, spec.activation, spec.hidden_layers,
+               spec.rollout_length, spec.total_timesteps, spec.epochs, spec.minibatch_size)
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def train_population(envs, specs, seeds) -> list:
+    """Train one agent per (env, spec, seed), each group of `lockstep_groups`
+    in lockstep, every agent bitwise as it would train alone. Returns per
+    agent its TrainResult, or the TrainingDiverged that ended its training.
+
+    Envs are distinct objects providing `obs_dim`, `n_actions`,
+    `reset() -> obs`, `advance(action) -> (obs, done)` and `rewards(lo, hi)`,
+    the rewards of steps [lo, hi) of the episode in progress.
+
+    Early stopping: after each update, the mean return of episodes finished
+    since the last evaluation must beat the best seen by more than
+    improvement_threshold (relative); `patience` misses in a row stop the
+    agent.
     """
-    obs_buf = np.empty((n_steps, env.obs_dim))
-    act_buf = np.empty(n_steps, dtype=int)
-    lp_buf = np.empty(n_steps)
-    rew_buf = np.empty(n_steps)
-    val_buf = np.empty(n_steps)
-    done_buf = np.zeros(n_steps, dtype=bool)
-    uniforms = rng.random(n_steps)
-    seg = 0  # buffer index of the episode's first step in this rollout
+    if not len(envs) == len(specs) == len(seeds):
+        raise ValueError(f"need one env, spec and seed per agent, got {len(envs)}, "
+                         f"{len(specs)} and {len(seeds)}")
+    out = [None] * len(specs)
+    for members in lockstep_groups(envs, specs):
+        agents, actors, critics = [], [], []
+        for i in members:
+            agent = _Agent(i, specs[i], envs[i], np.random.default_rng(seeds[i]))
+            sizes = [agent.env.obs_dim, *agent.spec.hidden_layers]
+            agents.append(agent)
+            actors.append(Mlp.build(sizes + [agent.env.n_actions], agent.spec.activation,
+                                    agent.rng, out_gain=0.01))
+            critics.append(Mlp.build(sizes + [1], agent.spec.activation, agent.rng))
+        _train_group(_Group(agents, Mlp.stack(actors), Mlp.stack(critics)), out)
+    return out
 
-    def score(start, end):
-        # rewards of buffer steps [start, end), the next steps of the episode
-        lo = episode[1]
-        hi = lo + end - start
-        rewards = env.rewards(lo, hi)
-        rew_buf[start:end] = rewards
-        total = episode[0]
-        for r in rewards:  # one at a time, in step order
-            total += float(r)
-        episode[0], episode[1] = total, hi
 
-    for i in range(n_steps):
-        row = obs[None, :]
-        # _softmax of the one row, bitwise
-        logits = actor.forward(row)[0]
-        z = logits - logits.max()
-        ez = np.exp(z)
-        norm = ez.sum()
-        action = _draw((ez / norm).tolist(), float(uniforms[i]))
-        obs_buf[i] = obs
-        act_buf[i] = action
-        lp_buf[i] = z[action] - np.log(norm)
-        val_buf[i] = critic.forward(row)[0, 0]
-        obs, done = env.advance(action)
-        if done:
-            done_buf[i] = True
-            score(seg, i + 1)
-            episode_returns.append(episode[0])
-            episode[0], episode[1] = 0.0, 0
-            seg = i + 1
-            obs = env.reset()
-    if seg < n_steps:
-        score(seg, n_steps)
-    return RolloutBatch(obs_buf, act_buf, lp_buf, rew_buf, val_buf, done_buf), obs
+def _train_group(group: _Group, out: list):
+    schedule = group.agents[0].spec  # rollout length, steps, epochs, minibatch
+    timesteps = 0
+    update = 0
+    while timesteps < schedule.total_timesteps:
+        n = min(schedule.rollout_length, schedule.total_timesteps - timesteps)
+        group.rollout(n)
+        timesteps += n
+        update += 1
+        diverged = f"non-finite objective at update {update} ({timesteps} steps)"
+        for _ in range(schedule.epochs):
+            order = np.stack([agent.rng.permutation(n) for agent in group.agents])
+            for lo in range(0, n, schedule.minibatch_size):
+                objective, _, ga, gc = ppo_objective(
+                    group.batch.select(order[:, lo:lo + schedule.minibatch_size]),
+                    group.actor, group.critic, group.clip_range, group.value_coef,
+                    group.entropy_coef)
+                bad = ~np.isfinite(objective)
+                if bad.any():
+                    if not group.drop(bad, lambda r: TrainingDiverged(diverged), out):
+                        return
+                    order, ga, gc = order[~bad], ga[~bad], gc[~bad]
+                group.opt_actor.ascend(ga)
+                group.opt_critic.ascend(gc)
+        bad = ~(np.isfinite(group.actor.theta).all(axis=1)
+                & np.isfinite(group.critic.theta).all(axis=1))
+        if bad.any() and not group.drop(
+                bad, lambda r: TrainingDiverged(f"non-finite parameters at update {update}"),
+                out):
+            return
+
+        objective, terms = group.curve_terms()
+        stopped = np.zeros(len(group.agents), dtype=bool)
+        for r, agent in enumerate(group.agents):
+            finished = len(agent.returns) > agent.evaluated
+            mean_ep = float(np.mean(agent.returns[agent.evaluated:])) if finished else np.nan
+            agent.curve.append(UpdateStats(
+                update, timesteps, mean_ep, float(objective[r]), float(terms["policy"][r]),
+                float(terms["value_loss"][r]), float(terms["entropy"][r])))
+            if finished:
+                agent.evaluated = len(agent.returns)
+                best = agent.best
+                threshold = agent.spec.improvement_threshold
+                if not np.isfinite(best) or mean_ep > best + threshold * abs(best):
+                    agent.best = mean_ep
+                    agent.misses = 0
+                else:
+                    agent.misses += 1
+                    stopped[r] = agent.misses >= agent.spec.patience
+        if stopped.any() and not group.drop(
+                stopped, lambda r: group.result(r, timesteps, True), out):
+            return
+
+    for r, agent in enumerate(group.agents):
+        out[agent.index] = group.result(r, timesteps, False)
 
 
 def train(env_factory, spec: AgentSpec, seed: int) -> TrainResult:
     """Run PPO until total_timesteps or early stop; deterministic given seed.
-
-    The env provides `obs_dim`, `n_actions`, `reset() -> obs`,
-    `advance(action) -> (obs, done)` and `rewards(lo, hi)`, the rewards of
-    steps [lo, hi) of the episode in progress.
-
-    Early stopping: after each update, the mean return of episodes finished
-    since the last evaluation must beat the best seen by more than
-    improvement_threshold (relative); `patience` misses in a row stop training.
-    """
-    env = env_factory()
-    rng = np.random.default_rng(seed)
-    sizes = [env.obs_dim, *spec.hidden_layers]
-    actor = Mlp.build(sizes + [env.n_actions], spec.activation, rng, out_gain=0.01)
-    critic = Mlp.build(sizes + [1], spec.activation, rng)
-    opt_actor = Adam(actor.theta, spec.learning_rate)
-    opt_critic = Adam(critic.theta, spec.learning_rate)
-
-    obs = env.reset()
-    episode = [0.0, 0]
-    episode_returns: list[float] = []
-    curve: list[UpdateStats] = []
-    timesteps = 0
-    update = 0
-    best = -np.inf
-    misses = 0
-    evaluated = 0
-    stopped_early = False
-
-    while timesteps < spec.total_timesteps:
-        n = min(spec.rollout_length, spec.total_timesteps - timesteps)
-        batch, obs = _collect_rollout(env, actor, critic, rng, n, obs,
-                                      episode_returns, episode)
-        timesteps += n
-        update += 1
-        batch.returns = compute_returns(batch.rewards, spec.gamma, batch.dones)
-        batch.advantages = advantages(batch.returns, batch.values)
-
-        for _ in range(spec.epochs):
-            order = rng.permutation(n)
-            for lo in range(0, n, spec.minibatch_size):
-                mb = batch.select(order[lo:lo + spec.minibatch_size])
-                objective, _, ga, gc = ppo_objective(
-                    mb, actor, critic, spec.clip_range, spec.value_coef, spec.entropy_coef)
-                if not np.isfinite(objective):
-                    raise TrainingDiverged(
-                        f"non-finite objective at update {update} ({timesteps} steps)")
-                opt_actor.ascend(ga)
-                opt_critic.ascend(gc)
-        if not (np.isfinite(actor.theta).all() and np.isfinite(critic.theta).all()):
-            raise TrainingDiverged(f"non-finite parameters at update {update}")
-
-        objective, terms, _, _ = ppo_objective(
-            batch, actor, critic, spec.clip_range, spec.value_coef, spec.entropy_coef)
-        mean_ep = float(np.mean(episode_returns[evaluated:])) if len(episode_returns) > evaluated else np.nan
-        curve.append(UpdateStats(update, timesteps, mean_ep, float(objective),
-                                 terms["policy"], terms["value_loss"], terms["entropy"]))
-
-        if len(episode_returns) > evaluated:
-            evaluated = len(episode_returns)
-            improved = (not np.isfinite(best)
-                        or mean_ep > best + spec.improvement_threshold * abs(best))
-            if improved:
-                best = mean_ep
-                misses = 0
-            else:
-                misses += 1
-                if misses >= spec.patience:
-                    stopped_early = True
-                    break
-
-    return TrainResult(spec=spec, actor=actor, critic=critic, curve=curve,
-                       timesteps=timesteps, stopped_early=stopped_early)
+    The population of one: see `train_population` for the env protocol and
+    early stopping. Raises TrainingDiverged on non-finite losses or
+    parameters."""
+    result, = train_population([env_factory()], [spec], [seed])
+    if isinstance(result, TrainingDiverged):
+        raise result
+    return result
 
 
 def greedy_action_fn(actor: Mlp):
-    """Deterministic argmax policy over actor logits."""
+    """Deterministic argmax policy over the logits of a single network."""
 
     def act(obs, _step):
-        return int(np.argmax(actor.forward(obs[None, :])[0]))
+        return int(np.argmax(actor.forward(obs[None, None, :])[0, 0]))
 
     return act
 
@@ -536,12 +739,10 @@ def save_checkpoint(path, result: TrainResult):
         "stopped_early": result.stopped_early,
     }
     arrays = {}
-    for i, (w, b) in enumerate(zip(result.actor.weights, result.actor.biases)):
-        arrays[f"actor_w{i}"] = w
-        arrays[f"actor_b{i}"] = b
-    for i, (w, b) in enumerate(zip(result.critic.weights, result.critic.biases)):
-        arrays[f"critic_w{i}"] = w
-        arrays[f"critic_b{i}"] = b
+    for name, net in (("actor", result.actor), ("critic", result.critic)):
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            arrays[f"{name}_w{i}"] = w[0]
+            arrays[f"{name}_b{i}"] = b[0, 0]
     np.savez(path, meta=json.dumps(meta), **arrays)
 
 
@@ -560,12 +761,11 @@ def load_checkpoint(path) -> TrainResult:
     spec_dict["hidden_layers"] = tuple(spec_dict["hidden_layers"])
     spec = AgentSpec(**spec_dict)
     activation = meta["activation"]
-    actor = Mlp(
-        [blob[f"actor_w{i}"] for i in range(meta["actor_layers"])],
-        [blob[f"actor_b{i}"] for i in range(meta["actor_layers"])], activation)
-    critic = Mlp(
-        [blob[f"critic_w{i}"] for i in range(meta["critic_layers"])],
-        [blob[f"critic_b{i}"] for i in range(meta["critic_layers"])], activation)
+    actor, critic = (
+        Mlp([blob[f"{name}_w{i}"][None] for i in range(meta[f"{name}_layers"])],
+            [blob[f"{name}_b{i}"][None, None] for i in range(meta[f"{name}_layers"])],
+            activation)
+        for name in ("actor", "critic"))
     return TrainResult(spec=spec, actor=actor, critic=critic, curve=[],
                        timesteps=meta["timesteps"], stopped_early=meta["stopped_early"])
 

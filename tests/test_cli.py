@@ -198,8 +198,18 @@ class TestExperiment:
 
     @pytest.mark.parametrize("bad", [{"passive_width": 55}, {"passive_period": 0},
                                      {"gas_mode": "per_tx"},
-                                     {"training": {"gae_lambda": None}}],
-                             ids=["width", "period", "gas_mode", "gae_lambda"])
+                                     {"training": {"gae_lambda": None}},
+                                     {"passive_width": "50"}, {"x0": "2"}, {"n_agents": "3"},
+                                     {"n_jobs": "2"}, {"n_jobs": 0}, {"seed": "a"},
+                                     {"passive_period": 1.5}, {"n_agents": True},
+                                     {"x0": float("nan")},
+                                     {"training": {"total_timesteps": "100"}},
+                                     {"training": {"epochs": 0}},
+                                     {"training": {"improvement_threshold": "0.1"}}],
+                             ids=["width", "period", "gas_mode", "gae_lambda", "width_str",
+                                  "x0_str", "n_agents_str", "n_jobs_str", "n_jobs_zero",
+                                  "seed_str", "period_float", "n_agents_bool", "x0_nan",
+                                  "timesteps_str", "epochs_zero", "threshold_str"])
     def test_bad_config_exits_1_before_training(self, tmp_path, candle_file, monkeypatch,
                                                 capsys, bad):
         from activelp import harness
@@ -207,8 +217,8 @@ class TestExperiment:
         def no_training(*args, **kwargs):
             raise AssertionError("an agent was trained")
 
-        monkeypatch.setattr(ppo, "train", no_training)
-        monkeypatch.setattr(harness, "train", no_training)
+        monkeypatch.setattr(ppo, "train_population", no_training)
+        monkeypatch.setattr(harness, "train_population", no_training)
         path = self._config(tmp_path, candle_file, **bad)
         assert run(["experiment", "--config", str(path)]) == 1
         assert "config error" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -168,13 +170,20 @@ class TestRunWindow:
             assert stop <= window.test_start
 
     def test_parallel_training_matches_sequential(self):
-        kwargs = dict(grid=TINY_GRID, n_agents=2, seed=7, pool=POOL, x0=2.0,
-                      train_overrides=TINY_TRAINING)
-        seq = run_window(self.series, self.windows[0], n_jobs=1, **kwargs)
-        par = run_window(self.series, self.windows[0], n_jobs=2, **kwargs)
-        assert seq.selected.index == par.selected.index
-        np.testing.assert_array_equal(seq.active_trace.reward,
-                                      par.active_trace.reward)
+        # one lockstep group, then several: workers train whole groups
+        mixed = replace(TINY_GRID, activations=("tanh", "relu"), hidden_layers=((4,), (6, 2)))
+        for grid, n_agents in ((TINY_GRID, 2), (mixed, 5)):
+            kwargs = dict(grid=grid, n_agents=n_agents, seed=7, pool=POOL, x0=2.0,
+                          train_overrides=TINY_TRAINING)
+            seq = run_window(self.series, self.windows[0], n_jobs=1, **kwargs)
+            par = run_window(self.series, self.windows[0], n_jobs=2, **kwargs)
+            assert seq.selected.index == par.selected.index
+            np.testing.assert_array_equal(seq.active_trace.reward,
+                                          par.active_trace.reward)
+            for a, b in zip(seq.agents, par.agents):
+                assert (a.index, a.train_reward, a.error) == (b.index, b.train_reward, b.error)
+                assert flat(a.result.actor).tobytes() == flat(b.result.actor).tobytes()
+        assert len({(o.spec.activation, o.spec.hidden_layers) for o in seq.agents}) > 1
 
     def test_agent_seeds_differ(self):
         result = run_window(self.series, self.windows[0], TINY_GRID, n_agents=2,

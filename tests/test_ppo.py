@@ -1,13 +1,15 @@
 import json
 import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
 
 from activelp import ppo
+from activelp.env import run_policy
 from activelp.ppo import (Adam, AgentSpec, Categorical, Mlp, RolloutBatch,
                           TrainingDiverged, advantages, compute_returns,
-                          ppo_objective, train)
+                          ppo_objective, train, train_population)
 from bandit import ContextualBandit
 from stepper import Stepper
 
@@ -24,11 +26,12 @@ def flat(net):
 
 
 def forward_oracle(mlp, x):
-    """Scalar-loop re-implementation of the MLP forward pass."""
+    """Scalar-loop re-implementation of the forward pass of a single network."""
     out = np.empty((x.shape[0], mlp.biases[-1].size))
     for r in range(x.shape[0]):
         h = list(x[r])
         for layer, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+            w, b = w[0], b[0, 0]
             z = []
             for j in range(w.shape[1]):
                 acc = b[j]
@@ -48,35 +51,31 @@ def forward_oracle(mlp, x):
     return out
 
 
-def draw_rows(probs, u):
-    """`ppo._draw` on each row of `probs`, one uniform of `u` per row."""
-    return np.array([ppo._draw(row, float(x)) for row, x in zip(probs.tolist(), u)])
-
-
 def random_batch(rng, actor, critic, n=8, logp_jitter=0.05):
-    obs = rng.standard_normal((n, actor.weights[0].shape[0]))
-    n_actions = actor.biases[-1].size
+    """A batch of one agent, (1, n, ...), for single networks."""
+    obs = rng.standard_normal((n, actor.weights[0].shape[1]))
+    n_actions = actor.biases[-1].shape[-1]
     actions = rng.integers(0, n_actions, n)
-    dist = Categorical(actor.forward(obs))
+    dist = Categorical(actor.forward(obs[None])[0])
     old_logp = dist.log_prob(actions) + rng.uniform(-logp_jitter, logp_jitter, n)
     returns = rng.standard_normal(n)
     adv = rng.standard_normal(n)
     adv = (adv - adv.mean()) / max(adv.std(), 1e-12)
     return RolloutBatch(
-        observations=obs, actions=actions, log_probs=old_logp,
-        rewards=np.zeros(n), values=np.zeros(n), dones=np.zeros(n, dtype=bool),
-        returns=returns, advantages=adv,
+        observations=obs[None], actions=actions[None], log_probs=old_logp[None],
+        rewards=np.zeros((1, n)), values=np.zeros((1, n)), dones=np.zeros((1, n), dtype=bool),
+        returns=returns[None], advantages=adv[None],
     )
 
 
 def flat_grads(actor_grads, critic_grads):
-    return np.concatenate([actor_grads, critic_grads])
+    return np.concatenate([actor_grads.ravel(), critic_grads.ravel()])
 
 
 def fd_grads(batch, actor, critic, clip, c1, c2, h=1e-5):
     """Central differences along each entry of the two `theta` buffers, so
     they line up with the analytic gradients only if those share its layout."""
-    theta0 = np.concatenate([actor.theta, critic.theta])
+    theta0 = np.concatenate([actor.theta.ravel(), critic.theta.ravel()])
     na = actor.theta.size
 
     def value(theta):
@@ -85,7 +84,7 @@ def fd_grads(batch, actor, critic, clip, c1, c2, h=1e-5):
         a.theta[...] = theta[:na]
         c.theta[...] = theta[na:]
         J, _, _, _ = ppo_objective(batch, a, c, clip, c1, c2)
-        return J
+        return J[0]
 
     grad = np.empty_like(theta0)
     for i in range(theta0.size):
@@ -98,14 +97,14 @@ def fd_grads(batch, actor, critic, clip, c1, c2, h=1e-5):
 
 class TestMlp:
     def test_zero_params_zero_logits(self):
-        mlp = Mlp([np.zeros((4, 3)), np.zeros((3, 2))],
-                  [np.zeros(3), np.zeros(2)], "relu")
-        out = mlp.forward(np.ones((5, 4)))
+        mlp = Mlp([np.zeros((1, 4, 3)), np.zeros((1, 3, 2))],
+                  [np.zeros((1, 1, 3)), np.zeros((1, 1, 2))], "relu")
+        out = mlp.forward(np.ones((1, 5, 4)))
         assert np.all(out == 0.0)
 
     def test_identity_relu_kills_negative(self):
-        mlp = Mlp([np.eye(3), np.eye(3)], [np.zeros(3), np.zeros(3)], "relu")
-        out = mlp.forward(np.array([[-1.0, -2.0, -3.0]]))
+        mlp = Mlp([np.eye(3)[None], np.eye(3)[None]], [np.zeros((1, 1, 3))] * 2, "relu")
+        out = mlp.forward(np.array([[[-1.0, -2.0, -3.0]]]))
         assert np.all(out == 0.0)
 
     @pytest.mark.parametrize("activation", ["sigmoid", "relu", "tanh"])
@@ -113,20 +112,21 @@ class TestMlp:
         rng = np.random.default_rng(41)
         mlp = Mlp.build([6, 5, 4, 3], activation, rng)
         x = rng.standard_normal((7, 6))
-        got = mlp.forward(x)
+        got = mlp.forward(x[None])[0]
         want = forward_oracle(mlp, x)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_shape_mismatch_raises(self):
         rng = np.random.default_rng(45)
         mlp = Mlp.build([4, 3], "tanh", rng)
-        with pytest.raises(ValueError):
-            mlp.forward(np.ones((2, 5)))
+        for x in (np.ones((1, 2, 5)), np.ones((2, 2, 4)), np.ones((2, 4))):
+            with pytest.raises(ValueError):
+                mlp.forward(x)
 
     def test_orthogonal_init_near_isometry(self):
         rng = np.random.default_rng(47)
         mlp = Mlp.build([8, 8, 2], "tanh", rng, out_gain=0.01)
-        w0 = mlp.weights[0]
+        w0 = mlp.weights[0][0]
         np.testing.assert_allclose(w0.T @ w0, np.eye(8), atol=1e-10)
         assert np.max(np.abs(mlp.weights[-1])) < 0.02
 
@@ -143,7 +143,7 @@ class TestMlpBuffer:
         assert mlp.theta.size == sum(p.size for p in params(mlp))
         for w, n_in, n_out in zip(mlp.weights, self.SIZES[:-1], self.SIZES[1:]):
             assert np.shares_memory(w, mlp.theta)
-            assert is_fortran(w) == (n_in < n_out)
+            assert w.shape == (1, n_in, n_out) and is_fortran(w[0]) == (n_in < n_out)
         for b in mlp.biases:
             assert np.shares_memory(b, mlp.theta)
         mlp.theta[...] = 0.0
@@ -151,18 +151,18 @@ class TestMlpBuffer:
 
     def test_construction_keeps_given_order_and_values(self):
         rng = np.random.default_rng(5)
-        weights = [np.asfortranarray(rng.standard_normal((3, 4))),
-                   np.ascontiguousarray(rng.standard_normal((4, 2)))]
-        biases = [rng.standard_normal(4), rng.standard_normal(2)]
+        weights = [np.asfortranarray(rng.standard_normal((3, 4)))[None],
+                   np.ascontiguousarray(rng.standard_normal((4, 2)))[None]]
+        biases = [rng.standard_normal((1, 1, 4)), rng.standard_normal((1, 1, 2))]
         mlp = Mlp(weights, biases, "relu")
-        assert is_fortran(mlp.weights[0]) and mlp.weights[1].flags.c_contiguous
+        assert is_fortran(mlp.weights[0][0]) and mlp.weights[1].flags.c_contiguous
         for got, want in zip(params(mlp), [weights[0], biases[0], weights[1], biases[1]]):
             np.testing.assert_array_equal(got, want)
             assert not np.shares_memory(got, want)
 
     def test_views_of_a_gradient_match_the_parameter_layout(self):
         mlp = Mlp.build(self.SIZES, "sigmoid", np.random.default_rng(9))
-        vec = np.arange(mlp.theta.size, dtype=float)
+        vec = np.arange(mlp.theta.size, dtype=float).reshape(mlp.theta.shape)
         for view, p in zip(mlp.views(vec), params(mlp)):
             assert view.shape == p.shape and view.strides == p.strides
 
@@ -174,6 +174,29 @@ class TestMlpBuffer:
         np.testing.assert_array_equal(back.theta, mlp.theta)
         for a, b in zip(params(back), params(mlp)):
             assert np.shares_memory(a, back.theta) and a.strides == b.strides
+
+    @pytest.mark.parametrize("activation", ["sigmoid", "relu", "tanh"])
+    def test_population_rows_compute_as_their_networks(self, activation):
+        """A stacked population's forward, cached forward and backward give,
+        row by row, the bits of each member network on its own, for single
+        rows and minibatches; `take` copies rows out."""
+        rng = np.random.default_rng(17)
+        nets = [Mlp.build(self.SIZES, activation, rng) for _ in range(3)]
+        pop = Mlp.stack(nets)
+        assert pop.theta.shape == (3, nets[0].theta.size)
+        for n in (1, 64):
+            x = rng.standard_normal((3, n, self.SIZES[0]))
+            grad_out = rng.standard_normal((3, n, self.SIZES[-1]))
+            out, cache = pop.forward_cached(x)
+            grads = pop.backward(cache, grad_out)
+            assert pop.forward(x).tobytes() == out.tobytes()
+            for r, net in enumerate(nets):
+                want, want_cache = net.forward_cached(x[r:r + 1])
+                assert out[r].tobytes() == want[0].tobytes()
+                assert grads[r].tobytes() == net.backward(want_cache, grad_out[r:r + 1])[0].tobytes()
+        back = pop.take([2, 0])
+        assert back.theta.tobytes() == np.concatenate([nets[2].theta, nets[0].theta]).tobytes()
+        assert not np.shares_memory(back.theta, pop.theta)
 
     def test_checkpoint_keeps_layout(self, tmp_path):
         spec = AgentSpec(action_set=(0, 10, 20, 30, 40), activation="tanh",
@@ -217,31 +240,31 @@ class TestCategorical:
     def test_log_prob_of_samples_finite(self):
         rng = np.random.default_rng(53)
         dist = Categorical(rng.standard_normal((200, 5)))
-        actions = draw_rows(dist.probs, rng.random(200))
+        actions = np.array(ppo._draw(dist.probs, rng.random(200)))
         assert np.all(np.isfinite(dist.log_prob(actions)))
 
     def test_sampling_frequencies(self):
         rng = np.random.default_rng(55)
         logits = np.tile(np.log(np.array([0.5, 0.3, 0.2])), (20000, 1))
         u = rng.random(20000)
-        counts = np.bincount(draw_rows(Categorical(logits).probs, u), minlength=3)
+        counts = np.bincount(ppo._draw(Categorical(logits).probs, u), minlength=3)
         np.testing.assert_allclose(counts / 20000, [0.5, 0.3, 0.2], atol=0.02)
 
     def test_sample_counts_cdf_entries_at_or_below_u(self):
         probs = np.array([[0.25, 0.5, 0.25]] * 5)
         u = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-        np.testing.assert_array_equal(draw_rows(probs, u), [0, 1, 1, 2, 2])
+        np.testing.assert_array_equal(ppo._draw(probs, u), [0, 1, 1, 2, 2])
 
     def test_draw_clamps_to_last_category(self):
         # the cumulative sums end below u, so every entry counts
-        probs = [0.3, 0.3, 0.3]
-        assert ppo._draw(probs, 0.95) == 2
-        assert ppo._draw(probs, 1.0) == 2
-        assert ppo._draw([1.0], 0.5) == 0
+        probs = np.array([[0.3, 0.3, 0.3]] * 2)
+        np.testing.assert_array_equal(ppo._draw(probs, np.array([0.95, 1.0])), [2, 2])
+        assert ppo._draw(np.array([[1.0]]), np.array([0.5])) == [0]
 
     def test_draw_matches_vectorized_rule(self):
         """The old `Categorical.sample`: count of np.cumsum entries <= u,
-        clamped, on rows with ties, zeros, tiny and near-one probabilities."""
+        clamped, on rows with ties, zeros, tiny and near-one probabilities;
+        drawn for many rows at once."""
         rng = np.random.default_rng(57)
         rows = [Categorical(rng.standard_normal((1, k)) * scale).probs[0]
                 for k in (1, 2, 3, 4, 5, 7) for scale in (0.01, 1.0, 30.0, 800.0)
@@ -250,10 +273,12 @@ class TestCategorical:
                                        [0.1] * 10, [1 / 3] * 3)]
         for probs in rows:
             cdf = np.cumsum(probs[None, :], axis=-1)
-            for u in [*rng.random(20), *cdf[0], *np.nextafter(cdf[0], 0.0), 0.0, 1.0]:
+            us = np.array([*rng.random(20), *cdf[0], *np.nextafter(cdf[0], 0.0), 0.0, 1.0])
+            got = ppo._draw(np.tile(probs, (us.size, 1)), us)
+            for u, drawn in zip(us, got):
                 idx = (np.array([u])[:, None] >= cdf).sum(axis=-1)
                 want = int(np.minimum(idx, probs.size - 1)[0])
-                assert ppo._draw(probs.tolist(), float(u)) == want, (probs, u)
+                assert drawn == want, (probs, u)
 
 
 class TestReturnsAndAdvantages:
@@ -305,19 +330,19 @@ class TestObjective:
         critic = Mlp.build([4, 6, 1], "tanh", rng)
         batch = random_batch(rng, actor, critic, logp_jitter=0.0)
         _, terms, _, _ = ppo_objective(batch, actor, critic, 0.2, 0.0, 0.0)
-        assert terms["policy"] == pytest.approx(float(batch.advantages.mean()))
+        assert terms["policy"][0] == pytest.approx(float(batch.advantages.mean()))
 
     def test_clip_plateau_kills_gradient(self):
         rng = np.random.default_rng(63)
         actor = Mlp.build([4, 3], "tanh", rng)
         critic = Mlp.build([4, 1], "tanh", rng)
-        obs = rng.standard_normal((1, 4))
-        action = np.array([1])
+        obs = rng.standard_normal((1, 1, 4))
+        action = np.array([[1]])
         dist = Categorical(actor.forward(obs))
         # collection-time log-prob far below current: ratio >> 1 + eps
         old_logp = dist.log_prob(action) - 1.0
-        batch = RolloutBatch(obs, action, old_logp, np.zeros(1), np.zeros(1),
-                             np.zeros(1, dtype=bool), np.zeros(1), np.array([2.0]))
+        batch = RolloutBatch(obs, action, old_logp, np.zeros((1, 1)), np.zeros((1, 1)),
+                             np.zeros((1, 1), dtype=bool), np.zeros((1, 1)), np.array([[2.0]]))
         _, _, actor_grads, _ = ppo_objective(batch, actor, critic, 0.2, 0.0, 0.0)
         assert all(np.all(g == 0.0) for g in actor_grads)
 
@@ -348,8 +373,8 @@ class TestObjective:
         logits, cache = actor.forward_cached(batch.observations)
         dist = Categorical(logits)
         one_hot = np.zeros_like(dist.probs)
-        one_hot[np.arange(len(batch)), batch.actions] = 1.0
-        coeff = batch.advantages[:, None] / len(batch)
+        one_hot[0, np.arange(len(batch)), batch.actions[0]] = 1.0
+        coeff = batch.advantages[..., None] / len(batch)
         vanilla = actor.backward(cache, coeff * (one_hot - dist.probs))
 
         _, _, ppo_grads, _ = ppo_objective(batch, actor, critic, 1e9, 0.0, 0.0)
@@ -364,7 +389,7 @@ class TestObjective:
         rng = np.random.default_rng(69)
         actor = Mlp.build([4, 3], "tanh", rng)
         critic = Mlp.build([4, 1], "tanh", rng)
-        batch = random_batch(rng, actor, critic, n=4).select(np.array([], dtype=int))
+        batch = random_batch(rng, actor, critic, n=4).select(np.zeros((1, 0), dtype=int))
         with pytest.raises(ValueError):
             ppo_objective(batch, actor, critic, 0.2, 0.5, 0.01)
 
@@ -380,7 +405,7 @@ BANDIT_SPEC = AgentSpec(
 def greedy_pick_rate(result, target, n_contexts=1000, obs_dim=5, seed=1234):
     rng = np.random.default_rng(seed)
     obs = rng.standard_normal((n_contexts, obs_dim))
-    picks = result.actor.forward(obs).argmax(axis=1)
+    picks = result.actor.forward(obs[None])[0].argmax(axis=1)
     return float(np.mean(picks == target))
 
 
@@ -455,6 +480,20 @@ class TestTrain:
         assert result.timesteps < 10_000
 
 
+class TestAgentSpec:
+    @pytest.mark.parametrize("key,bad", [
+        ("rollout_length", "100"), ("total_timesteps", 100.0), ("epochs", 0),
+        ("minibatch_size", True), ("patience", -1), ("total_timesteps", None),
+        ("learning_rate", "1e-3"), ("improvement_threshold", None), ("gamma", True),
+    ])
+    def test_rejects_bad_types_and_counts_naming_the_key(self, key, bad):
+        with pytest.raises(ValueError, match=key):
+            AgentSpec(**{key: bad})
+
+    def test_accepts_numpy_integers(self):
+        assert AgentSpec(total_timesteps=np.int64(5)).total_timesteps == 5
+
+
 class TestPersistence:
     def test_checkpoint_round_trip(self, tmp_path):
         spec = AgentSpec(action_set=(0, 10), activation="sigmoid", hidden_layers=(4,),
@@ -498,7 +537,7 @@ class TestPersistence:
         arrays = {}
         for name, net in (("actor", actor), ("critic", critic)):
             for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-                arrays[f"{name}_w{i}"], arrays[f"{name}_b{i}"] = w, b
+                arrays[f"{name}_w{i}"], arrays[f"{name}_b{i}"] = w[0], b[0, 0]
         path = tmp_path / "v1.npz"
         np.savez(path, meta=json.dumps(meta), **arrays)
         loaded = ppo.load_checkpoint(path)
@@ -524,19 +563,246 @@ class TestPersistence:
 
 
 # ---------------------------------------------------------------------------
-# reference trainer: the loop as it stood before the lean rollout step and
-# the flat-buffer Adam, kept as the bitwise oracle for `train`
+# reference trainer: the single-agent loop as it stood before the lean rollout
+# step, the flat-buffer Adam and the population axis, on its own copies of
+# the 2-D network, softmax, batch, returns and objective; the bitwise oracle
+# for `train` and `train_population`
 
 
-class ReferenceMlp(Mlp):
-    """Computes with the arrays it is given, one per tensor, as networks did
-    before they shared a flat buffer; `theta` only lends its layout to the
-    gradient views."""
+class ReferenceMlp:
+    """The single-network MLP as it stood before the population axis: 2-D
+    inputs and weights. It computes with the arrays it is given, one per
+    tensor, as networks did before they shared a flat buffer; `theta` only
+    lends its layout to the gradient views."""
 
     def __init__(self, weights, biases, activation):
-        super().__init__(weights, biases, activation)
+        if activation not in ("sigmoid", "relu", "tanh"):
+            raise ValueError(f"unknown activation {activation!r}")
+        weights = [np.asarray(w) for w in weights]
+        biases = [np.asarray(b) for b in biases]
+        self.activation = activation
+        # (shape, Fortran-ordered) per weight
+        self._layout = [(w.shape, w.flags.f_contiguous and not w.flags.c_contiguous)
+                        for w in weights]
+        self.theta = np.empty(sum(w.size + b.size for w, b in zip(weights, biases)))
+        views = self.views(self.theta)
+        self.weights = views[0::2]
+        self.biases = views[1::2]
+        for view, value in zip(self.weights + self.biases, weights + biases):
+            view[...] = value
         self.weights = list(weights)
         self.biases = list(biases)
+
+    @classmethod
+    def build(cls, sizes, activation, rng, out_gain: float = 1.0) -> "ReferenceMlp":
+        """Orthogonal-style init; out_gain scales the output layer (0.01 for a
+        near-uniform initial policy)."""
+        weights, biases = [], []
+        for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+            a = rng.standard_normal((n_in, n_out))
+            q, r = np.linalg.qr(a if n_in >= n_out else a.T)
+            sign = np.where(np.diag(r) < 0, -1.0, 1.0)
+            q = q * sign if n_in >= n_out else (q * sign).T
+            gain = out_gain if i == len(sizes) - 2 else 1.0
+            weights.append(gain * q)
+            biases.append(np.zeros(n_out))
+        return cls(weights, biases, activation)
+
+    def views(self, buf: np.ndarray) -> list:
+        """Per-tensor views of a vector laid out like `theta`: each layer's
+        weight, then its bias."""
+        out = []
+        offset = 0
+        for (n_in, n_out), fortran in self._layout:
+            chunk = buf[offset:offset + n_in * n_out]
+            out.append(chunk.reshape(n_out, n_in).T if fortran else chunk.reshape(n_in, n_out))
+            offset += n_in * n_out
+            out.append(buf[offset:offset + n_out])
+            offset += n_out
+        return out
+
+    def _act(self, z):
+        if self.activation == "relu":
+            return np.maximum(z, 0.0)
+        if self.activation == "tanh":
+            return np.tanh(z)
+        return 1.0 / (1.0 + np.exp(-z))
+
+    def _act_grad(self, z, a):
+        if self.activation == "relu":
+            return (z > 0).astype(float)
+        if self.activation == "tanh":
+            return 1.0 - a * a
+        return a * (1.0 - a)
+
+    def _check_input(self, x: np.ndarray):
+        if x.ndim != 2 or x.shape[1] != self.weights[0].shape[0]:
+            raise ValueError(
+                f"expected input of shape (N, {self.weights[0].shape[0]}), got {x.shape}")
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """`forward_cached`'s output without the backward cache; the rollout
+        and greedy passes run it on single rows."""
+        self._check_input(x)
+        h = x
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = h @ w + b
+            h = z if i == last else self._act(z)
+        return h
+
+    def forward_cached(self, x: np.ndarray):
+        self._check_input(x)
+        pre, act = [], [x]
+        h = x
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = h @ w + b
+            pre.append(z)
+            h = z if i == last else self._act(z)
+            act.append(h)
+        return h, (pre, act)
+
+    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
+        """Gradient of sum(grad_out * output) w.r.t. the parameters, laid out
+        like `theta` (see `views`)."""
+        pre, act = cache
+        grad = np.empty_like(self.theta)
+        grads = self.views(grad)
+        delta = grad_out
+        for i in range(len(self.weights) - 1, -1, -1):
+            if i != len(self.weights) - 1:
+                delta = delta * self._act_grad(pre[i], act[i + 1])
+            grads[2 * i][...] = act[i].T @ delta
+            grads[2 * i + 1][...] = delta.sum(axis=0)
+            if i > 0:
+                delta = delta @ self.weights[i].T
+        return grad
+
+
+def reference_softmax(logits):
+    """(probs, log-probs) over the last axis, stabilized by max subtraction."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    ez = np.exp(z)
+    total = ez.sum(axis=-1, keepdims=True)
+    return ez / total, z - np.log(total)
+
+
+@dataclass
+class ReferenceCategorical:
+    """Softmax distribution over rows of logits."""
+
+    logits: np.ndarray
+
+    def __post_init__(self):
+        self.probs, self.logps = reference_softmax(self.logits)
+
+    def log_prob(self, actions: np.ndarray) -> np.ndarray:
+        return self.logps[np.arange(self.logps.shape[0]), actions]
+
+    def entropy(self) -> np.ndarray:
+        return -(self.probs * self.logps).sum(axis=-1)
+
+
+@dataclass
+class ReferenceBatch:
+    observations: np.ndarray
+    actions: np.ndarray
+    log_probs: np.ndarray
+    rewards: np.ndarray
+    values: np.ndarray
+    dones: np.ndarray
+    returns: np.ndarray = field(default=None)
+    advantages: np.ndarray = field(default=None)
+
+    def __len__(self):
+        return self.actions.size
+
+    def select(self, idx) -> "ReferenceBatch":
+        return ReferenceBatch(
+            self.observations[idx], self.actions[idx], self.log_probs[idx],
+            self.rewards[idx], self.values[idx], self.dones[idx],
+            self.returns[idx], self.advantages[idx],
+        )
+
+
+def reference_objective(batch: ReferenceBatch, actor: ReferenceMlp, critic: ReferenceMlp,
+                        clip_range: float, value_coef: float, entropy_coef: float):
+    """Clipped-surrogate objective and its gradients.
+
+    J = E[min(r*A, clip(r, 1-eps, 1+eps)*A)] - c1*MSE(V, G) + c2*E[H], with r
+    the probability ratio against the collection-time log-probs. Returns
+    (J, terms, actor_grads, critic_grads) where the gradients point in the
+    ascent direction of J and are laid out like each network's `theta`.
+    """
+    if len(batch) == 0:
+        raise ValueError("empty batch")
+    n = len(batch)
+    adv = batch.advantages
+
+    logits, actor_cache = actor.forward_cached(batch.observations)
+    dist = ReferenceCategorical(logits)
+    lp = dist.log_prob(batch.actions)
+    ratio = np.exp(lp - batch.log_probs)
+    clipped = np.clip(ratio, 1.0 - clip_range, 1.0 + clip_range)
+    surr1 = ratio * adv
+    surr2 = clipped * adv
+    policy_term = float(np.minimum(surr1, surr2).mean())
+    ent = dist.entropy()
+    entropy_term = float(ent.mean())
+
+    v_out, critic_cache = critic.forward_cached(batch.observations)
+    v = v_out[:, 0]
+    err = v - batch.returns
+    value_loss = float(np.mean(err * err))
+
+    objective = policy_term - value_coef * value_loss + entropy_coef * entropy_term
+
+    # d policy_term / d log-prob of the taken action; the clipped branch is
+    # flat in ratio whenever it is strictly selected.
+    active = surr1 <= surr2
+    coeff = np.where(active, adv * ratio, 0.0) / n
+
+    one_hot = np.zeros_like(dist.probs)
+    one_hot[np.arange(n), batch.actions] = 1.0
+    d_logits = coeff[:, None] * (one_hot - dist.probs)
+    # entropy bonus: dH/dz_j = -p_j * (log p_j + H)
+    d_logits += entropy_coef / n * (-dist.probs * (dist.logps + ent[:, None]))
+    actor_grads = actor.backward(actor_cache, d_logits)
+
+    d_v = (-value_coef * 2.0 / n) * err
+    critic_grads = critic.backward(critic_cache, d_v[:, None])
+
+    terms = {"policy": policy_term, "value_loss": value_loss, "entropy": entropy_term}
+    return objective, terms, actor_grads, critic_grads
+
+
+def reference_returns(rewards, gamma: float, dones=None) -> np.ndarray:
+    """Discounted reward-to-go G_t = r_t + gamma*G_{t+1}, restarting at episode
+    ends; the tail bootstraps zero."""
+    rewards = np.asarray(rewards, dtype=float)
+    if dones is None:
+        dones = np.zeros(rewards.size, dtype=bool)
+    out = np.empty_like(rewards)
+    acc = 0.0
+    for t in range(rewards.size - 1, -1, -1):
+        if dones[t]:
+            acc = 0.0
+        acc = rewards[t] + gamma * acc
+        out[t] = acc
+    return out
+
+
+def reference_advantages(returns, values) -> np.ndarray:
+    """Monte-Carlo advantage G - V, batch-normalized to zero mean, unit std."""
+    returns = np.asarray(returns, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if returns.shape != values.shape:
+        raise ValueError("returns/values shape mismatch")
+    adv = returns - values
+    adv = adv - adv.mean()
+    std = adv.std()
+    return adv / std if std > 1e-12 else adv
 
 
 class ReferenceAdam:
@@ -573,7 +839,7 @@ def reference_collect_rollout(env, actor, critic, rng, n_steps, obs, episode_ret
     done_buf = np.zeros(n_steps, dtype=bool)
     for i in range(n_steps):
         row = obs[None, :]
-        dist = Categorical(actor.forward_cached(row)[0])
+        dist = ReferenceCategorical(actor.forward_cached(row)[0])
         cdf = np.cumsum(dist.probs, axis=-1)
         u = rng.random(dist.probs.shape[0])
         idx = (u[:, None] >= cdf).sum(axis=-1)
@@ -593,7 +859,7 @@ def reference_collect_rollout(env, actor, critic, rng, n_steps, obs, episode_ret
             obs = env.reset()
         else:
             obs = out.observation
-    return RolloutBatch(obs_buf, act_buf, lp_buf, rew_buf, val_buf, done_buf), obs
+    return ReferenceBatch(obs_buf, act_buf, lp_buf, rew_buf, val_buf, done_buf), obs
 
 
 def reference_train(env, spec, seed):
@@ -611,16 +877,16 @@ def reference_train(env, spec, seed):
         n = min(spec.rollout_length, spec.total_timesteps - start)
         batch, obs = reference_collect_rollout(env, actor, critic, rng, n, obs,
                                                episode_returns, running)
-        batch.returns = compute_returns(batch.rewards, spec.gamma, batch.dones)
-        batch.advantages = advantages(batch.returns, batch.values)
+        batch.returns = reference_returns(batch.rewards, spec.gamma, batch.dones)
+        batch.advantages = reference_advantages(batch.returns, batch.values)
         for _ in range(spec.epochs):
             order = rng.permutation(n)
             for lo in range(0, n, spec.minibatch_size):
                 mb = batch.select(order[lo:lo + spec.minibatch_size])
-                _, _, ga, gc = ppo_objective(mb, actor, critic, *coefs)
+                _, _, ga, gc = reference_objective(mb, actor, critic, *coefs)
                 opt_actor.ascend(actor.views(ga))
                 opt_critic.ascend(critic.views(gc))
-        objectives.append(float(ppo_objective(batch, actor, critic, *coefs)[0]))
+        objectives.append(float(reference_objective(batch, actor, critic, *coefs)[0]))
     return actor, critic, objectives
 
 
@@ -676,32 +942,45 @@ class TestDecideThenScore:
 
     @pytest.mark.parametrize("rollout_length", [1, 7, 40])
     def test_rollouts_match_reference(self, rollout_length):
+        """A group of two agents, each against its own reference rollout."""
         from activelp.env import LPEnv
 
         config = lp_config()
         rng = np.random.default_rng(5)
-        actor = Mlp.build([13, 8, 3], "tanh", rng, out_gain=3.0)  # spread-out policy
-        critic = Mlp.build([13, 8, 1], "tanh", rng)
-        envs = LPEnv(config), Stepper(config)
-        rngs = np.random.default_rng(6), np.random.default_rng(6)
-        obs = [e.reset() for e in envs]
-        returns = [], []
-        episode, running = [0.0, 0], [0.0]
+        # spread-out policies
+        actors = [ReferenceMlp.build([13, 8, 3], "tanh", rng, out_gain=3.0) for _ in range(2)]
+        critics = [ReferenceMlp.build([13, 8, 1], "tanh", rng) for _ in range(2)]
+        group = ppo._Group(
+            [ppo._Agent(r, AgentSpec(action_set=config.action_set), LPEnv(config),
+                        np.random.default_rng(6 + r)) for r in range(2)],
+            Mlp.stack([Mlp([w[None] for w in a.weights], [b[None, None] for b in a.biases],
+                           "tanh") for a in actors]),
+            Mlp.stack([Mlp([w[None] for w in c.weights], [b[None, None] for b in c.biases],
+                           "tanh") for c in critics]))
+        refs = [Stepper(config) for _ in range(2)]
+        rngs = [np.random.default_rng(6 + r) for r in range(2)]
+        obs = [e.reset() for e in refs]
+        returns = [[], []]
+        running = [[0.0], [0.0]]
         n_rollouts = -(-130 // rollout_length)
         taken = set()
         for _ in range(n_rollouts):
-            got, obs[0] = ppo._collect_rollout(envs[0], actor, critic, rngs[0], rollout_length,
-                                               obs[0], returns[0], episode)
-            want, obs[1] = reference_collect_rollout(envs[1], actor, critic, rngs[1],
-                                                     rollout_length, obs[1], returns[1], running)
-            for name in ("observations", "actions", "log_probs", "rewards", "values", "dones"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-            assert obs[0].tobytes() == obs[1].tobytes()
-            assert episode[0] == running[0]
-            taken.update(got.actions.tolist())
-        assert returns[0] == returns[1] and taken == {0, 1, 2}
-        assert len(returns[0]) == n_rollouts * rollout_length // 40
+            group.rollout(rollout_length)
+            for r, agent in enumerate(group.agents):
+                want, obs[r] = reference_collect_rollout(refs[r], actors[r], critics[r], rngs[r],
+                                                         rollout_length, obs[r], returns[r],
+                                                         running[r])
+                for name in ("observations", "actions", "log_probs", "rewards", "values",
+                             "dones"):
+                    a, b = getattr(group.batch, name)[r], getattr(want, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+                assert group.obs[r].tobytes() == obs[r].tobytes()
+                assert agent.episode_return == running[r][0]
+                taken.update(group.batch.actions[r].tolist())
+        for r, agent in enumerate(group.agents):
+            assert agent.returns == returns[r]
+            assert len(returns[r]) == n_rollouts * rollout_length // 40
+        assert taken == {0, 1, 2}
 
     @pytest.mark.parametrize("rollout_length", [1, 7, 40])
     def test_train_matches_reference(self, rollout_length):
@@ -718,9 +997,10 @@ class TestDecideThenScore:
         assert [s.objective for s in got.curve] == objectives
 
     def test_no_per_step_scoring_or_cached_forward(self, monkeypatch):
-        """Deterministic guard: training on an LPEnv and a greedy pass call
-        neither the scalar amm rewards nor the cached forward outside the
-        update."""
+        """Deterministic guard: training a group on LPEnvs and the greedy
+        passes call neither the scalar amm rewards nor the cached forward
+        outside the update, and the group shares each forward and
+        objective."""
         from activelp import amm, env
         from activelp.env import LPEnv
 
@@ -751,17 +1031,98 @@ class TestDecideThenScore:
 
         monkeypatch.setattr(amm, "fee_for_move", counted("fee_for_move", amm.fee_for_move))
         monkeypatch.setattr(amm, "lvr_penalty", counted("lvr_penalty", amm.lvr_penalty))
-        monkeypatch.setattr(ppo, "ppo_objective", update_objective)
+        monkeypatch.setattr(ppo, "ppo_objective", counted("ppo_objective", update_objective))
         monkeypatch.setattr(Mlp, "forward_cached", rollout_forward_cached)
+        monkeypatch.setattr(Mlp, "forward", counted("forward", Mlp.forward))
 
-        e = LPEnv(lp_config())
+        envs = [LPEnv(lp_config()) for _ in range(2)]
         spec = AgentSpec(action_set=(0, 10, 20), rollout_length=30, total_timesteps=100,
                          epochs=1, patience=10**6)
-        result = train(lambda: e, spec, seed=3)
-        trace = env.run_policy(e, ppo.greedy_action_fn(result.actor))
-        assert trace.t.size == 40 and calls == {}
+        results = train_population(envs, [spec, replace(spec, learning_rate=1e-3)], [3, 4])
+        # two agents over S = 100 steps in 4 rollouts of at most one
+        # minibatch: one stacked actor and one stacked critic forward per step
+        # (2 S, not 2 A S), one of each per update for the curve, and one
+        # objective per minibatch for the group
+        assert calls.pop("forward") == 2 * 100 + 2 * 4
+        assert calls.pop("ppo_objective") == 4
+        for e, result in zip(envs, results):
+            trace = env.run_policy(e, ppo.greedy_action_fn(result.actor))
+            assert trace.t.size == 40
+        assert calls.pop("forward") == 2 * 40 and calls == {}
         # the counters do count
         s = Stepper(lp_config())
         s.reset()
         s.step(1)
         assert calls == {"fee_for_move": 1, "lvr_penalty": 1}
+
+
+class HugeRewards:
+    """An LPEnv whose rewards are scaled to overflow the value loss."""
+
+    def __init__(self, config):
+        from activelp.env import LPEnv
+
+        self.env = LPEnv(config)
+        self.obs_dim, self.n_actions = self.env.obs_dim, self.env.n_actions
+        self.reset, self.advance = self.env.reset, self.env.advance
+
+    def rewards(self, lo, hi):
+        return self.env.rewards(lo, hi) * 1e200
+
+
+class TestPopulation:
+    """`train_population` against each agent's own `train` run, on a
+    population that mixes network shapes, coefficients and outcomes."""
+
+    # action set, activation, hidden layers, then the other spec fields
+    AGENTS = [
+        ((0, 10, 20), "tanh", (6, 2), dict(learning_rate=1e-2, gamma=0.99)),
+        ((0, 10, 20, 30), "relu", (4,), dict(learning_rate=5e-3, gamma=0.999)),
+        ((0, 10, 20), "tanh", (6, 2), dict(learning_rate=1e-3, gamma=0.9, clip_range=0.1)),
+        # misses any improvement after its first evaluation: stops early
+        ((0, 10, 20, 30), "relu", (4,), dict(learning_rate=1e-2, gamma=0.99, patience=1,
+                                             improvement_threshold=1e9)),
+        # HugeRewards: diverges
+        ((0, 10, 20), "tanh", (6, 2), dict(learning_rate=1e-2, gamma=0.99)),
+        ((0, 10, 20, 30), "tanh", (4,), dict(learning_rate=1e-2, gamma=0.9,
+                                             entropy_coef=1e-2)),
+        ((0, 10, 20), "relu", (6, 2), dict(learning_rate=1e-3, gamma=0.99)),
+        ((0, 10, 20), "relu", (6, 2), dict(learning_rate=5e-3, gamma=0.9)),
+    ]
+    STOPS, DIVERGES = 3, 4
+
+    def _setup(self, k):
+        from activelp.env import LPEnv
+
+        action_set, activation, hidden, extra = self.AGENTS[k]
+        config = lp_config(action_set)
+        spec = AgentSpec(action_set=action_set, activation=activation, hidden_layers=hidden,
+                         rollout_length=48, total_timesteps=144, epochs=2, minibatch_size=16,
+                         **{"patience": 10**6, **extra})
+        return (HugeRewards if k == self.DIVERGES else LPEnv)(config), spec, 100 + k
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_population_matches_solo_runs(self):
+        from activelp.env import LPEnv
+
+        envs, specs, seeds = zip(*(self._setup(k) for k in range(len(self.AGENTS))))
+        assert [len(g) for g in ppo.lockstep_groups(envs, specs)] == [3, 2, 1, 2]
+        results = train_population(envs, specs, seeds)
+        for k, got in enumerate(results):
+            env, spec, seed = self._setup(k)
+            try:
+                solo = train(lambda: env, spec, seed)
+            except TrainingDiverged as exc:
+                assert k == self.DIVERGES and isinstance(got, TrainingDiverged)
+                assert str(got) == str(exc) == "non-finite objective at update 1 (48 steps)"
+                continue
+            assert flat(got.actor).tobytes() == flat(solo.actor).tobytes(), k
+            assert flat(got.critic).tobytes() == flat(solo.critic).tobytes(), k
+            assert repr(got.curve) == repr(solo.curve), k
+            assert (got.timesteps, got.stopped_early) == (solo.timesteps, solo.stopped_early), k
+            assert got.stopped_early == (k == self.STOPS), k
+            traces = [run_policy(LPEnv(lp_config(spec.action_set)), ppo.greedy_action_fn(net))
+                      for net in (got.actor, solo.actor)]
+            for name in ("action", "reward"):
+                assert getattr(traces[0], name).tobytes() == getattr(traces[1], name).tobytes()
+        assert results[self.STOPS].timesteps == 96
