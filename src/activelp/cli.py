@@ -103,7 +103,7 @@ def _load_spec(path, timesteps) -> ppo.AgentSpec:
         for key in ("action_set", "hidden_layers"):
             if key in overrides:
                 overrides[key] = tuple(overrides[key])
-    if timesteps:
+    if timesteps is not None:
         overrides["total_timesteps"] = timesteps
     try:
         return ppo.AgentSpec(**overrides)
@@ -131,11 +131,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    series = data.load_candles(args.candles)
+    tape = env.MarketTape(data.load_candles(args.candles))
     spec = _load_spec(args.spec, args.timesteps)
     pool = _pool_from_args(args)
-    config = env.EnvConfig(pool=pool, action_set=spec.action_set, x0=args.x0,
-                           data=series)
+    config = env.EnvConfig(pool=pool, action_set=spec.action_set, x0=args.x0, data=tape)
     train_env = env.LPEnv(config)
     result = ppo.train(lambda: train_env, spec, args.seed)
     ppo.save_checkpoint(args.out, result)
@@ -150,11 +149,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    series = data.load_candles(args.candles)
+    tape = env.MarketTape(data.load_candles(args.candles))
     result = ppo.load_checkpoint(args.checkpoint)
     pool = _pool_from_args(args)
     config = env.EnvConfig(pool=pool, action_set=result.spec.action_set,
-                           x0=args.x0, data=series)
+                           x0=args.x0, data=tape)
     trace = env.run_policy(env.LPEnv(config), ppo.greedy_action_fn(result.actor))
     if args.out_trace:
         trace.to_csv(args.out_trace)
@@ -163,10 +162,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    series = data.load_candles(args.candles)
+    tape = env.MarketTape(data.load_candles(args.candles))
     pool = _pool_from_args(args)
-    config = env.EnvConfig(pool=pool, action_set=(0, args.width), x0=args.x0,
-                           data=series)
+    config = env.EnvConfig(pool=pool, action_set=(0, args.width), x0=args.x0, data=tape)
     trace = env.run_passive(config, args.width, args.period)
     if args.out_trace:
         trace.to_csv(args.out_trace)
@@ -179,6 +177,8 @@ def cmd_baseline(args) -> int:
 def cmd_experiment(args) -> int:
     config = harness.ExperimentConfig.from_file(args.config)
     results = harness.run_experiment(config)
+    print(harness.wins_line([(r.active_reward, r.passive_reward)
+                             for r in results if not r.failed]))
     failed = [r.window.index for r in results if r.failed]
     if failed:
         print(f"failed windows: {failed}", file=sys.stderr)
@@ -203,10 +203,9 @@ def cmd_report(args) -> int:
             rows.append((name, float(last["active_cum"]), float(last["passive_cum"])))
     if not rows:
         raise harness.ConfigError(f"no window results under {args.results}")
-    wins = sum(1 for _, a, p in rows if a > p)
     for name, a, p in rows:
         print(f"{name}: active {a:.4f} passive {p:.4f}")
-    line = f"active wins {wins} of {len(rows)}"
+    line = harness.wins_line([(a, p) for _, a, p in rows])
     with open(os.path.join(args.results, "wins.txt"), "w") as fh:
         fh.write(line + "\n")
     print(line)

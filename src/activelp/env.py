@@ -68,7 +68,7 @@ def compute_features(series: PriceSeries, alpha: float = 0.05) -> Features:
 
 
 class MarketTape:
-    """Exogenous state of one candle slice, computed once.
+    """Exogenous state of one candle slice, computed once; the env layer's input.
 
     The price path does not depend on the agent's actions, so ticks,
     features and the raw market entries of every observation are fixed by
@@ -80,8 +80,8 @@ class MarketTape:
     def __init__(self, series: PriceSeries):
         self.closes = series.closes
         self.ticks = np.array([amm.tick_index(p) for p in self.closes.tolist()], dtype=np.int64)
-        self.features = f = compute_features(series)
-        # (len, 11) raw market entries in observation order
+        f = compute_features(series)
+        # (len, 11) raw market entries in observation order, each held only here
         self.market = np.column_stack([
             self.closes, self.ticks, f.ewma_vol, f.ma24, f.ma168, f.bb_upper,
             f.bb_mid, f.bb_lower, f.adxr, f.bop, f.dx,
@@ -129,10 +129,6 @@ def _range_table(closes, ticks, width, spacing, x0) -> np.ndarray:
     return table
 
 
-def _tape(data: PriceSeries | MarketTape) -> MarketTape:
-    return data if isinstance(data, MarketTape) else MarketTape(data)
-
-
 @dataclass(frozen=True)
 class FeatureStats:
     """Per-entry mean/std used to z-score observations; frozen at train time."""
@@ -160,15 +156,15 @@ class FeatureStats:
         return z if math.isfinite(z) else 0.0
 
 
-def compute_stats(series: PriceSeries | MarketTape, action_set, pool: PoolSpec,
+def compute_stats(series: MarketTape, action_set, pool: PoolSpec,
                   x0: float) -> FeatureStats:
-    """Observation stats from a (training) slice or its tape.
+    """Observation stats from the tape of a (training) slice.
 
     Market entries use the post-warmup feature rows; the width entry uses the
     action set; the liquidity entry uses the liquidity each nonzero width
     would hold at each post-warmup close.
     """
-    tape = _tape(series)
+    tape = series
     start = MIN_HISTORY - 1
     if len(tape.closes) <= start:
         raise ValueError(f"series of {len(tape.closes)} rows is shorter than the {MIN_HISTORY}-row warmup")
@@ -195,11 +191,13 @@ class EnvConfig:
     pool: PoolSpec
     action_set: tuple[int, ...]
     x0: float
-    data: PriceSeries | MarketTape  # a slice, or its tape to share
+    data: MarketTape
     stats: FeatureStats | None = None
     gas_mode: str = GAS_PER_LEG
 
     def __post_init__(self):
+        if not isinstance(self.data, MarketTape):
+            raise TypeError(f"data must be a MarketTape, got {type(self.data).__name__}")
         if len(self.action_set) < 2 or self.action_set[0] != 0:
             raise ValueError(f"action_set must start with 0 and offer a width, got {self.action_set}")
         for width in self.action_set[1:]:
@@ -229,12 +227,9 @@ class LPEnv:
 
     def __init__(self, config: EnvConfig):
         self.config = config
-        tape = _tape(config.data)
+        tape = config.data
         self._stats = config.stats or compute_stats(
             tape, config.action_set, config.pool, config.x0)
-        # the env keeps only what scoring reads, not the tape
-        self._closes = tape.closes
-        self._sigma = tape.features.ewma_vol
         # the range each action opens at each hour; None for hold
         self._tables = [None] + [tape.range_table(width, config.pool.tick_spacing, config.x0)
                                  for width in config.action_set[1:]]
@@ -298,8 +293,7 @@ class LPEnv:
             raise ValueError(f"steps [{lo}, {hi}) are not within the {taken} taken")
         before = np.flatnonzero(self._actions[:lo])
         opened = int(before[-1]) if before.size else -1
-        return _score(self._closes, self._sigma, self._tables.__getitem__, self.config,
-                      self._actions, lo, hi, opened)
+        return _score(self.config, self._actions, lo, hi, opened)
 
     def _open(self, action_index: int):
         row = self._tables[action_index][self._t].tolist()
@@ -366,26 +360,20 @@ def replay(config: EnvConfig, actions) -> EpisodeTrace:
     """The trace of this sequence of action indices over `config`, bitwise
     equal to deciding them one by one with `LPEnv.advance` and scoring with
     `LPEnv.rewards`, computed without an environment."""
-    tape = _tape(config.data)
-    n = len(tape) - MIN_HISTORY
+    n = len(config.data) - MIN_HISTORY
     actions = np.asarray(actions)
     if actions.shape != (n,):
         raise ValueError(f"need one action per step, {n}, got shape {actions.shape}")
     if not np.issubdtype(actions.dtype, np.integer) or np.any(
             (actions < 0) | (actions >= len(config.action_set))):
         raise ValueError(f"action indices must be integers in [0, {len(config.action_set)})")
-    actions = actions.astype(np.int64)
-
-    def table(k):
-        return tape.range_table(config.action_set[k], config.pool.tick_spacing, config.x0)
-
-    return _score(tape.closes, tape.features.ewma_vol, table, config, actions, 0, n, -1)
+    return _score(config, actions.astype(np.int64), 0, n, -1)
 
 
-def _score(closes, sigma, table, config: EnvConfig, actions, lo, hi, opened) -> EpisodeTrace:
-    """Trace of episode steps [lo, hi) given every action index of the
-    episode up to `hi`, `opened`, the step at which the position live at `lo`
-    opened (-1 if none), and `table(k)`, the range table of action k.
+def _score(config: EnvConfig, actions, lo, hi, opened) -> EpisodeTrace:
+    """Trace of episode steps [lo, hi) over `config.data` given every action
+    index of the episode up to `hi` and `opened`, the step at which the
+    position live at `lo` opened (-1 if none).
 
     The price path does not depend on the actions, so the position live at
     each step is the one opened at the last nonzero action; its range comes
@@ -395,7 +383,8 @@ def _score(closes, sigma, table, config: EnvConfig, actions, lo, hi, opened) -> 
     formulas and is the reference. Steps are scored in blocks, so the
     temporaries stay small next to the trace.
     """
-    pool = config.pool
+    pool, tape = config.pool, config.data
+    closes, sigma = tape.closes, tape.market[:, 2]  # ewma_vol
     n = hi - lo
     h = MIN_HISTORY - 1 + lo  # hour of step lo
     trace = EpisodeTrace(
@@ -416,7 +405,8 @@ def _score(closes, sigma, table, config: EnvConfig, actions, lo, hi, opened) -> 
         for k in range(1, len(config.action_set)):
             at = live[open_action == k]
             if at.size:
-                rows[at] = table(k)[MIN_HISTORY - 1 + live_from[at]]
+                table = tape.range_table(config.action_set[k], pool.tick_spacing, config.x0)
+                rows[at] = table[MIN_HISTORY - 1 + live_from[at]]
         trace.width[block] = (rows[:, 1] - rows[:, 0]).astype(np.int64) // 2
         trace.liquidity[block] = rows[:, 2]
 

@@ -396,9 +396,16 @@ def run_experiment(config: ExperimentConfig) -> list[WindowResult]:
     return results
 
 
+def wins_line(totals: list) -> str:
+    """The win-count line over (active, passive) total-reward pairs."""
+    wins = sum(1 for active, passive in totals if active > passive)
+    return f"active wins {wins} of {len(totals)}"
+
+
 def emit_report(results: list[WindowResult], output_dir) -> dict:
     """Write summary.csv, per-window traces/cumulative series, checkpoints, and
-    the win-count line. Returns the written paths."""
+    the `wins_line` of the windows that did not fail; print nothing. Returns
+    the written paths."""
     if not results:
         raise ConfigError("no window results to report")
     os.makedirs(output_dir, exist_ok=True)
@@ -441,9 +448,6 @@ def emit_report(results: list[WindowResult], output_dir) -> dict:
                                  int(agent.index == r.selected.index),
                                  agent.error or ""])
 
-    wins = sum(1 for r in ok if r.active_reward > r.passive_reward)
-    line = f"active wins {wins} of {len(ok)}"
     with open(paths["wins"], "w") as fh:
-        fh.write(line + "\n")
-    print(line)
+        fh.write(wins_line([(r.active_reward, r.passive_reward) for r in ok]) + "\n")
     return paths

@@ -748,10 +748,15 @@ def save_checkpoint(path, result: TrainResult):
 
 def load_checkpoint(path) -> TrainResult:
     blob = np.load(path, allow_pickle=False)
+    # the metadata names the other arrays, so it is checked for first
+    _check_keys("arrays", set(blob.files) & {"meta"}, {"meta"})
     meta = json.loads(str(blob["meta"]))
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {meta.get('version')}")
     _check_keys("metadata", meta, _META_KEYS)
+    _check_keys("arrays", blob.files, {"meta"} | {
+        f"{name}_{part}{i}" for name in ("actor", "critic") for part in "wb"
+        for i in range(meta[f"{name}_layers"])})
     fields = AgentSpec.__dataclass_fields__
     # a null spec entry asks for nothing: files from earlier versions hold
     # one for a reserved field that was never read and is gone

@@ -12,7 +12,7 @@ import pytest
 
 from activelp import amm, cli, data, env, ppo
 from activelp.amm import PoolSpec
-from activelp.env import MIN_HISTORY, EnvConfig, LPEnv
+from activelp.env import MIN_HISTORY, EnvConfig, LPEnv, MarketTape
 from bandit import ContextualBandit
 from stepper import stepped_trace
 from test_amm import brute_force_fee
@@ -62,7 +62,8 @@ def test_reward_accounting_identity_and_gas_replay():
     for case in range(20):
         series = data.gbm_generate(seed=300 + case, n_hours=240, p_start=3000.0,
                                    drift=0.0, vol=0.01)
-        e = LPEnv(EnvConfig(pool=POOL, action_set=(0, 20, 50), x0=2.0, data=series))
+        e = LPEnv(EnvConfig(pool=POOL, action_set=(0, 20, 50), x0=2.0,
+                            data=MarketTape(series)))
         actions = rng.integers(0, e.n_actions, e.n_steps)
         trace = env.replay(e.config, actions)
         stepped = stepped_trace(e.config, actions)
@@ -124,7 +125,7 @@ def test_passive_baseline_structure():
     def run_once():
         series = data.gbm_generate(seed=404, n_hours=MIN_HISTORY + 1500,
                                    p_start=3000.0, drift=0.0, vol=0.005)
-        e = LPEnv(EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0, data=series))
+        e = LPEnv(EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0, data=MarketTape(series)))
         return env.run_passive(e.config, width=50, period=500)
 
     trace = run_once()

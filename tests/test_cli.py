@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -132,11 +133,19 @@ class TestTrainEvaluate:
                     "--timesteps", "300", "--seed", "1"]) == 0
         assert calls == [700]
 
-    def test_bad_spec_file_exits_1(self, tmp_path, candle_file):
+    def test_bad_spec_file_exits_1(self, tmp_path, candle_file, monkeypatch, capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("an agent was trained")
+
+        monkeypatch.setattr(ppo, "train_population", no_training)
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps({"clip_range": 7.0}))
         assert run(["train", "--candles", str(candle_file),
                     "--out", str(tmp_path / "a.npz"), "--spec", str(spec_file)]) == 1
+        # zero timesteps is a bad spec too, not a request for the default
+        assert run(["train", "--candles", str(candle_file),
+                    "--out", str(tmp_path / "a.npz"), "--timesteps", "0"]) == 1
+        assert capsys.readouterr().err.count("config error") == 2
 
     def test_gae_lambda_spec_key_exits_1(self, tmp_path, candle_file, capsys):
         spec_file = tmp_path / "spec.json"
@@ -145,7 +154,7 @@ class TestTrainEvaluate:
                     "--out", str(tmp_path / "a.npz"), "--spec", str(spec_file)]) == 1
         assert "gae_lambda" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["spec.bogus", "timesteps"])
+    @pytest.mark.parametrize("key", ["spec.bogus", "timesteps", "actor_w1", "meta"])
     def test_malformed_checkpoint_exits_1(self, tmp_path, candle_file, capsys, key):
         spec = ppo.AgentSpec(action_set=(0, 20, 50), hidden_layers=(4,))
         rng = np.random.default_rng(0)
@@ -157,9 +166,10 @@ class TestTrainEvaluate:
         meta = json.loads(str(blob["meta"]))
         if key == "spec.bogus":
             meta["spec"]["bogus"] = 1  # a key the spec does not have
-        else:
+        elif key in meta:
             del meta[key]
         blob["meta"] = json.dumps(meta)
+        blob.pop(key, None)  # an array the file lacks
         np.savez(ckpt, **blob)
         assert run(["evaluate", "--candles", str(candle_file), "--checkpoint", str(ckpt)]) == 1
         assert key.split(".")[-1] in capsys.readouterr().err
@@ -189,8 +199,11 @@ class TestExperiment:
         path = self._config(tmp_path, candle_file)
         assert run(["experiment", "--config", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "active wins" in out
-        assert (tmp_path / "results" / "summary.csv").exists()
+        with open(tmp_path / "results" / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        wins = sum(float(r["active_reward"]) > float(r["passive_reward"]) for r in rows)
+        assert out == f"active wins {wins} of {len(rows)}\n"
+        assert (tmp_path / "results" / "wins.txt").read_text() == out
 
     def test_missing_data_path_exits_2(self, tmp_path):
         path = self._config(tmp_path, tmp_path / "missing.csv")

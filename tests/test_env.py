@@ -6,7 +6,7 @@ import pytest
 from activelp import amm, data, env
 from activelp.amm import PoolSpec
 from activelp.data import HOUR, PriceSeries
-from activelp.env import MIN_HISTORY, EnvConfig, LPEnv
+from activelp.env import MIN_HISTORY, EnvConfig, LPEnv, MarketTape
 from stepper import Stepper, stepped_trace
 
 POOL = PoolSpec(fee_rate=0.0005, tick_spacing=10, gas_cost=5.0)
@@ -79,7 +79,7 @@ def gbm_env(n_hours=260, seed=0, vol=0.005, action_set=(0, 20, 50), x0=2.0,
     series = data.gbm_generate(seed=seed, n_hours=n_hours, p_start=3000.0,
                                drift=0.0, vol=vol)
     return LPEnv(EnvConfig(pool=POOL, action_set=action_set, x0=x0,
-                           data=series, gas_mode=gas_mode))
+                           data=MarketTape(series), gas_mode=gas_mode))
 
 
 def gbm_stepper(**kwargs):
@@ -89,22 +89,26 @@ def gbm_stepper(**kwargs):
 class TestConfig:
     def test_action_set_must_start_with_zero(self):
         with pytest.raises(ValueError):
-            EnvConfig(pool=POOL, action_set=(10, 20), x0=2.0, data=flat_series(200))
+            EnvConfig(pool=POOL, action_set=(10, 20), x0=2.0, data=MarketTape(flat_series(200)))
 
     def test_widths_must_align_to_spacing(self):
         with pytest.raises(ValueError):
-            EnvConfig(pool=POOL, action_set=(0, 15), x0=2.0, data=flat_series(200))
+            EnvConfig(pool=POOL, action_set=(0, 15), x0=2.0, data=MarketTape(flat_series(200)))
 
     def test_short_slice_rejected(self):
         with pytest.raises(ValueError):
-            EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0, data=flat_series(100))
+            EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0, data=MarketTape(flat_series(100)))
+
+    def test_data_must_be_a_tape(self):
+        with pytest.raises(TypeError, match="data must be a MarketTape, got PriceSeries"):
+            EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0, data=flat_series(300))
 
     def test_minimum_length_boundary(self):
         with pytest.raises(ValueError):
             EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0,
-                      data=flat_series(MIN_HISTORY + 1))
+                      data=MarketTape(flat_series(MIN_HISTORY + 1)))
         EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0,
-                  data=flat_series(MIN_HISTORY + 2))
+                  data=MarketTape(flat_series(MIN_HISTORY + 2)))
 
 
 class TestReset:
@@ -115,11 +119,13 @@ class TestReset:
         assert np.all(np.isfinite(obs))
 
     def test_episode_length(self):
-        e = LPEnv(EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0, data=flat_series(400)))
+        e = LPEnv(EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0,
+                            data=MarketTape(flat_series(400))))
         assert e.n_steps == 400 - MIN_HISTORY
 
     def test_constant_price_sigma_feature_zero(self):
-        e = LPEnv(EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0, data=flat_series(300)))
+        e = LPEnv(EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0,
+                            data=MarketTape(flat_series(300))))
         obs = e.reset()
         assert obs[4] == 0.0  # zero-std guard maps the vol feature to 0
 
@@ -162,7 +168,7 @@ class TestStepMechanics:
 
     def test_step_after_done_raises(self):
         e = LPEnv(EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0,
-                            data=flat_series(MIN_HISTORY + 2)))
+                            data=MarketTape(flat_series(MIN_HISTORY + 2))))
         e.reset()
         assert e.n_steps == 2
         e.advance(0)
@@ -228,7 +234,7 @@ class TestAccounting:
 
     def test_out_of_range_stasis(self):
         series = step_series(MIN_HISTORY + 5, 40, 3000.0, 4000.0)
-        s = Stepper(EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0, data=series))
+        s = Stepper(EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0, data=MarketTape(series)))
         s.reset()
         s.step(1)  # deploy around 3000
         pos = s.position
@@ -257,12 +263,12 @@ class TestAccounting:
 class TestObservation:
     def test_training_mean_maps_to_zero(self):
         series = data.gbm_generate(seed=11, n_hours=300, p_start=3000.0, vol=0.01)
-        stats = env.compute_stats(series, (0, 50), POOL, 2.0)
+        stats = env.compute_stats(MarketTape(series), (0, 50), POOL, 2.0)
         assert stats.normalize(stats.mean) == pytest.approx(np.zeros(13), abs=1e-12)
 
     def test_zero_std_guard(self):
         series = flat_series(300)
-        stats = env.compute_stats(series, (0, 50), POOL, 2.0)
+        stats = env.compute_stats(MarketTape(series), (0, 50), POOL, 2.0)
         vec = stats.mean.copy()
         vec[4] += 123.0  # perturb a zero-std feature
         assert stats.normalize(vec)[4] == 0.0
@@ -277,8 +283,8 @@ class TestObservation:
 
     def test_width_and_liquidity_zero_without_position(self):
         series = data.gbm_generate(seed=15, n_hours=300, p_start=3000.0, vol=0.01)
-        stats = env.compute_stats(series, (0, 50), POOL, 2.0)
-        e = LPEnv(EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0, data=series,
+        stats = env.compute_stats(MarketTape(series), (0, 50), POOL, 2.0)
+        e = LPEnv(EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0, data=MarketTape(series),
                             stats=stats))
         obs = e.reset()
         assert obs[2] == pytest.approx((0.0 - stats.mean[2]) / stats.std[2])
@@ -304,21 +310,15 @@ class TestMarketTape:
         ]
         for series in series_list:
             for x0 in (2.0, 10.0):
-                got = env.compute_stats(series, action_set, pool, x0)
+                got = env.compute_stats(MarketTape(series), action_set, pool, x0)
                 mean, std = reference_stats(series, action_set, pool, x0)
                 assert np.array_equal(got.mean, mean)
                 assert np.array_equal(got.std, std)
 
-    def test_stats_from_tape_equal_stats_from_series(self):
-        series = data.gbm_generate(seed=3, n_hours=400, p_start=3000.0, vol=0.01)
-        a = env.compute_stats(series, (0, 20, 50), POOL, 2.0)
-        b = env.compute_stats(env.MarketTape(series), (0, 20, 50), POOL, 2.0)
-        assert np.array_equal(a.mean, b.mean) and np.array_equal(a.std, b.std)
-
     def test_stats_reject_width_below_spacing(self):
         series = data.gbm_generate(seed=3, n_hours=300, p_start=3000.0, vol=0.01)
         with pytest.raises(ValueError):
-            env.compute_stats(series, (0, 5), POOL, 2.0)
+            env.compute_stats(MarketTape(series), (0, 5), POOL, 2.0)
 
     def test_ticks_match_scalar_tick_index(self):
         for series in (data.gbm_generate(seed=4, n_hours=500, p_start=3000.0, vol=0.02),
@@ -331,8 +331,9 @@ class TestMarketTape:
         train = data.gbm_generate(seed=23, n_hours=400, p_start=3000.0, vol=0.01)
         series = data.gbm_generate(seed=24, n_hours=420, p_start=2800.0, vol=0.02)
         action_set = (0, 10, 20, 50)
-        stats = env.compute_stats(series if own_stats else train, action_set, POOL, 2.0)
-        s = Stepper(EnvConfig(pool=POOL, action_set=action_set, x0=2.0, data=series,
+        stats = env.compute_stats(MarketTape(series if own_stats else train), action_set,
+                                  POOL, 2.0)
+        s = Stepper(EnvConfig(pool=POOL, action_set=action_set, x0=2.0, data=MarketTape(series),
                               stats=stats))
         f = env.compute_features(series)
         closes = series.closes
@@ -358,12 +359,68 @@ class TestMarketTape:
         assert t == len(series) - 1
 
 
+class TestNoLookahead:
+    """Nothing derived for hour t reads a candle after t."""
+
+    T = 330
+
+    @staticmethod
+    def perturbed_after(series, t, rng):
+        """`series` with every candle after hour t moved, OHLC kept valid."""
+        later = slice(t + 1, len(series))
+        m = len(series) - t - 1
+        opens, highs, lows, closes = (np.array(c) for c in (
+            series.opens, series.highs, series.lows, series.closes))
+        closes[later] *= np.exp(rng.normal(0.0, 0.03, m))
+        opens[later] *= np.exp(rng.normal(0.0, 0.03, m))
+        highs[later] = np.maximum(opens, closes)[later] * (1.0 + 0.01 * rng.random(m))
+        lows[later] = np.minimum(opens, closes)[later] * (1.0 - 0.01 * rng.random(m))
+        return PriceSeries(series.timestamps, opens, highs, lows, closes)
+
+    @staticmethod
+    def observations(tape, action_set, stats, actions):
+        e = LPEnv(EnvConfig(pool=POOL, action_set=action_set, x0=2.0, data=tape, stats=stats))
+        obs = [e.reset()]
+        for a in actions:
+            obs.append(e.advance(int(a))[0])
+        return np.array(obs)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_later_candles_change_nothing_up_to_t(self, seed):
+        t = self.T
+        series = data.gbm_generate(seed=40 + seed, n_hours=520, p_start=3000.0, vol=0.01)
+        rng = np.random.default_rng(seed)
+        moved = self.perturbed_after(series, t, rng)
+        assert np.array_equal(moved.closes[:t + 1], series.closes[:t + 1])
+        a, b = MarketTape(series), MarketTape(moved)
+        assert a.market[:t + 1].tobytes() == b.market[:t + 1].tobytes()
+        assert np.all(a.market[t + 1:, 0] != b.market[t + 1:, 0])  # the perturbation is real
+        for width in (10, 20, 50, 300):
+            rows_a = a.range_table(width, POOL.tick_spacing, 2.0)[:t + 1]
+            rows_b = b.range_table(width, POOL.tick_spacing, 2.0)[:t + 1]
+            assert rows_a.tobytes() == rows_b.tobytes()
+
+        action_set = (0, 10, 20, 50)
+        stats = env.compute_stats(MarketTape(series.slice(0, t + 1)), action_set, POOL, 2.0)
+        moved_stats = env.compute_stats(MarketTape(moved.slice(0, t + 1)), action_set, POOL, 2.0)
+        assert stats.mean.tobytes() == moved_stats.mean.tobytes()
+        assert stats.std.tobytes() == moved_stats.std.tobytes()
+
+        # observation k is taken at hour MIN_HISTORY - 1 + k
+        actions = np.where(rng.random(len(series) - MIN_HISTORY) < 0.2,
+                           rng.integers(1, len(action_set), len(series) - MIN_HISTORY), 0)
+        obs_a, obs_b = (self.observations(tape, action_set, stats, actions) for tape in (a, b))
+        known = t - (MIN_HISTORY - 1) + 1
+        assert obs_a[:known].tobytes() == obs_b[:known].tobytes()
+        assert not np.array_equal(obs_a[known:], obs_b[known:])
+
+
 class TestPassivePolicy:
     @staticmethod
     def deploy_steps(width, period, n_steps):
         series = data.gbm_generate(seed=5, n_hours=MIN_HISTORY + n_steps,
                                    p_start=3000.0, vol=0.002)
-        config = EnvConfig(pool=POOL, action_set=(0, width), x0=2.0, data=series)
+        config = EnvConfig(pool=POOL, action_set=(0, width), x0=2.0, data=MarketTape(series))
         trace = env.run_passive(config, width=width, period=period)
         return trace.t[trace.action > 0].tolist()
 
@@ -376,7 +433,7 @@ class TestPassivePolicy:
     def test_three_deployments_over_1500_steps(self):
         series = data.gbm_generate(seed=17, n_hours=MIN_HISTORY + 1500,
                                    p_start=3000.0, vol=0.002)
-        e = LPEnv(EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0, data=series))
+        e = LPEnv(EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0, data=MarketTape(series)))
         trace = env.run_passive(e.config, width=50, period=500)
         assert trace.t.size == 1500
         deploy_steps = trace.t[trace.action > 0]
@@ -461,41 +518,33 @@ class TestReplay:
         rng = np.random.default_rng(spacing)
         for series in (data.gbm_generate(seed=spacing, n_hours=400, p_start=3000.0, vol=0.03),
                        tick_series(400, spacing, seed=spacing + 1)):
-            config = EnvConfig(pool=pool, action_set=action_set, x0=2.0, data=series,
+            config = EnvConfig(pool=pool, action_set=action_set, x0=2.0, data=MarketTape(series),
                                gas_mode=gas_mode)
             n = len(series) - MIN_HISTORY
             for name, actions in self.sequences(n, len(action_set), rng).items():
                 got = env.replay(config, actions)
                 assert_same_trace(got, stepped_trace(config, actions))
 
-    def test_tape_or_series(self):
-        series = data.gbm_generate(seed=6, n_hours=300, p_start=3000.0, vol=0.02)
-        actions = np.random.default_rng(6).integers(0, 3, len(series) - MIN_HISTORY)
-        by_series = env.replay(EnvConfig(pool=POOL, action_set=(0, 20, 50), x0=2.0,
-                                         data=series), actions)
-        by_tape = env.replay(EnvConfig(pool=POOL, action_set=(0, 20, 50), x0=2.0,
-                                       data=env.MarketTape(series)), actions)
-        assert_same_trace(by_tape, by_series)
-
     def test_passive_equals_stepping(self):
         series = data.gbm_generate(seed=12, n_hours=MIN_HISTORY + 1000, p_start=3000.0,
                                    vol=0.01)
         for period in (1, 24, 500, 5000):
-            config = EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0, data=series)
+            config = EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0, data=MarketTape(series))
             actions = [1 if step % period == 0 else 0 for step in range(1000)]
             assert_same_trace(env.run_passive(config, 50, period),
                               stepped_trace(config, actions))
 
     def test_rejects_bad_sequences(self):
         config = EnvConfig(pool=POOL, action_set=(0, 20, 50), x0=2.0,
-                           data=flat_series(MIN_HISTORY + 10))
+                           data=MarketTape(flat_series(MIN_HISTORY + 10)))
         for bad in (np.zeros(9, dtype=int), np.zeros(11, dtype=int), np.full(10, 3),
                     np.full(10, -1), np.zeros(10)):
             with pytest.raises(ValueError):
                 env.replay(config, bad)
 
     def test_passive_rejects_bad_period(self):
-        config = EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0, data=flat_series(300))
+        config = EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0,
+                           data=MarketTape(flat_series(300)))
         with pytest.raises(ValueError):
             env.run_passive(config, 50, period=0)
 
@@ -546,7 +595,7 @@ class TestAdvanceRewards:
         rng = np.random.default_rng(spacing + len(gas_mode))
         for series in (data.gbm_generate(seed=spacing, n_hours=400, p_start=3000.0, vol=0.03),
                        tick_series(400, spacing, seed=spacing + 1)):
-            config = EnvConfig(pool=pool, action_set=action_set, x0=2.0, data=series,
+            config = EnvConfig(pool=pool, action_set=action_set, x0=2.0, data=MarketTape(series),
                                gas_mode=gas_mode)
             n = len(series) - MIN_HISTORY
             for density in (0.02, 0.3, 1.0):

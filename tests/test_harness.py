@@ -304,9 +304,11 @@ class TestReport:
             assert float(last["active_cum"]) == float(row["active_reward"])
             assert float(last["passive_cum"]) == float(row["passive_reward"])
 
-    def test_win_count_line(self, tmp_path):
+    def test_win_count_line(self, tmp_path, capsys):
         results = self._results(tmp_path)
+        capsys.readouterr()
         emit_report(results, tmp_path)
+        assert capsys.readouterr().out == ""  # only the CLI prints
         text = (tmp_path / "wins.txt").read_text().strip()
         wins = sum(1 for r in results if r.active_reward > r.passive_reward)
         assert text == f"active wins {wins} of {len(results)}"

@@ -451,12 +451,12 @@ class TestTrain:
         # so the trained greedy policy should hold an active position
         from activelp import data, env
         from activelp.amm import PoolSpec
-        from activelp.env import EnvConfig, LPEnv
+        from activelp.env import EnvConfig, LPEnv, MarketTape
 
         pool = PoolSpec(fee_rate=0.003, tick_spacing=10, gas_cost=5.0)
         series = data.gbm_generate(seed=21, n_hours=1200, p_start=3000.0,
                                    drift=0.0, vol=0.003)
-        config = EnvConfig(pool=pool, action_set=(0, 20, 50), x0=2.0, data=series)
+        config = EnvConfig(pool=pool, action_set=(0, 20, 50), x0=2.0, data=MarketTape(series))
         spec = AgentSpec(action_set=(0, 20, 50), activation="tanh",
                          hidden_layers=(8, 4), learning_rate=3e-3, clip_range=0.2,
                          entropy_coef=1e-3, gamma=0.99, rollout_length=1032,
