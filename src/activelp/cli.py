@@ -90,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="full rolling-window study")
     p.add_argument("--config", required=True, help="JSON experiment config")
 
-    p = sub.add_parser("report", help="regenerate summary/wins from a result directory")
+    p = sub.add_parser("report", help="print each window's totals and rewrite wins.txt "
+                                      "from a result directory")
     p.add_argument("--results", required=True)
     return parser
 
@@ -100,9 +101,6 @@ def _load_spec(path, timesteps) -> ppo.AgentSpec:
     if path:
         with open(path) as fh:
             overrides = json.load(fh)
-        for key in ("action_set", "hidden_layers"):
-            if key in overrides:
-                overrides[key] = tuple(overrides[key])
     if timesteps is not None:
         overrides["total_timesteps"] = timesteps
     try:

@@ -164,16 +164,17 @@ def compute_stats(series: MarketTape, action_set, pool: PoolSpec,
     action set; the liquidity entry uses the liquidity each nonzero width
     would hold at each post-warmup close.
     """
-    tape = series
+    if not isinstance(series, MarketTape):
+        raise TypeError(f"data must be a MarketTape, got {type(series).__name__}")
     start = MIN_HISTORY - 1
-    if len(tape.closes) <= start:
-        raise ValueError(f"series of {len(tape.closes)} rows is shorter than the {MIN_HISTORY}-row warmup")
+    if len(series.closes) <= start:
+        raise ValueError(f"series of {len(series.closes)} rows is shorter than the {MIN_HISTORY}-row warmup")
     if x0 <= 0:
         raise ValueError(f"x0 must be positive, got {x0}")
-    market = tape.market[start:]
+    market = series.market[start:]
     widths = np.array(action_set, dtype=float)
     liqs = np.concatenate([np.zeros(1)] + [
-        tape.range_table(width, pool.tick_spacing, x0)[start:, 2]
+        series.range_table(width, pool.tick_spacing, x0)[start:, 2]
         for width in action_set if width != 0])
 
     mean = np.empty(OBS_SIZE)

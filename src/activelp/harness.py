@@ -40,8 +40,7 @@ class Window:
     test_end: int
 
 
-def make_windows(series_len: int, train_len: int = 7500, test_len: int = 1500,
-                 stride: int = 1500) -> list[Window]:
+def make_windows(series_len: int, train_len: int, test_len: int, stride: int) -> list[Window]:
     """Rolling train/test windows at offsets 0, stride, 2*stride, ..."""
     if train_len <= MIN_HISTORY + 1:
         raise ConfigError(f"train_len must exceed {MIN_HISTORY + 1}, got {train_len}")
@@ -103,9 +102,9 @@ def sample_spec(grid: SearchGrid, rng, **overrides) -> AgentSpec:
         return values[int(rng.integers(len(values)))]
 
     return AgentSpec(
-        action_set=tuple(pick(grid.action_sets)),
+        action_set=pick(grid.action_sets),
         activation=pick(grid.activations),
-        hidden_layers=tuple(pick(grid.hidden_layers)),
+        hidden_layers=pick(grid.hidden_layers),
         learning_rate=pick(grid.learning_rates),
         clip_range=pick(grid.clip_ranges),
         entropy_coef=pick(grid.entropy_coefs),
@@ -166,41 +165,39 @@ def _train_agents(args):
     return outcomes
 
 
-def train_and_select(train_tape: MarketTape, window: Window, grid: SearchGrid,
-                     n_agents: int, seed: int, pool: PoolSpec, x0: float,
-                     gas_mode: str = "per_leg", train_overrides: dict | None = None,
-                     n_jobs: int = 1) -> tuple[AgentOutcome | None, list[AgentOutcome]]:
-    """Train n_agents randomly drawn specs on the window's train slice, given
-    as its tape, and pick the one with the highest greedy cumulative train
-    reward; each outcome carries its frozen observation stats. The agents
-    train as one population, each in its own env; the stats and every env
-    share the tape, and the test slice is never passed in. With n_jobs > 1,
-    each lockstep group trains in a worker process."""
+def train_and_select(train_tape: MarketTape, window: Window, config: ExperimentConfig
+                     ) -> tuple[AgentOutcome | None, list[AgentOutcome]]:
+    """Train config.n_agents randomly drawn specs on the window's train slice,
+    given as its tape, and pick the one with the highest greedy cumulative
+    train reward; each outcome carries its frozen observation stats. The
+    agents train as one population, each in its own env; the stats and every
+    env share the tape, and the test slice is never passed in. With
+    config.n_jobs > 1, each lockstep group trains in a worker process."""
     # spec sampling gets its own stream, disjoint from the per-agent seeds
-    spec_rng = np.random.default_rng(np.random.SeedSequence([seed, window.index, 1 << 20]))
-    overrides = train_overrides or {}
-    specs = [sample_spec(grid, spec_rng, **overrides) for _ in range(n_agents)]
+    spec_rng = np.random.default_rng(np.random.SeedSequence([config.seed, window.index, 1 << 20]))
+    specs = [sample_spec(config.grid, spec_rng, **config.training)
+             for _ in range(config.n_agents)]
 
     stats_cache: dict[tuple, FeatureStats] = {}
     envs = []
     for spec in specs:
         key = spec.action_set
         if key not in stats_cache:
-            stats_cache[key] = compute_stats(train_tape, spec.action_set, pool, x0)
-        envs.append(LPEnv(EnvConfig(pool=pool, action_set=spec.action_set, x0=x0,
+            stats_cache[key] = compute_stats(train_tape, spec.action_set, config.pool, config.x0)
+        envs.append(LPEnv(EnvConfig(pool=config.pool, action_set=spec.action_set, x0=config.x0,
                                     data=train_tape, stats=stats_cache[key],
-                                    gas_mode=gas_mode)))
-    seeds = [int(_agent_seed(seed, window.index, k).generate_state(1)[0])
-             for k in range(n_agents)]
+                                    gas_mode=config.gas_mode)))
+    seeds = [int(_agent_seed(config.seed, window.index, k).generate_state(1)[0])
+             for k in range(config.n_agents)]
 
-    if n_jobs > 1:
+    if config.n_jobs > 1:
         # whole lockstep groups to the workers
         tasks = [(group, [specs[k] for k in group], [envs[k] for k in group],
                   [seeds[k] for k in group]) for group in lockstep_groups(envs, specs)]
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool_executor:
+        with ProcessPoolExecutor(max_workers=config.n_jobs) as pool_executor:
             outcomes = [o for part in pool_executor.map(_train_agents, tasks) for o in part]
     else:
-        outcomes = _train_agents((range(n_agents), specs, envs, seeds))
+        outcomes = _train_agents((range(config.n_agents), specs, envs, seeds))
     outcomes.sort(key=lambda o: o.index)
 
     trained = [o for o in outcomes if o.result is not None]
@@ -221,35 +218,28 @@ def _test_slice(series: PriceSeries, window: Window) -> PriceSeries:
     return series.slice(start, window.test_end)
 
 
-def _active_trace(test_tape: MarketTape, outcome: AgentOutcome, pool: PoolSpec,
-                  x0: float, gas_mode: str) -> EpisodeTrace:
-    env = LPEnv(EnvConfig(pool=pool, action_set=outcome.spec.action_set, x0=x0,
-                          data=test_tape, stats=outcome.stats, gas_mode=gas_mode))
+def _active_trace(test_tape: MarketTape, outcome: AgentOutcome,
+                  config: ExperimentConfig) -> EpisodeTrace:
+    env = LPEnv(EnvConfig(pool=config.pool, action_set=outcome.spec.action_set, x0=config.x0,
+                          data=test_tape, stats=outcome.stats, gas_mode=config.gas_mode))
     return run_policy(env, greedy_action_fn(outcome.result.actor))
 
 
-def evaluate_on_test(test_tape: MarketTape, selected: AgentOutcome, pool: PoolSpec,
-                     x0: float, gas_mode: str = "per_leg", passive_width: int = 50,
-                     passive_period: int = 500) -> tuple[EpisodeTrace, EpisodeTrace]:
+def evaluate_on_test(test_tape: MarketTape, selected: AgentOutcome,
+                     config: ExperimentConfig) -> tuple[EpisodeTrace, EpisodeTrace]:
     """Greedy rollout of the selected agent, normalized with the frozen
     training stats, plus the passive baseline on the test slice's tape."""
-    active = _active_trace(test_tape, selected, pool, x0, gas_mode)
-    passive = run_passive(EnvConfig(pool=pool, action_set=(0, passive_width), x0=x0,
-                                    data=test_tape, gas_mode=gas_mode),
-                          passive_width, passive_period)
+    active = _active_trace(test_tape, selected, config)
+    passive = run_passive(EnvConfig(pool=config.pool, action_set=(0, config.passive_width),
+                                    x0=config.x0, data=test_tape, gas_mode=config.gas_mode),
+                          config.passive_width, config.passive_period)
     return active, passive
 
 
-def run_window(series: PriceSeries, window: Window, grid: SearchGrid,
-               n_agents: int, seed: int, pool: PoolSpec, x0: float,
-               gas_mode: str = "per_leg", selection: str = SELECT_TRAIN,
-               passive_width: int = 50, passive_period: int = 500,
-               train_overrides: dict | None = None, n_jobs: int = 1) -> WindowResult:
+def run_window(series: PriceSeries, window: Window, config: ExperimentConfig) -> WindowResult:
     # one tape per slice, shared by every env and stats computation over it
     train_tape = MarketTape(series.slice(window.train_start, window.train_end))
-    selected, outcomes = train_and_select(
-        train_tape, window, grid, n_agents, seed, pool, x0, gas_mode,
-        train_overrides, n_jobs)
+    selected, outcomes = train_and_select(train_tape, window, config)
     test_end_ts = int(series.timestamps[window.test_end - 1])
     if selected is None:
         return WindowResult(window=window, test_end_ts=test_end_ts, agents=outcomes,
@@ -257,17 +247,14 @@ def run_window(series: PriceSeries, window: Window, grid: SearchGrid,
                             failed=True)
 
     test_tape = MarketTape(_test_slice(series, window))
-    if selection == SELECT_TEST_LEAKY:
+    if config.selection == SELECT_TEST_LEAKY:
         # replication mode: rescore every trained agent on the test slice and
         # pick the best; leaks test data into selection by construction
         selected = max(
             (o for o in outcomes if o.result is not None),
-            key=lambda o: _active_trace(test_tape, o, pool, x0, gas_mode).total_reward)
-    elif selection != SELECT_TRAIN:
-        raise ConfigError(f"unknown selection mode {selection!r}")
+            key=lambda o: _active_trace(test_tape, o, config).total_reward)
 
-    active, passive = evaluate_on_test(test_tape, selected, pool, x0, gas_mode,
-                                       passive_width, passive_period)
+    active, passive = evaluate_on_test(test_tape, selected, config)
     return WindowResult(window=window, test_end_ts=test_end_ts, agents=outcomes,
                         selected=selected, active_trace=active, passive_trace=passive,
                         failed=False)
@@ -277,8 +264,10 @@ def run_window(series: PriceSeries, window: Window, grid: SearchGrid,
 # experiment configuration and reporting
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """Every setting of the rolling-window study; checked when built."""
+
     data: str
     output_dir: str
     pool: PoolSpec = field(default_factory=lambda: PoolSpec(0.0005, 10, 5.0))
@@ -291,10 +280,49 @@ class ExperimentConfig:
     passive_width: int = 50
     passive_period: int = 500
     selection: str = SELECT_TRAIN
-    gas_mode: str = "per_leg"
+    gas_mode: str = GAS_PER_LEG
     n_jobs: int = 1
     grid: SearchGrid = field(default_factory=SearchGrid.default)
     training: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for key in ("train_len", "test_len", "stride", "n_agents", "seed", "passive_width",
+                    "passive_period", "n_jobs"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        x0 = self.x0
+        if isinstance(x0, bool) or not isinstance(x0, (int, float)) or not 0 < x0 < math.inf:
+            raise ConfigError(f"x0 must be a positive finite number, got {x0!r}")
+        if self.n_agents < 1:
+            raise ConfigError("n_agents must be >= 1")
+        if self.n_jobs < 1:
+            raise ConfigError(f"n_jobs must be >= 1, got {self.n_jobs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.selection not in (SELECT_TRAIN, SELECT_TEST_LEAKY):
+            raise ConfigError(f"unknown selection mode {self.selection!r}")
+        if self.gas_mode not in (GAS_PER_LEG, GAS_FLAT):
+            raise ConfigError(f"unknown gas_mode {self.gas_mode!r}")
+        spacing = self.pool.tick_spacing
+        if self.passive_width <= 0 or self.passive_width % spacing != 0:
+            raise ConfigError(f"passive_width must be a positive multiple of tick spacing "
+                              f"{spacing}, got {self.passive_width}")
+        if self.passive_period < 1:
+            raise ConfigError(f"passive_period must be >= 1, got {self.passive_period}")
+        if not isinstance(self.training, dict):
+            raise ConfigError("training must be a JSON object")
+        searched = {"action_set", "activation", "hidden_layers", "learning_rate",
+                    "clip_range", "entropy_coef", "gamma"}
+        allowed = set(AgentSpec.__dataclass_fields__) - searched
+        bad = set(self.training) - allowed
+        if bad:
+            raise ConfigError(
+                f"training overrides {sorted(bad)} are not overridable; allowed: {sorted(allowed)}")
+        try:
+            AgentSpec(**self.training)
+        except ValueError as exc:
+            raise ConfigError(f"invalid training override: {exc}") from None
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -338,45 +366,7 @@ class ExperimentConfig:
                 )
             except (KeyError, TypeError) as exc:
                 raise ConfigError(f"invalid grid override: {exc}") from None
-        config = cls(**kwargs)
-        for key in ("train_len", "test_len", "stride", "n_agents", "seed", "passive_width",
-                    "passive_period", "n_jobs"):
-            value = getattr(config, key)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-        x0 = config.x0
-        if isinstance(x0, bool) or not isinstance(x0, (int, float)) or not 0 < x0 < math.inf:
-            raise ConfigError(f"x0 must be a positive finite number, got {x0!r}")
-        if config.n_agents < 1:
-            raise ConfigError("n_agents must be >= 1")
-        if config.n_jobs < 1:
-            raise ConfigError(f"n_jobs must be >= 1, got {config.n_jobs}")
-        if config.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {config.seed}")
-        if config.selection not in (SELECT_TRAIN, SELECT_TEST_LEAKY):
-            raise ConfigError(f"unknown selection mode {config.selection!r}")
-        if config.gas_mode not in (GAS_PER_LEG, GAS_FLAT):
-            raise ConfigError(f"unknown gas_mode {config.gas_mode!r}")
-        spacing = config.pool.tick_spacing
-        if config.passive_width <= 0 or config.passive_width % spacing != 0:
-            raise ConfigError(f"passive_width must be a positive multiple of tick spacing "
-                              f"{spacing}, got {config.passive_width}")
-        if config.passive_period < 1:
-            raise ConfigError(f"passive_period must be >= 1, got {config.passive_period}")
-        if not isinstance(config.training, dict):
-            raise ConfigError("training must be a JSON object")
-        searched = {"action_set", "activation", "hidden_layers", "learning_rate",
-                    "clip_range", "entropy_coef", "gamma"}
-        allowed = set(AgentSpec.__dataclass_fields__) - searched
-        bad = set(config.training) - allowed
-        if bad:
-            raise ConfigError(
-                f"training overrides {sorted(bad)} are not overridable; allowed: {sorted(allowed)}")
-        try:
-            AgentSpec(**config.training)
-        except ValueError as exc:
-            raise ConfigError(f"invalid training override: {exc}") from None
-        return config
+        return cls(**kwargs)
 
 
 def run_experiment(config: ExperimentConfig) -> list[WindowResult]:
@@ -388,10 +378,7 @@ def run_experiment(config: ExperimentConfig) -> list[WindowResult]:
     for window in windows:
         log.info("window %d: train [%d, %d) test [%d, %d)", window.index,
                  window.train_start, window.train_end, window.test_start, window.test_end)
-        results.append(run_window(
-            series, window, config.grid, config.n_agents, config.seed, config.pool,
-            config.x0, config.gas_mode, config.selection, config.passive_width,
-            config.passive_period, config.training or None, config.n_jobs))
+        results.append(run_window(series, window, config))
     emit_report(results, config.output_dir)
     return results
 

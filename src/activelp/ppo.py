@@ -417,6 +417,14 @@ class AgentSpec:
     improvement_threshold: float = 0.01
 
     def __post_init__(self):
+        for name in ("action_set", "hidden_layers"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or not all(
+                    isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in value):
+                raise ValueError(f"{name} must be a list of integers, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
+        if min(self.hidden_layers, default=1) < 1:
+            raise ValueError(f"hidden_layers sizes must be >= 1, got {self.hidden_layers}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         for name in ("learning_rate", "clip_range", "entropy_coef", "value_coef", "gamma",
@@ -754,6 +762,12 @@ def load_checkpoint(path) -> TrainResult:
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {meta.get('version')}")
     _check_keys("metadata", meta, _META_KEYS)
+    for key, least in (("actor_layers", 1), ("critic_layers", 1), ("timesteps", 0)):
+        value = meta[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ValueError(f"checkpoint {key} must be an integer >= {least}, got {value!r}")
+    if not isinstance(meta["stopped_early"], bool):
+        raise ValueError(f"checkpoint stopped_early must be a bool, got {meta['stopped_early']!r}")
     _check_keys("arrays", blob.files, {"meta"} | {
         f"{name}_{part}{i}" for name in ("actor", "critic") for part in "wb"
         for i in range(meta[f"{name}_layers"])})
@@ -762,8 +776,6 @@ def load_checkpoint(path) -> TrainResult:
     # one for a reserved field that was never read and is gone
     spec_dict = {k: v for k, v in meta["spec"].items() if k in fields or v is not None}
     _check_keys("agent spec", spec_dict, fields)
-    spec_dict["action_set"] = tuple(spec_dict["action_set"])
-    spec_dict["hidden_layers"] = tuple(spec_dict["hidden_layers"])
     spec = AgentSpec(**spec_dict)
     activation = meta["activation"]
     actor, critic = (

@@ -139,13 +139,16 @@ class TestTrainEvaluate:
 
         monkeypatch.setattr(ppo, "train_population", no_training)
         spec_file = tmp_path / "spec.json"
-        spec_file.write_text(json.dumps({"clip_range": 7.0}))
-        assert run(["train", "--candles", str(candle_file),
-                    "--out", str(tmp_path / "a.npz"), "--spec", str(spec_file)]) == 1
+        bad_specs = ({"clip_range": 7.0}, {"hidden_layers": [8.5]}, {"hidden_layers": 8},
+                     {"action_set": [0, "10", 20]})
+        for bad in bad_specs:
+            spec_file.write_text(json.dumps(bad))
+            assert run(["train", "--candles", str(candle_file),
+                        "--out", str(tmp_path / "a.npz"), "--spec", str(spec_file)]) == 1
         # zero timesteps is a bad spec too, not a request for the default
         assert run(["train", "--candles", str(candle_file),
                     "--out", str(tmp_path / "a.npz"), "--timesteps", "0"]) == 1
-        assert capsys.readouterr().err.count("config error") == 2
+        assert capsys.readouterr().err.count("config error") == len(bad_specs) + 1
 
     def test_gae_lambda_spec_key_exits_1(self, tmp_path, candle_file, capsys):
         spec_file = tmp_path / "spec.json"
@@ -154,8 +157,13 @@ class TestTrainEvaluate:
                     "--out", str(tmp_path / "a.npz"), "--spec", str(spec_file)]) == 1
         assert "gae_lambda" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["spec.bogus", "timesteps", "actor_w1", "meta"])
-    def test_malformed_checkpoint_exits_1(self, tmp_path, candle_file, capsys, key):
+    @pytest.mark.parametrize("key,value", [
+        ("spec.bogus", 1), ("timesteps", None), ("actor_w1", None), ("meta", None),
+        ("actor_layers", "2"), ("critic_layers", 2.0), ("timesteps", "5"),
+        ("stopped_early", "no"), ("spec.hidden_layers", 8),
+    ], ids=["spec.bogus", "timesteps", "actor_w1", "meta", "actor_layers=2",
+            "critic_layers=2.0", "timesteps=5", "stopped_early=no", "spec.hidden_layers=8"])
+    def test_malformed_checkpoint_exits_1(self, tmp_path, candle_file, capsys, key, value):
         spec = ppo.AgentSpec(action_set=(0, 20, 50), hidden_layers=(4,))
         rng = np.random.default_rng(0)
         result = ppo.TrainResult(spec, ppo.Mlp.build([13, 4, 3], "tanh", rng),
@@ -164,10 +172,12 @@ class TestTrainEvaluate:
         ppo.save_checkpoint(ckpt, result)
         blob = dict(np.load(ckpt, allow_pickle=False))
         meta = json.loads(str(blob["meta"]))
-        if key == "spec.bogus":
-            meta["spec"]["bogus"] = 1  # a key the spec does not have
-        elif key in meta:
-            del meta[key]
+        if value is None:
+            meta.pop(key, None)  # a key the metadata lacks
+        elif key.startswith("spec."):
+            meta["spec"][key[len("spec."):]] = value  # a bad or unknown spec entry
+        else:
+            meta[key] = value  # a metadata entry of the wrong type
         blob["meta"] = json.dumps(meta)
         blob.pop(key, None)  # an array the file lacks
         np.savez(ckpt, **blob)

@@ -102,6 +102,8 @@ class TestConfig:
     def test_data_must_be_a_tape(self):
         with pytest.raises(TypeError, match="data must be a MarketTape, got PriceSeries"):
             EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0, data=flat_series(300))
+        with pytest.raises(TypeError, match="data must be a MarketTape, got PriceSeries"):
+            env.compute_stats(flat_series(300), (0, 50), POOL, 2.0)
 
     def test_minimum_length_boundary(self):
         with pytest.raises(ValueError):

@@ -27,6 +27,13 @@ TINY_GRID = SearchGrid(
 TINY_TRAINING = {"rollout_length": 300, "total_timesteps": 900, "patience": 50}
 
 
+def tiny_config(**overrides):
+    # run_window reads neither data nor output_dir
+    settings = dict(data="", output_dir="", grid=TINY_GRID, pool=POOL, x0=2.0,
+                    training=TINY_TRAINING)
+    return ExperimentConfig(**{**settings, **overrides})
+
+
 def tiny_series(n_hours=800, seed=2):
     return data.gbm_generate(seed=seed, n_hours=n_hours, p_start=3000.0,
                              drift=0.0, vol=0.004)
@@ -115,24 +122,19 @@ class TestRunWindow:
         self.windows = make_windows(len(self.series), 400, 200, 200)
 
     def test_single_agent_is_selected(self):
-        result = run_window(self.series, self.windows[0], TINY_GRID, n_agents=1,
-                            seed=0, pool=POOL, x0=2.0,
-                            train_overrides=TINY_TRAINING)
+        result = run_window(self.series, self.windows[0], tiny_config(n_agents=1, seed=0))
         assert not result.failed
         assert result.selected.index == 0
         assert len(result.agents) == 1
 
     def test_trace_lengths_match_test_len(self):
-        result = run_window(self.series, self.windows[0], TINY_GRID, n_agents=1,
-                            seed=0, pool=POOL, x0=2.0,
-                            train_overrides=TINY_TRAINING)
+        result = run_window(self.series, self.windows[0], tiny_config(n_agents=1, seed=0))
         assert result.active_trace.t.size == 200
         assert result.passive_trace.t.size == 200
 
     def test_passive_deployment_structure(self):
-        result = run_window(self.series, self.windows[0], TINY_GRID, n_agents=1,
-                            seed=0, pool=POOL, x0=2.0, passive_period=80,
-                            train_overrides=TINY_TRAINING)
+        result = run_window(self.series, self.windows[0],
+                            tiny_config(n_agents=1, seed=0, passive_period=80))
         deploys = result.passive_trace.t[result.passive_trace.action > 0]
         assert list(deploys) == [0, 80, 160]
         assert float(result.passive_trace.gas.sum()) == POOL.gas_cost * (1 + 2 + 2)
@@ -140,9 +142,7 @@ class TestRunWindow:
     def test_determinism(self):
         runs = []
         for _ in range(2):
-            result = run_window(self.series, self.windows[0], TINY_GRID,
-                                n_agents=2, seed=7, pool=POOL, x0=2.0,
-                                train_overrides=TINY_TRAINING)
+            result = run_window(self.series, self.windows[0], tiny_config(n_agents=2, seed=7))
             runs.append(result)
         a, b = runs
         assert a.selected.index == b.selected.index
@@ -162,8 +162,7 @@ class TestRunWindow:
             return out
 
         monkeypatch.setattr(harness, "train_and_select", tracking_select)
-        result = run_window(tracked, window, TINY_GRID, n_agents=2, seed=1, pool=POOL,
-                            x0=2.0, train_overrides=TINY_TRAINING)
+        result = run_window(tracked, window, tiny_config(n_agents=2, seed=1))
         assert not result.failed
         assert seen, "expected data access through slice()"
         for start, stop in seen:
@@ -173,10 +172,9 @@ class TestRunWindow:
         # one lockstep group, then several: workers train whole groups
         mixed = replace(TINY_GRID, activations=("tanh", "relu"), hidden_layers=((4,), (6, 2)))
         for grid, n_agents in ((TINY_GRID, 2), (mixed, 5)):
-            kwargs = dict(grid=grid, n_agents=n_agents, seed=7, pool=POOL, x0=2.0,
-                          train_overrides=TINY_TRAINING)
-            seq = run_window(self.series, self.windows[0], n_jobs=1, **kwargs)
-            par = run_window(self.series, self.windows[0], n_jobs=2, **kwargs)
+            kwargs = dict(grid=grid, n_agents=n_agents, seed=7)
+            seq = run_window(self.series, self.windows[0], tiny_config(n_jobs=1, **kwargs))
+            par = run_window(self.series, self.windows[0], tiny_config(n_jobs=2, **kwargs))
             assert seq.selected.index == par.selected.index
             np.testing.assert_array_equal(seq.active_trace.reward,
                                           par.active_trace.reward)
@@ -186,9 +184,7 @@ class TestRunWindow:
         assert len({(o.spec.activation, o.spec.hidden_layers) for o in seq.agents}) > 1
 
     def test_agent_seeds_differ(self):
-        result = run_window(self.series, self.windows[0], TINY_GRID, n_agents=2,
-                            seed=3, pool=POOL, x0=2.0,
-                            train_overrides=TINY_TRAINING)
+        result = run_window(self.series, self.windows[0], tiny_config(n_agents=2, seed=3))
         a, b = result.agents
         fa = flat(a.result.actor)
         fb = flat(b.result.actor)
@@ -196,9 +192,8 @@ class TestRunWindow:
         assert not np.array_equal(fa, fb)
 
     def test_leaky_selection_mode_runs(self):
-        result = run_window(self.series, self.windows[0], TINY_GRID, n_agents=2,
-                            seed=3, pool=POOL, x0=2.0, selection="test_leaky",
-                            train_overrides=TINY_TRAINING)
+        result = run_window(self.series, self.windows[0],
+                            tiny_config(n_agents=2, seed=3, selection="test_leaky"))
         assert not result.failed
         best_on_test = max(
             (o for o in result.agents if o.result is not None),
@@ -222,9 +217,9 @@ class TestRunWindow:
                           activations=("tanh",), hidden_layers=((4,),),
                           learning_rates=(1e-3,), clip_ranges=(0.2,),
                           entropy_coefs=(1e-3,), gammas=(0.99,))
-        result = run_window(self.series, self.windows[0], grid, n_agents=4, seed=5,
-                            pool=POOL, x0=2.0, selection=selection,
-                            train_overrides={**TINY_TRAINING, "total_timesteps": 300})
+        config = tiny_config(grid=grid, n_agents=4, seed=5, selection=selection,
+                             training={**TINY_TRAINING, "total_timesteps": 300})
+        result = run_window(self.series, self.windows[0], config)
         assert not result.failed
         distinct = {o.spec.action_set for o in result.agents}
         assert len(distinct) == 2
@@ -250,9 +245,9 @@ class TestRunWindow:
         monkeypatch.setattr(env, "compute_features", counting_features)
         monkeypatch.setattr(env.LPEnv, "__init__", counting_init)
         window = self.windows[0]
-        result = run_window(self.series, window, TINY_GRID, n_agents=3, seed=5,
-                            pool=POOL, x0=2.0, selection=selection,
-                            train_overrides={**TINY_TRAINING, "total_timesteps": 300})
+        config = tiny_config(n_agents=3, seed=5, selection=selection,
+                             training={**TINY_TRAINING, "total_timesteps": 300})
+        result = run_window(self.series, window, config)
         assert not result.failed
         train_len = window.train_end - window.train_start
         test_len = window.test_end - window.test_start + MIN_HISTORY
@@ -271,7 +266,7 @@ def _test_reward(series, window, outcome):
     assert outcome.stats.mean.tobytes() == stats.mean.tobytes()
     assert outcome.stats.std.tobytes() == stats.std.tobytes()
     test_tape = MarketTape(harness._test_slice(series, window))
-    active, _ = harness.evaluate_on_test(test_tape, outcome, POOL, 2.0)
+    active, _ = harness.evaluate_on_test(test_tape, outcome, tiny_config())
     return active.total_reward
 
 
@@ -279,8 +274,7 @@ class TestReport:
     def _results(self, tmp_path, n_agents=1):
         series = tiny_series()
         windows = make_windows(len(series), 400, 200, 200)
-        return [run_window(series, w, TINY_GRID, n_agents=n_agents, seed=0,
-                           pool=POOL, x0=2.0, train_overrides=TINY_TRAINING)
+        return [run_window(series, w, tiny_config(n_agents=n_agents, seed=0))
                 for w in windows[:2]]
 
     def test_empty_results_rejected(self, tmp_path):
@@ -381,11 +375,17 @@ class TestExperimentConfig:
         ("passive_width", {"passive_width": 20,
                            "pool": {"fee_rate": 0.003, "tick_spacing": 60, "gas_cost": 5.0}}),
         ("passive_period", {"passive_period": 0}), ("passive_period", {"passive_period": -3}),
-        ("gas_mode", {"gas_mode": "per_tx"}),
+        ("gas_mode", {"gas_mode": "per_tx"}), ("n_agents", {"n_agents": 0}),
+        ("selection", {"selection": "test"}),
     ])
     def test_bad_passive_baseline_or_gas_mode(self, key, bad):
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict({"data": "x", "output_dir": "y", **bad})
+        # a config built in code is checked too
+        if "pool" in bad:
+            bad = {**bad, "pool": PoolSpec(**bad["pool"])}
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(data="x", output_dir="y", **bad)
 
     def test_x0_key_switches_sizing(self):
         config = ExperimentConfig.from_dict({"data": "x", "output_dir": "y", "x0": 10.0})

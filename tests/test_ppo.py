@@ -485,6 +485,8 @@ class TestAgentSpec:
         ("rollout_length", "100"), ("total_timesteps", 100.0), ("epochs", 0),
         ("minibatch_size", True), ("patience", -1), ("total_timesteps", None),
         ("learning_rate", "1e-3"), ("improvement_threshold", None), ("gamma", True),
+        ("hidden_layers", [8.5]), ("hidden_layers", 8), ("hidden_layers", (4, 0)),
+        ("hidden_layers", ["8"]), ("action_set", [0, "10", 20]), ("action_set", (0, True)),
     ])
     def test_rejects_bad_types_and_counts_naming_the_key(self, key, bad):
         with pytest.raises(ValueError, match=key):
@@ -492,6 +494,7 @@ class TestAgentSpec:
 
     def test_accepts_numpy_integers(self):
         assert AgentSpec(total_timesteps=np.int64(5)).total_timesteps == 5
+        assert AgentSpec(hidden_layers=[np.int64(4)]).hidden_layers == (4,)
 
 
 class TestPersistence:
