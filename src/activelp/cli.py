@@ -101,6 +101,8 @@ def _load_spec(path, timesteps) -> ppo.AgentSpec:
     if path:
         with open(path) as fh:
             overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise harness.ConfigError(f"agent spec {path} must be a JSON object")
     if timesteps is not None:
         overrides["total_timesteps"] = timesteps
     try:

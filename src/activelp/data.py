@@ -4,18 +4,16 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from datetime import datetime, timezone
-from operator import itemgetter
+from functools import partial
 
 import numpy as np
 
 HOUR = 3600
-# Data rows parsed per block. Cell strings cost many times the arrays parsed
-# from them, so a loader holds one block of them at a time. Larger blocks
-# parse no faster and leave a higher peak RSS for the rest of the process:
-# in the `window` benchmark (2-core Xeon) the peak was 0.45 MiB above a
-# row-by-row loader with 4096-row blocks, 0.16 MiB above with 256 and
-# 0.5 MiB below with 128.
+# Data rows per block of the csv reader, which reads only the files that
+# numpy's C reader does not take (see _read_columns). Cell strings cost many
+# times the arrays parsed from them, so it holds one block of them at a time.
 _BLOCK_ROWS = 128
 _CSV_BLOCK = 512  # rows per write in PriceSeries.to_csv
 _PRICES = ("open", "high", "low", "close")
@@ -153,36 +151,76 @@ def _parse_float(raw, row: int, col: str) -> float:
     return value
 
 
-def _read_blocks(path, required, optional):
+def _columns(path, header, required):
+    """Index of each required column, and of the volume column if the header
+    has one. As with csv.DictReader, names are matched after strip().lower(),
+    and a name given twice reads the column that DictReader's re-keyed dict
+    would."""
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    last = {name: j for j, name in enumerate(header)}
+    index = {name.strip().lower(): j for name, j in last.items()}
+    for col in required:
+        if col not in index:
+            raise DataError(f"{path}: missing column {col!r}")
+    return {col: index[col] for col in (*required, "volume") if col in index}
+
+
+def _plain(path) -> bool:
+    r"""Whether numpy's C reader parses every cell of the file as csv, int()
+    and float() do. The file must be ASCII without \x1c-\x1f: numpy reads
+    some other characters as digits, and strips these as spaces. It must
+    hold no quote and no field longer than csv.field_size_limit(), which
+    numpy does not enforce. Without quotes every field ends at a comma or a
+    line end, so a field that long spans a whole chunk of at most half the
+    limit that holds neither."""
+    # capped, so that a raised limit does not read the whole file at once
+    size = max(1, min(csv.field_size_limit(), 1 << 17) // 2)
+    with open(path, "rb") as fh:
+        for chunk in iter(partial(fh.read, size), b""):
+            if (not chunk.isascii() or any(b in chunk for b in b'"\x1c\x1d\x1e\x1f')
+                    or len(chunk) == size and not any(b in chunk for b in b",\r\n")):
+                return False
+    return True
+
+
+def _read_columns(path, required):
+    """The columns of `_columns`, each whole, parsed by numpy's C reader:
+    timestamps as int64, the rest as float. None unless the file is plain and
+    the reader takes every row without a warning; `_parse_rows` then reads
+    the file and reports its first bad row."""
+    if not _plain(path):
+        return None
+    with open(path, newline="") as fh:
+        cols = _columns(path, next(csv.reader(fh), None), required)
+        dtype = [(col, np.int64 if col == "timestamp" else float) for col in cols]
+        try:
+            with warnings.catch_warnings():
+                # numpy warns on a body with no rows; older numpy warns on a float in an int column
+                warnings.simplefilter("error")
+                table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                                   usecols=list(cols.values()), ndmin=1)
+        except (ValueError, Warning):
+            return None
+    # each column contiguous and on its own, as the csv reader's are
+    return [table[col].copy() for col in cols]
+
+
+def _read_blocks(path, required):
     """Yield (row, cells) for consecutive blocks of the CSV's data rows.
 
     `row` numbers the block's first row (the header is row 1). `cells` maps
-    each required column, and each optional one the header has, to the
-    block's cells: strings, or None where a row is too short. As with
-    csv.DictReader, blank lines are skipped without a number, and header
-    names are matched after strip().lower(); a name given twice reads the
-    column that DictReader's re-keyed dict would.
+    each column of `_columns` to the block's cells: strings, or None where a
+    row is too short. As with csv.DictReader, blank lines are skipped without
+    a number.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        last = {name: j for j, name in enumerate(header)}
-        index = {name.strip().lower(): j for name, j in last.items()}
-        for col in required:
-            if col not in index:
-                raise DataError(f"{path}: missing column {col!r}")
-        wanted = {col: index[col] for col in (*required, *optional) if col in index}
-        width = max(wanted.values()) + 1
+        wanted = _columns(path, next(reader, None), required)
         row = 2
         for block in _blocks(reader):
-            if min(map(len, block)) >= width:
-                cells = {col: list(map(itemgetter(j), block)) for col, j in wanted.items()}
-            else:
-                cells = {col: [r[j] if j < len(r) else None for r in block]
-                         for col, j in wanted.items()}
-            yield row, cells
+            yield row, {col: [r[j] if j < len(r) else None for r in block]
+                        for col, j in wanted.items()}
             row += len(block)
 
 
@@ -214,33 +252,21 @@ def _int64(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _epoch_seconds(cells, row):
-    """A block's timestamps, or None if a cell does not parse."""
-    try:
-        return _int64([int(v) for v in cells])
-    except (TypeError, ValueError):
-        pass
-    try:  # ISO-8601 cells
-        return _int64([_parse_timestamp(v, row + k) for k, v in enumerate(cells)])
-    except DataError:
-        return None
-
-
-def _finite(cells):
-    """A block's cells as floats, or None unless every one parses to a finite float."""
-    try:
-        values = np.array(cells, dtype=float)  # str cells parse with float(); None gives nan
-    except ValueError:
-        return None
-    return values if np.isfinite(values).all() else None
-
-
-def _by_rows(parse_row, row, cells):
-    """Parse a block row by row, each row's checks in order: this raises
-    the error of the block's first bad row."""
-    rows = [parse_row(values, row + k) for k, values in enumerate(zip(*cells.values()))]
-    ts, *rest = zip(*rows)
-    return (_int64(ts), *(np.array(col, dtype=float) for col in rest))
+def _parse_rows(path, required, parse_row):
+    """The file's columns, read by the csv reader and parsed row by row,
+    each row's checks in order, so the first bad row raises its error; and
+    whether any volume cell is non-empty."""
+    blocks, has_volume = [], False
+    for row, cells in _read_blocks(path, required):
+        rows = [parse_row(values, row + k) for k, values in enumerate(zip(*cells.values()))]
+        ts, *rest = zip(*rows)
+        blocks.append((_int64(ts), *(np.array(col, dtype=float) for col in rest)))
+        has_volume = has_volume or any(cells.get("volume", ()))
+    if not blocks:
+        raise DataError(f"{path}: no data rows")
+    cols = [np.concatenate(col) for col in zip(*blocks)]
+    cols[0] = cols[0].astype(np.int64, copy=False)
+    return cols, has_volume
 
 
 def _candle_row(cells, row):
@@ -256,20 +282,11 @@ def _candle_row(cells, row):
     return ts, o, h, lo, c, vol
 
 
-def _candle_block(row, cells):
-    """(timestamps, opens, highs, lows, closes, volumes) of one block; an
-    empty or absent volume cell reads 0.0."""
-    ts = _epoch_seconds(cells["timestamp"], row)
-    o, h, lo, c = prices = [_finite(cells[col]) for col in _PRICES]
-    if "volume" in cells:
-        vols = _finite([v or "0" for v in cells["volume"]])
-    else:
-        vols = np.zeros(len(cells["timestamp"]))
-    if (ts is None or vols is None or any(p is None for p in prices)
-            or any((p <= 0).any() for p in prices)
-            or ((lo > np.minimum(o, c)) | (np.maximum(o, c) > h)).any()):
-        return _by_rows(_candle_row, row, cells)
-    return ts, o, h, lo, c, vols
+def _clean_candles(o, h, lo, c, *volume) -> bool:
+    """Whether every row passes `_candle_row`'s checks."""
+    return (all(np.isfinite(col).all() for col in (o, h, lo, c, *volume))
+            and (lo > 0).all() and (lo <= np.minimum(o, c)).all()
+            and (np.maximum(o, c) <= h).all())
 
 
 def load_candles(path, fill_gaps: bool = False) -> PriceSeries:
@@ -279,15 +296,14 @@ def load_candles(path, fill_gaps: bool = False) -> PriceSeries:
     fill_gaps is set, in which case missing hours are forward-filled with
     flat candles at the previous close.
     """
-    blocks, has_volume = [], False
-    for row, cells in _read_blocks(path, ("timestamp", *_PRICES), ("volume",)):
-        blocks.append(_candle_block(row, cells))
-        has_volume = has_volume or any(cells.get("volume", ()))
-    if not blocks:
-        raise DataError(f"{path}: no data rows")
-    ts, opens, highs, lows, closes, volumes = (np.concatenate(col) for col in zip(*blocks))
-    del blocks
-    ts = ts.astype(np.int64, copy=False)
+    required = ("timestamp", *_PRICES)
+    cols = _read_columns(path, required)
+    if cols is None or not _clean_candles(*cols[1:]):
+        cols, has_volume = _parse_rows(path, required, _candle_row)
+        if not has_volume:
+            del cols[5:]
+    ts, opens, highs, lows, closes, *volumes = cols
+    del cols
 
     if fill_gaps:
         steps = np.diff(ts)
@@ -302,9 +318,9 @@ def load_candles(path, fill_gaps: bool = False) -> PriceSeries:
         ts = ts[src] + HOUR * offset
         closes = closes[src]
         opens, highs, lows = (np.where(given, col[src], closes) for col in (opens, highs, lows))
-        volumes = np.where(given, volumes[src], 0.0)
+        volumes = [np.where(given, v[src], 0.0) for v in volumes]
 
-    return PriceSeries(ts, opens, highs, lows, closes, volumes if has_volume else None)
+    return PriceSeries(ts, opens, highs, lows, closes, volumes[0] if volumes else None)
 
 
 def resample_hourly(timestamps, prices, volumes=None) -> PriceSeries:
@@ -369,20 +385,13 @@ def _trade_row(cells, row):
 
 def load_trades(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Load a raw trade CSV (timestamp,price[,volume]) as arrays."""
-    blocks = []
-    for row, cells in _read_blocks(path, ("timestamp", "price"), ("volume",)):
-        ts = _epoch_seconds(cells["timestamp"], row)
-        prices = _finite(cells["price"])
-        cols = [ts, prices]
-        if "volume" in cells:
-            cols.append(_finite([v or "0" for v in cells["volume"]]))
-        if any(col is None for col in cols) or (prices <= 0).any():
-            cols = _by_rows(_trade_row, row, cells)
-        blocks.append(cols)
-    if not blocks:
-        raise DataError(f"{path}: no data rows")
-    ts, prices, *volumes = (np.concatenate(col) for col in zip(*blocks))
-    return ts.astype(np.int64, copy=False), prices, volumes[0] if volumes else None
+    required = ("timestamp", "price")
+    cols = _read_columns(path, required)
+    if cols is None or not (all(np.isfinite(col).all() for col in cols[1:])
+                            and (cols[1] > 0).all()):
+        cols, _ = _parse_rows(path, required, _trade_row)
+    ts, prices, *volumes = cols
+    return ts, prices, volumes[0] if volumes else None
 
 
 def gbm_generate(

@@ -187,6 +187,19 @@ def compute_stats(series: MarketTape, action_set, pool: PoolSpec,
     return FeatureStats(mean=mean, std=std)
 
 
+def check_action_set(action_set, tick_spacing: int) -> None:
+    """Raise ValueError unless the actions are 0 (hold) and then strictly
+    increasing positive multiples of the tick spacing."""
+    if len(action_set) < 2 or action_set[0] != 0:
+        raise ValueError(f"action_set must start with 0 and offer a width, got {action_set}")
+    for width in action_set[1:]:
+        if width <= 0 or width % tick_spacing != 0:
+            raise ValueError(
+                f"width {width} must be a positive multiple of tick spacing {tick_spacing}")
+    if list(action_set) != sorted(set(action_set)):
+        raise ValueError(f"action_set must be strictly increasing, got {action_set}")
+
+
 @dataclass(frozen=True)
 class EnvConfig:
     pool: PoolSpec
@@ -199,15 +212,7 @@ class EnvConfig:
     def __post_init__(self):
         if not isinstance(self.data, MarketTape):
             raise TypeError(f"data must be a MarketTape, got {type(self.data).__name__}")
-        if len(self.action_set) < 2 or self.action_set[0] != 0:
-            raise ValueError(f"action_set must start with 0 and offer a width, got {self.action_set}")
-        for width in self.action_set[1:]:
-            if width <= 0 or width % self.pool.tick_spacing != 0:
-                raise ValueError(
-                    f"width {width} must be a positive multiple of tick spacing {self.pool.tick_spacing}"
-                )
-        if list(self.action_set) != sorted(set(self.action_set)):
-            raise ValueError(f"action_set must be strictly increasing, got {self.action_set}")
+        check_action_set(self.action_set, self.pool.tick_spacing)
         if self.x0 <= 0:
             raise ValueError(f"x0 must be positive, got {self.x0}")
         if self.gas_mode not in (GAS_PER_LEG, GAS_FLAT):

@@ -17,7 +17,8 @@ import numpy as np
 from .amm import PoolSpec
 from .data import PriceSeries, load_candles, _iso
 from .env import (GAS_FLAT, GAS_PER_LEG, MIN_HISTORY, EnvConfig, EpisodeTrace,
-                  FeatureStats, LPEnv, MarketTape, compute_stats, run_passive, run_policy)
+                  FeatureStats, LPEnv, MarketTape, check_action_set, compute_stats,
+                  run_passive, run_policy)
 from .ppo import AgentSpec, TrainResult, TrainingDiverged, greedy_action_fn, \
     lockstep_groups, save_checkpoint, save_training_curve, train_population
 
@@ -63,6 +64,12 @@ def make_windows(series_len: int, train_len: int, test_len: int, stride: int) ->
     return windows
 
 
+# each grid dimension and the AgentSpec field it draws, in draw order
+_SEARCHED = {"action_sets": "action_set", "activations": "activation",
+             "hidden_layers": "hidden_layers", "learning_rates": "learning_rate",
+             "clip_ranges": "clip_range", "entropy_coefs": "entropy_coef", "gammas": "gamma"}
+
+
 @dataclass(frozen=True)
 class SearchGrid:
     """Candidate sets for the random hyperparameter search."""
@@ -76,8 +83,7 @@ class SearchGrid:
     gammas: tuple[float, ...]
 
     def __post_init__(self):
-        for name in ("action_sets", "activations", "hidden_layers",
-                     "learning_rates", "clip_ranges", "entropy_coefs", "gammas"):
+        for name in _SEARCHED:
             if not getattr(self, name):
                 raise ConfigError(f"search grid dimension {name} is empty")
 
@@ -101,16 +107,8 @@ def sample_spec(grid: SearchGrid, rng, **overrides) -> AgentSpec:
     def pick(values):
         return values[int(rng.integers(len(values)))]
 
-    return AgentSpec(
-        action_set=pick(grid.action_sets),
-        activation=pick(grid.activations),
-        hidden_layers=pick(grid.hidden_layers),
-        learning_rate=pick(grid.learning_rates),
-        clip_range=pick(grid.clip_ranges),
-        entropy_coef=pick(grid.entropy_coefs),
-        gamma=pick(grid.gammas),
-        **overrides,
-    )
+    return AgentSpec(**{key: pick(getattr(grid, dim)) for dim, key in _SEARCHED.items()},
+                     **overrides)
 
 
 @dataclass
@@ -312,9 +310,7 @@ class ExperimentConfig:
             raise ConfigError(f"passive_period must be >= 1, got {self.passive_period}")
         if not isinstance(self.training, dict):
             raise ConfigError("training must be a JSON object")
-        searched = {"action_set", "activation", "hidden_layers", "learning_rate",
-                    "clip_range", "entropy_coef", "gamma"}
-        allowed = set(AgentSpec.__dataclass_fields__) - searched
+        allowed = set(AgentSpec.__dataclass_fields__) - set(_SEARCHED.values())
         bad = set(self.training) - allowed
         if bad:
             raise ConfigError(
@@ -323,6 +319,15 @@ class ExperimentConfig:
             AgentSpec(**self.training)
         except ValueError as exc:
             raise ConfigError(f"invalid training override: {exc}") from None
+        # every value a window may draw, so a bad one fails here and not in a window
+        for dim, key in _SEARCHED.items():
+            for value in getattr(self.grid, dim):
+                try:
+                    AgentSpec(**self.training, **{key: value})
+                    if key == "action_set":
+                        check_action_set(value, spacing)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"invalid grid {dim} value {value!r}: {exc}") from None
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

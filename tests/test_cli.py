@@ -150,6 +150,13 @@ class TestTrainEvaluate:
                     "--out", str(tmp_path / "a.npz"), "--timesteps", "0"]) == 1
         assert capsys.readouterr().err.count("config error") == len(bad_specs) + 1
 
+    def test_non_object_spec_file_exits_1(self, tmp_path, candle_file, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text("[1, 2]")
+        assert run(["train", "--candles", str(candle_file), "--out", str(tmp_path / "a.npz"),
+                    "--spec", str(spec_file), "--timesteps", "5"]) == 1
+        assert "must be a JSON object" in capsys.readouterr().err
+
     def test_gae_lambda_spec_key_exits_1(self, tmp_path, candle_file, capsys):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps({"gae_lambda": 0.95}))

@@ -135,6 +135,13 @@ class TestLoadCandles:
         with pytest.raises(DataError, match="row 2: non-positive price"):
             data.load_candles(path)
 
+    def test_header_only_file_has_no_data_rows_and_warns_nothing(self, tmp_path, recwarn):
+        path = tmp_path / "h.csv"
+        path.write_text("timestamp,open,high,low,close\n")
+        with pytest.raises(DataError, match="no data rows$"):
+            data.load_candles(path)
+        assert not recwarn.list
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("timestamp,open,close\n1,1,1\n")
@@ -411,6 +418,12 @@ def assert_same_outcome(new, ref, columns):
         assert all(bitwise_equal(a, b) for a, b in zip(columns(new), columns(ref)))
 
 
+def long_file(header, line, bad_index, bad_line, n=20_000):
+    """A header and n data lines `line(i)`, with line `bad_index` replaced."""
+    return header + "\n" + "".join(
+        (bad_line if i == bad_index else line(i)) + "\n" for i in range(n))
+
+
 E = "timestamp,open,high,low,close"
 EV = E + ",volume"
 # The multi-error files hold several bad rows and the one-row files several
@@ -464,6 +477,20 @@ CANDLE_FILES = {
     "one_row_prices_in_column_order": f"{E}\n1609459200,1,oops,nan,x\n",
     "one_row_non_positive_before_volume": f"{EV}\n1609459200,1,2,-1,1.5,x\n",
     "one_row_volume_before_ordering": f"{EV}\n1609459200,1,1.2,0.5,1.5,x\n",
+    # files numpy's C reader must leave to the csv reader: cells it would read
+    # unlike csv, int() and float() do, cells it rejects, and a long file whose
+    # one bad row comes near the end
+    "quoted_comma_before_prices": ('timestamp,note,junk,open,high,low,close\n'
+                                   '1609459200,"a,b",7,1,2,0.5,1.5\n1609462800,"c,d",7,1.5,2,1,1.2\n'),
+    "first_cell_hash": "#id,timestamp,open,high,low,close\n#1,1609459200,1,2,0.5,1.5\n2,1609462800,1.5,2,1,1.2\n",
+    "underscore_and_unicode_digits": f"{E}\n1_609_459_200,1_0,2\u0660,0.5,1.5\n",
+    "timestamp_non_ascii_digit": f"{E}\n1609459200,1,2,0.5,1.5\n1\u01fe,1.5,2,1,1.2\n",
+    "price_unit_separator": f"{E}\n1609459200,1,2,\x1f0.5,1.5\n",
+    "field_over_csv_limit": ("timestamp,note,open,high,low,close\n1609459200,"
+                             + "x" * (csv.field_size_limit() + 1) + ",1,2,0.5,1.5\n"),
+    "long_bad_row_near_end": long_file(
+        E, lambda i: f"{1609459200 + HOUR * i},{i + 1},{i + 3},{i + 0.5},{i + 2}",
+        19_960, f"{1609459200 + HOUR * 19_960},19961,19963,-1,19962"),
 }
 TRADE_FILES = {
     "plain": "timestamp,price,volume\n1609459200,3000.5,1.5\n1609459260,3001,0.25\n",
@@ -489,6 +516,13 @@ TRADE_FILES = {
     "multi_error_volume_before_timestamp": "timestamp,price,volume\n1609459200,1,v\n,3000,1\n",
     "one_row_timestamp_before_price": "timestamp,price,volume\nwhen,oops,x\n",
     "blank_volumes_before_bad_row": "timestamp,price,volume\n1609459200,3000,\n1609459260,3000\n1609459300,-1,1\n",
+    # as in CANDLE_FILES
+    "first_cell_hash": "#note,timestamp,price\n#a,1609459200,3000\nb,1609459260,3001\n",
+    "timestamp_non_ascii_digit": "timestamp,price\n1609459200,3000\n16094592\u04ff0,3001\n",
+    "volume_unit_separator": "timestamp,price,volume\n1609459200,3000,2\x1c\n",
+    "long_bad_row_near_end": long_file(
+        "timestamp,price,volume", lambda i: f"{1609459200 + i},{3000 + i % 17},{i % 5}",
+        19_990, "1609479190,3000,v"),
 }
 
 
@@ -498,6 +532,7 @@ def write(tmp_path, name, text):
     return path
 
 
+@pytest.mark.filterwarnings("error")
 class TestLoaderOracle:
     @pytest.mark.parametrize("name", sorted(CANDLE_FILES))
     @pytest.mark.parametrize("fill_gaps", [False, True])
@@ -614,6 +649,22 @@ class TestBlocks:
         assert len(data.load_candles(candles)) == 5000
         assert data.load_trades(trades)[0].size == 5000
         assert calls == []
+
+    def test_clean_files_skip_the_csv_reader(self, tmp_path, monkeypatch):
+        """Clean files are read whole by numpy's C reader."""
+        series = data.gbm_generate(seed=3, n_hours=500, p_start=3000.0, vol=0.01)
+        candles = tmp_path / "c.csv"
+        series.to_csv(candles)
+        trades = write(tmp_path, "t", "timestamp,price,volume\n" + "\n".join(
+            f"{1609459200 + i},{p!r},{i % 7}" for i, p in enumerate(series.closes.tolist())) + "\n")
+        ref = rowwise_load_trades(trades)
+
+        def refuse(*args):
+            raise AssertionError("_read_blocks was called")
+
+        monkeypatch.setattr(data, "_read_blocks", refuse)
+        assert data.load_candles(candles) == series
+        assert all(bitwise_equal(a, b) for a, b in zip(data.load_trades(trades), ref))
 
 
 class TestColumnarOracle:

@@ -369,6 +369,16 @@ class TestExperimentConfig:
         })
         assert config.grid.action_sets == ((0, 20),)
 
+    @pytest.mark.parametrize("dim,values", [("hidden_layers", [[4], [8.5]]),
+                                            ("action_sets", [[0, 20], [0, 15]])])
+    def test_every_grid_value_is_checked(self, dim, values):
+        # the default pool's tick spacing is 10, so no window could use (0, 15)
+        grid = {"action_sets": [[0, 20]], "activations": ["tanh"], "hidden_layers": [[4]],
+                "learning_rates": [1e-3], "clip_ranges": [0.2], "entropy_coefs": [1e-3],
+                "gammas": [0.99], dim: values}
+        with pytest.raises(ConfigError, match=f"grid {dim} value"):
+            ExperimentConfig.from_dict({"data": "x", "output_dir": "y", "grid": grid})
+
     @pytest.mark.parametrize("key,bad", [
         ("passive_width", {"passive_width": 55}), ("passive_width", {"passive_width": 0}),
         ("passive_width", {"passive_width": -50}),
