@@ -422,11 +422,14 @@ def gbm_generate(
     ts = start_ts + HOUR * np.arange(n_hours, dtype=np.int64)
     # one draw gives the same stream as n_hours - 1 draws of n_sub
     z = rng.standard_normal((n_hours - 1, n_sub))
-    growth = np.exp(np.cumsum(step_drift + step_vol * z, axis=1))
-    # each close compounds the previous one, in order
-    closes = np.multiply.accumulate(np.concatenate([[p_start], growth[:, -1]]))
-    opens = np.concatenate([[p_start], closes[:-1]])
-    paths = opens[1:, None] * growth
+    # an extreme drift or vol overflows to inf or nan, which PriceSeries
+    # rejects as a DataError; numpy's warnings would only print
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = np.exp(np.cumsum(step_drift + step_vol * z, axis=1))
+        # each close compounds the previous one, in order
+        closes = np.multiply.accumulate(np.concatenate([[p_start], growth[:, -1]]))
+        opens = np.concatenate([[p_start], closes[:-1]])
+        paths = opens[1:, None] * growth
     # fmax/fmin keep the open when a path is nan, as Python's max/min did
     highs = np.concatenate([[p_start], np.fmax(opens[1:], paths.max(axis=1))])
     lows = np.concatenate([[p_start], np.fmin(opens[1:], paths.min(axis=1))])

@@ -8,11 +8,11 @@ against finite differences.
 
 Training runs a population at a time. An `Mlp` holds A networks of one shape,
 and `train_population` trains the agents that share a network shape and a
-schedule in lockstep: each rollout step makes one stacked actor and one
-stacked critic forward, and each minibatch one stacked objective and one
-Adam step, for the whole group. Every agent keeps its own random stream and
-call order and computes bitwise what it would compute alone; `train` is the
-population of one.
+schedule in lockstep: each rollout step makes one stacked actor forward,
+each rollout one stacked per-row critic forward over all its steps, and
+each minibatch one stacked objective and one Adam step, for the whole
+group. Every agent keeps its own random stream and call order and computes
+bitwise what it would compute alone; `train` is the population of one.
 """
 
 from __future__ import annotations
@@ -140,6 +140,17 @@ class Mlp:
         for w, b in self._hidden:
             h = self._act(h @ w + b)
         return h @ self.weights[-1] + self.biases[-1]
+
+    def forward_rows(self, x: np.ndarray) -> np.ndarray:
+        """`forward` of each row of `x` on its own, in one call: a stack of
+        1-row products, each the BLAS call of a 1-row `forward`, so every row
+        has the bits of `forward(x[:, i:i + 1])`. A batched `forward` of the
+        same rows sums in another order."""
+        self._check_input(x)
+        h = x[:, :, None, :]
+        for w, b in self._hidden:
+            h = self._act(h @ w[:, None] + b[:, None])
+        return (h @ self.weights[-1][:, None] + self.biases[-1][:, None])[:, :, 0]
 
     def forward_cached(self, x: np.ndarray):
         self._check_input(x)
@@ -529,11 +540,12 @@ class _Group:
 
     def rollout(self, n):
         """Choose n actions per agent with its env's `advance`, one stacked
-        actor and one stacked critic forward per step, and score each
-        agent's steps with `env.rewards`, one call per episode segment. An
-        episode (and its open position) carries over into the next rollout.
-        Log-probs come from the buffered logits afterwards, then each agent's
-        returns and advantages; `batch` holds the result."""
+        actor forward per step, and score each agent's steps with
+        `env.rewards`, one call per episode segment. An episode (and its
+        open position) carries over into the next rollout. Afterwards the
+        critic reads every step at once with `forward_rows`, bitwise its
+        per-step values; log-probs come from the buffered logits, then each
+        agent's returns and advantages; `batch` holds the result."""
         self.batch = None  # the last rollout's, no longer needed
         agents, actor, critic = self.agents, self.actor, self.critic
         size = len(agents)
@@ -543,19 +555,16 @@ class _Group:
         obs = np.empty((size, n + 1, self.obs.shape[1]))
         obs[:, 0] = self.obs
         logits = np.empty((size, n, actor.biases[-1].shape[-1]))
-        values = np.empty((size, n, 1))
         actions = []
         rewards = np.empty((size, n))
         dones = np.zeros((size, n), dtype=bool)
         seg = [0] * size  # index of each agent's episode's first step here
         for i in range(n):
-            x = obs[:, i:i + 1]
-            out = actor.forward(x)
+            out = actor.forward(obs[:, i:i + 1])
             logits[:, i:i + 1] = out
             ez = np.exp(out - np.maximum.reduce(out, axis=2, keepdims=True))
             drawn = _draw((ez / np.add.reduce(ez, axis=2, keepdims=True))[:, 0], uniforms[i])
             actions.append(drawn)
-            values[:, i:i + 1] = critic.forward(x)
             for r, (agent, action) in enumerate(zip(agents, drawn)):
                 obs[r, i + 1], done = agent.env.advance(action)
                 if done:
@@ -570,7 +579,7 @@ class _Group:
                 self._score(agent, rewards[r, seg[r]:])
         self.obs = obs[:, n].copy()
         actions = np.array(actions, dtype=np.int64).T.copy()
-        values = values[..., 0]
+        values = critic.forward_rows(obs[:, :n])[..., 0]
         returns = np.stack([compute_returns(r, agent.spec.gamma, d)
                             for agent, r, d in zip(agents, rewards, dones)])
         self.batch = RolloutBatch(

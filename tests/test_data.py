@@ -230,6 +230,16 @@ class TestGbm:
         assert np.all(series.highs >= np.maximum(series.opens, series.closes))
         assert np.all(np.diff(series.timestamps) == HOUR)
 
+    # exp overflows; the compounding overflows; paths overflow and underflow, so 0 * inf
+    @pytest.mark.parametrize("drift, vol", [(1000.0, 0.0), (100.0, 0.0), (5e5, 1000.0)])
+    def test_overflow_is_a_data_error_and_warns_nothing(self, drift, vol):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="non-finite"):
+                data.gbm_generate(seed=1, n_hours=50, p_start=2000.0, drift=drift, vol=vol)
+
 
 # Row-wise reference: the loaders, resampler, generator and writer as they
 # were before the columnar rewrite (one DictReader row, one Candle and one

@@ -7,6 +7,7 @@ import pytest
 
 from activelp import ppo
 from activelp.env import run_policy
+from activelp.harness import SearchGrid
 from activelp.ppo import (Adam, AgentSpec, Categorical, Mlp, RolloutBatch,
                           TrainingDiverged, advantages, compute_returns,
                           ppo_objective, train, train_population)
@@ -197,6 +198,30 @@ class TestMlpBuffer:
         back = pop.take([2, 0])
         assert back.theta.tobytes() == np.concatenate([nets[2].theta, nets[0].theta]).tobytes()
         assert not np.shares_memory(back.theta, pop.theta)
+
+    @pytest.mark.parametrize("hidden", SearchGrid.default().hidden_layers)
+    @pytest.mark.parametrize("activation", SearchGrid.default().activations)
+    def test_forward_rows_is_bitwise_the_one_row_forward(self, activation, hidden):
+        """Each row of `forward_rows` has the bits of the 1-row `forward` a
+        per-step rollout makes, on every default grid shape: populations
+        stacked from built networks and taken out of order (C- and
+        F-ordered weights), perturbed parameters, and strided inputs."""
+        rng = np.random.default_rng(29)
+        for n_out in (1, 3, 4, 5):
+            sizes = [13, *hidden, n_out]
+            for size in (1, 2, 5):
+                nets = [Mlp.build(sizes, activation, rng) for _ in range(size + 1)]
+                pop = Mlp.stack(nets).take(list(range(size, 0, -1)))
+                # a widening layer is built Fortran-ordered
+                assert [is_fortran(w[0]) for w in pop.weights] == [
+                    a < b for a, b in zip(sizes, sizes[1:])]
+                pop.theta += 0.1 * rng.standard_normal(pop.theta.shape)
+                for n in (1, 9):
+                    obs = rng.standard_normal((size, n + 1, 13))
+                    got = pop.forward_rows(obs[:, :n])
+                    assert got.shape == (size, n, n_out)
+                    for i in range(n):
+                        assert got[:, i].tobytes() == pop.forward(obs[:, i:i + 1])[:, 0].tobytes()
 
     def test_checkpoint_keeps_layout(self, tmp_path):
         spec = AgentSpec(action_set=(0, 10, 20, 30, 40), activation="tanh",
@@ -1037,16 +1062,19 @@ class TestDecideThenScore:
         monkeypatch.setattr(ppo, "ppo_objective", counted("ppo_objective", update_objective))
         monkeypatch.setattr(Mlp, "forward_cached", rollout_forward_cached)
         monkeypatch.setattr(Mlp, "forward", counted("forward", Mlp.forward))
+        monkeypatch.setattr(Mlp, "forward_rows", counted("forward_rows", Mlp.forward_rows))
 
         envs = [LPEnv(lp_config()) for _ in range(2)]
         spec = AgentSpec(action_set=(0, 10, 20), rollout_length=30, total_timesteps=100,
                          epochs=1, patience=10**6)
         results = train_population(envs, [spec, replace(spec, learning_rate=1e-3)], [3, 4])
         # two agents over S = 100 steps in 4 rollouts of at most one
-        # minibatch: one stacked actor and one stacked critic forward per step
-        # (2 S, not 2 A S), one of each per update for the curve, and one
-        # objective per minibatch for the group
-        assert calls.pop("forward") == 2 * 100 + 2 * 4
+        # minibatch: one stacked actor forward per step (S, not A S), one
+        # stacked per-row critic forward per rollout, one actor and one critic
+        # forward per update for the curve, and one objective per minibatch
+        # for the group
+        assert calls.pop("forward") == 100 + 2 * 4
+        assert calls.pop("forward_rows") == 4
         assert calls.pop("ppo_objective") == 4
         for e, result in zip(envs, results):
             trace = env.run_policy(e, ppo.greedy_action_fn(result.actor))
