@@ -90,8 +90,8 @@ class PoolSpec:
             raise ValueError(f"fee_rate must be in (0, 1), got {self.fee_rate}")
         if self.tick_spacing < 1:
             raise ValueError(f"tick_spacing must be >= 1, got {self.tick_spacing}")
-        if self.gas_cost < 0:
-            raise ValueError(f"gas_cost must be >= 0, got {self.gas_cost}")
+        if not 0 <= self.gas_cost < math.inf:
+            raise ValueError(f"gas_cost must be finite and >= 0, got {self.gas_cost}")
 
 
 @dataclass(frozen=True)

@@ -200,6 +200,9 @@ def cmd_report(args) -> int:
             for last in csv.DictReader(fh):
                 pass
         if last is not None:
+            # a missing column or a short row reads as None
+            if last.get("active_cum") is None or last.get("passive_cum") is None:
+                raise harness.ConfigError(f"{path}: last row has no active_cum or passive_cum")
             rows.append((name, float(last["active_cum"]), float(last["passive_cum"])))
     if not rows:
         raise harness.ConfigError(f"no window results under {args.results}")

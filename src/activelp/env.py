@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,9 +42,9 @@ _SCORE_BLOCK = 2048
 
 @dataclass(frozen=True)
 class Features:
-    """Per-hour feature columns for a candle series; NaN during warmup."""
+    """Per-hour indicator columns of the observation beside EWMA volatility,
+    which the tape computes itself; NaN during warmup."""
 
-    ewma_vol: np.ndarray
     ma24: np.ndarray
     ma168: np.ndarray
     bb_upper: np.ndarray
@@ -54,12 +55,11 @@ class Features:
     dx: np.ndarray
 
 
-def compute_features(series: PriceSeries, alpha: float = 0.05) -> Features:
+def compute_features(series: PriceSeries) -> Features:
     closes = series.closes
     bb_upper, bb_mid, bb_lower = indicators.bollinger(closes)
     dx, adxr, bop = indicators.dm_family(series.opens, series.highs, series.lows, closes)
     return Features(
-        ewma_vol=indicators.ewma_volatility(closes, alpha),
         ma24=indicators.moving_average(closes, 24),
         ma168=indicators.moving_average(closes, 168),
         bb_upper=bb_upper, bb_mid=bb_mid, bb_lower=bb_lower,
@@ -75,21 +75,35 @@ class MarketTape:
     the slice alone, and so is the range a width would open at each hour.
     Environments and stats over the same slice can share one tape; they add
     range tables to its cache and change nothing else.
+
+    Scoring reads only closes, ticks and `sigma` (the EWMA volatility),
+    which are built at once. The observation block `market` is built on
+    first read, so a tape that is only scored, such as a passive
+    baseline's, never computes the other indicators.
     """
 
     def __init__(self, series: PriceSeries):
         self.closes = series.closes
         self.ticks = np.array([amm.tick_index(p) for p in self.closes.tolist()], dtype=np.int64)
-        f = compute_features(series)
-        # (len, 11) raw market entries in observation order, each held only here
-        self.market = np.column_stack([
-            self.closes, self.ticks, f.ewma_vol, f.ma24, f.ma168, f.bb_upper,
-            f.bb_mid, f.bb_lower, f.adxr, f.bop, f.dx,
-        ])
+        self.sigma = indicators.ewma_volatility(self.closes)
+        self._series = series  # the candles `market` reads; dropped once it is built
         self._ranges: dict[tuple, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.closes)
+
+    @cached_property
+    def market(self) -> np.ndarray:
+        """(len, 11) raw market entries in observation order; the indicators
+        and sigma are held only here once it is built."""
+        f = compute_features(self._series)
+        del self._series
+        block = np.column_stack([
+            self.closes, self.ticks, self.sigma, f.ma24, f.ma168, f.bb_upper,
+            f.bb_mid, f.bb_lower, f.adxr, f.bop, f.dx,
+        ])
+        self.sigma = block[:, 2]
+        return block
 
     def range_table(self, width: int, spacing: int, x0: float) -> np.ndarray:
         """(len, 5) rows of the position that half-width `width` opens at each
@@ -169,8 +183,8 @@ def compute_stats(series: MarketTape, action_set, pool: PoolSpec,
     start = MIN_HISTORY - 1
     if len(series.closes) <= start:
         raise ValueError(f"series of {len(series.closes)} rows is shorter than the {MIN_HISTORY}-row warmup")
-    if x0 <= 0:
-        raise ValueError(f"x0 must be positive, got {x0}")
+    if not 0 < x0 < math.inf:
+        raise ValueError(f"x0 must be positive and finite, got {x0}")
     market = series.market[start:]
     widths = np.array(action_set, dtype=float)
     liqs = np.concatenate([np.zeros(1)] + [
@@ -213,8 +227,8 @@ class EnvConfig:
         if not isinstance(self.data, MarketTape):
             raise TypeError(f"data must be a MarketTape, got {type(self.data).__name__}")
         check_action_set(self.action_set, self.pool.tick_spacing)
-        if self.x0 <= 0:
-            raise ValueError(f"x0 must be positive, got {self.x0}")
+        if not 0 < self.x0 < math.inf:
+            raise ValueError(f"x0 must be positive and finite, got {self.x0}")
         if self.gas_mode not in (GAS_PER_LEG, GAS_FLAT):
             raise ValueError(f"unknown gas_mode {self.gas_mode!r}")
         if len(self.data) <= MIN_HISTORY + 1:
@@ -390,7 +404,7 @@ def _score(config: EnvConfig, actions, lo, hi, opened) -> EpisodeTrace:
     temporaries stay small next to the trace.
     """
     pool, tape = config.pool, config.data
-    closes, sigma = tape.closes, tape.market[:, 2]  # ewma_vol
+    closes, sigma = tape.closes, tape.sigma
     n = hi - lo
     h = MIN_HISTORY - 1 + lo  # hour of step lo
     trace = EpisodeTrace(

@@ -9,7 +9,6 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,6 +188,9 @@ def train_and_select(train_tape: MarketTape, window: Window, config: ExperimentC
              for k in range(config.n_agents)]
 
     if config.n_jobs > 1:
+        # imported here: it loads multiprocessing, which only this branch uses
+        from concurrent.futures import ProcessPoolExecutor
+
         # whole lockstep groups to the workers
         tasks = [(group, [specs[k] for k in group], [envs[k] for k in group],
                   [seeds[k] for k in group]) for group in lockstep_groups(envs, specs)]

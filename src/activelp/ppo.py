@@ -724,7 +724,7 @@ def greedy_action_fn(actor: Mlp):
     """Deterministic argmax policy over the logits of a single network."""
 
     def act(obs, _step):
-        return int(np.argmax(actor.forward(obs[None, None, :])[0, 0]))
+        return int(actor.forward(obs[None, None, :])[0, 0].argmax())
 
     return act
 
@@ -768,6 +768,8 @@ def load_checkpoint(path) -> TrainResult:
     # the metadata names the other arrays, so it is checked for first
     _check_keys("arrays", set(blob.files) & {"meta"}, {"meta"})
     meta = json.loads(str(blob["meta"]))
+    if not isinstance(meta, dict):
+        raise ValueError(f"checkpoint metadata must be a JSON object, got {type(meta).__name__}")
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {meta.get('version')}")
     _check_keys("metadata", meta, _META_KEYS)
@@ -777,6 +779,8 @@ def load_checkpoint(path) -> TrainResult:
             raise ValueError(f"checkpoint {key} must be an integer >= {least}, got {value!r}")
     if not isinstance(meta["stopped_early"], bool):
         raise ValueError(f"checkpoint stopped_early must be a bool, got {meta['stopped_early']!r}")
+    if not isinstance(meta["spec"], dict):
+        raise ValueError(f"checkpoint spec must be a JSON object, got {type(meta['spec']).__name__}")
     _check_keys("arrays", blob.files, {"meta"} | {
         f"{name}_{part}{i}" for name in ("actor", "critic") for part in "wb"
         for i in range(meta[f"{name}_layers"])})

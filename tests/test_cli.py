@@ -21,6 +21,31 @@ def candle_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def feature_calls(monkeypatch):
+    """Lengths of the series each env.compute_features call gets, in order."""
+    from activelp import env
+
+    calls = []
+    compute_features = env.compute_features
+
+    def counting(series):
+        calls.append(len(series))
+        return compute_features(series)
+
+    monkeypatch.setattr(env, "compute_features", counting)
+    return calls
+
+
+def write_checkpoint(path):
+    """An untrained checkpoint over the actions (0, 20, 50)."""
+    spec = ppo.AgentSpec(action_set=(0, 20, 50), hidden_layers=(4,))
+    rng = np.random.default_rng(0)
+    ppo.save_checkpoint(path, ppo.TrainResult(spec, ppo.Mlp.build([13, 4, 3], "tanh", rng),
+                                              ppo.Mlp.build([13, 4, 1], "tanh", rng), [], 0,
+                                              False))
+
+
 class TestGenerate:
     def test_writes_candles(self, tmp_path):
         out = tmp_path / "gbm.csv"
@@ -98,6 +123,15 @@ class TestBaseline:
     def test_unaligned_width_rejected(self, candle_file):
         assert run(["baseline", "--candles", str(candle_file), "--width", "55"]) == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flag,value", [("--x0", "nan"), ("--x0", "inf"),
+                                            ("--gas-cost", "nan"), ("--gas-cost", "inf")])
+    def test_non_finite_x0_or_gas_exits_1(self, candle_file, capsys, flag, value):
+        assert run(["baseline", "--candles", str(candle_file), flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag.lstrip("-").replace("-", "_") in captured.err
+
 
 class TestTrainEvaluate:
     def test_round_trip(self, tmp_path, candle_file):
@@ -118,20 +152,20 @@ class TestTrainEvaluate:
                     "--checkpoint", str(ckpt), "--out-trace", str(trace_path)]) == 0
         assert trace_path.exists()
 
-    def test_train_computes_features_once(self, tmp_path, candle_file, monkeypatch):
-        from activelp import env
-
-        calls = []
-        compute_features = env.compute_features
-
-        def counting(series, *args, **kwargs):
-            calls.append(len(series))
-            return compute_features(series, *args, **kwargs)
-
-        monkeypatch.setattr(env, "compute_features", counting)
+    def test_train_computes_features_once(self, tmp_path, candle_file, feature_calls):
         assert run(["train", "--candles", str(candle_file), "--out", str(tmp_path / "a.npz"),
                     "--timesteps", "300", "--seed", "1"]) == 0
-        assert calls == [700]
+        assert feature_calls == [700]
+
+    @pytest.mark.parametrize("command,calls", [("baseline", []), ("evaluate", [700])])
+    def test_features_only_for_observations(self, tmp_path, candle_file, feature_calls,
+                                            command, calls):
+        # the passive baseline is scored without observations, so it never
+        # builds the tape's observation block; a greedy rollout builds it once
+        args = {"baseline": [], "evaluate": ["--checkpoint", str(tmp_path / "agent.npz")]}
+        write_checkpoint(tmp_path / "agent.npz")
+        assert run([command, "--candles", str(candle_file), *args[command]]) == 0
+        assert feature_calls == calls
 
     def test_bad_spec_file_exits_1(self, tmp_path, candle_file, monkeypatch, capsys):
         def no_training(*args, **kwargs):
@@ -167,26 +201,26 @@ class TestTrainEvaluate:
     @pytest.mark.parametrize("key,value", [
         ("spec.bogus", 1), ("timesteps", None), ("actor_w1", None), ("meta", None),
         ("actor_layers", "2"), ("critic_layers", 2.0), ("timesteps", "5"),
-        ("stopped_early", "no"), ("spec.hidden_layers", 8),
+        ("stopped_early", "no"), ("spec.hidden_layers", 8), ("meta", [1, 2]), ("spec", [1]),
     ], ids=["spec.bogus", "timesteps", "actor_w1", "meta", "actor_layers=2",
-            "critic_layers=2.0", "timesteps=5", "stopped_early=no", "spec.hidden_layers=8"])
+            "critic_layers=2.0", "timesteps=5", "stopped_early=no", "spec.hidden_layers=8",
+            "meta=list", "spec=list"])
     def test_malformed_checkpoint_exits_1(self, tmp_path, candle_file, capsys, key, value):
-        spec = ppo.AgentSpec(action_set=(0, 20, 50), hidden_layers=(4,))
-        rng = np.random.default_rng(0)
-        result = ppo.TrainResult(spec, ppo.Mlp.build([13, 4, 3], "tanh", rng),
-                                 ppo.Mlp.build([13, 4, 1], "tanh", rng), [], 0, False)
         ckpt = tmp_path / "agent.npz"
-        ppo.save_checkpoint(ckpt, result)
+        write_checkpoint(ckpt)
         blob = dict(np.load(ckpt, allow_pickle=False))
         meta = json.loads(str(blob["meta"]))
         if value is None:
             meta.pop(key, None)  # a key the metadata lacks
+        elif key == "meta":
+            meta = value  # metadata that is not an object
         elif key.startswith("spec."):
             meta["spec"][key[len("spec."):]] = value  # a bad or unknown spec entry
         else:
             meta[key] = value  # a metadata entry of the wrong type
         blob["meta"] = json.dumps(meta)
-        blob.pop(key, None)  # an array the file lacks
+        if value is None:
+            blob.pop(key, None)  # an array the file lacks
         np.savez(ckpt, **blob)
         assert run(["evaluate", "--candles", str(candle_file), "--checkpoint", str(ckpt)]) == 1
         assert key.split(".")[-1] in capsys.readouterr().err
@@ -235,11 +269,14 @@ class TestExperiment:
                                      {"x0": float("nan")},
                                      {"training": {"total_timesteps": "100"}},
                                      {"training": {"epochs": 0}},
-                                     {"training": {"improvement_threshold": "0.1"}}],
+                                     {"training": {"improvement_threshold": "0.1"}},
+                                     {"pool": {"fee_rate": 0.0005, "tick_spacing": 10,
+                                               "gas_cost": float("nan")}}],
                              ids=["width", "period", "gas_mode", "gae_lambda", "width_str",
                                   "x0_str", "n_agents_str", "n_jobs_str", "n_jobs_zero",
                                   "seed_str", "period_float", "n_agents_bool", "x0_nan",
-                                  "timesteps_str", "epochs_zero", "threshold_str"])
+                                  "timesteps_str", "epochs_zero", "threshold_str",
+                                  "gas_cost_nan"])
     def test_bad_config_exits_1_before_training(self, tmp_path, candle_file, monkeypatch,
                                                 capsys, bad):
         from activelp import harness
@@ -277,6 +314,18 @@ class TestExperiment:
 
     def test_report_on_empty_dir_exits_1(self, tmp_path):
         assert run(["report", "--results", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("text", ["t,active,passive\r\n0,1.0,2.0\r\n",
+                                      "t,active_cum,passive_cum\r\n0,1.0\r\n"],
+                             ids=["no_columns", "short_row"])
+    def test_report_without_cumulative_values_exits_1(self, tmp_path, capsys, text):
+        window = tmp_path / "windows" / "window_000"
+        window.mkdir(parents=True)
+        (window / "cumulative.csv").write_text(text)
+        assert run(["report", "--results", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "cumulative.csv" in err
+        assert not (tmp_path / "wins.txt").exists()
 
     def test_failed_window_exits_3(self, tmp_path, candle_file, monkeypatch):
         from activelp import harness as h

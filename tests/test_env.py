@@ -1,9 +1,10 @@
 import csv
+import pickle
 
 import numpy as np
 import pytest
 
-from activelp import amm, data, env
+from activelp import amm, data, env, indicators
 from activelp.amm import PoolSpec
 from activelp.data import HOUR, PriceSeries
 from activelp.env import MIN_HISTORY, EnvConfig, LPEnv, MarketTape
@@ -42,10 +43,11 @@ def reference_stats(series, action_set, pool, x0):
     """compute_stats as a per-close loop over align_range and liquidity_from_x."""
     feats = env.compute_features(series)
     closes = series.closes
+    sigma = indicators.ewma_volatility(closes)
     start = MIN_HISTORY - 1
     ticks = np.array([amm.tick_index(p) for p in closes[start:]], dtype=float)
     market = np.column_stack([
-        closes[start:], ticks, feats.ewma_vol[start:], feats.ma24[start:],
+        closes[start:], ticks, sigma[start:], feats.ma24[start:],
         feats.ma168[start:], feats.bb_upper[start:], feats.bb_mid[start:],
         feats.bb_lower[start:], feats.adxr[start:], feats.bop[start:], feats.dx[start:],
     ])
@@ -328,6 +330,45 @@ class TestMarketTape:
             tape = env.MarketTape(series)
             assert tape.ticks.tolist() == [amm.tick_index(p) for p in series.closes]
 
+    def test_scoring_leaves_the_block_unbuilt(self, monkeypatch):
+        calls = []
+        compute_features = env.compute_features
+
+        def counting(series):
+            calls.append(len(series))
+            return compute_features(series)
+
+        monkeypatch.setattr(env, "compute_features", counting)
+        series = data.gbm_generate(seed=31, n_hours=600, p_start=3000.0, vol=0.01)
+        tape = MarketTape(series)
+        config = EnvConfig(pool=POOL, action_set=(0, 20, 50), x0=2.0, data=tape)
+        rng = np.random.default_rng(31)
+        env.replay(config, rng.integers(0, 3, len(series) - MIN_HISTORY))
+        env.run_passive(config, 50, 24)
+        assert calls == []
+        assert "market" not in vars(tape)
+        assert tape.market is tape.market  # built once, on first read
+        assert calls == [600]
+
+    def test_pickled_before_the_block_builds_the_same_block(self):
+        series = data.gbm_generate(seed=32, n_hours=500, p_start=3000.0, vol=0.02)
+        f = env.compute_features(series)
+        want = np.column_stack([
+            series.closes, [amm.tick_index(p) for p in series.closes],
+            indicators.ewma_volatility(series.closes), f.ma24, f.ma168, f.bb_upper,
+            f.bb_mid, f.bb_lower, f.adxr, f.bop, f.dx,
+        ])
+        tape = MarketTape(series)
+        clone = pickle.loads(pickle.dumps(tape))
+        assert tape.market.tobytes() == want.tobytes()
+        assert clone.market.tobytes() == want.tobytes()
+        assert clone.sigma.tobytes() == want[:, 2].tobytes()
+        # the candles are dropped once the block exists, so a built tape
+        # pickles without them
+        built = pickle.loads(pickle.dumps(tape))
+        assert not hasattr(built, "_series")
+        assert built.market.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("own_stats", [False, True])
     def test_observations_match_per_step_normalize(self, own_stats):
         train = data.gbm_generate(seed=23, n_hours=400, p_start=3000.0, vol=0.01)
@@ -339,6 +380,7 @@ class TestMarketTape:
                               stats=stats))
         f = env.compute_features(series)
         closes = series.closes
+        sigma = indicators.ewma_volatility(closes)
         ticks = [amm.tick_index(p) for p in closes]
         rng = np.random.default_rng(25)
         obs = s.reset()
@@ -348,7 +390,7 @@ class TestMarketTape:
             width = 0.0 if pos is None else (pos.upper_tick - pos.lower_tick) / 2.0
             liq = 0.0 if pos is None else pos.liquidity
             raw = np.array([
-                closes[t], ticks[t], width, liq, f.ewma_vol[t], f.ma24[t], f.ma168[t],
+                closes[t], ticks[t], width, liq, sigma[t], f.ma24[t], f.ma168[t],
                 f.bb_upper[t], f.bb_mid[t], f.bb_lower[t], f.adxr[t], f.bop[t], f.dx[t],
             ])
             want = reference_normalize(stats, raw)

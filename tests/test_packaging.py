@@ -1,4 +1,5 @@
-"""Packaging: numpy is the only runtime dependency.
+"""Packaging: numpy is the only runtime dependency, and importing the CLI
+loads nothing that only some commands use.
 
 scipy and other packages may be installed next to the package, so an
 accidental import of one would pass every other test; this reads the
@@ -6,8 +7,10 @@ imports of every module instead of running them.
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -37,3 +40,16 @@ def test_pyproject_declares_only_numpy():
     declared = re.search(r"^dependencies = \[(.*)\]$", text, re.MULTILINE)
     assert declared is not None
     assert re.findall(r'"([A-Za-z0-9_.-]+)', declared[1]) == ["numpy"]
+
+
+def test_cli_import_loads_no_process_pool():
+    # multiprocessing (and socket with it) serves only n_jobs > 1; a fresh
+    # process shows what `import activelp.cli` loads, as every command pays it
+    code = ("import sys, activelp.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"
