@@ -1,8 +1,6 @@
 """activelp: concentrated-liquidity market-making simulator and PPO trainer."""
 
-from .amm import (PoolSpec, Position, Reserves, align_range, fee_for_move,
-                  impermanent_loss, liquidity_from_x, lvr_penalty,
-                  position_value, price_at_tick, range_reserves, reserves, tick_index)
+from .amm import PoolSpec, price_at_tick, tick_index
 from .data import DataError, PriceSeries, gbm_generate, load_candles, resample_hourly
 from .env import (EnvConfig, EpisodeTrace, FeatureStats, LPEnv, MarketTape,
                   compute_features, compute_stats, replay, run_passive, run_policy)

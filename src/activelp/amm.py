@@ -1,4 +1,5 @@
-"""Concentrated-liquidity pool math: ticks, reserves, position value, fees, LVR.
+"""Concentrated-liquidity pool math: scalar tick math and the array pool
+kernel (range ticks, liquidity, fees, LVR).
 
 Follows the Uniswap v3 conventions: prices live on the tick grid
 p(i) = 1.0001**i, a range position holds real reserves
@@ -9,6 +10,12 @@ for p inside [p_lower, p_upper], clamped at the endpoints outside.
 All monetary quantities are denominated in the numeraire token Y and
 computed in 64-bit floats; this is a research simulator, not a chain
 client, so no Q64.96 fixed-point emulation.
+
+The tick math is scalar: `math.log`/`math.exp` and `np.log`/`np.exp` are not
+guaranteed to agree bitwise. The kernel is elementwise over numpy arrays
+(or scalars) and uses only +, -, *, / and sqrt, which are correctly rounded
+either way, so it matches the scalar oracles in `tests/amm_oracle.py`
+bitwise.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-TICK_BASE = 1.0001
+import numpy as np
+
 # Correctly rounded double of ln(1.0001). math.log(1.0001) operates on the
 # rounded float input and is off by ~1e-13 relative, which compounds to
 # ~2e-12 price error at |tick| = 200000.
@@ -47,36 +55,6 @@ def tick_index(price: float) -> int:
     return i
 
 
-def align_range(center_tick: int, half_width_ticks: int, spacing: int) -> tuple[int, int]:
-    """Symmetric tick range around center_tick, widened outward to the spacing grid."""
-    if spacing < 1:
-        raise ValueError(f"tick spacing must be >= 1, got {spacing}")
-    if half_width_ticks < spacing:
-        raise ValueError(
-            f"half width {half_width_ticks} is below tick spacing {spacing}"
-        )
-    lower = math.floor((center_tick - half_width_ticks) / spacing) * spacing
-    upper = math.ceil((center_tick + half_width_ticks) / spacing) * spacing
-    return lower, upper
-
-
-def liquidity_from_x(x0: float, price: float, upper_price: float) -> float:
-    """Liquidity of a position funded with x0 risky tokens at the given price.
-
-    Inverts the real-reserve formula x = L*(1/sqrt(p) - 1/sqrt(p_upper)).
-    Requires price < upper_price (otherwise the position has no X side).
-    """
-    if x0 <= 0:
-        raise ValueError(f"x0 must be positive, got {x0}")
-    if price <= 0:
-        raise ValueError(f"price must be positive, got {price}")
-    if price >= upper_price:
-        raise ValueError(
-            f"price {price} must sit below the upper bound {upper_price}"
-        )
-    return x0 / (1.0 / math.sqrt(price) - 1.0 / math.sqrt(upper_price))
-
-
 @dataclass(frozen=True)
 class PoolSpec:
     """Immutable pool parameters: fee rate, tick spacing, gas cost per transaction."""
@@ -88,154 +66,59 @@ class PoolSpec:
     def __post_init__(self):
         if not 0.0 < self.fee_rate < 1.0:
             raise ValueError(f"fee_rate must be in (0, 1), got {self.fee_rate}")
-        if self.tick_spacing < 1:
-            raise ValueError(f"tick_spacing must be >= 1, got {self.tick_spacing}")
+        spacing = self.tick_spacing
+        if isinstance(spacing, bool) or not isinstance(spacing, (int, np.integer)) or spacing < 1:
+            raise ValueError(f"tick_spacing must be an integer >= 1, got {spacing!r}")
         if not 0 <= self.gas_cost < math.inf:
             raise ValueError(f"gas_cost must be finite and >= 0, got {self.gas_cost}")
 
 
-@dataclass(frozen=True)
-class Reserves:
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
-class Position:
-    """A live range position plus its entry snapshot.
-
-    entry_x/entry_y are the token amounts deposited at entry_price; they are
-    the hold-portfolio baseline for impermanent loss.
-    """
-
-    lower_tick: int
-    upper_tick: int
-    liquidity: float
-    entry_price: float
-    entry_x: float
-    entry_y: float
-
-    def __post_init__(self):
-        if self.lower_tick >= self.upper_tick:
-            raise ValueError(
-                f"lower_tick {self.lower_tick} must be below upper_tick {self.upper_tick}"
-            )
-        if self.liquidity < 0:
-            raise ValueError(f"liquidity must be >= 0, got {self.liquidity}")
-        expect = reserves(self, self.entry_price)
-        for got, want in ((self.entry_x, expect.x), (self.entry_y, expect.y)):
-            if abs(got - want) > 1e-9 * max(abs(want), 1e-30):
-                raise ValueError(
-                    f"entry reserves ({self.entry_x}, {self.entry_y}) are inconsistent "
-                    f"with liquidity {self.liquidity} at price {self.entry_price}"
-                )
-
-    @property
-    def lower_price(self) -> float:
-        return price_at_tick(self.lower_tick)
-
-    @property
-    def upper_price(self) -> float:
-        return price_at_tick(self.upper_tick)
-
-    @classmethod
-    def open(cls, lower_tick: int, upper_tick: int, price: float, x0: float) -> "Position":
-        """Open a position funded with x0 risky tokens at the current price.
-
-        The Y deposit follows from the liquidity level; price must lie inside
-        [p(lower_tick), p(upper_tick)).
-        """
-        p_l = price_at_tick(lower_tick)
-        p_u = price_at_tick(upper_tick)
-        if price < p_l:
-            raise ValueError(
-                f"price {price} below range [{p_l}, {p_u}]; cannot size from x0"
-            )
-        liq = liquidity_from_x(x0, price, p_u)
-        y0 = liq * (math.sqrt(price) - math.sqrt(p_l))
-        return cls(
-            lower_tick=lower_tick,
-            upper_tick=upper_tick,
-            liquidity=liq,
-            entry_price=price,
-            entry_x=x0,
-            entry_y=y0,
+def align_range(center_tick, half_width_ticks: int, spacing: int):
+    """Symmetric tick ranges around integer center ticks, widened outward to
+    the spacing grid: (lower, upper)."""
+    if spacing < 1:
+        raise ValueError(f"tick spacing must be >= 1, got {spacing}")
+    if half_width_ticks < spacing:
+        raise ValueError(
+            f"half width {half_width_ticks} is below tick spacing {spacing}"
         )
+    lower = (center_tick - half_width_ticks) // spacing * spacing
+    upper = -(-(center_tick + half_width_ticks) // spacing) * spacing
+    return lower, upper
 
 
-def range_reserves(liquidity: float, price: float,
-                   lower_price: float, upper_price: float) -> Reserves:
-    """Real token balances of a range position, clamped at the endpoints."""
-    sp = math.sqrt(min(max(price, lower_price), upper_price))
-    su = math.sqrt(upper_price)
-    sl = math.sqrt(lower_price)
-    x = liquidity * (1.0 / sp - 1.0 / su)
-    y = liquidity * (sp - sl)
-    return Reserves(x=x, y=y)
+def liquidity_from_x(x0, price, upper_price):
+    """Liquidity of positions funded with x0 risky tokens at `price`.
 
-
-def reserves(pos: Position, price: float) -> Reserves:
-    """Real token balances of the position at the given price."""
-    return range_reserves(pos.liquidity, price, pos.lower_price, pos.upper_price)
-
-
-def position_value(pos: Position, price: float) -> float:
-    """Mark-to-market value x*p + y of the position in numeraire terms."""
-    r = reserves(pos, price)
-    return r.x * price + r.y
-
-
-def impermanent_loss(pos: Position, price: float) -> float:
-    """Relative shortfall of the position versus holding the entry tokens.
-
-    Returns V(p)/W(p) - 1 with hold value W(p) = entry_x*p + entry_y; <= 0
-    for any position entered in range, 0 at the entry price.
+    Inverts the real-reserve formula x = L*(1/sqrt(p) - 1/sqrt(p_upper));
+    each price must sit below its upper bound, which the caller checks.
     """
-    hold = pos.entry_x * price + pos.entry_y
-    if hold <= 0:
-        raise ValueError(f"hold value is not positive at price {price}")
-    return position_value(pos, price) / hold - 1.0
+    return x0 / (1.0 / np.sqrt(price) - 1.0 / np.sqrt(upper_price))
 
 
-def fee_for_move(
-    liquidity: float,
-    fee_rate: float,
-    p_from: float,
-    p_to: float,
-    lower_price: float,
-    upper_price: float,
-) -> float:
-    """Swap fee earned by a position over one price move, in numeraire terms.
+def fee_for_move(liquidity, fee_rate: float, p, q, lower_price, upper_price):
+    """Swap fees earned over price moves p -> q, in numeraire terms.
 
-    The move is clipped to [lower_price, upper_price]; only the in-range
+    Each move is clipped to [lower_price, upper_price]; only the in-range
     portion earns fees. Upward moves earn delta/(1-delta) * L * (sqrt(b) -
     sqrt(a)) in Y directly; downward moves earn delta/(1-delta) * L *
     (1/sqrt(b) - 1/sqrt(a)) in X, valued at the final clipped price b.
     Clamping both endpoints (rather than intersecting intervals) makes the
     fee telescope exactly across any decomposition of a monotone move.
     """
-    if liquidity < 0:
-        raise ValueError(f"liquidity must be >= 0, got {liquidity}")
-    if p_from <= 0 or p_to <= 0:
-        raise ValueError("prices must be positive")
     factor = fee_rate / (1.0 - fee_rate) * liquidity
-    a = min(max(p_from, lower_price), upper_price)
-    b = min(max(p_to, lower_price), upper_price)
-    if b == a:
-        return 0.0
-    if b > a:
-        return factor * (math.sqrt(b) - math.sqrt(a))
-    return factor * (1.0 / math.sqrt(b) - 1.0 / math.sqrt(a)) * b
+    a = np.minimum(np.maximum(p, lower_price), upper_price)
+    b = np.minimum(np.maximum(q, lower_price), upper_price)
+    up = factor * (np.sqrt(b) - np.sqrt(a))
+    down = factor * (1.0 / np.sqrt(b) - 1.0 / np.sqrt(a)) * b
+    return np.where(b > a, up, np.where(b < a, down, 0.0))
 
 
-def lvr_penalty(liquidity: float, sigma: float, price: float, in_range: bool) -> float:
+def lvr_penalty(liquidity, sigma, p, lower_price, upper_price):
     """Instantaneous loss-versus-rebalancing cost L*sigma^2*sqrt(p)/4.
 
     Zero while the price sits outside the active range: the position value is
     linear in price there, so there is no adverse-selection convexity cost.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if not in_range:
-        return 0.0
-    return liquidity * sigma * sigma * math.sqrt(price) / 4.0
+    in_range = (lower_price <= p) & (p <= upper_price)
+    return np.where(in_range, liquidity * sigma * sigma * np.sqrt(p) / 4.0, 0.0)

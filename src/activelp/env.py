@@ -109,8 +109,9 @@ class MarketTape:
         """(len, 5) rows of the position that half-width `width` opens at each
         hour: lower tick, upper tick, liquidity, lower price, upper price.
 
-        Each row equals `amm.align_range` followed by `Position.open` at that
-        hour's close, bitwise. Built on first use and cached.
+        Each row equals the scalar oracles of `tests/amm_oracle.py`,
+        `align_range` followed by `Position.open` at that hour's close,
+        bitwise. Built on first use and cached.
         """
         key = (width, spacing, x0)
         table = self._ranges.get(key)
@@ -121,13 +122,9 @@ class MarketTape:
 
 
 def _range_table(closes, ticks, width, spacing, x0) -> np.ndarray:
-    if width < spacing:
-        raise ValueError(f"half width {width} is below tick spacing {spacing}")
-    # amm.align_range's floor and ceil as integer division
-    lower = (ticks - int(width)) // spacing * spacing
-    upper = -(-(ticks + int(width)) // spacing) * spacing
+    lower, upper = amm.align_range(ticks, int(width), spacing)
     # the scalar price_at_tick keeps every bound bitwise equal to the one
-    # Position.open computes
+    # the oracle's Position.open computes
     distinct, where = np.unique(np.concatenate([lower, upper]), return_inverse=True)
     bounds = np.array([amm.price_at_tick(int(i)) for i in distinct])[where]
     lower_price, upper_price = bounds[:len(ticks)], bounds[len(ticks):]
@@ -136,8 +133,7 @@ def _range_table(closes, ticks, width, spacing, x0) -> np.ndarray:
     table = np.empty((len(ticks), 5))
     table[:, 0] = lower
     table[:, 1] = upper
-    # amm.liquidity_from_x, elementwise
-    table[:, 2] = x0 / (1.0 / np.sqrt(closes) - 1.0 / np.sqrt(upper_price))
+    table[:, 2] = amm.liquidity_from_x(x0, closes, upper_price)
     table[:, 3] = lower_price
     table[:, 4] = upper_price
     return table
@@ -397,11 +393,11 @@ def _score(config: EnvConfig, actions, lo, hi, opened) -> EpisodeTrace:
 
     The price path does not depend on the actions, so the position live at
     each step is the one opened at the last nonzero action; its range comes
-    from the range table. Fee and LVR follow the operation order of
-    `amm.fee_for_move` and `amm.lvr_penalty`, and the reward is fee - lvr -
-    gas; `tests/stepper.py` computes the same per step from the scalar
-    formulas and is the reference. Steps are scored in blocks, so the
-    temporaries stay small next to the trace.
+    from the range table. Fee and LVR come from the `amm` kernel, one call
+    each per block, and the reward is fee - lvr - gas; `tests/stepper.py`
+    computes the same per step from the scalar oracles in
+    `tests/amm_oracle.py` and is the reference. Steps are scored in blocks,
+    so the temporaries stay small next to the trace.
     """
     pool, tape = config.pool, config.data
     closes, sigma = tape.closes, tape.sigma
@@ -432,17 +428,10 @@ def _score(config: EnvConfig, actions, lo, hi, opened) -> EpisodeTrace:
 
         liq, lower_price, upper_price = rows[live, 2], rows[live, 3], rows[live, 4]
         p = trace.price[block][live]
-        # amm.fee_for_move, elementwise
-        factor = pool.fee_rate / (1.0 - pool.fee_rate) * liq
-        a = np.minimum(np.maximum(p, lower_price), upper_price)
-        b = np.minimum(np.maximum(closes[hour + 1 + live], lower_price), upper_price)
-        up = factor * (np.sqrt(b) - np.sqrt(a))
-        down = factor * (1.0 / np.sqrt(b) - 1.0 / np.sqrt(a)) * b
-        trace.fee[block][live] = np.where(b > a, up, np.where(b < a, down, 0.0))
-        # amm.lvr_penalty, elementwise
-        s = sigma[hour + live]
-        in_range = (lower_price <= p) & (p <= upper_price)
-        trace.lvr[block][live] = np.where(in_range, liq * s * s * np.sqrt(p) / 4.0, 0.0)
+        trace.fee[block][live] = amm.fee_for_move(liq, pool.fee_rate, p, closes[hour + 1 + live],
+                                                  lower_price, upper_price)
+        trace.lvr[block][live] = amm.lvr_penalty(liq, sigma[hour + live], p,
+                                                 lower_price, upper_price)
 
         # a deployment with a position already open rebalances
         rebalance = np.zeros(taken.size, dtype=bool)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from itertools import accumulate
 
@@ -443,6 +444,8 @@ class AgentSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)):
                 raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("rollout_length", "total_timesteps", "epochs", "minibatch_size", "patience"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:

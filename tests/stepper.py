@@ -1,20 +1,24 @@
-"""Per-step scoring of an LPEnv episode from the scalar amm formulas.
+"""Per-step scoring of an LPEnv episode from the scalar pool oracles.
 
 `Stepper` is the independent reference for `env.replay`, `LPEnv.rewards`
 and the PPO rollout. It decides with `LPEnv.advance`, which also gives the
 observations, and recomputes everything else on its own: each deployment
-opens a position with `amm.align_range` and `amm.Position.open` at that
-hour's close, and each step is scored with `amm.fee_for_move`,
-`amm.lvr_penalty` and the gas rule. It reads only the config's closes and
-their EWMA volatility, never the env's range tables or its scoring kernel.
+opens a position with `amm_oracle.align_range` and
+`amm_oracle.Position.open` at that hour's close, and each step is scored
+with `amm_oracle.fee_for_move`, `amm_oracle.lvr_penalty` and the gas rule.
+It reads only the config's closes and their EWMA volatility, never the
+env's range tables, its scoring or the `amm` array kernel; from
+`activelp.amm` it takes only the scalar `tick_index`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from activelp import amm, indicators
+from activelp import indicators
+from activelp.amm import tick_index
 from activelp.env import GAS_PER_LEG, MIN_HISTORY, EpisodeTrace, LPEnv
+import amm_oracle
 
 
 @dataclass(frozen=True)
@@ -29,7 +33,7 @@ class Step:
 
 class Stepper:
     """An LPEnv episode scored one step at a time; `position` is the open
-    `amm.Position` (None before the first deployment) and `price` the close
+    `amm_oracle.Position` (None before the first deployment) and `price` the close
     of the hour the next decision is taken at."""
 
     def __init__(self, config):
@@ -67,18 +71,18 @@ class Stepper:
             else:
                 gas = pool.gas_cost
             width = self.config.action_set[action_index]
-            lower, upper = amm.align_range(amm.tick_index(price), width, pool.tick_spacing)
-            self.position = amm.Position.open(lower, upper, price, self.config.x0)
+            lower, upper = amm_oracle.align_range(tick_index(price), width, pool.tick_spacing)
+            self.position = amm_oracle.Position.open(lower, upper, price, self.config.x0)
 
         fee = 0.0
         lvr = 0.0
         pos = self.position
         if pos is not None:
             lower_price, upper_price = pos.lower_price, pos.upper_price
-            fee = amm.fee_for_move(pos.liquidity, pool.fee_rate, price,
-                                   self._closes[self._t + 1], lower_price, upper_price)
+            fee = amm_oracle.fee_for_move(pos.liquidity, pool.fee_rate, price,
+                                          self._closes[self._t + 1], lower_price, upper_price)
             in_range = lower_price <= price <= upper_price
-            lvr = amm.lvr_penalty(pos.liquidity, self._sigma[self._t], price, in_range)
+            lvr = amm_oracle.lvr_penalty(pos.liquidity, self._sigma[self._t], price, in_range)
         self._t += 1
         return Step(observation=observation, reward=fee - lvr - gas, done=done,
                     fee=fee, lvr=lvr, gas=gas)

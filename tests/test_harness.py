@@ -349,6 +349,19 @@ class TestExperimentConfig:
                                         "pool": {"fee_rate": 2.0, "tick_spacing": 10,
                                                  "gas_cost": 5.0}})
 
+    @pytest.mark.parametrize("spacing", [2.5, 10.0, True])
+    def test_tick_spacing_must_be_an_integer(self, spacing):
+        with pytest.raises(ConfigError, match="invalid pool spec.*tick_spacing"):
+            ExperimentConfig.from_dict({"data": "x", "output_dir": "y",
+                                        "pool": {"fee_rate": 0.0005, "tick_spacing": spacing,
+                                                 "gas_cost": 5.0}})
+
+    @pytest.mark.parametrize("key", ["value_coef", "improvement_threshold"])
+    def test_non_finite_training_override(self, key):
+        with pytest.raises(ConfigError, match=f"invalid training override: {key} must be finite"):
+            ExperimentConfig.from_dict({"data": "x", "output_dir": "y",
+                                        "training": {key: float("nan")}})
+
     def test_bad_selection(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"data": "x", "output_dir": "y",

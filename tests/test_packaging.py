@@ -1,5 +1,6 @@
-"""Packaging: numpy is the only runtime dependency, and importing the CLI
-loads nothing that only some commands use.
+"""Packaging: numpy is the only runtime dependency, importing the CLI
+loads nothing that only some commands use, and the test oracles stay
+independent of the kernel they check.
 
 scipy and other packages may be installed next to the package, so an
 accidental import of one would pass every other test; this reads the
@@ -13,6 +14,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "activelp"
 
@@ -24,6 +27,27 @@ def imported_roots(path):
             yield from (alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             yield node.module.split(".")[0]
+
+
+def taken_from_amm(path):
+    """The names one module imports from `activelp.amm`; "activelp.amm" for
+    an import that reaches the whole module."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from ("activelp.amm" for alias in node.names
+                        if alias.name.split(".")[0] == "activelp")
+        elif isinstance(node, ast.ImportFrom) and node.module == "activelp.amm":
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "activelp":
+            yield from ("activelp.amm" for alias in node.names if alias.name == "amm")
+
+
+@pytest.mark.parametrize("oracle", ["amm_oracle.py", "stepper.py"])
+def test_oracles_take_only_scalar_tick_math_from_amm(oracle):
+    # the scalar oracles are the reference for the array kernel in amm, so
+    # they may share the tick math but not the formulas they check
+    taken = set(taken_from_amm(ROOT / "tests" / oracle))
+    assert taken and taken <= {"tick_index", "price_at_tick", "PoolSpec"}
 
 
 def test_modules_import_only_stdlib_numpy_and_the_package():

@@ -11,6 +11,7 @@ from activelp.harness import SearchGrid
 from activelp.ppo import (Adam, AgentSpec, Categorical, Mlp, RolloutBatch,
                           TrainingDiverged, advantages, compute_returns,
                           ppo_objective, train, train_population)
+import amm_oracle
 from bandit import ContextualBandit
 from stepper import Stepper
 
@@ -512,6 +513,8 @@ class TestAgentSpec:
         ("learning_rate", "1e-3"), ("improvement_threshold", None), ("gamma", True),
         ("hidden_layers", [8.5]), ("hidden_layers", 8), ("hidden_layers", (4, 0)),
         ("hidden_layers", ["8"]), ("action_set", [0, "10", 20]), ("action_set", (0, True)),
+        ("learning_rate", math.nan), ("learning_rate", math.inf), ("value_coef", math.nan),
+        ("entropy_coef", math.inf), ("improvement_threshold", math.nan),
     ])
     def test_rejects_bad_types_and_counts_naming_the_key(self, key, bad):
         with pytest.raises(ValueError, match=key):
@@ -1026,9 +1029,9 @@ class TestDecideThenScore:
 
     def test_no_per_step_scoring_or_cached_forward(self, monkeypatch):
         """Deterministic guard: training a group on LPEnvs and the greedy
-        passes call neither the scalar amm rewards nor the cached forward
-        outside the update, and the group shares each forward and
-        objective."""
+        passes score each episode segment with one call of the `amm` kernel,
+        never step the scalar oracles, call the cached forward only in the
+        update, and the group shares each forward and objective."""
         from activelp import amm, env
         from activelp.env import LPEnv
 
@@ -1057,8 +1060,11 @@ class TestDecideThenScore:
                 calls["forward_cached"] = calls.get("forward_cached", 0) + 1
             return forward_cached(self, x)
 
-        monkeypatch.setattr(amm, "fee_for_move", counted("fee_for_move", amm.fee_for_move))
-        monkeypatch.setattr(amm, "lvr_penalty", counted("lvr_penalty", amm.lvr_penalty))
+        for module in (amm, amm_oracle):
+            for name in ("fee_for_move", "lvr_penalty"):
+                monkeypatch.setattr(module, name, counted(f"{module.__name__}.{name}",
+                                                          getattr(module, name)))
+        monkeypatch.setattr(env, "_score", counted("_score", env._score))
         monkeypatch.setattr(ppo, "ppo_objective", counted("ppo_objective", update_objective))
         monkeypatch.setattr(Mlp, "forward_cached", rollout_forward_cached)
         monkeypatch.setattr(Mlp, "forward", counted("forward", Mlp.forward))
@@ -1076,15 +1082,23 @@ class TestDecideThenScore:
         assert calls.pop("forward") == 100 + 2 * 4
         assert calls.pop("forward_rows") == 4
         assert calls.pop("ppo_objective") == 4
+        # a rollout scores each episode segment it holds once: per agent,
+        # 4 rollouts over 40-step episodes cut 6 segments, and each is one
+        # kernel call for fees and one for LVR, not one per step
+        assert calls.pop("_score") == 2 * 6
+        assert calls.pop("activelp.amm.fee_for_move") == 2 * 6
+        assert calls.pop("activelp.amm.lvr_penalty") == 2 * 6
         for e, result in zip(envs, results):
             trace = env.run_policy(e, ppo.greedy_action_fn(result.actor))
             assert trace.t.size == 40
-        assert calls.pop("forward") == 2 * 40 and calls == {}
-        # the counters do count
+        assert calls.pop("forward") == 2 * 40
+        assert calls.pop("_score") == calls.pop("activelp.amm.fee_for_move") == 2
+        assert calls.pop("activelp.amm.lvr_penalty") == 2 and calls == {}
+        # the oracle counters do count
         s = Stepper(lp_config())
         s.reset()
         s.step(1)
-        assert calls == {"fee_for_move": 1, "lvr_penalty": 1}
+        assert calls == {"amm_oracle.fee_for_move": 1, "amm_oracle.lvr_penalty": 1}
 
 
 class HugeRewards:
