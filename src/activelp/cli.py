@@ -4,7 +4,6 @@ evaluation, the passive baseline, and the full rolling-window experiment."""
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -67,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one agent on a candle file")
     p.add_argument("--candles", required=True)
-    p.add_argument("--out", required=True, help="checkpoint path (.npz)")
+    p.add_argument("--out", required=True, help="checkpoint file (npz format)")
     p.add_argument("--curve", help="optional training-curve CSV path")
     p.add_argument("--spec", help="JSON file of agent-spec overrides")
     p.add_argument("--seed", type=int, default=0)
@@ -90,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="full rolling-window study")
     p.add_argument("--config", required=True, help="JSON experiment config")
 
-    p = sub.add_parser("report", help="print each window's totals and rewrite wins.txt "
-                                      "from a result directory")
+    p = sub.add_parser("report", help="print each window's totals from a result "
+                                      "directory's summary.csv and rewrite its wins.txt")
     p.add_argument("--results", required=True)
     return parser
 
@@ -187,30 +186,9 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_report(args) -> int:
-    windows_dir = os.path.join(args.results, "windows")
-    if not os.path.isdir(windows_dir):
-        raise harness.ConfigError(f"no windows directory under {args.results}")
-    rows = []
-    for name in sorted(os.listdir(windows_dir)):
-        path = os.path.join(windows_dir, name, "cumulative.csv")
-        if not os.path.isfile(path):
-            continue
-        with open(path) as fh:
-            last = None
-            for last in csv.DictReader(fh):
-                pass
-        if last is not None:
-            # a missing column or a short row reads as None
-            if last.get("active_cum") is None or last.get("passive_cum") is None:
-                raise harness.ConfigError(f"{path}: last row has no active_cum or passive_cum")
-            rows.append((name, float(last["active_cum"]), float(last["passive_cum"])))
-    if not rows:
-        raise harness.ConfigError(f"no window results under {args.results}")
+    rows, line = harness.report_summary(args.results)
     for name, a, p in rows:
         print(f"{name}: active {a:.4f} passive {p:.4f}")
-    line = harness.wins_line([(a, p) for _, a, p in rows])
-    with open(os.path.join(args.results, "wins.txt"), "w") as fh:
-        fh.write(line + "\n")
     print(line)
     return EXIT_OK
 

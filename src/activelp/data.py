@@ -15,7 +15,7 @@ HOUR = 3600
 # numpy's C reader does not take (see _read_columns). Cell strings cost many
 # times the arrays parsed from them, so it holds one block of them at a time.
 _BLOCK_ROWS = 128
-_CSV_BLOCK = 512  # rows per write in PriceSeries.to_csv
+_CSV_BLOCK = 512  # rows per write in write_csv
 _PRICES = ("open", "high", "low", "close")
 
 
@@ -99,16 +99,22 @@ class PriceSeries:
 
     def to_csv(self, path):
         cols = [self.timestamps, self.opens, self.highs, self.lows, self.closes]
-        header = "timestamp,open,high,low,close"
         if self.volumes is not None:
             cols.append(self.volumes)
-            header += ",volume"
-        line = ",".join(["%r"] * len(cols)) + "\r\n"
-        with open(path, "w", newline="") as fh:
-            fh.write(header + "\r\n")
-            for lo in range(0, len(self), _CSV_BLOCK):
-                fh.write("".join([line % row for row in zip(
-                    *(c[lo:lo + _CSV_BLOCK].tolist() for c in cols))]))
+        write_csv(path, ["timestamp", *_PRICES, "volume"][:len(cols)], cols)
+
+
+def write_csv(path, header, columns):
+    """Write the header, then one CRLF row per index of the array columns'
+    `.tolist()` values, unquoted: numbers as repr(), the text of str() one
+    call sooner, other cells as str(). Rows go out a block per write."""
+    cells = [repr if c.dtype.kind in "iuf" else str for c in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(columns[0]), _CSV_BLOCK):
+            rows = zip(*[map(cell, c[lo:lo + _CSV_BLOCK].tolist())
+                         for cell, c in zip(cells, columns)])
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def _missing_hours(ts_before: int, ts_after: int, limit: int = 5) -> str:

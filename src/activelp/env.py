@@ -15,7 +15,7 @@ import numpy as np
 
 from . import amm, indicators
 from .amm import PoolSpec
-from .data import PriceSeries
+from .data import PriceSeries, write_csv
 
 # Closes required before the first decision; ma168 is the binding lookback.
 MIN_HISTORY = 168
@@ -33,10 +33,9 @@ MARKET_ENTRIES = (0, 1, 4, 5, 6, 7, 8, 9, 10, 11, 12)
 GAS_PER_LEG = "per_leg"  # gas per on-chain leg: deploy g, rebalance 2g
 GAS_FLAT = "flat"        # single gas charge for any nonzero action
 
-TRACE_HEADER = "t,price,action,width,L,fee,lvr,gas,reward"
+TRACE_HEADER = ("t", "price", "action", "width", "L", "fee", "lvr", "gas", "reward")
 # EpisodeTrace fields in TRACE_HEADER order
 TRACE_COLUMNS = ("t", "price", "action", "width", "liquidity", "fee", "lvr", "gas", "reward")
-_CSV_BLOCK = 512
 _SCORE_BLOCK = 2048
 
 
@@ -348,17 +347,8 @@ class EpisodeTrace:
 
     def to_csv(self, path):
         dtypes = (np.int64, float, np.int64, np.int64, float, float, float, float, float)
-        cols = [np.asarray(getattr(self, name)).astype(dtype, copy=False)
-                for name, dtype in zip(TRACE_COLUMNS, dtypes)]
-        with open(path, "w", newline="") as fh:
-            fh.write(TRACE_HEADER + "\r\n")
-            # a block of rows per write: whole-trace strings would cost
-            # several times the trace's own memory
-            for lo in range(0, self.t.size, _CSV_BLOCK):
-                fh.write("".join([
-                    f"{t},{p!r},{a},{w},{liq!r},{fee!r},{lvr!r},{gas!r},{r!r}\r\n"
-                    for t, p, a, w, liq, fee, lvr, gas, r in zip(
-                        *(c[lo:lo + _CSV_BLOCK].tolist() for c in cols))]))
+        write_csv(path, TRACE_HEADER, [np.asarray(getattr(self, name)).astype(dtype, copy=False)
+                                       for name, dtype in zip(TRACE_COLUMNS, dtypes)])
 
 
 def run_policy(env: LPEnv, action_fn) -> EpisodeTrace:

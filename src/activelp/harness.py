@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .amm import PoolSpec
-from .data import PriceSeries, load_candles, _iso
+from .data import PriceSeries, load_candles, write_csv, _iso
 from .env import (GAS_FLAT, GAS_PER_LEG, MIN_HISTORY, EnvConfig, EpisodeTrace,
                   FeatureStats, LPEnv, MarketTape, check_action_set, compute_stats,
                   run_passive, run_policy)
@@ -25,6 +25,8 @@ log = logging.getLogger(__name__)
 
 SELECT_TRAIN = "train"
 SELECT_TEST_LEAKY = "test_leaky"  # selects on test data; for replication only
+SUMMARY_COLUMNS = ("window", "end_of_test", "active_reward", "passive_reward")
+WINDOW_DIR = "window_{:02d}"  # a window's directory under output_dir/windows
 
 
 class ConfigError(Exception):
@@ -187,18 +189,17 @@ def train_and_select(train_tape: MarketTape, window: Window, config: ExperimentC
     seeds = [int(_agent_seed(config.seed, window.index, k).generate_state(1)[0])
              for k in range(config.n_agents)]
 
+    # one task per lockstep group, so a worker trains whole groups
+    tasks = [(group, [specs[k] for k in group], [envs[k] for k in group],
+              [seeds[k] for k in group]) for group in lockstep_groups(envs, specs)]
     if config.n_jobs > 1:
         # imported here: it loads multiprocessing, which only this branch uses
         from concurrent.futures import ProcessPoolExecutor
-
-        # whole lockstep groups to the workers
-        tasks = [(group, [specs[k] for k in group], [envs[k] for k in group],
-                  [seeds[k] for k in group]) for group in lockstep_groups(envs, specs)]
         with ProcessPoolExecutor(max_workers=config.n_jobs) as pool_executor:
-            outcomes = [o for part in pool_executor.map(_train_agents, tasks) for o in part]
+            parts = list(pool_executor.map(_train_agents, tasks))
     else:
-        outcomes = _train_agents((range(config.n_agents), specs, envs, seeds))
-    outcomes.sort(key=lambda o: o.index)
+        parts = map(_train_agents, tasks)
+    outcomes = sorted((o for part in parts for o in part), key=lambda o: o.index)
 
     trained = [o for o in outcomes if o.result is not None]
     for o in outcomes:
@@ -396,6 +397,13 @@ def wins_line(totals: list) -> str:
     return f"active wins {wins} of {len(totals)}"
 
 
+def _write_wins(output_dir, totals: list) -> str:
+    line = wins_line(totals)
+    with open(os.path.join(output_dir, "wins.txt"), "w") as fh:
+        fh.write(line + "\n")
+    return line
+
+
 def emit_report(results: list[WindowResult], output_dir) -> dict:
     """Write summary.csv, per-window traces/cumulative series, checkpoints, and
     the `wins_line` of the windows that did not fail; print nothing. Returns
@@ -407,15 +415,12 @@ def emit_report(results: list[WindowResult], output_dir) -> dict:
              "wins": os.path.join(output_dir, "wins.txt")}
 
     ok = [r for r in results if not r.failed]
-    with open(paths["summary"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window", "end_of_test", "active_reward", "passive_reward"])
-        for r in ok:
-            writer.writerow([r.window.index, _iso(r.test_end_ts),
-                             repr(r.active_reward), repr(r.passive_reward)])
+    write_csv(paths["summary"], SUMMARY_COLUMNS, [np.array(col) for col in (
+        [r.window.index for r in ok], [_iso(r.test_end_ts) for r in ok],
+        [r.active_reward for r in ok], [r.passive_reward for r in ok])])
 
     for r in results:
-        wdir = os.path.join(output_dir, "windows", f"window_{r.window.index:02d}")
+        wdir = os.path.join(output_dir, "windows", WINDOW_DIR.format(r.window.index))
         os.makedirs(wdir, exist_ok=True)
         if r.failed:
             with open(os.path.join(wdir, "failed.txt"), "w") as fh:
@@ -425,15 +430,12 @@ def emit_report(results: list[WindowResult], output_dir) -> dict:
         r.active_trace.to_csv(os.path.join(wdir, "active_trace.csv"))
         r.passive_trace.to_csv(os.path.join(wdir, "passive_trace.csv"))
         a_cum = r.active_trace.cumulative_reward
-        p_cum = r.passive_trace.cumulative_reward
-        with open(os.path.join(wdir, "cumulative.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "active_cum", "passive_cum"])
-            for t in range(a_cum.size):
-                writer.writerow([t, repr(float(a_cum[t])), repr(float(p_cum[t]))])
+        write_csv(os.path.join(wdir, "cumulative.csv"), ("t", "active_cum", "passive_cum"),
+                  [np.arange(a_cum.size), a_cum, r.passive_trace.cumulative_reward])
         save_checkpoint(os.path.join(wdir, "agent.npz"), r.selected.result)
         save_training_curve(os.path.join(wdir, "training_curve.csv"),
                             r.selected.result.curve)
+        # csv.writer, because it quotes the free-text error column as needed
         with open(os.path.join(wdir, "agents.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["agent", "train_reward", "selected", "error"])
@@ -442,6 +444,29 @@ def emit_report(results: list[WindowResult], output_dir) -> dict:
                                  int(agent.index == r.selected.index),
                                  agent.error or ""])
 
-    with open(paths["wins"], "w") as fh:
-        fh.write(wins_line([(r.active_reward, r.passive_reward) for r in ok]) + "\n")
+    _write_wins(output_dir, [(r.active_reward, r.passive_reward) for r in ok])
     return paths
+
+
+def report_summary(output_dir) -> tuple[list[tuple[str, float, float]], str]:
+    """Each row of the summary.csv that `emit_report` wrote, as (window
+    directory, active reward, passive reward) in window order, and the
+    `wins_line` over them, which it rewrites to wins.txt."""
+    path = os.path.join(output_dir, "summary.csv")
+    if not os.path.isfile(path):
+        raise ConfigError(f"no summary.csv under {output_dir}")
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            # a missing column or a short row reads as None
+            index, _, active, passive = (row.get(col) for col in SUMMARY_COLUMNS)
+            try:
+                rows.append((int(index), float(active), float(passive)))
+            except (TypeError, ValueError):
+                raise ConfigError(f"{path}: line {reader.line_num} has no window index "
+                                  f"and both rewards") from None
+    if not rows:
+        raise ConfigError(f"no window results in {path}")
+    line = _write_wins(output_dir, [(a, p) for _, a, p in rows])
+    return [(WINDOW_DIR.format(i), a, p) for i, a, p in sorted(rows, key=lambda r: r[0])], line

@@ -17,13 +17,14 @@ bitwise what it would compute alone; `train` is the population of one.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from itertools import accumulate
 
 import numpy as np
+
+from .data import write_csv
 
 # each activation, and its derivative from the pre-activation z and output a
 _ACTIVATIONS = {
@@ -763,13 +764,16 @@ def save_checkpoint(path, result: TrainResult):
         for i, (w, b) in enumerate(zip(net.weights, net.biases)):
             arrays[f"{name}_w{i}"] = w[0]
             arrays[f"{name}_b{i}"] = b[0, 0]
-    np.savez(path, meta=json.dumps(meta), **arrays)
+    # through a handle: given a path, np.savez appends ".npz" to any other name
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=json.dumps(meta), **arrays)
 
 
 def load_checkpoint(path) -> TrainResult:
-    blob = np.load(path, allow_pickle=False)
+    with np.load(path, allow_pickle=False) as archive:
+        blob = {name: archive[name] for name in archive.files}
     # the metadata names the other arrays, so it is checked for first
-    _check_keys("arrays", set(blob.files) & {"meta"}, {"meta"})
+    _check_keys("arrays", set(blob) & {"meta"}, {"meta"})
     meta = json.loads(str(blob["meta"]))
     if not isinstance(meta, dict):
         raise ValueError(f"checkpoint metadata must be a JSON object, got {type(meta).__name__}")
@@ -784,14 +788,14 @@ def load_checkpoint(path) -> TrainResult:
         raise ValueError(f"checkpoint stopped_early must be a bool, got {meta['stopped_early']!r}")
     if not isinstance(meta["spec"], dict):
         raise ValueError(f"checkpoint spec must be a JSON object, got {type(meta['spec']).__name__}")
-    _check_keys("arrays", blob.files, {"meta"} | {
+    _check_keys("arrays", blob, {"meta"} | {
         f"{name}_{part}{i}" for name in ("actor", "critic") for part in "wb"
         for i in range(meta[f"{name}_layers"])})
-    fields = AgentSpec.__dataclass_fields__
+    spec_fields = AgentSpec.__dataclass_fields__
     # a null spec entry asks for nothing: files from earlier versions hold
     # one for a reserved field that was never read and is gone
-    spec_dict = {k: v for k, v in meta["spec"].items() if k in fields or v is not None}
-    _check_keys("agent spec", spec_dict, fields)
+    spec_dict = {k: v for k, v in meta["spec"].items() if k in spec_fields or v is not None}
+    _check_keys("agent spec", spec_dict, spec_fields)
     spec = AgentSpec(**spec_dict)
     activation = meta["activation"]
     actor, critic = (
@@ -804,11 +808,7 @@ def load_checkpoint(path) -> TrainResult:
 
 
 def save_training_curve(path, curve):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["update", "timesteps", "mean_episode_reward",
-                         "objective", "policy_term", "value_loss", "entropy"])
-        for row in curve:
-            writer.writerow([row.update, row.timesteps, repr(row.mean_episode_reward),
-                             repr(row.objective), repr(row.policy_term),
-                             repr(row.value_loss), repr(row.entropy)])
+    # one column per UpdateStats field, typed by its annotation ("int" or "float")
+    cols = fields(UpdateStats)
+    write_csv(path, [f.name for f in cols],
+              [np.array([getattr(row, f.name) for row in curve], dtype=f.type) for f in cols])

@@ -152,6 +152,14 @@ class TestTrainEvaluate:
                     "--checkpoint", str(ckpt), "--out-trace", str(trace_path)]) == 0
         assert trace_path.exists()
 
+    def test_checkpoint_path_is_written_as_named(self, tmp_path, candle_file):
+        # np.savez given a path would write model.ckpt.npz
+        ckpt = tmp_path / "model.ckpt"
+        assert run(["train", "--candles", str(candle_file), "--out", str(ckpt),
+                    "--timesteps", "200", "--seed", "1"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["candles.csv", "model.ckpt"]
+        assert run(["evaluate", "--candles", str(candle_file), "--checkpoint", str(ckpt)]) == 0
+
     def test_train_computes_features_once(self, tmp_path, candle_file, feature_calls):
         assert run(["train", "--candles", str(candle_file), "--out", str(tmp_path / "a.npz"),
                     "--timesteps", "300", "--seed", "1"]) == 0
@@ -313,19 +321,53 @@ class TestExperiment:
         assert run(["report", "--results", str(tmp_path / "results")]) == 0
         assert "active wins" in capsys.readouterr().out
 
+    def test_report_reads_the_summary_of_a_reused_output_dir(self, tmp_path, candle_file,
+                                                              capsys):
+        # 8 windows, then 3 into the same output_dir: windows 03-07 stay on
+        # disk, but the summary lists only the last run's 3
+        eight = self._config(tmp_path, candle_file, train_len=200, test_len=50, stride=60)
+        assert run(["experiment", "--config", str(eight)]) == 0
+        assert capsys.readouterr().out.endswith(" of 8\n")
+        three = self._config(tmp_path, candle_file)
+        assert run(["experiment", "--config", str(three)]) == 0
+        wins = capsys.readouterr().out
+        assert wins.endswith(" of 3\n")
+        results = tmp_path / "results"
+        assert (results / "windows" / "window_07" / "cumulative.csv").exists()
+        assert run(["report", "--results", str(results)]) == 0
+        with open(results / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        want = "".join(f"window_{int(r['window']):02d}: active "
+                       f"{float(r['active_reward']):.4f} passive "
+                       f"{float(r['passive_reward']):.4f}\n" for r in rows)
+        assert capsys.readouterr().out == want + wins
+        assert (results / "wins.txt").read_text() == wins
+
+    def test_report_prints_windows_in_index_order(self, tmp_path, capsys):
+        (tmp_path / "summary.csv").write_text(
+            "window,end_of_test,active_reward,passive_reward\r\n"
+            "100,2021-01-05T00:00:00Z,1.0,2.0\r\n"
+            "9,2021-01-01T00:00:00Z,3.5,-1.0\r\n"
+            "10,2021-01-02T00:00:00Z,-0.0,0.25\r\n")
+        assert run(["report", "--results", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == ("window_09: active 3.5000 passive -1.0000\n"
+                                           "window_10: active -0.0000 passive 0.2500\n"
+                                           "window_100: active 1.0000 passive 2.0000\n"
+                                           "active wins 1 of 3\n")
+        assert (tmp_path / "wins.txt").read_text() == "active wins 1 of 3\n"
+
     def test_report_on_empty_dir_exits_1(self, tmp_path):
         assert run(["report", "--results", str(tmp_path)]) == 1
 
-    @pytest.mark.parametrize("text", ["t,active,passive\r\n0,1.0,2.0\r\n",
-                                      "t,active_cum,passive_cum\r\n0,1.0\r\n"],
+    @pytest.mark.parametrize("text", ["window,active,passive\r\n0,1.0,2.0\r\n",
+                                      "window,end_of_test,active_reward,passive_reward\r\n"
+                                      "0,2021-01-01T00:00:00Z,1.0\r\n"],
                              ids=["no_columns", "short_row"])
     def test_report_without_cumulative_values_exits_1(self, tmp_path, capsys, text):
-        window = tmp_path / "windows" / "window_000"
-        window.mkdir(parents=True)
-        (window / "cumulative.csv").write_text(text)
+        (tmp_path / "summary.csv").write_text(text)
         assert run(["report", "--results", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert "config error" in err and "cumulative.csv" in err
+        assert "config error" in err and "summary.csv" in err
         assert not (tmp_path / "wins.txt").exists()
 
     def test_failed_window_exits_3(self, tmp_path, candle_file, monkeypatch):

@@ -1,3 +1,4 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -6,10 +7,11 @@ import pytest
 from activelp import data, harness
 from activelp.amm import PoolSpec
 from activelp.data import PriceSeries
-from activelp.env import MIN_HISTORY, MarketTape
-from activelp.harness import (ConfigError, ExperimentConfig, SearchGrid,
-                              emit_report, make_windows, run_window, sample_spec,
-                              train_and_select)
+from activelp.env import MIN_HISTORY, EpisodeTrace, MarketTape
+from activelp.harness import (AgentOutcome, ConfigError, ExperimentConfig, SearchGrid,
+                              Window, WindowResult, emit_report, make_windows, run_window,
+                              sample_spec, train_and_select)
+from activelp.ppo import AgentSpec, Mlp, TrainResult
 from test_ppo import flat
 
 POOL = PoolSpec(fee_rate=0.0005, tick_spacing=10, gas_cost=5.0)
@@ -332,6 +334,83 @@ class TestReport:
         assert len(rows) == len(results)
         note = (tmp_path / "windows" / "window_09" / "failed.txt").read_text()
         assert "boom" in note
+
+
+VALUES = [-0.0, 0.0, 5e-324, 1e16, 1e-300, 0.1, 2.5e15, -7.25, 3000.123456789,
+          1.7976931348623157e308, np.nan, np.inf, -np.inf]
+
+
+def reward_trace(rewards):
+    """A trace of the given rewards; every other column is constant."""
+    n = len(rewards)
+    zeros = np.zeros(n)
+    return EpisodeTrace(np.arange(n), zeros + 3000.0, zeros.astype(np.int64),
+                        zeros.astype(np.int64), zeros, zeros, zeros, zeros,
+                        np.array(rewards, dtype=float))
+
+
+def report_window(index, active, passive, failed=False):
+    """A window result over hand-made traces, with an untrained agent."""
+    spec = AgentSpec(action_set=(0, 20, 50), hidden_layers=(4,))
+    rng = np.random.default_rng(index)
+    result = TrainResult(spec, Mlp.build([13, 4, 3], "tanh", rng),
+                         Mlp.build([13, 4, 1], "tanh", rng), [], 0, False)
+    agent = AgentOutcome(index=0, spec=spec, train_reward=0.5,
+                         result=None if failed else result, error="boom" if failed else None)
+    return WindowResult(window=Window(index, 0, 400, 400, 400 + len(active)),
+                        test_end_ts=1609459200 + 3600 * index, agents=[agent],
+                        selected=None if failed else agent,
+                        active_trace=None if failed else reward_trace(active),
+                        passive_trace=None if failed else reward_trace(passive),
+                        failed=failed)
+
+
+def reference_summary(results, path):
+    """summary.csv as one csv.writer row per window that did not fail."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["window", "end_of_test", "active_reward", "passive_reward"])
+        for r in results:
+            if not r.failed:
+                writer.writerow([r.window.index, data._iso(r.test_end_ts),
+                                 repr(r.active_reward), repr(r.passive_reward)])
+
+
+def reference_cumulative(result, path):
+    """cumulative.csv as one csv.writer row per step."""
+    a_cum = result.active_trace.cumulative_reward
+    p_cum = result.passive_trace.cumulative_reward
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "active_cum", "passive_cum"])
+        for t in range(a_cum.size):
+            writer.writerow([t, repr(float(a_cum[t])), repr(float(p_cum[t]))])
+
+
+class TestReportBytes:
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_tables_match_row_writer(self, tmp_path):
+        # one 1-step window per value, so every value is a total and a
+        # cumulative entry, and one long window over all of them
+        results = [report_window(i, [v], [VALUES[-1 - i]]) for i, v in enumerate(VALUES)]
+        results.append(report_window(len(VALUES), VALUES, VALUES[::-1]))
+        results.insert(3, report_window(99, [], [], failed=True))
+        emit_report(results, tmp_path)
+        reference_summary(results, tmp_path / "want.csv")
+        assert (tmp_path / "summary.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        for r in results:
+            if r.failed:
+                continue
+            got = tmp_path / "windows" / f"window_{r.window.index:02d}" / "cumulative.csv"
+            reference_cumulative(r, tmp_path / "want.csv")
+            assert got.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_every_window_failed_writes_the_header_only(self, tmp_path):
+        emit_report([report_window(0, [], [], failed=True),
+                     report_window(1, [], [], failed=True)], tmp_path)
+        assert ((tmp_path / "summary.csv").read_bytes()
+                == b"window,end_of_test,active_reward,passive_reward\r\n")
+        assert (tmp_path / "wins.txt").read_text() == "active wins 0 of 0\n"
 
 
 class TestExperimentConfig:

@@ -77,3 +77,36 @@ def test_cli_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out == "[]\n"
+
+
+def writer_sites(path):
+    """(function, what) for each `csv.writer` use and each string constant
+    holding a CRLF row terminator in one module, by enclosing function."""
+    sites = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "writer"
+                and isinstance(node.value, ast.Name) and node.value.id == "csv"):
+            sites.append((function, "csv.writer"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            sites.append((function, "from csv import"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and "\r\n" in node.value:
+            sites.append((function, "CRLF"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return sites
+
+
+def test_one_csv_row_writer():
+    # data.write_csv writes every table; only agents.csv, whose error column
+    # is free text that csv must be free to quote, keeps a csv.writer
+    sites = [f"{path.name}: {function}: {what}" for path in PACKAGE.rglob("*.py")
+             for function, what in writer_sites(path)]
+    assert sorted(set(sites)) == ["data.py: write_csv: CRLF",
+                                  "harness.py: emit_report: csv.writer"]
+    assert sites.count("harness.py: emit_report: csv.writer") == 1

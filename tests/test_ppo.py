@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -591,6 +592,25 @@ class TestPersistence:
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("update,timesteps,mean_episode_reward")
         assert len(lines) == 1 + len(result.curve)
+
+    @pytest.mark.parametrize("n_rows", [0, 13])
+    def test_curve_csv_bytes_match_row_writer(self, tmp_path, n_rows):
+        values = [-0.0, 0.0, 5e-324, 1e16, 1e-300, 0.1, 2.5e15, -7.25, 3000.123456789,
+                  1.7976931348623157e308, math.nan, math.inf, -math.inf]
+        curve = [ppo.UpdateStats(k + 1, 256 * (k + 1), math.nan if k % 3 == 0 else values[k],
+                                 values[-1 - k], values[(k + 4) % 13], values[(k + 7) % 13],
+                                 values[(k + 10) % 13]) for k in range(n_rows)]
+        path = tmp_path / "curve.csv"
+        ppo.save_training_curve(path, curve)
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["update", "timesteps", "mean_episode_reward",
+                             "objective", "policy_term", "value_loss", "entropy"])
+            for row in curve:
+                writer.writerow([row.update, row.timesteps, repr(row.mean_episode_reward),
+                                 repr(row.objective), repr(row.policy_term),
+                                 repr(row.value_loss), repr(row.entropy)])
+        assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
