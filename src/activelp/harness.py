@@ -10,6 +10,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .env import (GAS_FLAT, GAS_PER_LEG, MIN_HISTORY, EnvConfig, EpisodeTrace,
                   FeatureStats, LPEnv, MarketTape, check_action_set, compute_stats,
                   run_passive, run_policy)
 from .ppo import AgentSpec, TrainResult, TrainingDiverged, greedy_action_fn, \
-    lockstep_groups, save_checkpoint, save_training_curve, train_population
+    save_checkpoint, save_training_curve, train_population
 
 log = logging.getLogger(__name__)
 
@@ -145,33 +146,14 @@ def _agent_seed(seed: int, window_index: int, agent_index: int) -> np.random.See
     return np.random.SeedSequence([seed, window_index, agent_index])
 
 
-def _train_agents(args):
-    """Worker: train agents as one population and score each on the train
-    slice (greedy pass); returns their outcomes."""
-    indices, specs, envs, seeds = args
-    outcomes = []
-    for index, spec, env, result in zip(indices, specs, envs,
-                                        train_population(envs, specs, seeds)):
-        stats = env.config.stats
-        if isinstance(result, TrainingDiverged):
-            outcomes.append(AgentOutcome(index=index, spec=spec, train_reward=-np.inf,
-                                         result=None, error=str(result), stats=stats))
-            continue
-        # run_policy resets the env, so the greedy pass reuses the training one
-        trace = run_policy(env, greedy_action_fn(result.actor))
-        outcomes.append(AgentOutcome(index=index, spec=spec, train_reward=trace.total_reward,
-                                     result=result, stats=stats))
-    return outcomes
-
-
 def train_and_select(train_tape: MarketTape, window: Window, config: ExperimentConfig
                      ) -> tuple[AgentOutcome | None, list[AgentOutcome]]:
     """Train config.n_agents randomly drawn specs on the window's train slice,
     given as its tape, and pick the one with the highest greedy cumulative
     train reward; each outcome carries its frozen observation stats. The
-    agents train as one population, each in its own env; the stats and every
-    env share the tape, and the test slice is never passed in. With
-    config.n_jobs > 1, each lockstep group trains in a worker process."""
+    agents train as one population, each in its own env, in the calling
+    process; the stats and every env share the tape, and the test slice is
+    never passed in."""
     # spec sampling gets its own stream, disjoint from the per-agent seeds
     spec_rng = np.random.default_rng(np.random.SeedSequence([config.seed, window.index, 1 << 20]))
     specs = [sample_spec(config.grid, spec_rng, **config.training)
@@ -189,22 +171,21 @@ def train_and_select(train_tape: MarketTape, window: Window, config: ExperimentC
     seeds = [int(_agent_seed(config.seed, window.index, k).generate_state(1)[0])
              for k in range(config.n_agents)]
 
-    # one task per lockstep group, so a worker trains whole groups
-    tasks = [(group, [specs[k] for k in group], [envs[k] for k in group],
-              [seeds[k] for k in group]) for group in lockstep_groups(envs, specs)]
-    if config.n_jobs > 1:
-        # imported here: it loads multiprocessing, which only this branch uses
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=config.n_jobs) as pool_executor:
-            parts = list(pool_executor.map(_train_agents, tasks))
-    else:
-        parts = map(_train_agents, tasks)
-    outcomes = sorted((o for part in parts for o in part), key=lambda o: o.index)
+    outcomes = []
+    for k, (spec, env, result) in enumerate(zip(specs, envs,
+                                                train_population(envs, specs, seeds))):
+        stats = env.config.stats
+        if isinstance(result, TrainingDiverged):
+            log.warning("window %d agent %d diverged: %s", window.index, k, result)
+            outcomes.append(AgentOutcome(index=k, spec=spec, train_reward=-np.inf,
+                                         result=None, error=str(result), stats=stats))
+            continue
+        # run_policy resets the env, so the greedy pass reuses the training one
+        trace = run_policy(env, greedy_action_fn(result.actor))
+        outcomes.append(AgentOutcome(index=k, spec=spec, train_reward=trace.total_reward,
+                                     result=result, stats=stats))
 
     trained = [o for o in outcomes if o.result is not None]
-    for o in outcomes:
-        if o.error:
-            log.warning("window %d agent %d diverged: %s", window.index, o.index, o.error)
     if not trained:
         return None, outcomes
     return max(trained, key=lambda o: (o.train_reward, -o.index)), outcomes
@@ -377,16 +358,31 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
-def run_experiment(config: ExperimentConfig) -> list[WindowResult]:
-    """Run the full rolling-window study and write all reports."""
-    series = load_candles(config.data)
-    windows = make_windows(len(series), config.train_len, config.test_len, config.stride)
-    log.info("running %d windows over %d hours", len(windows), len(series))
-    results = []
+def _announced(windows):
+    # lazy, so a sequential run logs each window's range just before it runs
     for window in windows:
         log.info("window %d: train [%d, %d) test [%d, %d)", window.index,
                  window.train_start, window.train_end, window.test_start, window.test_end)
-        results.append(run_window(series, window, config))
+        yield window
+
+
+def run_experiment(config: ExperimentConfig) -> list[WindowResult]:
+    """Run the full rolling-window study and write all reports. With
+    config.n_jobs > 1, up to that many windows run at once in worker
+    processes; results are the same at any n_jobs."""
+    series = load_candles(config.data)
+    windows = make_windows(len(series), config.train_len, config.test_len, config.stride)
+    log.info("running %d windows over %d hours", len(windows), len(series))
+    run = partial(run_window, series, config=config)
+    workers = min(config.n_jobs, len(windows))
+    if workers > 1:
+        # imported here: it loads multiprocessing, which only this branch uses
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            # map yields in window order, whatever order the windows finish in
+            results = list(executor.map(run, _announced(windows)))
+    else:
+        results = list(map(run, _announced(windows)))
     emit_report(results, config.output_dir)
     return results
 

@@ -770,7 +770,10 @@ def save_checkpoint(path, result: TrainResult):
 
 
 def load_checkpoint(path) -> TrainResult:
-    with np.load(path, allow_pickle=False) as archive:
+    archive = np.load(path, allow_pickle=False)
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path} is not a checkpoint archive")
+    with archive:
         blob = {name: archive[name] for name in archive.files}
     # the metadata names the other arrays, so it is checked for first
     _check_keys("arrays", set(blob) & {"meta"}, {"meta"})

@@ -234,6 +234,14 @@ class TestTrainEvaluate:
         assert run(["evaluate", "--candles", str(candle_file), "--checkpoint", str(ckpt)]) == 1
         assert key.split(".")[-1] in capsys.readouterr().err
 
+    def test_plain_array_checkpoint_exits_1(self, tmp_path, candle_file, capsys):
+        # an .npy file under a checkpoint's name: np.load reads it as one array
+        ckpt = tmp_path / "x.ckpt"
+        with open(ckpt, "wb") as fh:
+            np.save(fh, np.zeros(3))
+        assert run(["evaluate", "--candles", str(candle_file), "--checkpoint", str(ckpt)]) == 1
+        assert capsys.readouterr().err == f"error: {ckpt} is not a checkpoint archive\n"
+
 
 class TestExperiment:
     def _config(self, tmp_path, candles, **extra):

@@ -1,4 +1,6 @@
 import csv
+import logging
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +13,7 @@ from activelp.env import MIN_HISTORY, EpisodeTrace, MarketTape
 from activelp.harness import (AgentOutcome, ConfigError, ExperimentConfig, SearchGrid,
                               Window, WindowResult, emit_report, make_windows, run_window,
                               sample_spec, train_and_select)
-from activelp.ppo import AgentSpec, Mlp, TrainResult
+from activelp.ppo import AgentSpec, Mlp, TrainingDiverged, TrainResult
 from test_ppo import flat
 
 POOL = PoolSpec(fee_rate=0.0005, tick_spacing=10, gas_cost=5.0)
@@ -170,21 +172,6 @@ class TestRunWindow:
         for start, stop in seen:
             assert stop <= window.test_start
 
-    def test_parallel_training_matches_sequential(self):
-        # one lockstep group, then several: workers train whole groups
-        mixed = replace(TINY_GRID, activations=("tanh", "relu"), hidden_layers=((4,), (6, 2)))
-        for grid, n_agents in ((TINY_GRID, 2), (mixed, 5)):
-            kwargs = dict(grid=grid, n_agents=n_agents, seed=7)
-            seq = run_window(self.series, self.windows[0], tiny_config(n_jobs=1, **kwargs))
-            par = run_window(self.series, self.windows[0], tiny_config(n_jobs=2, **kwargs))
-            assert seq.selected.index == par.selected.index
-            np.testing.assert_array_equal(seq.active_trace.reward,
-                                          par.active_trace.reward)
-            for a, b in zip(seq.agents, par.agents):
-                assert (a.index, a.train_reward, a.error) == (b.index, b.train_reward, b.error)
-                assert flat(a.result.actor).tobytes() == flat(b.result.actor).tobytes()
-        assert len({(o.spec.activation, o.spec.hidden_layers) for o in seq.agents}) > 1
-
     def test_agent_seeds_differ(self):
         result = run_window(self.series, self.windows[0], tiny_config(n_agents=2, seed=3))
         a, b = result.agents
@@ -258,6 +245,101 @@ class TestRunWindow:
         # env, plus one test env per agent when rescoring on test; the
         # passive baseline is replayed without an env
         assert len(envs) == 3 + 1 + (3 if selection == "test_leaky" else 0)
+
+
+class TestRunExperiment:
+    def _config(self, tmp_path, out, **overrides):
+        path = tmp_path / "candles.csv"
+        if not path.exists():
+            tiny_series().to_csv(path)
+        return tiny_config(**{"data": str(path), "output_dir": str(tmp_path / out),
+                              "train_len": 400, "test_len": 100, "stride": 150, **overrides})
+
+    def test_parallel_windows_match_sequential(self, tmp_path, monkeypatch):
+        # several lockstep groups per window, and windows in worker processes
+        mixed = replace(TINY_GRID, activations=("tanh", "relu"), hidden_layers=((4,), (6, 2)))
+        kwargs = dict(grid=mixed, n_agents=5, seed=7)
+        seq = harness.run_experiment(self._config(tmp_path, "seq", n_jobs=1, **kwargs))
+
+        def first_window_last(train_tape, window, config):
+            if window.index == 0:
+                time.sleep(0.5)
+            return train_and_select(train_tape, window, config)
+
+        # forked workers inherit the patch, so window 0 finishes after the others
+        monkeypatch.setattr(harness, "train_and_select", first_window_last)
+        par = harness.run_experiment(self._config(tmp_path, "par", n_jobs=2, **kwargs))
+        assert len(seq) >= 3
+        # in window order, not in the order the workers finished them
+        assert [r.window.index for r in par] == list(range(len(seq)))
+        for s, p in zip(seq, par):
+            assert s.selected.index == p.selected.index
+            np.testing.assert_array_equal(s.active_trace.reward, p.active_trace.reward)
+            for a, b in zip(s.agents, p.agents, strict=True):
+                assert (a.index, a.train_reward, a.error) == (b.index, b.train_reward, b.error)
+                assert flat(a.result.actor).tobytes() == flat(b.result.actor).tobytes()
+        assert len({(o.spec.activation, o.spec.hidden_layers) for o in seq[0].agents}) > 1
+        assert ((tmp_path / "seq" / "summary.csv").read_bytes()
+                == (tmp_path / "par" / "summary.csv").read_bytes())
+
+    def test_one_window_starts_no_process_pool(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        config = self._config(tmp_path, "out", n_agents=2, seed=1, n_jobs=2,
+                              train_len=500, test_len=200)
+        results = harness.run_experiment(config)
+        assert len(results) == 1 and not results[0].failed
+
+
+def diverging(indices):
+    """A train_population that reports divergence for the given agents."""
+    original = harness.train_population
+
+    def train_population(envs, specs, seeds):
+        results = original(envs, specs, seeds)
+        for k in indices:
+            results[k] = TrainingDiverged(f"non-finite loss in agent {k}")
+        return results
+
+    return train_population
+
+
+class TestDivergedAgents:
+    def setup_method(self):
+        self.series = tiny_series()
+        self.window = make_windows(len(self.series), 400, 200, 200)[0]
+        self.config = tiny_config(n_agents=3, seed=4)
+
+    @pytest.mark.parametrize("selection", ["train", "test_leaky"])
+    def test_diverged_agent_is_recorded_and_never_selected(self, monkeypatch, caplog,
+                                                           selection):
+        config = replace(self.config, selection=selection)
+        # the agent that would be selected diverges instead
+        k = run_window(self.series, self.window, config).selected.index
+        monkeypatch.setattr(harness, "train_population", diverging([k]))
+        with caplog.at_level(logging.WARNING, logger=harness.__name__):
+            result = run_window(self.series, self.window, config)
+        assert not result.failed
+        outcome = result.agents[k]
+        assert outcome.train_reward == -np.inf and outcome.result is None
+        assert outcome.error == f"non-finite loss in agent {k}"
+        assert result.selected.index != k
+        assert [o.error for o in result.agents if o.index != k] == [None, None]
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [f"window 0 agent {k} diverged: non-finite loss in agent {k}"]
+
+    def test_every_agent_diverged_fails_the_window(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(harness, "train_population", diverging(range(3)))
+        result = run_window(self.series, self.window, self.config)
+        assert result.failed and result.selected is None
+        emit_report([result], tmp_path)
+        note = (tmp_path / "windows" / "window_00" / "failed.txt").read_text()
+        assert note == "".join(f"agent {k}: non-finite loss in agent {k}\n" for k in range(3))
+        assert (tmp_path / "summary.csv").read_text().count("\n") == 1  # the header only
 
 
 def _test_reward(series, window, outcome):
