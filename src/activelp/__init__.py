@@ -8,7 +8,7 @@ from .harness import (ConfigError, ExperimentConfig, SearchGrid, Window,
                       WindowResult, emit_report, make_windows, run_experiment,
                       run_window, sample_spec)
 from .ppo import (AgentSpec, Categorical, Mlp, RolloutBatch, TrainingDiverged,
-                  TrainResult, advantages, compute_returns, greedy_action_fn,
-                  load_checkpoint, ppo_objective, save_checkpoint, train, train_population)
+                  TrainResult, advantages, compute_returns, load_checkpoint,
+                  ppo_objective, save_checkpoint, train, train_population)
 
 __version__ = "0.1.0"

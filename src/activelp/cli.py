@@ -135,12 +135,12 @@ def cmd_train(args) -> int:
     pool = _pool_from_args(args)
     config = env.EnvConfig(pool=pool, action_set=spec.action_set, x0=args.x0, data=tape)
     train_env = env.LPEnv(config)
-    result = ppo.train(lambda: train_env, spec, args.seed)
+    result = ppo.train(train_env, spec, args.seed)
     ppo.save_checkpoint(args.out, result)
     if args.curve:
         ppo.save_training_curve(args.curve, result.curve)
     # run_policy resets the env, so the greedy pass reuses the training one
-    trace = env.run_policy(train_env, ppo.greedy_action_fn(result.actor))
+    trace = env.run_policy(train_env, result.actor)
     print(f"trained {result.timesteps} timesteps"
           f"{' (early stop)' if result.stopped_early else ''}; "
           f"greedy cumulative reward {trace.total_reward:.4f}")
@@ -153,7 +153,7 @@ def cmd_evaluate(args) -> int:
     pool = _pool_from_args(args)
     config = env.EnvConfig(pool=pool, action_set=result.spec.action_set,
                            x0=args.x0, data=tape)
-    trace = env.run_policy(env.LPEnv(config), ppo.greedy_action_fn(result.actor))
+    trace = env.run_policy(env.LPEnv(config), result.actor)
     if args.out_trace:
         trace.to_csv(args.out_trace)
     print(f"cumulative reward {trace.total_reward:.4f} over {trace.t.size} steps")

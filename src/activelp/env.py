@@ -351,12 +351,14 @@ class EpisodeTrace:
                                        for name, dtype in zip(TRACE_COLUMNS, dtypes)])
 
 
-def run_policy(env: LPEnv, action_fn) -> EpisodeTrace:
-    """Roll one full episode with action_fn(observation, step) -> action index:
-    decide every step with `advance`, then score the whole episode at once."""
+def run_policy(env: LPEnv, actor) -> EpisodeTrace:
+    """Roll one full episode of the greedy policy of `actor`, a single-network
+    `ppo.Mlp`: decide every step with `advance`, taking the action of the
+    largest logit, then score the whole episode at once. An open-loop
+    schedule of actions is scored by `replay`."""
     obs = env.reset()
-    for step in range(env.n_steps):
-        obs, _ = env.advance(int(action_fn(obs, step)))
+    for _ in range(env.n_steps):
+        obs, _ = env.advance(int(actor.forward(obs[None, None, :])[0, 0].argmax()))
     trace = env._trace(0, env.n_steps)
     trace.action = trace.action.copy()  # not a view of the env's action record
     return trace

@@ -19,8 +19,8 @@ from .data import PriceSeries, load_candles, write_csv, _iso
 from .env import (GAS_FLAT, GAS_PER_LEG, MIN_HISTORY, EnvConfig, EpisodeTrace,
                   FeatureStats, LPEnv, MarketTape, check_action_set, compute_stats,
                   run_passive, run_policy)
-from .ppo import AgentSpec, TrainResult, TrainingDiverged, greedy_action_fn, \
-    save_checkpoint, save_training_curve, train_population
+from .ppo import AgentSpec, TrainResult, TrainingDiverged, save_checkpoint, \
+    save_training_curve, train_population
 
 log = logging.getLogger(__name__)
 
@@ -181,7 +181,7 @@ def train_and_select(train_tape: MarketTape, window: Window, config: ExperimentC
                                          result=None, error=str(result), stats=stats))
             continue
         # run_policy resets the env, so the greedy pass reuses the training one
-        trace = run_policy(env, greedy_action_fn(result.actor))
+        trace = run_policy(env, result.actor)
         outcomes.append(AgentOutcome(index=k, spec=spec, train_reward=trace.total_reward,
                                      result=result, stats=stats))
 
@@ -200,22 +200,24 @@ def _test_slice(series: PriceSeries, window: Window) -> PriceSeries:
     return series.slice(start, window.test_end)
 
 
-def _active_trace(test_tape: MarketTape, outcome: AgentOutcome,
-                  config: ExperimentConfig) -> EpisodeTrace:
-    env = LPEnv(EnvConfig(pool=config.pool, action_set=outcome.spec.action_set, x0=config.x0,
-                          data=test_tape, stats=outcome.stats, gas_mode=config.gas_mode))
-    return run_policy(env, greedy_action_fn(outcome.result.actor))
+def evaluate_on_test(test_tape: MarketTape, candidates: list[AgentOutcome],
+                     config: ExperimentConfig
+                     ) -> tuple[AgentOutcome, EpisodeTrace, EpisodeTrace]:
+    """One greedy rollout of each trained candidate on the test slice's tape,
+    normalized with its own frozen training stats, plus the passive
+    baseline there. Returns the candidate with the highest test reward (the
+    first of equals), its trace and the passive trace."""
+    def rollout(o):
+        env = LPEnv(EnvConfig(pool=config.pool, action_set=o.spec.action_set, x0=config.x0,
+                              data=test_tape, stats=o.stats, gas_mode=config.gas_mode))
+        return o, run_policy(env, o.result.actor)
 
-
-def evaluate_on_test(test_tape: MarketTape, selected: AgentOutcome,
-                     config: ExperimentConfig) -> tuple[EpisodeTrace, EpisodeTrace]:
-    """Greedy rollout of the selected agent, normalized with the frozen
-    training stats, plus the passive baseline on the test slice's tape."""
-    active = _active_trace(test_tape, selected, config)
+    # lazy, so only the best trace so far and the current one are held
+    selected, active = max(map(rollout, candidates), key=lambda pair: pair[1].total_reward)
     passive = run_passive(EnvConfig(pool=config.pool, action_set=(0, config.passive_width),
                                     x0=config.x0, data=test_tape, gas_mode=config.gas_mode),
                           config.passive_width, config.passive_period)
-    return active, passive
+    return selected, active, passive
 
 
 def run_window(series: PriceSeries, window: Window, config: ExperimentConfig) -> WindowResult:
@@ -228,15 +230,13 @@ def run_window(series: PriceSeries, window: Window, config: ExperimentConfig) ->
                             selected=None, active_trace=None, passive_trace=None,
                             failed=True)
 
-    test_tape = MarketTape(_test_slice(series, window))
+    candidates = [selected]
     if config.selection == SELECT_TEST_LEAKY:
-        # replication mode: rescore every trained agent on the test slice and
-        # pick the best; leaks test data into selection by construction
-        selected = max(
-            (o for o in outcomes if o.result is not None),
-            key=lambda o: _active_trace(test_tape, o, config).total_reward)
-
-    active, passive = evaluate_on_test(test_tape, selected, config)
+        # replication mode: every trained agent is a candidate and the best
+        # on the test slice wins; leaks test data into selection by construction
+        candidates = [o for o in outcomes if o.result is not None]
+    selected, active, passive = evaluate_on_test(
+        MarketTape(_test_slice(series, window)), candidates, config)
     return WindowResult(window=window, test_end_ts=test_end_ts, agents=outcomes,
                         selected=selected, active_trace=active, passive_trace=passive,
                         failed=False)
@@ -400,20 +400,18 @@ def _write_wins(output_dir, totals: list) -> str:
     return line
 
 
-def emit_report(results: list[WindowResult], output_dir) -> dict:
+def emit_report(results: list[WindowResult], output_dir) -> None:
     """Write summary.csv, per-window traces/cumulative series, checkpoints, and
-    the `wins_line` of the windows that did not fail; print nothing. Returns
-    the written paths."""
+    the `wins_line` of the windows that did not fail; print nothing."""
     if not results:
         raise ConfigError("no window results to report")
     os.makedirs(output_dir, exist_ok=True)
-    paths = {"summary": os.path.join(output_dir, "summary.csv"),
-             "wins": os.path.join(output_dir, "wins.txt")}
 
     ok = [r for r in results if not r.failed]
-    write_csv(paths["summary"], SUMMARY_COLUMNS, [np.array(col) for col in (
-        [r.window.index for r in ok], [_iso(r.test_end_ts) for r in ok],
-        [r.active_reward for r in ok], [r.passive_reward for r in ok])])
+    write_csv(os.path.join(output_dir, "summary.csv"), SUMMARY_COLUMNS,
+              [np.array(col) for col in (
+                  [r.window.index for r in ok], [_iso(r.test_end_ts) for r in ok],
+                  [r.active_reward for r in ok], [r.passive_reward for r in ok])])
 
     for r in results:
         wdir = os.path.join(output_dir, "windows", WINDOW_DIR.format(r.window.index))
@@ -441,7 +439,6 @@ def emit_report(results: list[WindowResult], output_dir) -> dict:
                                  agent.error or ""])
 
     _write_wins(output_dir, [(r.active_reward, r.passive_reward) for r in ok])
-    return paths
 
 
 def report_summary(output_dir) -> tuple[list[tuple[str, float, float]], str]:

@@ -6,9 +6,9 @@ surrogate plus an entropy bonus, and optimization uses Adam over minibatches.
 Everything is numpy with explicit backprop so gradients can be checked
 against finite differences.
 
-Training runs a population at a time. An `Mlp` holds A networks of one shape,
-and `train_population` trains the agents that share a network shape and a
-schedule in lockstep: each rollout step makes one stacked actor forward,
+Training runs a population at a time, on one schedule. An `Mlp` holds A
+networks of one shape, and `train_population` trains the agents that share a
+network shape in lockstep: each rollout step makes one stacked actor forward,
 each rollout one stacked per-row critic forward over all its steps, and
 each minibatch one stacked objective and one Adam step, for the whole
 group. Every agent keeps its own random stream and call order and computes
@@ -500,7 +500,7 @@ class _Agent:
 
 
 class _Group:
-    """Agents of one network shape and schedule, trained in lockstep. Row r of
+    """Agents of one network shape, trained in lockstep. Row r of
     every stacked array (networks, Adam moments, coefficients, the current
     observations and rollout) belongs to `agents[r]`."""
 
@@ -615,12 +615,11 @@ class _Group:
 def lockstep_groups(envs, specs) -> list[list[int]]:
     """The indices of the agents that train in lockstep, in order of first
     appearance: one network shape (observation size, action count,
-    activation, hidden layers) and one schedule (rollout length, total
-    steps, epochs, minibatch size)."""
+    activation, hidden layers). `train_population` requires one schedule of
+    the whole population, so a group needs no key for it."""
     groups: dict[tuple, list[int]] = {}
     for i, (env, spec) in enumerate(zip(envs, specs)):
-        key = (env.obs_dim, env.n_actions, spec.activation, spec.hidden_layers,
-               spec.rollout_length, spec.total_timesteps, spec.epochs, spec.minibatch_size)
+        key = (env.obs_dim, env.n_actions, spec.activation, spec.hidden_layers)
         groups.setdefault(key, []).append(i)
     return list(groups.values())
 
@@ -629,6 +628,10 @@ def train_population(envs, specs, seeds) -> list:
     """Train one agent per (env, spec, seed), each group of `lockstep_groups`
     in lockstep, every agent bitwise as it would train alone. Returns per
     agent its TrainResult, or the TrainingDiverged that ended its training.
+
+    Every agent runs one schedule: a ValueError names the first of rollout
+    length, total steps, epochs and minibatch size in which the specs
+    differ.
 
     Envs are distinct objects providing `obs_dim`, `n_actions`,
     `reset() -> obs`, `advance(action) -> (obs, done)` and `rewards(lo, hi)`,
@@ -642,6 +645,11 @@ def train_population(envs, specs, seeds) -> list:
     if not len(envs) == len(specs) == len(seeds):
         raise ValueError(f"need one env, spec and seed per agent, got {len(envs)}, "
                          f"{len(specs)} and {len(seeds)}")
+    for name in ("rollout_length", "total_timesteps", "epochs", "minibatch_size"):
+        values = sorted({getattr(spec, name) for spec in specs})
+        if len(values) > 1:
+            raise ValueError(f"a population trains on one schedule; the agents differ "
+                             f"in {name}: {values}")
     out = [None] * len(specs)
     for members in lockstep_groups(envs, specs):
         agents, actors, critics = [], [], []
@@ -713,24 +721,15 @@ def _train_group(group: _Group, out: list):
         out[agent.index] = group.result(r, timesteps, False)
 
 
-def train(env_factory, spec: AgentSpec, seed: int) -> TrainResult:
-    """Run PPO until total_timesteps or early stop; deterministic given seed.
-    The population of one: see `train_population` for the env protocol and
-    early stopping. Raises TrainingDiverged on non-finite losses or
-    parameters."""
-    result, = train_population([env_factory()], [spec], [seed])
+def train(env, spec: AgentSpec, seed: int) -> TrainResult:
+    """Run PPO on `env` until total_timesteps or early stop; deterministic
+    given seed. The population of one: see `train_population` for the env
+    protocol and early stopping. Raises TrainingDiverged on non-finite
+    losses or parameters."""
+    result, = train_population([env], [spec], [seed])
     if isinstance(result, TrainingDiverged):
         raise result
     return result
-
-
-def greedy_action_fn(actor: Mlp):
-    """Deterministic argmax policy over the logits of a single network."""
-
-    def act(obs, _step):
-        return int(actor.forward(obs[None, None, :])[0, 0].argmax())
-
-    return act
 
 
 # ---------------------------------------------------------------------------

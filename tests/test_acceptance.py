@@ -108,7 +108,7 @@ def test_ppo_learning_check_three_seeds():
     start = time.monotonic()
     spec = ppo.AgentSpec(**{**BANDIT_SPEC.__dict__, "total_timesteps": 50_000})
     for seed in (0, 1, 2):
-        result = ppo.train(lambda: ContextualBandit(seed=seed), spec, seed=seed)
+        result = ppo.train(ContextualBandit(seed=seed), spec, seed=seed)
         assert result.timesteps <= 50_000
         rate = greedy_pick_rate(result, target=2)
         assert rate >= 0.9, (seed, rate)

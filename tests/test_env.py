@@ -85,6 +85,14 @@ def gbm_env(n_hours=260, seed=0, vol=0.005, action_set=(0, 20, 50), x0=2.0,
                            data=MarketTape(series), gas_mode=gas_mode))
 
 
+def first_step_only(e, action):
+    """A schedule over `e`'s episode that takes `action` at step 0 and holds
+    after."""
+    actions = np.zeros(e.n_steps, dtype=np.int64)
+    actions[0] = action
+    return actions
+
+
 def gbm_stepper(**kwargs):
     return Stepper(gbm_env(**kwargs).config)
 
@@ -196,7 +204,7 @@ class TestStepMechanics:
     def test_position_sizing_follows_x0(self):
         for x0 in (2.0, 10.0):
             e = gbm_env(x0=x0)
-            trace = env.run_policy(e, lambda obs, t: 1 if t == 0 else 0)
+            trace = env.replay(e.config, first_step_only(e, 1))
             price = float(trace.price[0])
             lower, upper = oracle.align_range(amm.tick_index(price), 20, POOL.tick_spacing)
             got = oracle.range_reserves(float(trace.liquidity[0]), price,
@@ -205,7 +213,7 @@ class TestStepMechanics:
 
     def test_fee_matches_amm_for_logged_move(self):
         e = gbm_env(seed=5)
-        trace = env.run_policy(e, lambda obs, t: 2 if t == 0 else 0)
+        trace = env.replay(e.config, first_step_only(e, 2))
         p_from, p_to = float(trace.price[0]), float(trace.price[1])
         lower, upper = oracle.align_range(amm.tick_index(p_from), 50, POOL.tick_spacing)
         pos = oracle.Position.open(lower, upper, p_from, 2.0)
@@ -757,7 +765,8 @@ class TestTrace:
             width=np.array([0, 50, -3, 10**12, *range(n - 4)]), liquidity=values[::-1].copy(),
             fee=np.roll(values, 3), lvr=np.roll(values, 5), gas=np.roll(values, 7),
             reward=np.roll(values, 11))
-        real = env.run_policy(gbm_env(n_hours=260, seed=3), lambda obs, t: t % 3)
+        e = gbm_env(n_hours=260, seed=3)
+        real = env.replay(e.config, np.arange(e.n_steps) % 3)
         for i, tr in enumerate((trace, real)):
             got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
             tr.to_csv(got)
@@ -766,7 +775,7 @@ class TestTrace:
 
     def test_csv_export(self, tmp_path):
         e = gbm_env(n_hours=220, seed=19)
-        trace = env.run_policy(e, lambda obs, t: 1 if t == 0 else 0)
+        trace = env.replay(e.config, first_step_only(e, 1))
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -775,5 +784,5 @@ class TestTrace:
 
     def test_cumulative_matches_sum(self):
         e = gbm_env(n_hours=220, seed=21)
-        trace = env.run_policy(e, lambda obs, t: t % 2)
+        trace = env.replay(e.config, np.arange(e.n_steps) % 2)
         assert trace.cumulative_reward[-1] == pytest.approx(trace.total_reward)

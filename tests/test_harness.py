@@ -220,8 +220,9 @@ class TestRunWindow:
     def test_one_tape_per_slice_and_one_env_per_agent(self, monkeypatch, selection):
         from activelp import env
 
-        features, envs = [], []
-        compute_features, init = env.compute_features, env.LPEnv.__init__
+        features, envs, test_passes = [], [], []
+        compute_features, init, run_policy = (env.compute_features, env.LPEnv.__init__,
+                                              harness.run_policy)
 
         def counting_features(series, *args, **kwargs):
             features.append(len(series))
@@ -231,20 +232,30 @@ class TestRunWindow:
             envs.append(config.action_set)
             init(self, config)
 
+        def counting_run_policy(lp_env, actor):
+            if len(lp_env.config.data) == test_len:
+                test_passes.append(actor)
+            return run_policy(lp_env, actor)
+
         monkeypatch.setattr(env, "compute_features", counting_features)
         monkeypatch.setattr(env.LPEnv, "__init__", counting_init)
+        monkeypatch.setattr(harness, "run_policy", counting_run_policy)
         window = self.windows[0]
         config = tiny_config(n_agents=3, seed=5, selection=selection,
                              training={**TINY_TRAINING, "total_timesteps": 300})
-        result = run_window(self.series, window, config)
-        assert not result.failed
         train_len = window.train_end - window.train_start
         test_len = window.test_end - window.test_start + MIN_HISTORY
+        result = run_window(self.series, window, config)
+        assert not result.failed
         assert sorted(features) == sorted([train_len, test_len])
-        # one env per agent (training and greedy pass) and the active test
-        # env, plus one test env per agent when rescoring on test; the
+        # one env per agent (training and greedy pass) and one test env per
+        # candidate: the selected agent, or every agent under test_leaky; the
         # passive baseline is replayed without an env
-        assert len(envs) == 3 + 1 + (3 if selection == "test_leaky" else 0)
+        candidates = 3 if selection == "test_leaky" else 1
+        assert len(envs) == 3 + candidates
+        # each candidate is rolled on the test tape once
+        assert len(test_passes) == candidates
+        assert result.selected.result.actor in test_passes
 
 
 class TestRunExperiment:
@@ -350,7 +361,7 @@ def _test_reward(series, window, outcome):
     assert outcome.stats.mean.tobytes() == stats.mean.tobytes()
     assert outcome.stats.std.tobytes() == stats.std.tobytes()
     test_tape = MarketTape(harness._test_slice(series, window))
-    active, _ = harness.evaluate_on_test(test_tape, outcome, tiny_config())
+    _, active, _ = harness.evaluate_on_test(test_tape, [outcome], tiny_config())
     return active.total_reward
 
 

@@ -438,7 +438,7 @@ def greedy_pick_rate(result, target, n_contexts=1000, obs_dim=5, seed=1234):
 
 class TestTrain:
     def test_bandit_learning_single_seed(self):
-        result = train(lambda: ContextualBandit(seed=0), BANDIT_SPEC, seed=0)
+        result = train(ContextualBandit(seed=0), BANDIT_SPEC, seed=0)
         assert greedy_pick_rate(result, target=2) >= 0.9
 
     def test_zero_learning_rate_keeps_parameters(self):
@@ -448,15 +448,15 @@ class TestTrain:
         rng = np.random.default_rng(0)
         fresh_actor = Mlp.build([5, 4, 3], "tanh", rng, out_gain=0.01)
         fresh_critic = Mlp.build([5, 4, 1], "tanh", rng)
-        result = train(lambda: ContextualBandit(seed=3), spec, seed=0)
+        result = train(ContextualBandit(seed=3), spec, seed=0)
         np.testing.assert_array_equal(flat(result.actor), flat(fresh_actor))
         np.testing.assert_array_equal(flat(result.critic), flat(fresh_critic))
 
     def test_seeded_determinism(self):
         spec = AgentSpec(action_set=(0, 10), activation="relu", hidden_layers=(6,),
                          learning_rate=1e-3, rollout_length=512, total_timesteps=2048)
-        a = train(lambda: ContextualBandit(seed=5), spec, seed=11)
-        b = train(lambda: ContextualBandit(seed=5), spec, seed=11)
+        a = train(ContextualBandit(seed=5), spec, seed=11)
+        b = train(ContextualBandit(seed=5), spec, seed=11)
         np.testing.assert_array_equal(flat(a.actor), flat(b.actor))
         np.testing.assert_array_equal(flat(b.critic), flat(a.critic))
         assert a.timesteps == b.timesteps
@@ -471,7 +471,7 @@ class TestTrain:
         spec = AgentSpec(action_set=(0, 10), activation="tanh", hidden_layers=(4,),
                          learning_rate=1e-2, rollout_length=256, total_timesteps=2048)
         with pytest.raises(TrainingDiverged):
-            train(lambda: HugeRewardBandit(seed=7), spec, seed=0)
+            train(HugeRewardBandit(seed=7), spec, seed=0)
 
     def test_learns_to_deploy_when_fees_dominate(self):
         # 30bp fee tier at low vol makes in-range provision EV-positive,
@@ -488,8 +488,8 @@ class TestTrain:
                          hidden_layers=(8, 4), learning_rate=3e-3, clip_range=0.2,
                          entropy_coef=1e-3, gamma=0.99, rollout_length=1032,
                          total_timesteps=30_000, patience=100)
-        result = train(lambda: LPEnv(config), spec, seed=0)
-        trace = env.run_policy(LPEnv(config), ppo.greedy_action_fn(result.actor))
+        result = train(LPEnv(config), spec, seed=0)
+        trace = env.run_policy(LPEnv(config), result.actor)
         assert int(np.sum(trace.action > 0)) > 0
         assert trace.total_reward > 0
         assert float(trace.fee.sum()) > float(trace.lvr.sum() + trace.gas.sum())
@@ -502,7 +502,7 @@ class TestTrain:
         spec = AgentSpec(action_set=(0, 10), activation="tanh", hidden_layers=(4,),
                          learning_rate=1e-3, rollout_length=256,
                          total_timesteps=100_000, patience=3)
-        result = train(lambda: ZeroBandit(seed=9), spec, seed=0)
+        result = train(ZeroBandit(seed=9), spec, seed=0)
         assert result.stopped_early
         assert result.timesteps < 10_000
 
@@ -530,7 +530,7 @@ class TestPersistence:
     def test_checkpoint_round_trip(self, tmp_path):
         spec = AgentSpec(action_set=(0, 10), activation="sigmoid", hidden_layers=(4,),
                          learning_rate=1e-3, rollout_length=256, total_timesteps=512)
-        result = train(lambda: ContextualBandit(seed=1), spec, seed=2)
+        result = train(ContextualBandit(seed=1), spec, seed=2)
         path = tmp_path / "agent.npz"
         ppo.save_checkpoint(path, result)
         loaded = ppo.load_checkpoint(path)
@@ -542,7 +542,7 @@ class TestPersistence:
     def test_unsupported_checkpoint_version_rejected(self, tmp_path):
         spec = AgentSpec(action_set=(0, 10), activation="tanh", hidden_layers=(4,),
                          learning_rate=1e-3, rollout_length=256, total_timesteps=256)
-        result = train(lambda: ContextualBandit(seed=1), spec, seed=2)
+        result = train(ContextualBandit(seed=1), spec, seed=2)
         path = tmp_path / "agent.npz"
         ppo.save_checkpoint(path, result)
         blob = dict(np.load(path, allow_pickle=False))
@@ -586,7 +586,7 @@ class TestPersistence:
     def test_curve_csv(self, tmp_path):
         spec = AgentSpec(action_set=(0, 10), activation="tanh", hidden_layers=(4,),
                          learning_rate=1e-3, rollout_length=256, total_timesteps=1024)
-        result = train(lambda: ContextualBandit(seed=1), spec, seed=2)
+        result = train(ContextualBandit(seed=1), spec, seed=2)
         path = tmp_path / "curve.csv"
         ppo.save_training_curve(path, result.curve)
         lines = path.read_text().strip().splitlines()
@@ -964,7 +964,7 @@ class TestGridOracle:
                                      hidden_layers=hidden, learning_rate=1e-2,
                                      rollout_length=48, total_timesteps=96, epochs=2,
                                      minibatch_size=16, patience=10**6)
-                    got = train(lambda: LPEnv(config), spec, seed=17)
+                    got = train(LPEnv(config), spec, seed=17)
                     actor, critic, objectives = reference_train(Stepper(config), spec, seed=17)
                     label = (action_set, activation, hidden)
                     assert np.array_equal(flat(got.actor), flat(actor)), label
@@ -983,6 +983,34 @@ def lp_config(action_set=(0, 10, 20), n_steps=40):
     tape = MarketTape(data.gbm_generate(seed=4, n_hours=MIN_HISTORY + n_steps,
                                         p_start=3000.0, drift=0.0, vol=0.004))
     return EnvConfig(pool=pool, action_set=action_set, x0=2.0, data=tape)
+
+
+def test_run_policy_takes_the_largest_logit(monkeypatch):
+    """`run_policy` decides each step with the argmax of the actor's logits
+    on the observation that `reset` or the last `advance` returned."""
+    from activelp.env import LPEnv
+
+    e = LPEnv(lp_config())
+    # a spread-out policy, so the greedy pass takes every action
+    actor = Mlp.build([13, 8, 3], "tanh", np.random.default_rng(8), out_gain=3.0)
+    seen = []
+    reset, advance = e.reset, e.advance
+
+    def recording_reset():
+        seen.append(reset())
+        return seen[-1]
+
+    def recording_advance(action):
+        obs, done = advance(action)
+        seen.append(obs)
+        return obs, done
+
+    monkeypatch.setattr(e, "reset", recording_reset)
+    monkeypatch.setattr(e, "advance", recording_advance)
+    trace = run_policy(e, actor)
+    want = [int(actor.forward(obs[None, None, :])[0, 0].argmax()) for obs in seen[:-1]]
+    assert len(want) == 40 and set(want) == {0, 1, 2}
+    assert trace.action.tolist() == want
 
 
 class TestDecideThenScore:
@@ -1041,7 +1069,7 @@ class TestDecideThenScore:
         spec = AgentSpec(action_set=config.action_set, activation="tanh", hidden_layers=(8, 4),
                          learning_rate=1e-2, rollout_length=rollout_length,
                          total_timesteps=120, epochs=2, minibatch_size=16, patience=10**6)
-        got = train(lambda: LPEnv(config), spec, seed=17)
+        got = train(LPEnv(config), spec, seed=17)
         actor, critic, objectives = reference_train(Stepper(config), spec, seed=17)
         assert np.array_equal(flat(got.actor), flat(actor))
         assert np.array_equal(flat(got.critic), flat(critic))
@@ -1109,7 +1137,7 @@ class TestDecideThenScore:
         assert calls.pop("activelp.amm.fee_for_move") == 2 * 6
         assert calls.pop("activelp.amm.lvr_penalty") == 2 * 6
         for e, result in zip(envs, results):
-            trace = env.run_policy(e, ppo.greedy_action_fn(result.actor))
+            trace = env.run_policy(e, result.actor)
             assert trace.t.size == 40
         assert calls.pop("forward") == 2 * 40
         assert calls.pop("_score") == calls.pop("activelp.amm.fee_for_move") == 2
@@ -1176,7 +1204,7 @@ class TestPopulation:
         for k, got in enumerate(results):
             env, spec, seed = self._setup(k)
             try:
-                solo = train(lambda: env, spec, seed)
+                solo = train(env, spec, seed)
             except TrainingDiverged as exc:
                 assert k == self.DIVERGES and isinstance(got, TrainingDiverged)
                 assert str(got) == str(exc) == "non-finite objective at update 1 (48 steps)"
@@ -1186,8 +1214,24 @@ class TestPopulation:
             assert repr(got.curve) == repr(solo.curve), k
             assert (got.timesteps, got.stopped_early) == (solo.timesteps, solo.stopped_early), k
             assert got.stopped_early == (k == self.STOPS), k
-            traces = [run_policy(LPEnv(lp_config(spec.action_set)), ppo.greedy_action_fn(net))
+            traces = [run_policy(LPEnv(lp_config(spec.action_set)), net)
                       for net in (got.actor, solo.actor)]
             for name in ("action", "reward"):
                 assert getattr(traces[0], name).tobytes() == getattr(traces[1], name).tobytes()
         assert results[self.STOPS].timesteps == 96
+
+    @pytest.mark.parametrize("changes,field", [
+        ({"rollout_length": 24}, "rollout_length"),
+        ({"total_timesteps": 96}, "total_timesteps"),
+        ({"epochs": 1}, "epochs"),
+        ({"minibatch_size": 8}, "minibatch_size"),
+        ({"minibatch_size": 8, "epochs": 1}, "epochs"),
+    ])
+    def test_one_schedule_per_population(self, changes, field):
+        # agents 0 and 2 share a network shape; apart from the schedule
+        # they would train in one lockstep group
+        (env0, spec0, seed0), (env2, spec2, seed2) = self._setup(0), self._setup(2)
+        specs = [spec0, replace(spec2, **changes)]
+        assert ppo.lockstep_groups([env0, env2], specs) == [[0, 1]]
+        with pytest.raises(ValueError, match=f"differ in {field}:"):
+            train_population([env0, env2], specs, [seed0, seed2])
