@@ -37,6 +37,10 @@ TRACE_HEADER = ("t", "price", "action", "width", "L", "fee", "lvr", "gas", "rewa
 # EpisodeTrace fields in TRACE_HEADER order
 TRACE_COLUMNS = ("t", "price", "action", "width", "liquidity", "fee", "lvr", "gas", "reward")
 _SCORE_BLOCK = 2048
+_POLICY_BLOCK = 512  # steps per block table of run_policy
+# rows of a held range's first hold chunk: a forward_rows call of 16 rows
+# costs about as much as one of 4
+_HOLD_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -292,7 +296,7 @@ class LPEnv:
         if not 0 <= action_index < self._n_actions:
             raise ValueError(f"action index {action_index} out of range")
         if action_index != 0:
-            self._open(action_index)
+            self._position_obs = self._position_entries(action_index, self._t)
         self._actions[self._t - self._start] = action_index
         self._t += 1
         return self._observe(), self._t >= self._last
@@ -310,10 +314,11 @@ class LPEnv:
         opened = int(before[-1]) if before.size else -1
         return _score(self.config, self._actions, lo, hi, opened)
 
-    def _open(self, action_index: int):
-        row = self._tables[action_index][self._t].tolist()
-        self._position_obs = (self._stats.normalize_entry(2, (row[1] - row[0]) / 2.0),
-                              self._stats.normalize_entry(3, row[2]))
+    def _position_entries(self, action_index: int, hour: int) -> tuple[float, float]:
+        """Normalized (width, liquidity) of the range `action_index` opens at `hour`."""
+        row = self._tables[action_index][hour].tolist()
+        return (self._stats.normalize_entry(2, (row[1] - row[0]) / 2.0),
+                self._stats.normalize_entry(3, row[2]))
 
     def _observe(self) -> np.ndarray:
         obs = self._obs[self._t].copy()
@@ -353,15 +358,86 @@ class EpisodeTrace:
 
 def run_policy(env: LPEnv, actor) -> EpisodeTrace:
     """Roll one full episode of the greedy policy of `actor`, a single-network
-    `ppo.Mlp`: decide every step with `advance`, taking the action of the
-    largest logit, then score the whole episode at once. An open-loop
-    schedule of actions is scored by `replay`."""
-    obs = env.reset()
-    for _ in range(env.n_steps):
-        obs, _ = env.advance(int(actor.forward(obs[None, None, :])[0, 0].argmax()))
-    trace = env._trace(0, env.n_steps)
+    `ppo.Mlp` with `env.obs_dim` inputs and `env.n_actions` outputs: take at
+    every step the action of the largest logit, then score the whole episode
+    at once. An open-loop schedule of actions is scored by `replay`.
+
+    The logits are computed in blocks, not one `forward` per step. Prices do
+    not depend on the actions, so a step's observation is fixed by the step
+    and the open position, and right after a decision the position is one of
+    three: none, a range opened at the step before, or an older range still
+    held. A block table reads the first two: per block of `_POLICY_BLOCK` steps,
+    one `forward_rows` call over the rows of the no-position state and of
+    each width just opened. A held range's steps read a hold chunk: one
+    `forward_rows` call over the next observations under that range, used up
+    to the first redeploy; chunks double while the agent holds, up to the
+    block size. `forward_rows` gives each row the bits of its own 1-row
+    `forward`. The table's position entries come from `FeatureStats.normalize`,
+    elementwise the operations of the `normalize_entry` that `advance` uses,
+    and a hold chunk copies its range's entries from the table. So the
+    actions and the trace are bitwise those of deciding every step with
+    `advance`, and the env is left at the end of the episode as that loop
+    leaves it. Memory is bounded by the block size."""
+    n_networks, n_in, _ = actor.weights[0].shape
+    n_out = actor.weights[-1].shape[2]
+    if (n_networks, n_in, n_out) != (1, env.obs_dim, env.n_actions):
+        raise ValueError(
+            f"actor must be one network with {env.obs_dim} inputs and {env.n_actions} "
+            f"outputs, got {n_networks} with {n_in} inputs and {n_out} outputs")
+    env.reset()
+    n, actions = env.n_steps, env._actions
+    obs = env._obs[env._start:env._last]  # each step's observation with no position open
+    opened = None  # (action, step) of the open range
+    held = None  # its normalized (width, liquidity), once a hold chunk reads them
+    i = last = lo = hi = 0  # `last` is the action of step i - 1
+    while i < n:
+        if last == 0 and opened is not None:
+            if held is None:
+                # the table row of the step after the deploy holds the range's entries
+                held, chunk = rows[opened[0], opened[1] + 1 - lo, 2:4], _HOLD_CHUNK
+            x = obs[i:i + chunk].copy()
+            x[:, 2:4] = held
+            taken = actor.forward_rows(x[None])[0].argmax(axis=1)
+            first = int((taken != 0).argmax())  # the first redeploy, 0 if there is none
+            last = int(taken[first])
+            if last == 0:
+                i += x.shape[0]
+                chunk = min(2 * chunk, _POLICY_BLOCK)
+                continue
+            i += first
+        else:
+            if i >= hi:
+                lo, hi = i, min(i + _POLICY_BLOCK, n)
+                rows, table = _policy_table(env, actor, lo, hi)
+            last = table[last][i - lo]
+        if last != 0:
+            actions[i] = last
+            opened, held = (last, i), None
+        i += 1
+    env._t = env._last
+    if opened is not None:
+        env._position_obs = env._position_entries(opened[0], env._start + opened[1])
+    trace = env._trace(0, n)
     trace.action = trace.action.copy()  # not a view of the env's action record
     return trace
+
+
+def _policy_table(env: LPEnv, actor, lo: int, hi: int):
+    """The observation rows of steps [lo, hi), (n_actions, hi - lo, OBS_SIZE),
+    in each state right after a decision, and the greedy action of each row
+    as nested lists: state 0 has no position open, state k the range of
+    action k opened at the step before."""
+    hours = slice(env._start + lo, env._start + hi)
+    opened_at = slice(hours.start - 1, hours.stop - 1)
+    position = FeatureStats(env._stats.mean[2:4], env._stats.std[2:4])
+    rows = np.empty((env.n_actions, hi - lo, OBS_SIZE))
+    rows[:] = env._obs[hours]
+    for k in range(1, env.n_actions):
+        table = env._tables[k][opened_at]
+        entries = np.column_stack([(table[:, 1] - table[:, 0]) / 2.0, table[:, 2]])
+        rows[k, :, 2:4] = position.normalize(entries, out=entries)
+    logits = actor.forward_rows(rows.reshape(1, -1, OBS_SIZE))[0]
+    return rows, logits.argmax(axis=1).reshape(env.n_actions, hi - lo).tolist()
 
 
 def replay(config: EnvConfig, actions) -> EpisodeTrace:

@@ -135,8 +135,8 @@ class Mlp:
             raise ValueError(f"expected input of shape ({size}, N, {n_in}), got {x.shape}")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """`forward_cached`'s output without the backward cache; the rollout,
-        the training curve and the greedy passes run it."""
+        """`forward_cached`'s output without the backward cache; the rollout
+        and the training curve run it."""
         self._check_input(x)
         h = x
         for w, b in self._hidden:
@@ -748,6 +748,24 @@ def _check_keys(what, got: dict, want):
                          f"unknown keys {unknown}")
 
 
+def _layer_sizes(name, blob: dict, layers: int) -> list[int]:
+    """The sizes of network `name`'s inputs and of each layer's outputs,
+    checking that its weights and biases chain layer to layer."""
+    sizes = []
+    for i in range(layers):
+        w, b = blob[f"{name}_w{i}"], blob[f"{name}_b{i}"]
+        if w.ndim != 2 or b.shape != w.shape[1:]:
+            raise ValueError(f"checkpoint {name} layer {i} has weight {w.shape} and bias "
+                             f"{b.shape}")
+        if not sizes:
+            sizes.append(w.shape[0])
+        elif w.shape[0] != sizes[-1]:
+            raise ValueError(f"checkpoint {name} layer {i} takes {w.shape[0]} inputs, but "
+                             f"layer {i - 1} has {sizes[-1]} outputs")
+        sizes.append(w.shape[1])
+    return sizes
+
+
 def save_checkpoint(path, result: TrainResult):
     meta = {
         "version": CHECKPOINT_VERSION,
@@ -799,6 +817,15 @@ def load_checkpoint(path) -> TrainResult:
     spec_dict = {k: v for k, v in meta["spec"].items() if k in spec_fields or v is not None}
     _check_keys("agent spec", spec_dict, spec_fields)
     spec = AgentSpec(**spec_dict)
+    sizes = {name: _layer_sizes(name, blob, meta[f"{name}_layers"])
+             for name in ("actor", "critic")}
+    if sizes["actor"][0] != sizes["critic"][0]:
+        raise ValueError(f"checkpoint actor has {sizes['actor'][0]} inputs but its critic "
+                         f"has {sizes['critic'][0]}")
+    for name, n_out in (("actor", len(spec.action_set)), ("critic", 1)):
+        if sizes[name][1:] != [*spec.hidden_layers, n_out]:
+            raise ValueError(f"checkpoint {name} has layer sizes {sizes[name][1:]} after its "
+                             f"inputs, but its spec asks for {[*spec.hidden_layers, n_out]}")
     activation = meta["activation"]
     actor, critic = (
         Mlp([blob[f"{name}_w{i}"][None] for i in range(meta[f"{name}_layers"])],

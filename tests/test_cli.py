@@ -234,6 +234,21 @@ class TestTrainEvaluate:
         assert run(["evaluate", "--candles", str(candle_file), "--checkpoint", str(ckpt)]) == 1
         assert key.split(".")[-1] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_out", [2, 4])
+    def test_actor_without_one_output_per_action_exits_1(self, tmp_path, candle_file, capsys,
+                                                         n_out):
+        """A 2-output actor could never take the spec's third action, and a
+        4-output one fails only if its argmax reaches index 3."""
+        ckpt = tmp_path / "agent.npz"
+        write_checkpoint(ckpt)
+        blob = dict(np.load(ckpt, allow_pickle=False))
+        blob["actor_w1"], blob["actor_b1"] = np.zeros((4, n_out)), np.zeros(n_out)
+        np.savez(ckpt, **blob)
+        assert run(["evaluate", "--candles", str(candle_file), "--checkpoint", str(ckpt)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: checkpoint actor has layer sizes [4, {n_out}] after its inputs, but its "
+            f"spec asks for [4, 3]\n")
+
     def test_plain_array_checkpoint_exits_1(self, tmp_path, candle_file, capsys):
         # an .npy file under a checkpoint's name: np.load reads it as one array
         ckpt = tmp_path / "x.ckpt"

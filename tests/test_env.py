@@ -1,4 +1,5 @@
 import csv
+import functools
 import pickle
 
 import numpy as np
@@ -8,7 +9,9 @@ from activelp import amm, data, env, indicators
 from activelp.amm import PoolSpec
 from activelp.data import HOUR, PriceSeries
 from activelp.env import MIN_HISTORY, EnvConfig, LPEnv, MarketTape
+from activelp.ppo import ACTIVATIONS, Mlp
 import amm_oracle as oracle
+from greedy import stepped_policy
 from stepper import Stepper, stepped_trace
 
 POOL = PoolSpec(fee_rate=0.0005, tick_spacing=10, gas_cost=5.0)
@@ -716,6 +719,88 @@ class TestAdvanceRewards:
             with pytest.raises(ValueError, match="taken"):
                 e.rewards(lo, hi)
         assert e.rewards(2, 2).size == 0
+
+
+@functools.lru_cache(maxsize=None)
+def policy_tape(n_steps):
+    return MarketTape(data.gbm_generate(seed=7, n_hours=MIN_HISTORY + n_steps, p_start=3000.0,
+                                        drift=0.0, vol=0.004))
+
+
+def greedy_actor(e, activation, kind):
+    """A (13, 8, 4, n_actions) actor of one of these kinds: `spread` and
+    `uniform` (output gains 3 and 0.01), `hold` (the hold logit raised to
+    win on 80% of the no-position observations, so it holds for long runs),
+    and `never` and `every`, which never deploy and deploy on every step."""
+    actor = Mlp.build([13, 8, 4, e.n_actions], activation, np.random.default_rng(3),
+                      out_gain=0.01 if kind == "uniform" else 3.0)
+    if kind == "hold":
+        logits = actor.forward_rows(e._obs[None, e._start:e._last])[0]
+        actor.biases[-1][0, 0, 0] += np.quantile(logits[:, 1:].max(axis=1) - logits[:, 0], 0.8)
+    elif kind in ("never", "every"):
+        actor.biases[-1][0, 0, 0] += 1e3 if kind == "never" else -1e3
+    return actor
+
+
+def longest_hold(actions) -> int:
+    """The most steps in a row that hold an open range."""
+    deploys = np.flatnonzero(actions)
+    return int((np.diff(np.append(deploys, actions.size)) - 1).max()) if deploys.size else 0
+
+
+class TestRunPolicy:
+    """`run_policy` computes its logits in blocks; `tests/greedy.py`'s
+    per-step loop, one `forward` and `advance` per step, is the reference."""
+
+    # shorter than a block, one block, one block and a step, several blocks
+    LENGTHS = (40, env._POLICY_BLOCK, env._POLICY_BLOCK + 1, 3 * env._POLICY_BLOCK + 100)
+
+    @pytest.mark.parametrize("action_set", [(0, 20), (0, 10, 20, 30, 40)])
+    @pytest.mark.parametrize("kind", ["spread", "uniform", "hold", "never", "every"])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_bitwise_the_per_step_loop(self, activation, kind, action_set):
+        for n_steps in self.LENGTHS:
+            config = EnvConfig(pool=POOL, action_set=action_set, x0=2.0,
+                               data=policy_tape(n_steps))
+            e, ref = LPEnv(config), LPEnv(config)
+            actor = greedy_actor(e, activation, kind)
+            got = env.run_policy(e, actor)
+            assert_same_trace(got, stepped_policy(ref, actor))
+            # the env is left at the end of the episode, as the loop leaves it
+            assert e.rewards(0, e.n_steps).tobytes() == got.reward.tobytes()
+            assert np.array(e._position_obs).tobytes() == np.array(ref._position_obs).tobytes()
+            deploys = np.count_nonzero(got.action)
+            if kind == "never":
+                assert deploys == 0
+            elif kind == "every":
+                assert deploys == n_steps
+            elif kind == "hold" and n_steps >= env._POLICY_BLOCK:
+                assert deploys > 0 and longest_hold(got.action) > env._HOLD_CHUNK
+
+    @pytest.mark.parametrize("n_in,n_out,networks", [(13, 4, 1), (12, 3, 1), (13, 3, 2)])
+    def test_rejects_an_actor_of_another_shape_before_any_step(self, monkeypatch, n_in,
+                                                               n_out, networks):
+        """A 4-output actor on a 3-action env whose argmax never reaches
+        index 3 would run to the end; it, a 12-input actor and a population
+        of two are refused before the first logit."""
+        calls = []
+
+        def counted(method):
+            def wrapper(self, x):
+                calls.append(x.shape)
+                return method(self, x)
+            return wrapper
+
+        monkeypatch.setattr(Mlp, "forward", counted(Mlp.forward))
+        monkeypatch.setattr(Mlp, "forward_rows", counted(Mlp.forward_rows))
+        e = gbm_env(action_set=(0, 20, 50))
+        nets = [Mlp.build([n_in, 8, n_out], "tanh", np.random.default_rng(r))
+                for r in range(networks)]
+        for net in nets:
+            net.biases[-1][0, 0, 3:] = -1e3  # an index past the env's actions never wins
+        with pytest.raises(ValueError, match="actor must be one network with 13 inputs and 3"):
+            env.run_policy(e, Mlp.stack(nets))
+        assert calls == []
 
 
 class TestStepper:

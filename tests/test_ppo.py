@@ -14,6 +14,7 @@ from activelp.ppo import (Adam, AgentSpec, Categorical, Mlp, RolloutBatch,
                           ppo_objective, train, train_population)
 import amm_oracle
 from bandit import ContextualBandit
+from greedy import stepped_policy
 from stepper import Stepper
 
 
@@ -528,7 +529,8 @@ class TestAgentSpec:
 
 class TestPersistence:
     def test_checkpoint_round_trip(self, tmp_path):
-        spec = AgentSpec(action_set=(0, 10), activation="sigmoid", hidden_layers=(4,),
+        # three actions, as the bandit's: a checkpoint's actor has one output per action
+        spec = AgentSpec(action_set=(0, 10, 20), activation="sigmoid", hidden_layers=(4,),
                          learning_rate=1e-3, rollout_length=256, total_timesteps=512)
         result = train(ContextualBandit(seed=1), spec, seed=2)
         path = tmp_path / "agent.npz"
@@ -551,6 +553,35 @@ class TestPersistence:
         blob["meta"] = json.dumps(meta)
         np.savez(path, **blob)
         with pytest.raises(ValueError, match="version"):
+            ppo.load_checkpoint(path)
+
+    @pytest.mark.parametrize("arrays,match", [
+        ({"actor_w1": (4, 2), "actor_b1": (2,)}, r"actor has layer sizes \[4, 2\] after its "
+                                                 r"inputs, but its spec asks for \[4, 3\]"),
+        ({"actor_w1": (4, 4), "actor_b1": (4,)}, r"actor has layer sizes \[4, 4\]"),
+        ({"critic_w1": (4, 3), "critic_b1": (3,)}, r"critic has layer sizes \[4, 3\] after its "
+                                                   r"inputs, but its spec asks for \[4, 1\]"),
+        ({"actor_w0": (13, 5), "actor_b0": (5,), "actor_w1": (5, 3)},
+         r"actor has layer sizes \[5, 3\]"),
+        ({"actor_w1": (5, 3)}, "actor layer 1 takes 5 inputs, but layer 0 has 4 outputs"),
+        ({"critic_b0": (5,)}, r"critic layer 0 has weight \(13, 4\) and bias \(5,\)"),
+        ({"actor_w0": (13,)}, r"actor layer 0 has weight \(13,\)"),
+        ({"critic_w0": (12, 4)}, "actor has 13 inputs but its critic has 12"),
+    ], ids=["actor-2-outputs", "actor-4-outputs", "critic-3-outputs", "hidden-5",
+            "weights-do-not-chain", "bias-does-not-match", "1-d-weight", "critic-12-inputs"])
+    def test_networks_that_disagree_with_their_spec_rejected(self, tmp_path, arrays, match):
+        """Each network's layers chain, both read one input size and have the
+        spec's hidden sizes, and the actor has one output per action."""
+        rng = np.random.default_rng(4)
+        spec = AgentSpec(action_set=(0, 10, 20), hidden_layers=(4,))
+        path = tmp_path / "agent.npz"
+        ppo.save_checkpoint(path, ppo.TrainResult(spec, Mlp.build([13, 4, 3], "tanh", rng),
+                                                  Mlp.build([13, 4, 1], "tanh", rng), [], 0,
+                                                  False))
+        blob = dict(np.load(path, allow_pickle=False))
+        blob.update({name: np.zeros(shape) for name, shape in arrays.items()})
+        np.savez(path, **blob)
+        with pytest.raises(ValueError, match=match):
             ppo.load_checkpoint(path)
 
     def test_v1_file_with_gae_lambda_loads(self, tmp_path):
@@ -985,30 +1016,15 @@ def lp_config(action_set=(0, 10, 20), n_steps=40):
     return EnvConfig(pool=pool, action_set=action_set, x0=2.0, data=tape)
 
 
-def test_run_policy_takes_the_largest_logit(monkeypatch):
+def test_run_policy_takes_the_largest_logit():
     """`run_policy` decides each step with the argmax of the actor's logits
-    on the observation that `reset` or the last `advance` returned."""
+    on that step's observation, as the per-step oracle does."""
     from activelp.env import LPEnv
 
-    e = LPEnv(lp_config())
     # a spread-out policy, so the greedy pass takes every action
     actor = Mlp.build([13, 8, 3], "tanh", np.random.default_rng(8), out_gain=3.0)
-    seen = []
-    reset, advance = e.reset, e.advance
-
-    def recording_reset():
-        seen.append(reset())
-        return seen[-1]
-
-    def recording_advance(action):
-        obs, done = advance(action)
-        seen.append(obs)
-        return obs, done
-
-    monkeypatch.setattr(e, "reset", recording_reset)
-    monkeypatch.setattr(e, "advance", recording_advance)
-    trace = run_policy(e, actor)
-    want = [int(actor.forward(obs[None, None, :])[0, 0].argmax()) for obs in seen[:-1]]
+    trace = run_policy(LPEnv(lp_config()), actor)
+    want = stepped_policy(LPEnv(lp_config()), actor).action.tolist()
     assert len(want) == 40 and set(want) == {0, 1, 2}
     assert trace.action.tolist() == want
 
@@ -1139,7 +1155,11 @@ class TestDecideThenScore:
         for e, result in zip(envs, results):
             trace = env.run_policy(e, result.actor)
             assert trace.t.size == 40
-        assert calls.pop("forward") == 2 * 40
+        # the greedy passes make no 1-row forward: per episode, one block
+        # table (40 steps fit in one block) and one hold chunk per run of
+        # held steps, 7 and 6 runs in the two episodes
+        assert "forward" not in calls
+        assert calls.pop("forward_rows") == 2 + 7 + 6
         assert calls.pop("_score") == calls.pop("activelp.amm.fee_for_move") == 2
         assert calls.pop("activelp.amm.lvr_penalty") == 2 and calls == {}
         # the oracle counters do count
