@@ -12,10 +12,12 @@ computed in 64-bit floats; this is a research simulator, not a chain
 client, so no Q64.96 fixed-point emulation.
 
 The tick math is scalar: `math.log`/`math.exp` and `np.log`/`np.exp` are not
-guaranteed to agree bitwise. The kernel is elementwise over numpy arrays
-(or scalars) and uses only +, -, *, / and sqrt, which are correctly rounded
-either way, so it matches the scalar oracles in `tests/amm_oracle.py`
-bitwise.
+guaranteed to agree bitwise. Its array form `tick_indices` floors numpy's
+log ratio only where a few-ulp error cannot change the result, and uses the
+scalar `tick_index` for the prices inside the band where it could. The
+kernel is elementwise over numpy arrays (or scalars) and uses only +, -, *,
+/ and sqrt, which are correctly rounded either way, so it matches the scalar
+oracles in `tests/amm_oracle.py` bitwise.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ _LN_TICK = 9.999500033330834e-05
 # Relative slack used to defuse floating-point misclassification right at a
 # tick boundary (log/exp round-trips are not exact).
 _TICK_GUARD = 1e-12
+
+# Half-width of the band around integer log ratios in which `tick_indices`
+# defers to the scalar `tick_index`.
+_TICK_BAND = 1e-6
 
 
 def price_at_tick(i: int) -> float:
@@ -53,6 +59,28 @@ def tick_index(price: float) -> int:
     if price_at_tick(i + 1) <= price * (1.0 + _TICK_GUARD):
         i += 1
     return i
+
+
+def tick_indices(prices) -> np.ndarray:
+    """`tick_index` of every price, as an int64 array.
+
+    Outside the band of `_TICK_BAND` around an integer, the floor of the
+    log ratio cannot flip under a few-ulp log error, and the scalar's bump
+    cannot fire: the next tick sits at least 1e-10 relative above the
+    price. Prices inside the band go through `tick_index`, as does the
+    first non-positive or non-finite price, so that it raises as the scalar
+    does.
+    """
+    prices = np.asarray(prices, dtype=np.float64)
+    bad = ~((prices > 0) & (prices < math.inf))
+    if bad.any():
+        tick_index(float(prices[bad][0]))
+    ratio = np.log(prices) / _LN_TICK
+    ticks = np.floor(ratio).astype(np.int64)
+    near = np.abs(ratio - np.round(ratio)) < _TICK_BAND
+    if near.any():
+        ticks[near] = [tick_index(p) for p in prices[near].tolist()]
+    return ticks
 
 
 @dataclass(frozen=True)

@@ -107,14 +107,33 @@ class PriceSeries:
 def write_csv(path, header, columns):
     """Write the header, then one CRLF row per index of the array columns'
     `.tolist()` values, unquoted: numbers as repr(), the text of str() one
-    call sooner, other cells as str(). Rows go out a block per write."""
-    cells = [repr if c.dtype.kind in "iuf" else str for c in columns]
+    call sooner, other cells as str(). Rows go out a block per write.
+
+    Within a block, a numeric column with many repeats is formatted once per
+    run of cells with equal bit patterns (so `0.0` and `-0.0` stay apart)
+    and each text repeated; the bytes are those of one repr() per cell."""
+    cells = [_numeric_cells if c.dtype.kind in "iuf" else _text_cells for c in columns]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, len(columns[0]), _CSV_BLOCK):
-            rows = zip(*[map(cell, c[lo:lo + _CSV_BLOCK].tolist())
-                         for cell, c in zip(cells, columns)])
+            rows = zip(*[cell(c[lo:lo + _CSV_BLOCK]) for cell, c in zip(cells, columns)])
             fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+
+
+def _text_cells(block):
+    return map(str, block.tolist())
+
+
+def _numeric_cells(block):
+    """repr() of each cell, called once per run of equal bit patterns when
+    the block has at most half as many runs as cells; with fewer repeats,
+    spreading the runs' texts costs more than it saves."""
+    bits = block.view(f"u{block.itemsize}")
+    head = np.concatenate(([True], bits[1:] != bits[:-1]))
+    if 2 * np.count_nonzero(head) > len(block):
+        return map(repr, block.tolist())
+    texts = np.array(list(map(repr, block[head].tolist())), dtype=object)
+    return texts[np.cumsum(head) - 1].tolist()
 
 
 def _missing_hours(ts_before: int, ts_after: int, limit: int = 5) -> str:

@@ -87,7 +87,7 @@ class MarketTape:
 
     def __init__(self, series: PriceSeries):
         self.closes = series.closes
-        self.ticks = np.array([amm.tick_index(p) for p in self.closes.tolist()], dtype=np.int64)
+        self.ticks = amm.tick_indices(self.closes)
         self.sigma = indicators.ewma_volatility(self.closes)
         self._series = series  # the candles `market` reads; dropped once it is built
         self._ranges: dict[tuple, np.ndarray] = {}

@@ -766,7 +766,25 @@ def _layer_sizes(name, blob: dict, layers: int) -> list[int]:
     return sizes
 
 
+def _check_networks(spec: AgentSpec, meta: dict, blob: dict):
+    """Both networks chain, read one input size and have the spec's hidden
+    sizes; the actor has one output per action and the critic one."""
+    sizes = {name: _layer_sizes(name, blob, meta[f"{name}_layers"])
+             for name in ("actor", "critic")}
+    if sizes["actor"][0] != sizes["critic"][0]:
+        raise ValueError(f"checkpoint actor has {sizes['actor'][0]} inputs but its critic "
+                         f"has {sizes['critic'][0]}")
+    for name, n_out in (("actor", len(spec.action_set)), ("critic", 1)):
+        if sizes[name][1:] != [*spec.hidden_layers, n_out]:
+            raise ValueError(f"checkpoint {name} has layer sizes {sizes[name][1:]} after its "
+                             f"inputs, but its spec asks for {[*spec.hidden_layers, n_out]}")
+
+
 def save_checkpoint(path, result: TrainResult):
+    """Write `result` as a checkpoint that `load_checkpoint` reads back.
+
+    Networks that the loader would refuse raise ValueError before the file
+    is opened."""
     meta = {
         "version": CHECKPOINT_VERSION,
         "spec": asdict(result.spec),
@@ -781,6 +799,7 @@ def save_checkpoint(path, result: TrainResult):
         for i, (w, b) in enumerate(zip(net.weights, net.biases)):
             arrays[f"{name}_w{i}"] = w[0]
             arrays[f"{name}_b{i}"] = b[0, 0]
+    _check_networks(result.spec, meta, arrays)
     # through a handle: given a path, np.savez appends ".npz" to any other name
     with open(path, "wb") as fh:
         np.savez(fh, meta=json.dumps(meta), **arrays)
@@ -817,15 +836,7 @@ def load_checkpoint(path) -> TrainResult:
     spec_dict = {k: v for k, v in meta["spec"].items() if k in spec_fields or v is not None}
     _check_keys("agent spec", spec_dict, spec_fields)
     spec = AgentSpec(**spec_dict)
-    sizes = {name: _layer_sizes(name, blob, meta[f"{name}_layers"])
-             for name in ("actor", "critic")}
-    if sizes["actor"][0] != sizes["critic"][0]:
-        raise ValueError(f"checkpoint actor has {sizes['actor'][0]} inputs but its critic "
-                         f"has {sizes['critic'][0]}")
-    for name, n_out in (("actor", len(spec.action_set)), ("critic", 1)):
-        if sizes[name][1:] != [*spec.hidden_layers, n_out]:
-            raise ValueError(f"checkpoint {name} has layer sizes {sizes[name][1:]} after its "
-                             f"inputs, but its spec asks for {[*spec.hidden_layers, n_out]}")
+    _check_networks(spec, meta, blob)
     activation = meta["activation"]
     actor, critic = (
         Mlp([blob[f"{name}_w{i}"][None] for i in range(meta[f"{name}_layers"])],

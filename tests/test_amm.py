@@ -95,6 +95,41 @@ class TestTickMath:
             assert amm.tick_index(amm.price_at_tick(i)) == i
 
 
+class TestTickIndices:
+    """The array `tick_indices` against the scalar `tick_index`, bitwise."""
+
+    @staticmethod
+    def assert_matches_scalar(prices):
+        want = np.array([amm.tick_index(p) for p in prices.tolist()], dtype=np.int64)
+        got = amm.tick_indices(prices)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        wrong = np.flatnonzero(got != want)
+        assert wrong.size == 0, [(prices[k], got[k], want[k]) for k in wrong[:5]]
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 3000.0, 1e5, 1e8])
+    def test_log_normal_prices(self, scale):
+        rng = np.random.default_rng(int(np.log10(scale)) + 10)
+        self.assert_matches_scalar(scale * rng.lognormal(0.0, 1.0, 20000))
+
+    def test_every_tick_boundary_and_its_neighbours(self):
+        # a floor of numpy's log ratio with no scalar fallback is one tick
+        # off on thousands of these
+        exact = np.array([amm.price_at_tick(i) for i in range(-300000, 300000)])
+        self.assert_matches_scalar(np.concatenate([
+            exact, np.nextafter(exact, 0.0), np.nextafter(exact, np.inf),
+            exact * (1 - 1e-12), exact * (1 + 1e-12)]))
+
+    @pytest.mark.parametrize("bad", [0.0, -3.0, -0.0, -math.inf, math.nan, math.inf])
+    def test_raises_as_the_scalar_does(self, bad):
+        with pytest.raises((ValueError, OverflowError)) as scalar:
+            amm.tick_index(bad)
+        with pytest.raises(type(scalar.value)) as array:
+            amm.tick_indices(np.array([1.0, 2.5, bad, 4.0]))
+        assert str(array.value) == str(scalar.value)
+        if bad <= 0:
+            assert scalar.type is ValueError and "price must be positive" in str(scalar.value)
+
+
 class TestAlignRange:
     def test_already_aligned(self):
         assert oracle.align_range(100, 50, 10) == (50, 150)

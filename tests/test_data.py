@@ -7,6 +7,7 @@ import pytest
 
 from activelp import data
 from activelp.data import HOUR, DataError, PriceSeries
+from csv_oracle import write_rows
 
 
 def make_series(n, start_ts=1609459200, price=100.0):
@@ -731,3 +732,70 @@ class TestColumnarOracle:
         series.to_csv(tmp_path / "new.csv")
         rowwise_to_csv(series, tmp_path / "ref.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+class TestWriteCsv:
+    """`write_csv` formats runs of equal cells once; its bytes are the
+    per-cell writer's of `tests/csv_oracle.py`."""
+
+    SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, -7.25, 1e16,
+               3000.123456789, 1.7976931348623157e308]
+
+    @staticmethod
+    def runs(rng, values, n):
+        """n cells drawn from `values` in runs of 1 to 40 equal cells."""
+        picks = rng.integers(0, len(values), n)
+        lengths = rng.integers(1, 41, n)
+        return np.repeat(np.asarray(values, dtype=object)[picks], lengths)[:n].tolist()
+
+    def assert_same_bytes(self, tmp_path, header, columns):
+        data.write_csv(tmp_path / "new.csv", header, columns)
+        write_rows(tmp_path / "ref.csv", header, columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_signed_zeros_nans_and_infinities(self, tmp_path):
+        # a writer that compared cells by value would print -0.0 as 0.0
+        other_nan = np.frombuffer(np.uint64(0x7FF8000000000001).tobytes(), dtype=np.float64)
+        zeros = np.repeat([0.0, -0.0, 0.0, -0.0, 1.5], 3)
+        specials = np.repeat([math.nan, -math.nan, math.inf, -math.inf, other_nan[0]], 3)
+        self.assert_same_bytes(tmp_path, ["z", "s"], [zeros, specials])
+        lines = (tmp_path / "new.csv").read_text().split("\n")
+        assert [line.split(",")[0] for line in lines[1:8]] == ["0.0"] * 3 + ["-0.0"] * 3 + ["0.0"]
+
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1100, 1537])
+    def test_mixed_columns_with_runs(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        columns = [
+            np.array(self.runs(rng, range(-3, 4), n), dtype=np.int64),
+            np.array(self.runs(rng, self.SPECIAL, n)),
+            np.array(self.runs(rng, ["a", "bc", "-0.0"], n)),
+            np.array(self.runs(rng, [0.5, -0.0, 0.0, 2.5e-8], n), dtype=np.float32),
+            np.array(self.runs(rng, [0, 7, 255], n), dtype=np.uint8),
+            np.array(self.runs(rng, [True, False], n)),
+            rng.standard_normal(n),
+        ]
+        self.assert_same_bytes(tmp_path, list("abcdefg"), columns)
+
+    def test_runs_across_block_boundaries(self, tmp_path):
+        # runs that end at, start at and straddle rows 512 and 1024
+        floats = np.full(1300, 0.1)
+        floats[500:530] = -0.0
+        floats[530:1024] = math.nan
+        floats[1024:1025] = 0.0
+        floats[1010:1040] = math.inf
+        ints = np.repeat(np.arange(13), 100)
+        text = np.where(np.arange(1300) < 700, "lo", "hi")
+        self.assert_same_bytes(tmp_path, ["f", "i", "s"], [floats, ints, text])
+
+    @pytest.mark.parametrize("table", ["one row", "all equal", "all distinct", "pairs"])
+    def test_tables_of_one_kind(self, tmp_path, table):
+        n = 1 if table == "one row" else 1100
+        if table == "all distinct":
+            columns = [np.arange(n), np.linspace(-1.0, 1e16, n), np.arange(n).astype(str)]
+        elif table == "pairs":
+            # half as many runs as cells, and one run more
+            columns = [np.arange(n) // 2, np.repeat([0.0, -0.0], n // 2),
+                       np.r_[0.5, np.arange(n - 1) // 2 + 0.25]]
+        else:
+            columns = [np.full(n, -5), np.full(n, -0.0), np.full(n, "x")]
+        self.assert_same_bytes(tmp_path, ["i", "f", "s"], columns)

@@ -50,6 +50,12 @@ def test_oracles_take_only_scalar_tick_math_from_amm(oracle):
     assert taken and taken <= {"tick_index", "price_at_tick", "PoolSpec"}
 
 
+def test_csv_oracle_imports_nothing_from_the_package():
+    # the per-cell writer is the reference for data.write_csv
+    roots = set(imported_roots(ROOT / "tests" / "csv_oracle.py"))
+    assert "activelp" not in roots and roots <= set(sys.stdlib_module_names) | {"numpy"}
+
+
 def test_modules_import_only_stdlib_numpy_and_the_package():
     allowed = set(sys.stdlib_module_names) | {"numpy", "activelp"}
     modules = sorted(PACKAGE.rglob("*.py"))

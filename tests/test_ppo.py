@@ -541,8 +541,20 @@ class TestPersistence:
         np.testing.assert_array_equal(flat(loaded.critic), flat(result.critic))
         assert loaded.timesteps == result.timesteps
 
-    def test_unsupported_checkpoint_version_rejected(self, tmp_path):
+    def test_save_refuses_networks_the_loader_would(self, tmp_path):
+        # the bandit has three actions, so the actor trained on it has three
+        # outputs: one more than the spec's action set
         spec = AgentSpec(action_set=(0, 10), activation="tanh", hidden_layers=(4,),
+                         learning_rate=1e-3, rollout_length=256, total_timesteps=256)
+        result = train(ContextualBandit(seed=1), spec, seed=2)
+        path = tmp_path / "agent.npz"
+        with pytest.raises(ValueError, match=r"actor has layer sizes \[4, 3\] after its inputs, "
+                                             r"but its spec asks for \[4, 2\]"):
+            ppo.save_checkpoint(path, result)
+        assert not path.exists()
+
+    def test_unsupported_checkpoint_version_rejected(self, tmp_path):
+        spec = AgentSpec(action_set=(0, 10, 20), activation="tanh", hidden_layers=(4,),
                          learning_rate=1e-3, rollout_length=256, total_timesteps=256)
         result = train(ContextualBandit(seed=1), spec, seed=2)
         path = tmp_path / "agent.npz"
