@@ -109,31 +109,41 @@ def write_csv(path, header, columns):
     `.tolist()` values, unquoted: numbers as repr(), the text of str() one
     call sooner, other cells as str(). Rows go out a block per write.
 
-    Within a block, a numeric column with many repeats is formatted once per
-    run of cells with equal bit patterns (so `0.0` and `-0.0` stay apart)
-    and each text repeated; the bytes are those of one repr() per cell."""
-    cells = [_numeric_cells if c.dtype.kind in "iuf" else _text_cells for c in columns]
+    Within a block, the numeric columns of one dtype are formatted together,
+    with one repr() per distinct bit pattern among their cells: `0.0` and
+    `-0.0`, or an int64 and a float64 of the same bits, never share a text.
+    The bytes are those of one repr() per cell. Raises ValueError unless
+    there is one header name per column and the columns are of one length."""
+    if len(header) != len(columns):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError(f"columns of unequal lengths {[len(c) for c in columns]}")
+    groups = {}
+    for j, c in enumerate(columns):
+        if c.dtype.kind in "iuf":
+            groups.setdefault(c.dtype, []).append(j)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, len(columns[0]), _CSV_BLOCK):
-            rows = zip(*[cell(c[lo:lo + _CSV_BLOCK]) for cell, c in zip(cells, columns)])
-            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+            block = [c[lo:lo + _CSV_BLOCK] for c in columns]
+            cells = [None if b.dtype.kind in "iuf" else map(str, b.tolist()) for b in block]
+            for js in groups.values():
+                for j, texts in zip(js, _repr_cells(np.stack([block[j] for j in js]))):
+                    cells[j] = texts
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
-def _text_cells(block):
-    return map(str, block.tolist())
-
-
-def _numeric_cells(block):
-    """repr() of each cell, called once per run of equal bit patterns when
-    the block has at most half as many runs as cells; with fewer repeats,
-    spreading the runs' texts costs more than it saves."""
-    bits = block.view(f"u{block.itemsize}")
-    head = np.concatenate(([True], bits[1:] != bits[:-1]))
-    if 2 * np.count_nonzero(head) > len(block):
-        return map(repr, block.tolist())
-    texts = np.array(list(map(repr, block[head].tolist())), dtype=object)
-    return texts[np.cumsum(head) - 1].tolist()
+def _repr_cells(block):
+    """repr() of each cell of a 2-d numeric block, as a list per row, with
+    repr() called once per distinct bit pattern. Each cell finds its
+    pattern by a binary search: on blocks of long runs, such as passive
+    traces, numpy's argsort (which np.unique uses) costs ten times its sort."""
+    bits = block.view(f"u{block.itemsize}").ravel()
+    ordered = np.sort(bits)
+    patterns = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    texts = np.fromiter(map(repr, patterns.view(block.dtype).tolist()), dtype=object,
+                        count=patterns.size)
+    return texts[np.searchsorted(patterns, bits)].reshape(block.shape).tolist()
 
 
 def _missing_hours(ts_before: int, ts_after: int, limit: int = 5) -> str:

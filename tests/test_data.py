@@ -735,8 +735,8 @@ class TestColumnarOracle:
 
 
 class TestWriteCsv:
-    """`write_csv` formats runs of equal cells once; its bytes are the
-    per-cell writer's of `tests/csv_oracle.py`."""
+    """`write_csv` formats each distinct cell of a block's dtype group once;
+    its bytes are the per-cell writer's of `tests/csv_oracle.py`."""
 
     SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, -7.25, 1e16,
                3000.123456789, 1.7976931348623157e308]
@@ -799,3 +799,71 @@ class TestWriteCsv:
         else:
             columns = [np.full(n, -5), np.full(n, -0.0), np.full(n, "x")]
         self.assert_same_bytes(tmp_path, ["i", "f", "s"], columns)
+
+    def test_open_is_previous_close_across_blocks(self, tmp_path):
+        # each open repeats the close above it, also across rows 511/512 and
+        # 1023/1024; signed zeros beside them part a writer that compares values
+        rng = np.random.default_rng(5)
+        closes = 3000 * np.exp(np.cumsum(rng.normal(0, 0.01, 1100)))
+        closes[[300, 511, 1023]] = [0.0, -0.0, -0.0]
+        opens = np.r_[3000.0, closes[:-1]]
+        lows = np.minimum(opens, closes)
+        lows[[200, 600, 1030]] = 0.0
+        timestamps = 1609459200 + HOUR * np.arange(1100)
+        self.assert_same_bytes(tmp_path, ["timestamp", "open", "low", "close"],
+                               [timestamps, opens, lows, closes])
+        rows = (tmp_path / "new.csv").read_text().split("\n")
+        assert rows[512].split(",")[3] == rows[513].split(",")[1] == "-0.0"
+        assert rows[1024].split(",")[3] == rows[1025].split(",")[1] == "-0.0"
+
+    def test_int_column_of_a_float_columns_bits(self, tmp_path):
+        floats = np.array([1.0, -0.0, 0.5, 1.0, math.nan, 3000.25] * 100)
+        self.assert_same_bytes(tmp_path, ["f", "i"], [floats, floats.view(np.int64)])
+        assert (tmp_path / "new.csv").read_text().split("\n")[1] == "1.0,4607182418800017408"
+
+    def test_float32_beside_int32_and_uint32_of_its_bits(self, tmp_path):
+        rng = np.random.default_rng(6)
+        f32 = rng.normal(0, 100, 700).astype(np.float32)
+        f32[::7] = -0.0
+        f32[::11] = 1.5
+        self.assert_same_bytes(tmp_path, ["f", "i", "u"],
+                               [f32, f32.view(np.int32), f32.view(np.uint32)])
+
+    def test_signed_zeros_and_nan_payloads_across_one_row(self, tmp_path):
+        nans = np.array([0x7FF8000000000000, 0x7FF8000000000001], dtype=np.uint64).view(np.float64)
+        row = [0.0, -0.0, nans[0], nans[1], -0.0, 0.0]
+        columns = [np.array([v, row[(j + 1) % len(row)]] * 300) for j, v in enumerate(row)]
+        self.assert_same_bytes(tmp_path, list("abcdef"), columns)
+        assert (tmp_path / "new.csv").read_text().split("\n")[1] == "0.0,-0.0,nan,nan,-0.0,0.0"
+
+    def test_zero_rows_write_the_header_only(self, tmp_path):
+        columns = [np.array([], dtype=np.int64), np.array([]), np.array([], dtype=str)]
+        self.assert_same_bytes(tmp_path, ["i", "f", "s"], columns)
+        assert (tmp_path / "new.csv").read_bytes() == b"i,f,s\r\n"
+
+    @pytest.mark.parametrize("header, lengths", [
+        (["a", "b", "c"], [3, 5]),
+        (["a"], [3, 3]),
+        (["a", "b"], [3, 5]),
+        (["a", "b", "c"], [4, 4, 0]),
+    ])
+    def test_rejects_malformed_calls(self, tmp_path, header, lengths):
+        # zip would cut every column to the shortest, and the header to the columns
+        columns = [np.arange(n, dtype=float) for n in lengths]
+        with pytest.raises(ValueError):
+            data.write_csv(tmp_path / "t.csv", header, columns)
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_repr_called_once_per_distinct_pattern_of_a_group(self, tmp_path, monkeypatch):
+        series = data.gbm_generate(seed=3, n_hours=2000, p_start=3000.0, vol=0.01)
+        calls = []
+        monkeypatch.setattr(data, "repr", lambda x: calls.append(x) or repr(x), raising=False)
+        series.to_csv(tmp_path / "candles.csv")
+        groups = [[series.timestamps], [series.opens, series.highs, series.lows, series.closes]]
+        expected = sum(
+            np.unique(np.stack([c[lo:lo + 512] for c in group]).view(np.uint64)).size
+            for lo in range(0, len(series), 512) for group in groups)
+        assert len(calls) == expected < 5 * len(series)
+        write_rows(tmp_path / "ref.csv", ["timestamp", "open", "high", "low", "close"],
+                   [series.timestamps, series.opens, series.highs, series.lows, series.closes])
+        assert (tmp_path / "candles.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
