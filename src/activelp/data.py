@@ -113,7 +113,10 @@ def write_csv(path, header, columns):
     with one repr() per distinct bit pattern among their cells: `0.0` and
     `-0.0`, or an int64 and a float64 of the same bits, never share a text.
     The bytes are those of one repr() per cell. Raises ValueError unless
-    there is one header name per column and the columns are of one length."""
+    there is at least one column, one header name per column and the
+    columns are of one length."""
+    if not columns:
+        raise ValueError("a table needs at least one column")
     if len(header) != len(columns):
         raise ValueError(f"{len(header)} header names for {len(columns)} columns")
     if len({len(c) for c in columns}) > 1:

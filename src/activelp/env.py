@@ -37,7 +37,7 @@ TRACE_HEADER = ("t", "price", "action", "width", "L", "fee", "lvr", "gas", "rewa
 # EpisodeTrace fields in TRACE_HEADER order
 TRACE_COLUMNS = ("t", "price", "action", "width", "liquidity", "fee", "lvr", "gas", "reward")
 _SCORE_BLOCK = 2048
-_POLICY_BLOCK = 512  # steps per block table of run_policy
+_POLICY_BLOCK = 512  # steps per block table of _walk
 # rows of a held range's first hold chunk: a forward_rows call of 16 rows
 # costs about as much as one of 4
 _HOLD_CHUNK = 16
@@ -160,14 +160,6 @@ class FeatureStats:
         out[~np.isfinite(out)] = 0.0
         return out
 
-    def normalize_entry(self, index: int, value: float) -> float:
-        """normalize() of observation entry `index` alone."""
-        std = self.std[index]
-        if not std > 0:
-            return 0.0
-        z = (value - self.mean[index]) / std
-        return z if math.isfinite(z) else 0.0
-
 
 def compute_stats(series: MarketTape, action_set, pool: PoolSpec,
                   x0: float) -> FeatureStats:
@@ -258,6 +250,7 @@ class LPEnv:
         obs = np.zeros((len(tape), OBS_SIZE))
         obs[:, MARKET_ENTRIES] = tape.market
         self._obs = self._stats.normalize(obs, out=obs)
+        self._position_stats = FeatureStats(self._stats.mean[2:4], self._stats.std[2:4])
         self._start = MIN_HISTORY - 1
         self._last = len(tape) - 1
         self._n_actions = len(config.action_set)
@@ -296,10 +289,29 @@ class LPEnv:
         if not 0 <= action_index < self._n_actions:
             raise ValueError(f"action index {action_index} out of range")
         if action_index != 0:
-            self._position_obs = self._position_entries(action_index, self._t)
+            self._position_obs = self._range_entries(action_index, self._t)
         self._actions[self._t - self._start] = action_index
         self._t += 1
         return self._observe(), self._t >= self._last
+
+    def walk(self, actor, decide, n: int):
+        """Take up to `n` decisions from the current step with `actor`, a
+        single-network `ppo.Mlp` with `obs_dim` inputs and `n_actions`
+        outputs, stopping at the episode's end. `decide(logits, lo, hi)`
+        gives the action of each row of logits (..., hi - lo, n_actions) of
+        steps [lo, hi) of this walk. Returns the observation, logits and
+        action of each step taken and whether the episode is over; each
+        is bitwise what deciding step by step with `advance` and a 1-row
+        `forward` gives, and `rewards` scores the steps as it would."""
+        if self._t is None:
+            raise RuntimeError("reset() must be called before walk()")
+        if self._t >= self._last:
+            raise RuntimeError("walk() called after the episode ended")
+        t0 = self._t - self._start
+        record = _Record(self, n)
+        _walk(self, actor, decide, n, record)
+        actions = self._actions[t0:self._t - self._start].copy()
+        return record.obs, record.logits, actions, self._t >= self._last
 
     def rewards(self, lo: int, hi: int) -> np.ndarray:
         """Rewards of steps [lo, hi) of the episode in progress; only that
@@ -314,11 +326,12 @@ class LPEnv:
         opened = int(before[-1]) if before.size else -1
         return _score(self.config, self._actions, lo, hi, opened)
 
-    def _position_entries(self, action_index: int, hour: int) -> tuple[float, float]:
-        """Normalized (width, liquidity) of the range `action_index` opens at `hour`."""
-        row = self._tables[action_index][hour].tolist()
-        return (self._stats.normalize_entry(2, (row[1] - row[0]) / 2.0),
-                self._stats.normalize_entry(3, row[2]))
+    def _range_entries(self, action_index: int, hours) -> np.ndarray:
+        """Normalized (width, liquidity), (..., 2), of the ranges `action_index`
+        opens at `hours`, an hour or a slice of them."""
+        table = self._tables[action_index][hours]
+        entries = np.stack([(table[..., 1] - table[..., 0]) / 2.0, table[..., 2]], axis=-1)
+        return self._position_stats.normalize(entries, out=entries)
 
     def _observe(self) -> np.ndarray:
         obs = self._obs[self._t].copy()
@@ -362,22 +375,11 @@ def run_policy(env: LPEnv, actor) -> EpisodeTrace:
     every step the action of the largest logit, then score the whole episode
     at once. An open-loop schedule of actions is scored by `replay`.
 
-    The logits are computed in blocks, not one `forward` per step. Prices do
-    not depend on the actions, so a step's observation is fixed by the step
-    and the open position, and right after a decision the position is one of
-    three: none, a range opened at the step before, or an older range still
-    held. A block table reads the first two: per block of `_POLICY_BLOCK` steps,
-    one `forward_rows` call over the rows of the no-position state and of
-    each width just opened. A held range's steps read a hold chunk: one
-    `forward_rows` call over the next observations under that range, used up
-    to the first redeploy; chunks double while the agent holds, up to the
-    block size. `forward_rows` gives each row the bits of its own 1-row
-    `forward`. The table's position entries come from `FeatureStats.normalize`,
-    elementwise the operations of the `normalize_entry` that `advance` uses,
-    and a hold chunk copies its range's entries from the table. So the
-    actions and the trace are bitwise those of deciding every step with
-    `advance`, and the env is left at the end of the episode as that loop
-    leaves it. Memory is bounded by the block size."""
+    The episode is one `_walk` that keeps nothing per step but the env's
+    action record, so the logits come in blocks, not one `forward` per step,
+    and the actions and the trace are bitwise those of deciding every step
+    with `advance`. The env is left at the end of the episode as that loop
+    leaves it."""
     n_networks, n_in, _ = actor.weights[0].shape
     n_out = actor.weights[-1].shape[2]
     if (n_networks, n_in, n_out) != (1, env.obs_dim, env.n_actions):
@@ -385,59 +387,148 @@ def run_policy(env: LPEnv, actor) -> EpisodeTrace:
             f"actor must be one network with {env.obs_dim} inputs and {env.n_actions} "
             f"outputs, got {n_networks} with {n_in} inputs and {n_out} outputs")
     env.reset()
-    n, actions = env.n_steps, env._actions
+    _walk(env, actor, _greedy, env.n_steps, None)
+    trace = env._trace(0, env.n_steps)
+    trace.action = trace.action.copy()  # not a view of the env's action record
+    return trace
+
+
+def _greedy(logits, lo, hi):
+    """The action of the largest logit of each row."""
+    return logits.argmax(axis=-1)
+
+
+def _walk(env: LPEnv, actor, decide, n: int, record) -> None:
+    """Decide up to `n` steps of `env`'s episode from its current step with
+    `actor`, each by `decide` (see `LPEnv.walk`), stopping at the episode's
+    end; record the actions in the env and move it past them.
+
+    Prices do not depend on the actions, so a step's observation is fixed by
+    the step and the open range, and its action by its logits and the step.
+    Right after a decision the open range is one of four: none, one opened at
+    the step before, one opened two steps before and held once, or an older
+    one still held. A block table reads the first three: per block of
+    `_POLICY_BLOCK` steps, one `forward_rows` call over the rows of the
+    no-position state and of each width in the next two, and one `decide`
+    call over them, so a step is one lookup in Python lists. An older range's
+    steps read a hold chunk: one `forward_rows` call over the next
+    observations under that range, used up to the first redeploy; chunks
+    double while the agent holds, up to the block size, and may cross block
+    ends. `forward_rows` gives each row the bits of its own 1-row `forward`,
+    and the rows' position entries come from `FeatureStats.normalize`, as
+    `advance`'s do. `record`, a `_Record` or None, gathers each step's
+    observation and logits from the tables and chunks. Beyond what `record`
+    keeps, memory is bounded by the block size."""
+    n_actions = env.n_actions
+    t0 = env._t - env._start
+    end = min(t0 + n, env.n_steps)
     obs = env._obs[env._start:env._last]  # each step's observation with no position open
-    opened = None  # (action, step) of the open range
-    held = None  # its normalized (width, liquidity), once a hold chunk reads them
-    i = last = lo = hi = 0  # `last` is the action of step i - 1
-    while i < n:
-        if last == 0 and opened is not None:
-            if held is None:
-                # the table row of the step after the deploy holds the range's entries
-                held, chunk = rows[opened[0], opened[1] + 1 - lo, 2:4], _HOLD_CHUNK
-            x = obs[i:i + chunk].copy()
+    # the state of step t0: 0 for no range, k for a range of action k opened
+    # at the step before, k + n_actions - 1 for one opened two steps before,
+    # -1 for an older one, whose normalized entries are `held`
+    state, held, chunk = 0, None, _HOLD_CHUNK
+    before = np.flatnonzero(env._actions[:t0])
+    if before.size:
+        age = t0 - int(before[-1])
+        k = int(env._actions[before[-1]])
+        state = k if age == 1 else k + n_actions - 1 if age == 2 else -1
+        held = env._position_obs
+    steps = None if record is None else record.steps
+    deploys, taken = [], []
+    i = lo = hi = t0
+    while i < end:
+        if state < 0:
+            x = obs[i:min(i + chunk, end)].copy()
             x[:, 2:4] = held
-            taken = actor.forward_rows(x[None])[0].argmax(axis=1)
-            first = int((taken != 0).argmax())  # the first redeploy, 0 if there is none
-            last = int(taken[first])
-            if last == 0:
-                i += x.shape[0]
+            logits = actor.forward_rows(x[None])[0]
+            acts = decide(logits, i - t0, i - t0 + len(x))
+            first = int((acts != 0).argmax())  # the first redeploy, 0 if there is none
+            a = int(acts[first])
+            if steps is not None:
+                row = record.add(x, logits)
+                steps.extend(range(row, row + (first + 1 if a else len(x))))
+            if a == 0:
+                i += len(x)
                 chunk = min(2 * chunk, _POLICY_BLOCK)
                 continue
             i += first
         else:
             if i >= hi:
-                lo, hi = i, min(i + _POLICY_BLOCK, n)
-                rows, table = _policy_table(env, actor, lo, hi)
-            last = table[last][i - lo]
-        if last != 0:
-            actions[i] = last
-            opened, held = (last, i), None
+                lo, hi = i, min(i + _POLICY_BLOCK, end)
+                rows, table = _walk_table(env, actor, decide, lo, hi, t0, record)
+            a = table[state][i - lo]
+            if steps is not None:
+                steps.append(state * (hi - lo) + i - lo)
+            if a == 0:
+                if state >= n_actions:
+                    state, held, chunk = -1, rows[state, i - lo, 2:4], _HOLD_CHUNK
+                elif state:
+                    state += n_actions - 1
+                i += 1
+                continue
+        deploys.append(i)
+        taken.append(a)
+        state = a
         i += 1
-    env._t = env._last
-    if opened is not None:
-        env._position_obs = env._position_entries(opened[0], env._start + opened[1])
-    trace = env._trace(0, n)
-    trace.action = trace.action.copy()  # not a view of the env's action record
-    return trace
+    if deploys:
+        env._actions[deploys] = taken
+        env._position_obs = env._range_entries(taken[-1], env._start + deploys[-1])
+    env._t = env._start + end
+    if record is not None:
+        record.flush(end)
 
 
-def _policy_table(env: LPEnv, actor, lo: int, hi: int):
-    """The observation rows of steps [lo, hi), (n_actions, hi - lo, OBS_SIZE),
-    in each state right after a decision, and the greedy action of each row
-    as nested lists: state 0 has no position open, state k the range of
-    action k opened at the step before."""
-    hours = slice(env._start + lo, env._start + hi)
-    opened_at = slice(hours.start - 1, hours.stop - 1)
-    position = FeatureStats(env._stats.mean[2:4], env._stats.std[2:4])
-    rows = np.empty((env.n_actions, hi - lo, OBS_SIZE))
-    rows[:] = env._obs[hours]
-    for k in range(1, env.n_actions):
-        table = env._tables[k][opened_at]
-        entries = np.column_stack([(table[:, 1] - table[:, 0]) / 2.0, table[:, 2]])
-        rows[k, :, 2:4] = position.normalize(entries, out=entries)
-    logits = actor.forward_rows(rows.reshape(1, -1, OBS_SIZE))[0]
-    return rows, logits.argmax(axis=1).reshape(env.n_actions, hi - lo).tolist()
+def _walk_table(env: LPEnv, actor, decide, lo: int, hi: int, t0: int, record):
+    """The observation rows of steps [lo, hi), (2 n_actions - 1, hi - lo,
+    OBS_SIZE), in each table state of `_walk`, and the action `decide` gives
+    each row, as nested lists. `record` starts a window with the rows."""
+    n_actions, width = env.n_actions, hi - lo
+    hour = env._start + lo
+    rows = np.empty((2 * n_actions - 1, width, OBS_SIZE))
+    rows[:] = env._obs[hour:hour + width]
+    for k in range(1, n_actions):
+        # the ranges opened from two hours before the first row to one before the last
+        entries = env._range_entries(k, slice(hour - 2, hour + width - 1))
+        rows[k, :, 2:4] = entries[1:]
+        rows[k + n_actions - 1, :, 2:4] = entries[:-1]
+    flat = rows.reshape(-1, OBS_SIZE)
+    logits = actor.forward_rows(flat[None])[0]
+    if record is not None:
+        record.flush(lo)
+        record.add(flat, logits)
+    return rows, decide(logits.reshape(len(rows), width, n_actions), lo - t0, hi - t0).tolist()
+
+
+class _Record:
+    """The observation and logits of each step of one `LPEnv.walk`, gathered
+    a window at a time from the rows `_walk` computes. A window starts at a
+    block table; its parts are that table and the hold chunks read after it,
+    and `steps` holds each step's row among them."""
+
+    def __init__(self, env: LPEnv, n: int):
+        self._lo = self._t0 = env._t - env._start
+        size = min(n, env.n_steps - self._t0)
+        self.obs = np.empty((size, OBS_SIZE))
+        self.logits = np.empty((size, env.n_actions))
+        self.steps = []
+        self._parts = []  # (observations, logits) of the window's rows
+        self._rows = 0
+
+    def add(self, obs: np.ndarray, logits: np.ndarray) -> int:
+        """Add rows to the window; returns the index of the first."""
+        self._parts.append((obs, logits))
+        self._rows += len(obs)
+        return self._rows - len(obs)
+
+    def flush(self, i: int):
+        """Gather the window's steps, which end before step `i`, and start the next."""
+        if self.steps:
+            at = slice(self._lo - self._t0, i - self._t0)
+            for out, parts in zip((self.obs, self.logits), zip(*self._parts)):
+                out[at] = np.concatenate(parts)[self.steps]
+        self.steps.clear()
+        self._parts.clear()
+        self._rows, self._lo = 0, i
 
 
 def replay(config: EnvConfig, actions) -> EpisodeTrace:

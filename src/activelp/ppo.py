@@ -8,11 +8,13 @@ against finite differences.
 
 Training runs a population at a time, on one schedule. An `Mlp` holds A
 networks of one shape, and `train_population` trains the agents that share a
-network shape in lockstep: each rollout step makes one stacked actor forward,
-each rollout one stacked per-row critic forward over all its steps, and
-each minibatch one stacked objective and one Adam step, for the whole
-group. Every agent keeps its own random stream and call order and computes
-bitwise what it would compute alone; `train` is the population of one.
+network shape in lockstep: each rollout makes one stacked per-row critic
+forward over all its steps, and each minibatch one stacked objective and
+one Adam step, for the whole group. Actions are sampled per agent, by its
+env's `walk`, which reads the actor's logits in blocks rather than one
+forward per step. Every agent keeps its own random stream and call order
+and computes bitwise what it would compute alone; `train` is the
+population of one.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, asdict
-from itertools import accumulate
 
 import numpy as np
 
@@ -135,8 +136,8 @@ class Mlp:
             raise ValueError(f"expected input of shape ({size}, N, {n_in}), got {x.shape}")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """`forward_cached`'s output without the backward cache; the rollout
-        and the training curve run it."""
+        """`forward_cached`'s output without the backward cache; the training
+        curve runs it."""
         self._check_input(x)
         h = x
         for w, b in self._hidden:
@@ -222,20 +223,22 @@ def _flat_index(actions: np.ndarray, m: int) -> np.ndarray:
     return np.arange(0, actions.size * m, m).reshape(actions.shape) + actions
 
 
-def _draw(probs: np.ndarray, u) -> list[int]:
-    """Inverse-CDF draws, one per row of `probs` (A, m) with its uniform in
-    `u`: the number of cumulative sums at or below u, clamped to the last
-    category. Each row's sums accumulate Python floats in order, as
-    `np.cumsum` adds along a row. The rows are drawn in Python because a
-    group holds few agents: at one or two rows, the four numpy calls of a
-    vectorized draw cost several times as much."""
-    out = []
-    for row, x in zip(probs.tolist(), u):
-        for k, cdf in enumerate(accumulate(row)):
-            if not x >= cdf:
-                break
-        out.append(k)
-    return out
+def _draw(probs: np.ndarray, u) -> np.ndarray:
+    """Inverse-CDF draws, one per row of `probs` (..., m) with its uniform in
+    `u` (...): the index of the first cumulative sum that u is not at or
+    above, clamped to the last category, so the number of sums at or below
+    u. `np.cumsum` adds along a row in order."""
+    below = np.asarray(u)[..., None] >= np.cumsum(probs, axis=-1)
+    below[..., -1] = False
+    return below.argmin(axis=-1)
+
+
+def _sampler(u):
+    """The `decide` of a sampled walk (see `env.LPEnv.walk`): step i of the
+    walk draws from the softmax of its logits with uniform u[i]."""
+    def decide(logits, lo, hi):
+        return _draw(_softmax(logits)[0], u[lo:hi])
+    return decide
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +504,8 @@ class _Agent:
 
 class _Group:
     """Agents of one network shape, trained in lockstep. Row r of
-    every stacked array (networks, Adam moments, coefficients, the current
-    observations and rollout) belongs to `agents[r]`."""
+    every stacked array (networks, Adam moments, coefficients and rollout)
+    belongs to `agents[r]`."""
 
     def __init__(self, agents: list[_Agent], actor: Mlp, critic: Mlp):
         self.agents = agents
@@ -514,7 +517,8 @@ class _Group:
         self.clip_range = np.array([s.clip_range for s in specs])
         self.value_coef = np.array([s.value_coef for s in specs])
         self.entropy_coef = np.array([s.entropy_coef for s in specs])
-        self.obs = np.stack([agent.env.reset() for agent in agents])
+        for agent in agents:
+            agent.env.reset()
         self.batch = None
 
     def keep(self, rows):
@@ -523,9 +527,8 @@ class _Group:
         self.actor, self.critic = self.actor.take(rows), self.critic.take(rows)
         self.opt_actor.keep(rows, self.actor.theta)
         self.opt_critic.keep(rows, self.critic.theta)
-        self.clip_range, self.value_coef, self.entropy_coef, self.obs = (
-            self.clip_range[rows], self.value_coef[rows], self.entropy_coef[rows],
-            self.obs[rows])
+        self.clip_range, self.value_coef, self.entropy_coef = (
+            self.clip_range[rows], self.value_coef[rows], self.entropy_coef[rows])
         self.batch = self.batch.rows(rows)
 
     def drop(self, bad, make_outcome, out):
@@ -543,51 +546,43 @@ class _Group:
                            timesteps=timesteps, stopped_early=stopped_early)
 
     def rollout(self, n):
-        """Choose n actions per agent with its env's `advance`, one stacked
-        actor forward per step, and score each agent's steps with
-        `env.rewards`, one call per episode segment. An episode (and its
-        open position) carries over into the next rollout. Afterwards the
-        critic reads every step at once with `forward_rows`, bitwise its
-        per-step values; log-probs come from the buffered logits, then each
-        agent's returns and advantages; `batch` holds the result."""
+        """Take n steps per agent: each agent walks its env (`walk`, one call
+        per episode segment) with its own network and its uniforms, drawn in
+        one call as it would draw them alone, and each segment is scored with
+        `env.rewards` once it is walked. An episode (and its open position)
+        carries over into the next rollout. Afterwards the critic reads every
+        step at once with `forward_rows`, bitwise its per-step values;
+        log-probs come from the walked logits, then each agent's returns and
+        advantages; `batch` holds the result."""
         self.batch = None  # the last rollout's, no longer needed
-        agents, actor, critic = self.agents, self.actor, self.critic
+        agents, critic = self.agents, self.critic
         size = len(agents)
-        # each agent draws its uniforms in one call, as it would alone; per step, a row of A
-        uniforms = np.stack([agent.rng.random(n) for agent in agents], axis=1).tolist()
-        # column i + 1 is the observation after step i
-        obs = np.empty((size, n + 1, self.obs.shape[1]))
-        obs[:, 0] = self.obs
-        logits = np.empty((size, n, actor.biases[-1].shape[-1]))
-        actions = []
+        obs = np.empty((size, n, critic.weights[0].shape[1]))
+        logits = np.empty((size, n, self.actor.biases[-1].shape[-1]))
+        actions = np.empty((size, n), dtype=np.int64)
         rewards = np.empty((size, n))
         dones = np.zeros((size, n), dtype=bool)
-        seg = [0] * size  # index of each agent's episode's first step here
-        for i in range(n):
-            out = actor.forward(obs[:, i:i + 1])
-            logits[:, i:i + 1] = out
-            ez = np.exp(out - np.maximum.reduce(out, axis=2, keepdims=True))
-            drawn = _draw((ez / np.add.reduce(ez, axis=2, keepdims=True))[:, 0], uniforms[i])
-            actions.append(drawn)
-            for r, (agent, action) in enumerate(zip(agents, drawn)):
-                obs[r, i + 1], done = agent.env.advance(action)
+        for r, agent in enumerate(agents):
+            u = agent.rng.random(n)
+            actor = self.actor.take([r])
+            i = 0
+            while i < n:
+                seg_obs, seg_logits, seg_actions, done = agent.env.walk(
+                    actor, _sampler(u[i:]), n - i)
+                j = i + seg_actions.size
+                obs[r, i:j], logits[r, i:j], actions[r, i:j] = seg_obs, seg_logits, seg_actions
+                self._score(agent, rewards[r, i:j])
                 if done:
-                    dones[r, i] = True
-                    self._score(agent, rewards[r, seg[r]:i + 1])
+                    dones[r, j - 1] = True
                     agent.returns.append(agent.episode_return)
                     agent.episode_return, agent.episode_steps = 0.0, 0
-                    seg[r] = i + 1
-                    obs[r, i + 1] = agent.env.reset()
-        for r, agent in enumerate(agents):
-            if seg[r] < n:
-                self._score(agent, rewards[r, seg[r]:])
-        self.obs = obs[:, n].copy()
-        actions = np.array(actions, dtype=np.int64).T.copy()
-        values = critic.forward_rows(obs[:, :n])[..., 0]
+                    agent.env.reset()
+                i = j
+        values = critic.forward_rows(obs)[..., 0]
         returns = np.stack([compute_returns(r, agent.spec.gamma, d)
                             for agent, r, d in zip(agents, rewards, dones)])
         self.batch = RolloutBatch(
-            obs[:, :n], actions, Categorical(logits).log_prob(actions), rewards, values, dones,
+            obs, actions, Categorical(logits).log_prob(actions), rewards, values, dones,
             returns, np.stack([advantages(g, v) for g, v in zip(returns, values)]))
 
     def curve_terms(self):
@@ -633,9 +628,13 @@ def train_population(envs, specs, seeds) -> list:
     length, total steps, epochs and minibatch size in which the specs
     differ.
 
-    Envs are distinct objects providing `obs_dim`, `n_actions`,
-    `reset() -> obs`, `advance(action) -> (obs, done)` and `rewards(lo, hi)`,
-    the rewards of steps [lo, hi) of the episode in progress.
+    Envs are distinct objects providing `obs_dim`, `n_actions`, `reset()`,
+    `rewards(lo, hi)`, the rewards of steps [lo, hi) of the episode in
+    progress, and `walk(actor, decide, n) -> (observations, logits,
+    actions, done)`, which takes up to n decisions from the current step
+    and stops at the episode's end (see `env.LPEnv.walk`). The trainer's
+    `decide` draws each step's action from the softmax of its logits with
+    that step's uniform; an agent draws a rollout's uniforms in one call.
 
     Early stopping: after each update, the mean return of episodes finished
     since the last evaluation must beat the best seen by more than

@@ -1,5 +1,6 @@
 """The plain table writer, one repr() or str() per cell: the reference for
-`data.write_csv`, which formats each run of equal numeric cells once.
+`data.write_csv`, which formats each distinct bit pattern of a block's
+dtype group once.
 
 It writes the header, then one CRLF row per index of the columns'
 `.tolist()` values, unquoted: numbers as repr(), other cells as str().

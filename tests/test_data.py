@@ -854,6 +854,11 @@ class TestWriteCsv:
             data.write_csv(tmp_path / "t.csv", header, columns)
         assert not (tmp_path / "t.csv").exists()
 
+    def test_rejects_a_table_without_columns(self, tmp_path):
+        with pytest.raises(ValueError, match="at least one column"):
+            data.write_csv(tmp_path / "t.csv", [], [])
+        assert not (tmp_path / "t.csv").exists()
+
     def test_repr_called_once_per_distinct_pattern_of_a_group(self, tmp_path, monkeypatch):
         series = data.gbm_generate(seed=3, n_hours=2000, p_start=3000.0, vol=0.01)
         calls = []

@@ -777,6 +777,25 @@ class TestRunPolicy:
             elif kind == "hold" and n_steps >= env._POLICY_BLOCK:
                 assert deploys > 0 and longest_hold(got.action) > env._HOLD_CHUNK
 
+    @pytest.mark.parametrize("kind", ["spread", "hold", "every"])
+    def test_small_blocks_cut_the_episode(self, monkeypatch, kind):
+        """Blocks of 5 steps and hold chunks from 2 rows: blocks cut the
+        episode, and the chunks of a hold longer than a block cross its end."""
+        monkeypatch.setattr(env, "_POLICY_BLOCK", 5)
+        monkeypatch.setattr(env, "_HOLD_CHUNK", 2)
+        for n_steps in (40, 97):
+            config = EnvConfig(pool=POOL, action_set=(0, 10, 20, 30), x0=2.0,
+                               data=policy_tape(n_steps))
+            e, ref = LPEnv(config), LPEnv(config)
+            actor = greedy_actor(e, "tanh", kind)
+            got = env.run_policy(e, actor)
+            assert_same_trace(got, stepped_policy(ref, actor))
+            assert np.array(e._position_obs).tobytes() == np.array(ref._position_obs).tobytes()
+            if kind == "hold":
+                assert np.count_nonzero(got.action) > 1 and longest_hold(got.action) > 5 + 2
+            elif kind == "every":
+                assert np.all(got.action != 0)
+
     @pytest.mark.parametrize("n_in,n_out,networks", [(13, 4, 1), (12, 3, 1), (13, 3, 2)])
     def test_rejects_an_actor_of_another_shape_before_any_step(self, monkeypatch, n_in,
                                                                n_out, networks):
@@ -801,6 +820,46 @@ class TestRunPolicy:
         with pytest.raises(ValueError, match="actor must be one network with 13 inputs and 3"):
             env.run_policy(e, Mlp.stack(nets))
         assert calls == []
+
+
+class TestWalk:
+    """`LPEnv.walk` takes up the episode where `advance` left it, in each
+    state of the walker: no range, one opened one or two steps before, and
+    an older one. The reference advances one step at a time on the logits of
+    a 1-row `forward`."""
+
+    @pytest.mark.parametrize("prefix", [[], [0, 0], [2], [2, 0], [2, 0, 0], [1, 0, 0, 0, 0]])
+    def test_continues_an_advanced_episode(self, prefix):
+        config = EnvConfig(pool=POOL, action_set=(0, 10, 20), x0=2.0, data=policy_tape(40))
+        e, ref = LPEnv(config), LPEnv(config)
+        actor = greedy_actor(e, "tanh", "spread")
+        for x in (e, ref):
+            x.reset()
+            for a in prefix:
+                x.advance(a)
+        obs, logits, actions, done = e.walk(actor, env._greedy, 12)
+        want_obs, want_logits = [ref._observe()], []
+        for _ in range(12):
+            want_logits.append(actor.forward(want_obs[-1][None, None])[0, 0])
+            want_obs.append(ref.advance(int(want_logits[-1].argmax()))[0])
+        assert obs.tobytes() == np.array(want_obs[:-1]).tobytes()
+        assert logits.tobytes() == np.array(want_logits).tobytes()
+        assert actions.tolist() == np.array(want_logits).argmax(axis=1).tolist()
+        assert not done and e._observe().tobytes() == want_obs[-1].tobytes()
+        taken = len(prefix) + 12
+        assert e.rewards(0, taken).tobytes() == ref.rewards(0, taken).tobytes()
+
+    def test_stops_at_the_episode_end(self):
+        e = LPEnv(EnvConfig(pool=POOL, action_set=(0, 10, 20), x0=2.0, data=policy_tape(40)))
+        actor = greedy_actor(e, "tanh", "spread")
+        with pytest.raises(RuntimeError, match=r"reset\(\) must be called before walk\(\)"):
+            e.walk(actor, env._greedy, 5)
+        e.reset()
+        assert e.walk(actor, env._greedy, 30)[3] is False
+        obs, logits, actions, done = e.walk(actor, env._greedy, 30)
+        assert done and obs.shape == (10, 13) and logits.shape == (10, 3) and actions.size == 10
+        with pytest.raises(RuntimeError, match=r"walk\(\) called after the episode ended"):
+            e.walk(actor, env._greedy, 1)
 
 
 class TestStepper:

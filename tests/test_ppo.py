@@ -1042,7 +1042,7 @@ def test_run_policy_takes_the_largest_logit():
 
 
 class TestDecideThenScore:
-    """The rollout decides with `advance` and scores with `rewards`; the
+    """The rollout decides with `walk` and scores with `rewards`; the
     reference steps the scalar `Stepper`. Rollout lengths 1 and 7 cut the 40-step
     episodes at many places (positions stay open across the cuts), 40 ends
     every rollout with its episode."""
@@ -1081,7 +1081,7 @@ class TestDecideThenScore:
                              "dones"):
                     a, b = getattr(group.batch, name)[r], getattr(want, name)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-                assert group.obs[r].tobytes() == obs[r].tobytes()
+                assert agent.env._observe().tobytes() == obs[r].tobytes()
                 assert agent.episode_return == running[r][0]
                 taken.update(group.batch.actions[r].tolist())
         for r, agent in enumerate(group.agents):
@@ -1106,8 +1106,9 @@ class TestDecideThenScore:
     def test_no_per_step_scoring_or_cached_forward(self, monkeypatch):
         """Deterministic guard: training a group on LPEnvs and the greedy
         passes score each episode segment with one call of the `amm` kernel,
-        never step the scalar oracles, call the cached forward only in the
-        update, and the group shares each forward and objective."""
+        never step the scalar oracles or `advance`, make no actor forward
+        per step, call the cached forward only in the update, and the group
+        shares each critic forward and objective."""
         from activelp import amm, env
         from activelp.env import LPEnv
 
@@ -1145,19 +1146,24 @@ class TestDecideThenScore:
         monkeypatch.setattr(Mlp, "forward_cached", rollout_forward_cached)
         monkeypatch.setattr(Mlp, "forward", counted("forward", Mlp.forward))
         monkeypatch.setattr(Mlp, "forward_rows", counted("forward_rows", Mlp.forward_rows))
+        monkeypatch.setattr(LPEnv, "advance", counted("advance", LPEnv.advance))
 
         envs = [LPEnv(lp_config()) for _ in range(2)]
         spec = AgentSpec(action_set=(0, 10, 20), rollout_length=30, total_timesteps=100,
                          epochs=1, patience=10**6)
         results = train_population(envs, [spec, replace(spec, learning_rate=1e-3)], [3, 4])
-        # two agents over S = 100 steps in 4 rollouts of at most one
-        # minibatch: one stacked actor forward per step (S, not A S), one
-        # stacked per-row critic forward per rollout, one actor and one critic
-        # forward per update for the curve, and one objective per minibatch
-        # for the group
-        assert calls.pop("forward") == 100 + 2 * 4
-        assert calls.pop("forward_rows") == 4
+        # two agents over 100 steps in 4 rollouts of at most one minibatch:
+        # no actor forward per step, one actor and one critic forward per
+        # update for the curve, and one objective per minibatch for the group
+        assert "advance" not in calls
+        assert calls.pop("forward") == 2 * 4
         assert calls.pop("ppo_objective") == 4
+        # one stacked per-row critic forward per rollout; per agent, one walk
+        # per episode segment (6), each with one block table (a walk is
+        # shorter than a block); and 12 hold chunks in all, one per step that
+        # a range held twice reaches within a walk, or that a walk starts at
+        # holding an older range
+        assert calls.pop("forward_rows") == 4 + 2 * 6 + 12
         # a rollout scores each episode segment it holds once: per agent,
         # 4 rollouts over 40-step episodes cut 6 segments, and each is one
         # kernel call for fees and one for LVR, not one per step
@@ -1168,17 +1174,83 @@ class TestDecideThenScore:
             trace = env.run_policy(e, result.actor)
             assert trace.t.size == 40
         # the greedy passes make no 1-row forward: per episode, one block
-        # table (40 steps fit in one block) and one hold chunk per run of
-        # held steps, 7 and 6 runs in the two episodes
-        assert "forward" not in calls
-        assert calls.pop("forward_rows") == 2 + 7 + 6
+        # table (40 steps fit in one block) and one hold chunk per range
+        # held twice that reaches a third step, 3 in each episode
+        assert "forward" not in calls and "advance" not in calls
+        assert calls.pop("forward_rows") == 2 + 3 + 3
         assert calls.pop("_score") == calls.pop("activelp.amm.fee_for_move") == 2
         assert calls.pop("activelp.amm.lvr_penalty") == 2 and calls == {}
-        # the oracle counters do count
+        # the oracle counters do count, and the Stepper decides with `advance`
         s = Stepper(lp_config())
         s.reset()
         s.step(1)
-        assert calls == {"amm_oracle.fee_for_move": 1, "amm_oracle.lvr_penalty": 1}
+        assert calls == {"amm_oracle.fee_for_move": 1, "amm_oracle.lvr_penalty": 1,
+                         "advance": 1}
+
+
+def as_mlp(net: ReferenceMlp) -> Mlp:
+    return Mlp([w[None] for w in net.weights], [b[None, None] for b in net.biases],
+               net.activation)
+
+
+def longest_hold(actions) -> int:
+    """The most steps in a row that hold an open range."""
+    deploys = np.flatnonzero(actions)
+    return int((np.diff(np.append(deploys, actions.size)) - 1).max()) if deploys.size else 0
+
+
+class TestWalkBoundaries:
+    """The sampled walk of `_Group.rollout` with blocks of 5 steps and hold
+    chunks from 2 rows, so blocks cut the 40-step episodes and the chunks of
+    a long hold cross block ends, against the scalar reference rollout. A
+    rollout length of 13 cuts episodes and starts walks in every state; 40
+    ends each episode exactly at a rollout's end."""
+
+    BLOCK = 5
+    HOLD_BIAS = {"hold": 4.0, "every": -1e3}  # added to the hold logit
+
+    @pytest.mark.parametrize("rollout_length", [13, 40])
+    @pytest.mark.parametrize("kind", ["hold", "every"])
+    def test_sampled_walk_matches_reference(self, monkeypatch, kind, rollout_length):
+        from activelp import env
+        from activelp.env import LPEnv
+
+        monkeypatch.setattr(env, "_POLICY_BLOCK", self.BLOCK)
+        monkeypatch.setattr(env, "_HOLD_CHUNK", 2)
+        config = lp_config()
+        rng = np.random.default_rng(9)
+        actor = ReferenceMlp.build([13, 8, 3], "tanh", rng, out_gain=3.0)
+        actor.biases[-1][0] += self.HOLD_BIAS[kind]
+        critic = ReferenceMlp.build([13, 8, 1], "tanh", rng)
+        group = ppo._Group([ppo._Agent(0, AgentSpec(action_set=config.action_set),
+                                       LPEnv(config), np.random.default_rng(6))],
+                           as_mlp(actor), as_mlp(critic))
+        ref, ref_rng = Stepper(config), np.random.default_rng(6)
+        obs, returns, running = ref.reset(), [], [0.0]
+        n_rollouts = -(-200 // rollout_length)
+        taken = []
+        for _ in range(n_rollouts):
+            group.rollout(rollout_length)
+            want, obs = reference_collect_rollout(ref, actor, critic, ref_rng, rollout_length,
+                                                  obs, returns, running)
+            for name in ("observations", "actions", "log_probs", "rewards", "values", "dones"):
+                a, b = getattr(group.batch, name)[0], getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            agent = group.agents[0]
+            assert agent.env._observe().tobytes() == obs.tobytes()
+            assert agent.episode_return == running[0]
+            if rollout_length == 40:
+                assert want.dones[-1] and want.dones.sum() == 1
+            taken.extend(want.actions.tolist())
+        assert agent.returns == returns and len(returns) == n_rollouts * rollout_length // 40
+        taken = np.array(taken)
+        if kind == "every":
+            assert np.all(taken != 0)
+        else:
+            # a range held past the table's two steps for longer than a
+            # block: its hold chunks run past the end of the block whose
+            # table decided its first steps
+            assert np.count_nonzero(taken) > 10 and longest_hold(taken) > self.BLOCK + 2
 
 
 class HugeRewards:
@@ -1189,7 +1261,7 @@ class HugeRewards:
 
         self.env = LPEnv(config)
         self.obs_dim, self.n_actions = self.env.obs_dim, self.env.n_actions
-        self.reset, self.advance = self.env.reset, self.env.advance
+        self.reset, self.walk = self.env.reset, self.env.walk
 
     def rewards(self, lo, hi):
         return self.env.rewards(lo, hi) * 1e200
