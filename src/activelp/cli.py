@@ -1,5 +1,8 @@
 """Command-line entry point: data ingestion, synthetic generation, training,
-evaluation, the passive baseline, and the full rolling-window experiment."""
+evaluation, the passive baseline, and the full rolling-window experiment.
+
+Importing this module loads only `data` and numpy; each command imports the
+other modules it runs, so a process pays only for the command it serves."""
 
 from __future__ import annotations
 
@@ -11,8 +14,7 @@ import sys
 
 import numpy as np
 
-from . import data, env, harness, ppo
-from .amm import PoolSpec
+from . import data
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -33,6 +35,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _pool_from_args(args) -> PoolSpec:
+    from .amm import PoolSpec
+
     return PoolSpec(fee_rate=args.fee_rate, tick_spacing=args.tick_spacing,
                     gas_cost=args.gas_cost)
 
@@ -95,19 +99,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_error(message):
+    from .harness import ConfigError
+
+    return ConfigError(message)
+
+
 def _load_spec(path, timesteps) -> ppo.AgentSpec:
+    from . import ppo
+
     overrides = {}
     if path:
         with open(path) as fh:
             overrides = json.load(fh)
         if not isinstance(overrides, dict):
-            raise harness.ConfigError(f"agent spec {path} must be a JSON object")
+            raise _config_error(f"agent spec {path} must be a JSON object")
     if timesteps is not None:
         overrides["total_timesteps"] = timesteps
     try:
         return ppo.AgentSpec(**overrides)
     except (TypeError, ValueError) as exc:
-        raise harness.ConfigError(f"invalid agent spec: {exc}") from None
+        raise _config_error(f"invalid agent spec: {exc}") from None
 
 
 def cmd_ingest(args) -> int:
@@ -130,6 +142,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import env, ppo
+
     tape = env.MarketTape(data.load_candles(args.candles))
     spec = _load_spec(args.spec, args.timesteps)
     pool = _pool_from_args(args)
@@ -148,6 +162,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import env, ppo
+
     tape = env.MarketTape(data.load_candles(args.candles))
     result = ppo.load_checkpoint(args.checkpoint)
     pool = _pool_from_args(args)
@@ -161,6 +177,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    from . import env
+
     tape = env.MarketTape(data.load_candles(args.candles))
     pool = _pool_from_args(args)
     config = env.EnvConfig(pool=pool, action_set=(0, args.width), x0=args.x0, data=tape)
@@ -174,6 +192,8 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    from . import harness
+
     config = harness.ExperimentConfig.from_file(args.config)
     results = harness.run_experiment(config)
     print(harness.wins_line([(r.active_reward, r.passive_reward)
@@ -186,6 +206,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import harness
+
     rows, line = harness.report_summary(args.results)
     for name, a, p in rows:
         print(f"{name}: active {a:.4f} passive {p:.4f}")
@@ -204,6 +226,13 @@ COMMANDS = {
 }
 
 
+def _raised_by(module, name):
+    """The exception class `name` of `activelp.<module>`, or no class when
+    the command never loaded that module and so cannot have raised it."""
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return () if loaded is None else getattr(loaded, name)
+
+
 def main(argv=None) -> int:
     logging.basicConfig(
         level=getattr(logging, os.environ.get("ACTIVELP_LOG", "WARNING").upper(),
@@ -218,7 +247,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return COMMANDS[args.command](args)
-    except harness.ConfigError as exc:
+    except _raised_by("harness", "ConfigError") as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except data.DataError as exc:
@@ -227,7 +256,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ppo.TrainingDiverged as exc:
+    except _raised_by("ppo", "TrainingDiverged") as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
     except ValueError as exc:

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -413,3 +417,48 @@ class TestUsage:
 
     def test_unknown_command_exits_1(self):
         assert run(["frobnicate"]) == 1
+
+
+class TestFreshProcessExitCodes:
+    """Each command in a fresh process, as the `activelp` script runs it. The
+    tests above share one process in which every module is loaded, so they
+    cannot see an error mapping that depends on what a command loaded."""
+
+    @staticmethod
+    def run_fresh(*argv):
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        code = "import sys; from activelp.cli import main; sys.exit(main())"
+        return subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_non_object_spec_is_a_config_error(self, tmp_path, candle_file):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text("[1, 2]")
+        done = self.run_fresh("train", "--candles", candle_file, "--out", tmp_path / "a.npz",
+                              "--spec", spec_file)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("config error:")
+        assert not (tmp_path / "a.npz").exists()
+
+    def test_bad_experiment_config_is_a_config_error(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"data": "x"}))
+        done = self.run_fresh("experiment", "--config", path)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("config error:")
+
+    def test_gapped_candles_are_a_data_error(self, tmp_path, candle_file):
+        gapped = tmp_path / "gapped.csv"
+        lines = candle_file.read_text().splitlines()
+        del lines[5]
+        gapped.write_text("\n".join(lines) + "\n")
+        done = self.run_fresh("ingest", "--candles", gapped, "--out", tmp_path / "out.csv")
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("data error:")
+
+    def test_unaligned_baseline_width_is_an_error(self, candle_file):
+        done = self.run_fresh("baseline", "--candles", candle_file, "--width", "55")
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error:")

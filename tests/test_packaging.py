@@ -1,6 +1,7 @@
 """Packaging: numpy is the only runtime dependency, importing the CLI
-loads nothing that only some commands use, and the test oracles stay
-independent of the kernel they check.
+loads nothing that only some commands use, each command loads only the
+modules it runs, the package resolves its exported names on first use, and
+the test oracles stay independent of the kernel they check.
 
 scipy and other packages may be installed next to the package, so an
 accidental import of one would pass every other test; this reads the
@@ -8,13 +9,18 @@ imports of every module instead of running them.
 """
 
 import ast
+import json
 import os
 import pathlib
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+import activelp
+from activelp import data, ppo
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "activelp"
@@ -83,6 +89,111 @@ def test_cli_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out == "[]\n"
+
+
+def fresh_env():
+    """The environment of a fresh process that imports the package from src/."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"),
+                                                         os.environ.get("PYTHONPATH", "")])}
+
+
+# every name `activelp` exported when its __init__ imported all five modules
+EXPORTS = [
+    "PoolSpec", "price_at_tick", "tick_index",
+    "DataError", "PriceSeries", "gbm_generate", "load_candles", "resample_hourly",
+    "EnvConfig", "EpisodeTrace", "FeatureStats", "LPEnv", "MarketTape", "compute_features",
+    "compute_stats", "replay", "run_passive", "run_policy",
+    "ConfigError", "ExperimentConfig", "SearchGrid", "Window", "WindowResult", "emit_report",
+    "make_windows", "run_experiment", "run_window", "sample_spec",
+    "AgentSpec", "Categorical", "Mlp", "RolloutBatch", "TrainingDiverged", "TrainResult",
+    "advantages", "compute_returns", "load_checkpoint", "ppo_objective", "save_checkpoint",
+    "train", "train_population",
+]
+SUBMODULES = ["amm", "cli", "data", "env", "harness", "indicators", "ppo"]
+
+
+class TestPackageExports:
+    def test_each_name_is_its_home_modules_object(self):
+        assert len(EXPORTS) == len(set(EXPORTS)) == 41
+        for name in EXPORTS:
+            obj = getattr(activelp, name)
+            assert obj.__module__ in {"activelp.amm", "activelp.data", "activelp.env",
+                                      "activelp.harness", "activelp.ppo"}, name
+            assert vars(sys.modules[obj.__module__])[name] is obj, name
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from activelp import *", namespace)
+        assert set(EXPORTS) <= set(namespace)
+        assert all(namespace[name] is getattr(activelp, name) for name in EXPORTS)
+
+    def test_submodules_resolve_as_attributes(self):
+        for name in SUBMODULES:
+            assert getattr(activelp, name) is sys.modules[f"activelp.{name}"]
+
+    def test_dir_lists_names_and_submodules(self):
+        listed = dir(activelp)
+        assert set(EXPORTS) | set(SUBMODULES) | {"__version__"} <= set(listed)
+        assert listed == sorted(listed)
+
+    def test_unknown_attribute_raises_naming_it(self):
+        with pytest.raises(AttributeError, match="'activelp' has no attribute 'no_such_name'"):
+            activelp.no_such_name
+
+
+class TestImportSets:
+    """What a fresh process holds in sys.modules after one command: each
+    command loads only the modules it runs."""
+
+    @staticmethod
+    def loaded_after(*argv):
+        """The activelp modules, and dataclasses if loaded, after one
+        `cli.main(argv)` in a fresh process that exits with code 0."""
+        code = ("import json, sys; from activelp import cli; rc = cli.main(sys.argv[1:]); "
+                "print(json.dumps(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('activelp', 'dataclasses')))); sys.exit(rc)")
+        run = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=fresh_env(),
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        return set(json.loads(run.stdout.splitlines()[-1]))
+
+    @pytest.fixture
+    def candles(self, tmp_path):
+        path = tmp_path / "candles.csv"
+        data.gbm_generate(seed=1, n_hours=300, p_start=3000.0, drift=0.0,
+                          vol=0.004).to_csv(path)
+        return path
+
+    def test_import_activelp_loads_no_submodule(self):
+        code = "import sys, activelp; print(sorted(m for m in sys.modules if 'activelp' in m))"
+        out = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out == "['activelp']\n"
+
+    def test_data_commands_load_only_data(self, tmp_path, candles):
+        trades = tmp_path / "trades.csv"
+        trades.write_text("timestamp,price\n" + "".join(f"{i * 600},{100 + i % 7}\n"
+                                                        for i in range(30)))
+        out = tmp_path / "out.csv"
+        for argv in (["ingest", "--trades", trades, "--out", out],
+                     ["ingest", "--candles", candles, "--out", out],
+                     ["generate", "--out", out, "--hours", 50]):
+            assert self.loaded_after(*argv) == {"activelp", "activelp.cli", "activelp.data"}
+
+    def test_baseline_loads_no_trainer_or_harness(self, candles):
+        loaded = self.loaded_after("baseline", "--candles", candles, "--period", 100)
+        assert "activelp.env" in loaded
+        assert loaded.isdisjoint({"activelp.ppo", "activelp.harness"})
+
+    def test_evaluate_loads_no_harness(self, tmp_path, candles):
+        ckpt = tmp_path / "agent.npz"
+        spec = ppo.AgentSpec(action_set=(0, 20, 50), hidden_layers=(4,))
+        rng = np.random.default_rng(0)
+        ppo.save_checkpoint(ckpt, ppo.TrainResult(spec, ppo.Mlp.build([13, 4, 3], "tanh", rng),
+                                                  ppo.Mlp.build([13, 4, 1], "tanh", rng), [],
+                                                  0, False))
+        loaded = self.loaded_after("evaluate", "--candles", candles, "--checkpoint", ckpt)
+        assert "activelp.ppo" in loaded and "activelp.harness" not in loaded
 
 
 def writer_sites(path):
