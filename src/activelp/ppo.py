@@ -8,12 +8,14 @@ against finite differences.
 
 Training runs a population at a time, on one schedule. An `Mlp` holds A
 networks of one shape, and `train_population` trains the agents that share a
-network shape in lockstep: each rollout makes one stacked per-row critic
-forward over all its steps, and each minibatch one stacked objective and
-one Adam step, for the whole group. Actions are sampled per agent, by its
-env's `walk`, which reads the actor's logits in blocks rather than one
-forward per step. Every agent keeps its own random stream and call order
-and computes bitwise what it would compute alone; `train` is the
+network shape in lockstep. A group keeps its actors and critics in one
+parameter buffer (`_ActorCritic`): each rollout makes one stacked per-row
+critic forward over all its steps, and each minibatch one objective, whose
+forward and backward run the hidden layers of both networks as one stacked
+pass, and one Adam step over the whole buffer. Actions are sampled per
+agent, by its env's `walk`, which reads the actor's logits in blocks rather
+than one forward per step. Every agent keeps its own random stream and call
+order and computes bitwise what it would compute alone; `train` is the
 population of one.
 """
 
@@ -60,6 +62,8 @@ class Mlp:
     population first: (A, n, features).
     """
 
+    pair = None  # the _ActorCritic whose buffer holds this population, if any
+
     def __init__(self, weights, biases, activation):
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
@@ -81,6 +85,14 @@ class Mlp:
         self.biases = views[1::2]
         self._hidden = list(zip(self.weights[:-1], self.biases[:-1]))
         self._act, self._act_grad = _ACTIVATIONS[activation]
+
+    @classmethod
+    def _on(cls, theta, layout, activation) -> "Mlp":
+        """The networks whose parameters are the rows of `theta`, laid out
+        as `layout`: a view, not a copy."""
+        net = cls.__new__(cls)
+        net._bind(theta, layout, activation)
+        return net
 
     def __reduce__(self):
         # rebuilt through __init__ so the unpickled views share one buffer
@@ -105,28 +117,26 @@ class Mlp:
     def stack(cls, nets) -> "Mlp":
         """The networks of `nets`, all of one shape, layout and activation, as
         one population in a buffer of its own."""
-        net = cls.__new__(cls)
-        net._bind(np.concatenate([n.theta for n in nets]), nets[0]._layout, nets[0].activation)
-        return net
+        return cls._on(np.concatenate([n.theta for n in nets]), nets[0]._layout,
+                       nets[0].activation)
 
     def take(self, rows) -> "Mlp":
         """The networks at `rows`, in a buffer of their own."""
-        net = type(self).__new__(type(self))
-        net._bind(self.theta[rows], self._layout, self.activation)
-        return net
+        return type(self)._on(self.theta[rows], self._layout, self.activation)
 
     def views(self, buf: np.ndarray) -> list:
-        """Per-tensor views of an array laid out like `theta`: each layer's
-        weight, then its bias."""
-        rows = buf.shape[0]
+        """Per-tensor views of an array laid out like `theta` along its last
+        axis: each layer's weight, then its bias, with the leading axes of
+        `buf` in front."""
+        lead = buf.shape[:-1]
         out = []
         offset = 0
         for (n_in, n_out), fortran in self._layout:
-            chunk = buf[:, offset:offset + n_in * n_out]
-            out.append(chunk.reshape(rows, n_out, n_in).transpose(0, 2, 1) if fortran
-                       else chunk.reshape(rows, n_in, n_out))
+            chunk = buf[..., offset:offset + n_in * n_out]
+            out.append(chunk.reshape(*lead, n_out, n_in).swapaxes(-1, -2) if fortran
+                       else chunk.reshape(*lead, n_in, n_out))
             offset += n_in * n_out
-            out.append(buf[:, offset:offset + n_out].reshape(rows, 1, n_out))
+            out.append(buf[..., offset:offset + n_out].reshape(*lead, 1, n_out))
             offset += n_out
         return out
 
@@ -156,38 +166,60 @@ class Mlp:
         return (h @ self.weights[-1][:, None] + self.biases[-1][:, None])[:, :, 0]
 
     def forward_cached(self, x: np.ndarray):
+        """The output and the cache that `backward` reads."""
         self._check_input(x)
-        pre, act = [], [x]
-        h = x
-        for w, b in self._hidden:
-            z = h @ w + b
-            h = self._act(z)
-            pre.append(z)
-            act.append(h)
-        h = h @ self.weights[-1] + self.biases[-1]
-        pre.append(h)
-        act.append(h)
-        return h, (pre, act)
+        pre, act = _hidden_forward(x, self._hidden, self._act)
+        return act[-1] @ self.weights[-1] + self.biases[-1], (pre, act)
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
         """Gradient of sum(grad_out * output) w.r.t. each network's
         parameters, laid out like `theta` (see `views`)."""
         pre, act = cache
-        rows = self.theta.shape[0]
-        last = len(self.weights) - 1
-        pieces = [None] * (2 * last + 2)
-        delta = grad_out
-        for i in range(last, -1, -1):
-            if i != last:
-                delta = delta * self._act_grad(pre[i], act[i + 1])
-            grad_w = act[i].transpose(0, 2, 1) @ delta
-            # each row of theta holds a Fortran-ordered weight transposed
-            pieces[2 * i] = (grad_w.transpose(0, 2, 1) if self._layout[i][1]
-                             else grad_w).reshape(rows, -1)
-            pieces[2 * i + 1] = delta.sum(axis=1)
-            if i > 0:
-                delta = delta @ self.weights[i].transpose(0, 2, 1)
-        return np.concatenate(pieces, axis=1)
+        grad = np.empty(self.theta.shape)
+        views = self.views(grad)
+        _layer_backward(act[-1], grad_out, *views[-2:])
+        if self._hidden:
+            _hidden_backward(grad_out @ self.weights[-1].swapaxes(-1, -2), self._hidden, pre,
+                             act, self._act_grad, list(zip(views[:-2:2], views[1:-2:2])))
+        return grad
+
+
+def _hidden_forward(x, hidden, act):
+    """The hidden layers `hidden`, (weight, bias) pairs, on input x: the
+    pre-activations of each layer, and the activations, x first. Leading
+    axes broadcast, so the loop runs a population and an actor-critic pair
+    alike."""
+    pre, acts = [], [x]
+    h = x
+    for w, b in hidden:
+        z = h @ w
+        z += b
+        h = act(z)
+        pre.append(z)
+        acts.append(h)
+    return pre, acts
+
+
+def _layer_backward(x, delta, grad_w, grad_b):
+    """Write the gradient of an affine layer with input x and output
+    gradient `delta` into the views `grad_w` and `grad_b`. The product is
+    made in a fresh C-ordered array and then copied: into a Fortran-ordered
+    output numpy computes the transposed product, which BLAS need not sum in
+    the same order."""
+    grad_w[...] = x.swapaxes(-1, -2) @ delta
+    grad_b[...] = np.add.reduce(delta, axis=-2, keepdims=True)
+
+
+def _hidden_backward(delta, hidden, pre, acts, act_grad, grads):
+    """Backpropagate `delta`, the gradient at the last hidden layer's
+    output, through `hidden` (see `_hidden_forward` for `pre` and `acts`),
+    writing each layer's gradients into its (weight, bias) views in
+    `grads`."""
+    for i in range(len(hidden) - 1, -1, -1):
+        delta = delta * act_grad(pre[i], acts[i + 1])
+        _layer_backward(acts[i], delta, *grads[i])
+        if i:
+            delta = delta @ hidden[i][0].swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +244,17 @@ class Categorical:
         self.probs, self.logps = _softmax(self.logits)
 
     def log_prob(self, actions: np.ndarray) -> np.ndarray:
-        return self.logps.reshape(-1)[_flat_index(actions, self.logps.shape[-1])]
+        return self.logps.reshape(-1)[_row_starts(actions.shape, self.logps.shape[-1])
+                                      + actions]
 
     def entropy(self) -> np.ndarray:
         return -(self.probs * self.logps).sum(axis=-1)
 
 
-def _flat_index(actions: np.ndarray, m: int) -> np.ndarray:
-    """Where each row's entry at `actions` sits in a flattened (..., m) array."""
-    return np.arange(0, actions.size * m, m).reshape(actions.shape) + actions
+def _row_starts(shape, m: int) -> np.ndarray:
+    """Where each row of a flattened (*shape, m) array starts: add the
+    column to get an entry's flat index."""
+    return np.arange(0, math.prod(shape) * m, m).reshape(shape)
 
 
 def _draw(probs: np.ndarray, u) -> np.ndarray:
@@ -248,17 +282,18 @@ def _sampler(u):
 def compute_returns(rewards, gamma: float, dones=None) -> np.ndarray:
     """Discounted reward-to-go G_t = r_t + gamma*G_{t+1}, restarting at episode
     ends; the tail bootstraps zero."""
-    rewards = np.asarray(rewards, dtype=float)
-    if dones is None:
-        dones = np.zeros(rewards.size, dtype=bool)
-    out = np.empty_like(rewards)
+    rewards = np.asarray(rewards, dtype=float).tolist()
+    ends = np.zeros(len(rewards), dtype=bool) if dones is None else np.asarray(dones)
+    # the recursion runs over Python floats: numpy scalars cost 3x as much
+    out = []
     acc = 0.0
-    for t in range(rewards.size - 1, -1, -1):
-        if dones[t]:
+    for r, done in zip(reversed(rewards), reversed(ends.tolist())):
+        if done:
             acc = 0.0
-        acc = rewards[t] + gamma * acc
-        out[t] = acc
-    return out
+        acc = r + gamma * acc
+        out.append(acc)
+    out.reverse()
+    return np.array(out, dtype=float)
 
 
 def advantages(returns, values) -> np.ndarray:
@@ -316,26 +351,166 @@ def _column(coef) -> np.ndarray:
     return np.asarray(coef)[..., None]
 
 
-def _surrogate(batch: RolloutBatch, logits, values, clip_range, value_coef, entropy_coef):
-    """Per agent J and its terms from the networks' outputs on the batch,
-    and the intermediates its gradient reuses."""
-    adv = batch.advantages
-    dist = Categorical(logits)
-    ratio = np.exp(dist.log_prob(batch.actions) - batch.log_probs)
-    clip = _column(clip_range)
-    clipped = np.clip(ratio, 1.0 - clip, 1.0 + clip)
-    surr1 = ratio * adv
-    surr2 = clipped * adv
-    ent = dist.entropy()
-    err = values[..., 0] - batch.returns
-    # sum / n is np.mean's arithmetic without its per-call overhead
-    n = adv.shape[1]
-    terms = {"policy": np.minimum(surr1, surr2).sum(axis=1) / n,
-             "value_loss": (err * err).sum(axis=1) / n,
-             "entropy": ent.sum(axis=1) / n}
-    objective = (terms["policy"] - value_coef * terms["value_loss"]
-                 + entropy_coef * terms["entropy"])
-    return objective, terms, (dist, ratio, surr1, surr2, ent, err)
+class _Loss:
+    """The clipped-surrogate loss of a population, with its coefficients per
+    agent, (A,), or one for all, and the constants that every evaluation
+    reuses: the clip bounds, and per batch shape the flat index of each
+    row's first logit and the gradient coefficients of the value and
+    entropy terms."""
+
+    def __init__(self, clip_range, value_coef, entropy_coef):
+        self.coefs = (clip_range, value_coef, entropy_coef)
+        clip = _column(clip_range)
+        self.lo, self.hi = 1.0 - clip, 1.0 + clip
+        self.value_coef, self.entropy_coef = value_coef, entropy_coef
+        self._by_shape = {}
+
+    def _constants(self, shape):
+        c = self._by_shape.get(shape)
+        if c is None:
+            rows, n, m = shape
+            c = self._by_shape[shape] = (
+                _row_starts((rows, n), m),
+                -_column(self.value_coef) * 2.0 / n,
+                (_column(self.entropy_coef) / n)[..., None])
+        return c
+
+    def evaluate(self, batch: RolloutBatch, logits, values, grads: bool = False):
+        """Per agent J and its terms from the networks' outputs on the batch;
+        with `grads`, also the gradients of J w.r.t. the logits and the
+        values."""
+        base, d_value_coef, d_entropy_coef = self._constants(logits.shape)
+        n = logits.shape[1]
+        adv = batch.advantages
+        probs, logps = _softmax(logits)
+        taken = base + batch.actions
+        ratio = np.exp(logps.take(taken) - batch.log_probs)
+        # np.clip's arithmetic without its per-call overhead
+        clipped = np.minimum(np.maximum(ratio, self.lo), self.hi)
+        surr1 = ratio * adv
+        surr2 = clipped * adv
+        ent = -np.add.reduce(probs * logps, axis=-1)
+        err = values[..., 0] - batch.returns
+        # sum / n is np.mean's arithmetic without its per-call overhead
+        terms = {"policy": np.add.reduce(np.minimum(surr1, surr2), axis=1) / n,
+                 "value_loss": np.add.reduce(err * err, axis=1) / n,
+                 "entropy": np.add.reduce(ent, axis=1) / n}
+        objective = (terms["policy"] - self.value_coef * terms["value_loss"]
+                     + self.entropy_coef * terms["entropy"])
+        if not grads:
+            return objective, terms
+
+        # d policy_term / d log-prob of the taken action; the clipped branch is
+        # flat in ratio whenever it is strictly selected.
+        coeff = np.where(surr1 <= surr2, adv * ratio, 0.0) / n
+        # one_hot - probs, with 1.0 - p as -p + 1.0
+        d_logits = -probs
+        d_logits.reshape(-1)[taken] += 1.0
+        d_logits *= coeff[..., None]
+        # entropy bonus: dH/dz_j = -p_j * (log p_j + H)
+        d_logits += d_entropy_coef * (-probs * (logps + ent[..., None]))
+        return objective, terms, d_logits, d_value_coef * err
+
+
+class _ActorCritic:
+    """An actor and a critic population with one hidden layout, as
+    `Mlp.build` makes them for one spec, in one (A, 2P) buffer `theta`: row
+    r holds agent r's actor in its first P columns and its critic in the
+    last P, each laid out like its own `theta` and zero-padded to P.
+    `actor` and `critic` are `Mlp`s on those views.
+
+    The hidden layers sit at the same columns of both halves, so each is
+    one (A, 2, n_in, n_out) weight and one (A, 2, 1, n_out) bias view, and
+    one matmul, add and activation per layer run both networks. Every
+    matrix keeps its memory order, so each network computes bitwise as it
+    would alone. The output layers differ in width and run apart.
+
+    `grad` is laid out like `theta` and holds the last `ppo_objective`
+    gradients; its padding is never written, so it stays zero and Adam
+    leaves the padding of `theta` at zero."""
+
+    def __init__(self, theta, grad, layouts, activation):
+        self.theta, self.grad = theta, grad
+        self._layouts, self.activation = layouts, activation
+        rows, size = theta.shape[0], theta.shape[1] // 2
+        halves, grad_halves = theta.reshape(rows, 2, size), grad.reshape(rows, 2, size)
+        nets, grads = [], []
+        for k, layout in enumerate(layouts):
+            width = sum(n_in * n_out + n_out for (n_in, n_out), _ in layout)
+            nets.append(Mlp._on(halves[:, k, :width], layout, activation))
+            grads.append(grad_halves[:, k, :width])
+        self.actor, self.critic = nets
+        self.actor.pair = self.critic.pair = self
+        self.actor_grad, self.critic_grad = grads
+        self._grad_heads = [net.views(g)[-2:] for net, g in zip(nets, grads)]
+        # the actor's layout on (A, 2, P) views both halves' hidden layers
+        hidden = 2 * len(self.actor._hidden)
+        views, grad_views = (self.actor.views(buf)[:hidden] for buf in (halves, grad_halves))
+        self._hidden = list(zip(views[0::2], views[1::2]))
+        self._grad_hidden = list(zip(grad_views[0::2], grad_views[1::2]))
+        self._act, self._act_grad = _ACTIVATIONS[activation]
+        self._loss = None
+
+    @classmethod
+    def join(cls, actor: Mlp, critic: Mlp) -> "_ActorCritic":
+        """Copies of `actor` and `critic`, populations of one size, hidden
+        layout and activation, in one buffer."""
+        if actor._layout[:-1] != critic._layout[:-1] or actor.activation != critic.activation:
+            raise ValueError("an actor and its critic need one hidden layout and activation")
+        rows = actor.theta.shape[0]
+        if critic.theta.shape[0] != rows:
+            raise ValueError(f"{rows} actors but {critic.theta.shape[0]} critics")
+        size = max(actor.theta.shape[1], critic.theta.shape[1])
+        theta = np.zeros((rows, 2, size))
+        theta[:, 0, :actor.theta.shape[1]] = actor.theta
+        theta[:, 1, :critic.theta.shape[1]] = critic.theta
+        theta = theta.reshape(rows, 2 * size)
+        return cls(theta, np.zeros_like(theta), (actor._layout, critic._layout),
+                   actor.activation)
+
+    @classmethod
+    def of(cls, actor: Mlp, critic: Mlp) -> "_ActorCritic":
+        """The pair that holds `actor` and `critic`, or a joined copy."""
+        pair = actor.pair
+        return pair if pair is not None and critic.pair is pair else cls.join(actor, critic)
+
+    def take(self, rows) -> "_ActorCritic":
+        """The agents at `rows`, parameters and gradients, in buffers of
+        their own."""
+        return type(self)(self.theta[rows], self.grad[rows], self._layouts, self.activation)
+
+    def loss(self, clip_range, value_coef, entropy_coef) -> _Loss:
+        """The loss with these coefficients. It is kept while they are the
+        same objects, as a group's are until it drops agents, so its
+        constants are made once."""
+        loss = self._loss
+        if loss is None or any(a is not b for a, b in zip(
+                loss.coefs, (clip_range, value_coef, entropy_coef))):
+            loss = self._loss = _Loss(clip_range, value_coef, entropy_coef)
+        return loss
+
+    def forward_cached(self, x: np.ndarray):
+        """Both networks on x, (A, n, n_in): the logits, the values and the
+        cache that `backward` reads."""
+        self.actor._check_input(x)
+        pre, acts = _hidden_forward(x[:, None], self._hidden, self._act)
+        # without hidden layers acts[-1] is x[:, None], so both heads read x
+        h = acts[-1]
+        return (h[:, 0] @ self.actor.weights[-1] + self.actor.biases[-1],
+                h[:, -1] @ self.critic.weights[-1] + self.critic.biases[-1], (pre, acts))
+
+    def backward(self, cache, d_logits: np.ndarray, d_values: np.ndarray):
+        """Write into `grad` the gradient of sum(d_logits * logits) +
+        sum(d_values * values) w.r.t. each agent's parameters."""
+        pre, acts = cache
+        h = acts[-1]
+        _layer_backward(h[:, 0], d_logits, *self._grad_heads[0])
+        _layer_backward(h[:, -1], d_values, *self._grad_heads[1])
+        if self._hidden:
+            delta = np.empty(h.shape)
+            np.matmul(d_logits, self.actor.weights[-1].swapaxes(-1, -2), out=delta[:, 0])
+            np.matmul(d_values, self.critic.weights[-1].swapaxes(-1, -2), out=delta[:, 1])
+            _hidden_backward(delta, self._hidden, pre, acts, self._act_grad, self._grad_hidden)
 
 
 def ppo_objective(batch: RolloutBatch, actor: Mlp, critic: Mlp,
@@ -349,38 +524,28 @@ def ppo_objective(batch: RolloutBatch, actor: Mlp, critic: Mlp,
     (J, terms, actor_grads, critic_grads): J and each term are (A,), and the
     gradients point in the ascent direction of J and are laid out like each
     network's `theta`.
+
+    The two networks need one hidden layout and activation. When they are
+    the actor and critic of one `_ActorCritic`, as a training group's are,
+    the gradients are views of its `grad`, which the next call overwrites;
+    any other two networks are first copied into a pair of their own.
     """
-    n = len(batch)
-    if n == 0:
+    if len(batch) == 0:
         raise ValueError("empty batch")
-    logits, actor_cache = actor.forward_cached(batch.observations)
-    values, critic_cache = critic.forward_cached(batch.observations)
-    objective, terms, (dist, ratio, surr1, surr2, ent, err) = _surrogate(
-        batch, logits, values, clip_range, value_coef, entropy_coef)
-
-    # d policy_term / d log-prob of the taken action; the clipped branch is
-    # flat in ratio whenever it is strictly selected.
-    active = surr1 <= surr2
-    coeff = np.where(active, batch.advantages * ratio, 0.0) / n
-
-    # one_hot - probs, with 1.0 - p as -p + 1.0
-    d_logits = -dist.probs
-    d_logits.reshape(-1)[_flat_index(batch.actions, d_logits.shape[-1])] += 1.0
-    d_logits *= coeff[..., None]
-    # entropy bonus: dH/dz_j = -p_j * (log p_j + H)
-    d_logits += (_column(entropy_coef) / n)[..., None] * (
-        -dist.probs * (dist.logps + ent[..., None]))
-    actor_grads = actor.backward(actor_cache, d_logits)
-
-    d_v = (-_column(value_coef) * 2.0 / n) * err
-    critic_grads = critic.backward(critic_cache, d_v[..., None])
-    return objective, terms, actor_grads, critic_grads
+    nets = _ActorCritic.of(actor, critic)
+    logits, values, cache = nets.forward_cached(batch.observations)
+    objective, terms, d_logits, d_values = nets.loss(
+        clip_range, value_coef, entropy_coef).evaluate(batch, logits, values, grads=True)
+    nets.backward(cache, d_logits, d_values[..., None])
+    return objective, terms, nets.actor_grad, nets.critic_grad
 
 
 class Adam:
     """Adaptive moment estimation over an (A, P) parameter buffer, a row per
-    network, updated in place as gradient ascent on the objective; `lr` is
-    one rate per row, or one for all."""
+    agent, updated in place as gradient ascent on the objective; `lr` is
+    one rate per row, or one for all. Every operation is elementwise, so one
+    step over a group's joint actor-critic buffer is bitwise a step per
+    network, and zero-gradient padding stays where it is."""
 
     def __init__(self, theta, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.theta = theta
@@ -504,16 +669,15 @@ class _Agent:
 
 class _Group:
     """Agents of one network shape, trained in lockstep. Row r of
-    every stacked array (networks, Adam moments, coefficients and rollout)
-    belongs to `agents[r]`."""
+    every stacked array (parameters, Adam moments, coefficients and rollout)
+    belongs to `agents[r]`. The actors and critics live in one
+    `_ActorCritic`, `nets`, and one Adam steps its whole buffer."""
 
     def __init__(self, agents: list[_Agent], actor: Mlp, critic: Mlp):
         self.agents = agents
-        self.actor, self.critic = actor, critic
+        self.nets = _ActorCritic.join(actor, critic)
         specs = [agent.spec for agent in agents]
-        lr = [s.learning_rate for s in specs]
-        self.opt_actor = Adam(self.actor.theta, lr)
-        self.opt_critic = Adam(self.critic.theta, lr)
+        self.opt = Adam(self.nets.theta, [s.learning_rate for s in specs])
         self.clip_range = np.array([s.clip_range for s in specs])
         self.value_coef = np.array([s.value_coef for s in specs])
         self.entropy_coef = np.array([s.entropy_coef for s in specs])
@@ -521,12 +685,19 @@ class _Group:
             agent.env.reset()
         self.batch = None
 
+    @property
+    def actor(self) -> Mlp:
+        return self.nets.actor
+
+    @property
+    def critic(self) -> Mlp:
+        return self.nets.critic
+
     def keep(self, rows):
         """Compact every stacked array to the agents at `rows`."""
         self.agents = [self.agents[r] for r in rows]
-        self.actor, self.critic = self.actor.take(rows), self.critic.take(rows)
-        self.opt_actor.keep(rows, self.actor.theta)
-        self.opt_critic.keep(rows, self.critic.theta)
+        self.nets = self.nets.take(rows)
+        self.opt.keep(rows, self.nets.theta)
         self.clip_range, self.value_coef, self.entropy_coef = (
             self.clip_range[rows], self.value_coef[rows], self.entropy_coef[rows])
         self.batch = self.batch.rows(rows)
@@ -589,11 +760,9 @@ class _Group:
         """The objective and its terms on the whole rollout, per agent, for
         the training curve: no gradient, so forward passes only."""
         batch = self.batch
-        objective, terms, _ = _surrogate(
-            batch, self.actor.forward(batch.observations),
-            self.critic.forward(batch.observations),
-            self.clip_range, self.value_coef, self.entropy_coef)
-        return objective, terms
+        loss = self.nets.loss(self.clip_range, self.value_coef, self.entropy_coef)
+        return loss.evaluate(batch, self.actor.forward(batch.observations),
+                             self.critic.forward(batch.observations))
 
     @staticmethod
     def _score(agent, out):
@@ -676,7 +845,8 @@ def _train_group(group: _Group, out: list):
         for _ in range(schedule.epochs):
             order = np.stack([agent.rng.permutation(n) for agent in group.agents])
             for lo in range(0, n, schedule.minibatch_size):
-                objective, _, ga, gc = ppo_objective(
+                # the gradients land in group.nets.grad, whose rows `drop` compacts too
+                objective, _, _, _ = ppo_objective(
                     group.batch.select(order[:, lo:lo + schedule.minibatch_size]),
                     group.actor, group.critic, group.clip_range, group.value_coef,
                     group.entropy_coef)
@@ -684,11 +854,9 @@ def _train_group(group: _Group, out: list):
                 if bad.any():
                     if not group.drop(bad, lambda r: TrainingDiverged(diverged), out):
                         return
-                    order, ga, gc = order[~bad], ga[~bad], gc[~bad]
-                group.opt_actor.ascend(ga)
-                group.opt_critic.ascend(gc)
-        bad = ~(np.isfinite(group.actor.theta).all(axis=1)
-                & np.isfinite(group.critic.theta).all(axis=1))
+                    order = order[~bad]
+                group.opt.ascend(group.nets.grad)
+        bad = ~np.isfinite(group.nets.theta).all(axis=1)
         if bad.any() and not group.drop(
                 bad, lambda r: TrainingDiverged(f"non-finite parameters at update {update}"),
                 out):

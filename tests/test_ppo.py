@@ -9,7 +9,7 @@ import pytest
 from activelp import ppo
 from activelp.env import run_policy
 from activelp.harness import SearchGrid
-from activelp.ppo import (Adam, AgentSpec, Categorical, Mlp, RolloutBatch,
+from activelp.ppo import (ACTIVATIONS, Adam, AgentSpec, Categorical, Mlp, RolloutBatch,
                           TrainingDiverged, advantages, compute_returns,
                           ppo_objective, train, train_population)
 import amm_oracle
@@ -333,6 +333,26 @@ class TestReturnsAndAdvantages:
                     break
                 discount *= gamma
             assert got[t] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma,dones", [
+        (0.97, None),
+        (0.99, "last"),  # an episode ends at the last step
+        (1.0, "random"),
+        (1.0, None),
+    ])
+    def test_bitwise_the_reference_recursion(self, gamma, dones):
+        rng = np.random.default_rng(58)
+        rewards = rng.standard_normal(300) * 10.0 ** rng.integers(-3, 4, 300)
+        if dones == "last":
+            dones = np.zeros(300, dtype=bool)
+            dones[-1] = True
+        elif dones == "random":
+            dones = rng.random(300) < 0.05
+            assert dones.any() and not dones[-1]
+        got = compute_returns(rewards, gamma, dones)
+        want = reference_returns(rewards, gamma, dones)
+        assert got.dtype == want.dtype and got.shape == want.shape == (300,)
+        assert got.tobytes() == want.tobytes()
 
     def test_advantages_zero_when_values_match(self):
         g = np.array([1.0, 2.0, 3.0])
@@ -1339,3 +1359,130 @@ class TestPopulation:
         assert ppo.lockstep_groups([env0, env2], specs) == [[0, 1]]
         with pytest.raises(ValueError, match=f"differ in {field}:"):
             train_population([env0, env2], specs, [seed0, seed2])
+
+
+class TestActorCritic:
+    """One lockstep group keeps its actors and critics in one buffer, runs
+    their hidden layers as one stacked pass and steps them with one Adam."""
+
+    def _group_vs_solo(self, hidden, activation, size):
+        """Train `size` agents of one shape as a group; each agent's actor,
+        critic and curve against its own `train` run and `reference_train`."""
+        from activelp.env import LPEnv
+
+        config = lp_config()
+        extras = [dict(learning_rate=1e-2), dict(learning_rate=5e-3, clip_range=0.1),
+                  dict(learning_rate=1e-2, entropy_coef=1e-2, value_coef=0.25)]
+        specs = [AgentSpec(action_set=config.action_set, activation=activation,
+                           hidden_layers=hidden, rollout_length=48, total_timesteps=96,
+                           epochs=2, minibatch_size=16, patience=10**6, **extras[k])
+                 for k in range(size)]
+        seeds = [31 + k for k in range(size)]
+        envs = [LPEnv(config) for _ in range(size)]
+        assert ppo.lockstep_groups(envs, specs) == [list(range(size))]
+        results = train_population(envs, specs, seeds)
+        for got, spec, seed in zip(results, specs, seeds):
+            solo = train(LPEnv(config), spec, seed)
+            actor, critic, objectives = reference_train(Stepper(config), spec, seed)
+            label = (hidden, activation, seed)
+            for net, want in ((got.actor, solo.actor), (got.actor, actor),
+                              (got.critic, solo.critic), (got.critic, critic)):
+                assert flat(net).tobytes() == flat(want).tobytes(), label
+            assert [s.objective for s in got.curve] == objectives, label
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("hidden", [(4, 8), (3, 16, 5)])
+    def test_widening_layers_match_solo_and_reference(self, hidden, activation):
+        """The default grid has no widening hidden layer, so no
+        Fortran-ordered hidden weight enters the stacked pass there."""
+        sizes = [13, *hidden]
+        assert any(a < b for a, b in zip(sizes, sizes[1:]))
+        self._group_vs_solo(hidden, activation, 3)
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_linear_actor_and_critic(self, size):
+        """hidden_layers=() trains a linear actor and critic: the pair has no
+        hidden layer, and both output layers read the observations."""
+        self._group_vs_solo((), "tanh", size)
+
+    def test_one_objective_and_one_adam_step_per_minibatch(self, monkeypatch):
+        """Deterministic guard: a group of two makes one `ppo_objective` and
+        one `Adam.ascend` call per minibatch, for actors and critics alike."""
+        from activelp.env import LPEnv
+
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ppo, "ppo_objective", counted("ppo_objective", ppo.ppo_objective))
+        monkeypatch.setattr(Adam, "ascend", counted("ascend", Adam.ascend))
+        spec = AgentSpec(action_set=(0, 10, 20), rollout_length=40, total_timesteps=100,
+                         epochs=3, minibatch_size=16, patience=10**6)
+        results = train_population([LPEnv(lp_config()) for _ in range(2)],
+                                   [spec, replace(spec, learning_rate=1e-3)], [3, 4])
+        assert all(isinstance(r, ppo.TrainResult) for r in results)
+        # rollouts of 40, 40 and 20 steps, 3, 3 and 2 minibatches per epoch
+        assert calls == {"ppo_objective": 3 * (3 + 3 + 2), "ascend": 3 * (3 + 3 + 2)}
+
+    def test_one_buffer_with_zero_padding(self):
+        """The group's actor and critic views, and the stacked hidden views,
+        share one buffer; the narrower network's padding stays zero through
+        training, and Adam's moments cover the whole buffer."""
+        from activelp.env import LPEnv
+
+        config = lp_config()
+        spec = AgentSpec(action_set=config.action_set, hidden_layers=(4, 8),
+                         learning_rate=1e-2, rollout_length=48, total_timesteps=96, epochs=2,
+                         minibatch_size=16, patience=10**6)
+        rng = np.random.default_rng(7)
+        actors = [Mlp.build([13, 4, 8, 3], "tanh", rng, out_gain=0.01) for _ in range(2)]
+        critics = [Mlp.build([13, 4, 8, 1], "tanh", rng) for _ in range(2)]
+        group = ppo._Group([ppo._Agent(r, spec, LPEnv(config), np.random.default_rng(r))
+                            for r in range(2)], Mlp.stack(actors), Mlp.stack(critics))
+        nets = group.nets
+        assert nets.theta.flags.c_contiguous and nets.theta.shape == (2, 2 * actors[0].theta.size)
+        assert group.opt.theta is nets.theta
+        for net, want in ((group.actor, actors), (group.critic, critics)):
+            assert net.pair is nets
+            assert net.theta.tobytes() == np.concatenate([n.theta for n in want]).tobytes()
+            for p in params(net):
+                assert np.shares_memory(p, nets.theta)
+        for (w, b), a, c in zip(nets._hidden, group.actor._hidden, group.critic._hidden):
+            assert w.shape == (2, 2, *a[0].shape[1:]) and np.shares_memory(w, nets.theta)
+            assert is_fortran(w[0, 0]) == is_fortran(a[0][0]) == is_fortran(c[0][0])
+            assert w[:, 0].tobytes() == a[0].tobytes() and w[:, 1].tobytes() == c[0].tobytes()
+            assert b[:, 0].tobytes() == a[1].tobytes() and b[:, 1].tobytes() == c[1].tobytes()
+        width = group.critic.theta.shape[1]
+        padding = nets.theta.reshape(2, 2, -1)[:, 1, width:]
+        assert padding.size == 2 * (9 * 3 - 9 * 1) and not padding.any()
+
+        for _ in range(2):
+            group.rollout(48)
+            for _ in range(2):
+                order = np.stack([agent.rng.permutation(48) for agent in group.agents])
+                for lo in range(0, 48, 16):
+                    ppo_objective(group.batch.select(order[:, lo:lo + 16]), group.actor,
+                                  group.critic, group.clip_range, group.value_coef,
+                                  group.entropy_coef)
+                    group.opt.ascend(nets.grad)
+        assert group.opt.t == 12 and np.isfinite(nets.theta).all()
+        assert not padding.any() and not nets.grad.reshape(2, 2, -1)[:, 1, width:].any()
+        group.keep([1])
+        assert group.nets.theta.tobytes() == nets.theta[1:].tobytes()
+        assert group.actor.pair is group.nets and group.opt.theta is group.nets.theta
+
+    def test_objective_needs_one_hidden_layout(self):
+        rng = np.random.default_rng(71)
+        actor = Mlp.build([4, 6, 3], "tanh", rng)
+        batch = random_batch(rng, actor, None)
+        for critic in (Mlp.build([4, 5, 1], "tanh", rng), Mlp.build([4, 6, 1], "relu", rng),
+                       Mlp.build([4, 1], "tanh", rng)):
+            with pytest.raises(ValueError, match="one hidden layout and activation"):
+                ppo_objective(batch, actor, critic, 0.2, 0.5, 0.01)
+        critics = Mlp.stack([Mlp.build([4, 6, 1], "tanh", rng) for _ in range(2)])
+        with pytest.raises(ValueError, match="1 actors but 2 critics"):
+            ppo_objective(batch, actor, critics, 0.2, 0.5, 0.01)
