@@ -37,9 +37,9 @@ TRACE_HEADER = ("t", "price", "action", "width", "L", "fee", "lvr", "gas", "rewa
 # EpisodeTrace fields in TRACE_HEADER order
 TRACE_COLUMNS = ("t", "price", "action", "width", "liquidity", "fee", "lvr", "gas", "reward")
 _SCORE_BLOCK = 2048
-_POLICY_BLOCK = 512  # steps per block table of _walk
-# rows of a held range's first hold chunk: a forward_rows call of 16 rows
-# costs about as much as one of 4
+_POLICY_BLOCK = 512  # opening steps per hold ladder of _walk, and its largest hold chunk
+# rows of the first hold chunk of a range the walk chases: a forward_rows
+# call of 16 rows costs about as much as one of 4
 _HOLD_CHUNK = 16
 
 
@@ -297,21 +297,47 @@ class LPEnv:
     def walk(self, actor, decide, n: int):
         """Take up to `n` decisions from the current step with `actor`, a
         single-network `ppo.Mlp` with `obs_dim` inputs and `n_actions`
-        outputs, stopping at the episode's end. `decide(logits, lo, hi)`
-        gives the action of each row of logits (..., hi - lo, n_actions) of
-        steps [lo, hi) of this walk. Returns the observation, logits and
-        action of each step taken and whether the episode is over; each
-        is bitwise what deciding step by step with `advance` and a 1-row
-        `forward` gives, and `rewards` scores the steps as it would."""
+        outputs, stopping at the episode's end. `decide(logits, steps)`
+        gives the action of each row of logits (rows, n_actions); row i is
+        that of step `steps[i]` of this walk, counted from 0 at its first.
+        Returns the observation, logits and action of each step taken and
+        whether the episode is over; each is bitwise what deciding step by
+        step with `advance` and a 1-row `forward` gives, and `rewards`
+        scores the steps as it would.
+
+        `_walk` decides the steps; the record is rebuilt from its actions
+        afterwards: each step's observation is one gather of the range live
+        at it, and its logits one `forward_rows` call over them, bitwise the
+        rows the walk decided with."""
         if self._t is None:
             raise RuntimeError("reset() must be called before walk()")
         if self._t >= self._last:
             raise RuntimeError("walk() called after the episode ended")
         t0 = self._t - self._start
-        record = _Record(self, n)
-        _walk(self, actor, decide, n, record)
-        actions = self._actions[t0:self._t - self._start].copy()
-        return record.obs, record.logits, actions, self._t >= self._last
+        _walk(self, actor, decide, n)
+        t1 = self._t - self._start
+        obs = self._observations(t0, t1)
+        return (obs, actor.forward_rows(obs[None])[0], self._actions[t0:t1].copy(),
+                self._t >= self._last)
+
+    def _observations(self, lo: int, hi: int) -> np.ndarray:
+        """The observation of each of steps [lo, hi) of the episode in
+        progress, from the actions recorded before each: the market row and
+        the entries of the range opened at the last deploy before it."""
+        before = np.flatnonzero(self._actions[:lo])
+        opened = int(before[-1]) if before.size else -1
+        # the last deploy at or before each step, then the one before it:
+        # the step at which the range live at the step opened, -1 for none
+        last = np.maximum.accumulate(
+            np.where(self._actions[lo:hi] != 0, np.arange(lo, hi), opened))
+        live_from = np.append(opened, last)[:-1]
+        obs = self._obs[self._start + lo:self._start + hi].copy()
+        action = np.where(live_from >= 0, self._actions[live_from], 0)
+        for k in range(1, self._n_actions):
+            at = np.flatnonzero(action == k)
+            if at.size:
+                obs[at, 2:4] = self._range_entries(k, self._start + live_from[at])
+        return obs
 
     def rewards(self, lo: int, hi: int) -> np.ndarray:
         """Rewards of steps [lo, hi) of the episode in progress; only that
@@ -375,11 +401,11 @@ def run_policy(env: LPEnv, actor) -> EpisodeTrace:
     every step the action of the largest logit, then score the whole episode
     at once. An open-loop schedule of actions is scored by `replay`.
 
-    The episode is one `_walk` that keeps nothing per step but the env's
-    action record, so the logits come in blocks, not one `forward` per step,
-    and the actions and the trace are bitwise those of deciding every step
-    with `advance`. The env is left at the end of the episode as that loop
-    leaves it."""
+    The episode is one `_walk`, which keeps nothing per step but the env's
+    action record: the logits come from hold ladders and hold chunks, not
+    one `forward` per step, and the actions and the trace are bitwise those
+    of deciding every step with `advance`. The env is left at the end of
+    the episode as that loop leaves it."""
     n_networks, n_in, _ = actor.weights[0].shape
     n_out = actor.weights[-1].shape[2]
     if (n_networks, n_in, n_out) != (1, env.obs_dim, env.n_actions):
@@ -387,148 +413,118 @@ def run_policy(env: LPEnv, actor) -> EpisodeTrace:
             f"actor must be one network with {env.obs_dim} inputs and {env.n_actions} "
             f"outputs, got {n_networks} with {n_in} inputs and {n_out} outputs")
     env.reset()
-    _walk(env, actor, _greedy, env.n_steps, None)
+    _walk(env, actor, _greedy, env.n_steps)
     trace = env._trace(0, env.n_steps)
     trace.action = trace.action.copy()  # not a view of the env's action record
     return trace
 
 
-def _greedy(logits, lo, hi):
+def _greedy(logits, steps):
     """The action of the largest logit of each row."""
     return logits.argmax(axis=-1)
 
 
-def _walk(env: LPEnv, actor, decide, n: int, record) -> None:
+def _walk(env: LPEnv, actor, decide, n: int) -> None:
     """Decide up to `n` steps of `env`'s episode from its current step with
     `actor`, each by `decide` (see `LPEnv.walk`), stopping at the episode's
     end; record the actions in the env and move it past them.
 
     Prices do not depend on the actions, so a step's observation is fixed by
-    the step and the open range, and its action by its logits and the step.
-    Right after a decision the open range is one of four: none, one opened at
-    the step before, one opened two steps before and held once, or an older
-    one still held. A block table reads the first three: per block of
-    `_POLICY_BLOCK` steps, one `forward_rows` call over the rows of the
-    no-position state and of each width in the next two, and one `decide`
-    call over them, so a step is one lookup in Python lists. An older range's
-    steps read a hold chunk: one `forward_rows` call over the next
-    observations under that range, used up to the first redeploy; chunks
-    double while the agent holds, up to the block size, and may cross block
-    ends. `forward_rows` gives each row the bits of its own 1-row `forward`,
-    and the rows' position entries come from `FeatureStats.normalize`, as
-    `advance`'s do. `record`, a `_Record` or None, gathers each step's
-    observation and logits from the tables and chunks. Beyond what `record`
-    keeps, memory is bounded by the block size."""
-    n_actions = env.n_actions
-    t0 = env._t - env._start
+    the step and the live range, and its action by its logits and the step.
+    A range of width k opened at step o lives until its exit, the first
+    later step whose decision is nonzero, and a walk is a chain of exits.
+    When the walk reaches a range opened at a step that no ladder covers,
+    `_ladder` follows every range that could open in the next
+    `_POLICY_BLOCK` steps at once, a hold level at a time, so each deploy
+    is one lookup in Python lists. A range the ladder left unresolved, a
+    range carried in from before the walk and the stretch with no range
+    before the first deploy read hold chunks: one `forward_rows` call over
+    the next observations under that range, used up to the first deploy;
+    chunks double while the agent holds, from `_HOLD_CHUNK` rows up to the
+    block size. `forward_rows` gives each row the bits of its own 1-row
+    `forward`, and the rows' position entries come from
+    `FeatureStats.normalize`, as `advance`'s do. Memory is bounded by the
+    block size."""
+    start = env._start
+    t0 = env._t - start
     end = min(t0 + n, env.n_steps)
-    obs = env._obs[env._start:env._last]  # each step's observation with no position open
-    # the state of step t0: 0 for no range, k for a range of action k opened
-    # at the step before, k + n_actions - 1 for one opened two steps before,
-    # -1 for an older one, whose normalized entries are `held`
-    state, held, chunk = 0, None, _HOLD_CHUNK
-    before = np.flatnonzero(env._actions[:t0])
-    if before.size:
-        age = t0 - int(before[-1])
-        k = int(env._actions[before[-1]])
-        state = k if age == 1 else k + n_actions - 1 if age == 2 else -1
-        held = env._position_obs
-    steps = None if record is None else record.steps
+    obs = env._obs[start:env._last]  # each step's observation with no position open
+    # the entries of the range held from step i; None for no range
+    held = env._position_obs if np.any(env._actions[:t0]) else None
     deploys, taken = [], []
-    i = lo = hi = t0
+    i = lo = hi = t0  # the ladder's opening steps are [lo, hi)
     while i < end:
-        if state < 0:
+        chunk, a = _HOLD_CHUNK, 0
+        while i < end:
             x = obs[i:min(i + chunk, end)].copy()
-            x[:, 2:4] = held
-            logits = actor.forward_rows(x[None])[0]
-            acts = decide(logits, i - t0, i - t0 + len(x))
-            first = int((acts != 0).argmax())  # the first redeploy, 0 if there is none
+            if held is not None:
+                x[:, 2:4] = held
+            acts = decide(actor.forward_rows(x[None])[0], np.arange(i - t0, i - t0 + len(x)))
+            first = int((acts != 0).argmax())  # the first deploy, 0 if there is none
             a = int(acts[first])
-            if steps is not None:
-                row = record.add(x, logits)
-                steps.extend(range(row, row + (first + 1 if a else len(x))))
-            if a == 0:
-                i += len(x)
-                chunk = min(2 * chunk, _POLICY_BLOCK)
-                continue
-            i += first
-        else:
-            if i >= hi:
-                lo, hi = i, min(i + _POLICY_BLOCK, end)
-                rows, table = _walk_table(env, actor, decide, lo, hi, t0, record)
-            a = table[state][i - lo]
-            if steps is not None:
-                steps.append(state * (hi - lo) + i - lo)
-            if a == 0:
-                if state >= n_actions:
-                    state, held, chunk = -1, rows[state, i - lo, 2:4], _HOLD_CHUNK
-                elif state:
-                    state += n_actions - 1
-                i += 1
-                continue
-        deploys.append(i)
-        taken.append(a)
-        state = a
-        i += 1
+            if a:
+                i += first
+                break
+            i += len(x)
+            chunk = min(2 * chunk, _POLICY_BLOCK)
+        # follow the chain of exits from the deploy at step i
+        while a:
+            deploys.append(i)
+            taken.append(a)
+            if not lo <= i < hi:
+                if i + 1 >= end:
+                    i = end
+                    break
+                lo = i
+                hi, exit_at, exit_action, entries = _ladder(env, actor, decide, i, end, t0)
+            c = (a - 1) * (hi - lo) + i - lo
+            i, a = exit_at[c], exit_action[c]
+        if i < end:
+            held = entries[c]  # the range the ladder left holding at step i
     if deploys:
         env._actions[deploys] = taken
-        env._position_obs = env._range_entries(taken[-1], env._start + deploys[-1])
-    env._t = env._start + end
-    if record is not None:
-        record.flush(end)
+        env._position_obs = env._range_entries(taken[-1], start + deploys[-1])
+    env._t = start + end
 
 
-def _walk_table(env: LPEnv, actor, decide, lo: int, hi: int, t0: int, record):
-    """The observation rows of steps [lo, hi), (2 n_actions - 1, hi - lo,
-    OBS_SIZE), in each table state of `_walk`, and the action `decide` gives
-    each row, as nested lists. `record` starts a window with the rows."""
-    n_actions, width = env.n_actions, hi - lo
-    hour = env._start + lo
-    rows = np.empty((2 * n_actions - 1, width, OBS_SIZE))
-    rows[:] = env._obs[hour:hour + width]
-    for k in range(1, n_actions):
-        # the ranges opened from two hours before the first row to one before the last
-        entries = env._range_entries(k, slice(hour - 2, hour + width - 1))
-        rows[k, :, 2:4] = entries[1:]
-        rows[k + n_actions - 1, :, 2:4] = entries[:-1]
-    flat = rows.reshape(-1, OBS_SIZE)
-    logits = actor.forward_rows(flat[None])[0]
-    if record is not None:
-        record.flush(lo)
-        record.add(flat, logits)
-    return rows, decide(logits.reshape(len(rows), width, n_actions), lo - t0, hi - t0).tolist()
+def _ladder(env: LPEnv, actor, decide, o: int, end: int, t0: int):
+    """The exits of the ranges of every width that open at steps [o, hi),
+    hi = min(o + `_POLICY_BLOCK`, end - 1), so that every such range has a
+    decision before `end`. Candidate c = (k - 1) (hi - o) + o' - o is the
+    range that action k opens at step o'.
 
-
-class _Record:
-    """The observation and logits of each step of one `LPEnv.walk`, gathered
-    a window at a time from the rows `_walk` computes. A window starts at a
-    block table; its parts are that table and the hold chunks read after it,
-    and `steps` holds each step's row among them."""
-
-    def __init__(self, env: LPEnv, n: int):
-        self._lo = self._t0 = env._t - env._start
-        size = min(n, env.n_steps - self._t0)
-        self.obs = np.empty((size, OBS_SIZE))
-        self.logits = np.empty((size, env.n_actions))
-        self.steps = []
-        self._parts = []  # (observations, logits) of the window's rows
-        self._rows = 0
-
-    def add(self, obs: np.ndarray, logits: np.ndarray) -> int:
-        """Add rows to the window; returns the index of the first."""
-        self._parts.append((obs, logits))
-        self._rows += len(obs)
-        return self._rows - len(obs)
-
-    def flush(self, i: int):
-        """Gather the window's steps, which end before step `i`, and start the next."""
-        if self.steps:
-            at = slice(self._lo - self._t0, i - self._t0)
-            for out, parts in zip((self.obs, self.logits), zip(*self._parts)):
-                out[at] = np.concatenate(parts)[self.steps]
-        self.steps.clear()
-        self._parts.clear()
-        self._rows, self._lo = 0, i
+    Level j decides step o' + j of every candidate that held at every
+    earlier level and has that step before `end`: one `forward_rows` call
+    and one `decide` call. Levels 1 and 2 always run; the next runs only
+    while at most half of a level's rows held. Returns hi, each
+    candidate's exit as lists, the step of its first deploy and that
+    action, or, with action 0, the first step it has not decided (`end` or
+    later if it holds to the walk's end), and the normalized entries of
+    each candidate, (candidates, 2)."""
+    n_widths = env.n_actions - 1
+    hi = min(o + _POLICY_BLOCK, end - 1)
+    hour = env._start + o
+    entries = np.concatenate([env._range_entries(k, slice(hour, hour + hi - o))
+                              for k in range(1, n_widths + 1)])
+    obs = env._obs[env._start:env._last]
+    exit_at = np.tile(np.arange(o + 1, hi + 1), n_widths)  # each candidate's next step
+    exit_action = np.zeros(exit_at.size, dtype=np.int64)
+    alive = np.arange(exit_at.size)
+    level = 1
+    while alive.size:
+        steps = exit_at[alive]
+        x = obs[steps]
+        x[:, 2:4] = entries[alive]
+        acts = decide(actor.forward_rows(x[None])[0], steps - t0)
+        moved = acts != 0
+        exit_action[alive[moved]] = acts[moved]
+        alive = alive[~moved]
+        exit_at[alive] += 1
+        if level >= 2 and 2 * alive.size > steps.size:
+            break
+        alive = alive[exit_at[alive] < end]
+        level += 1
+    return hi, exit_at.tolist(), exit_action.tolist(), entries
 
 
 def replay(config: EnvConfig, actions) -> EpisodeTrace:

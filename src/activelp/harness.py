@@ -11,6 +11,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -369,7 +370,8 @@ def _announced(windows):
 def run_experiment(config: ExperimentConfig) -> list[WindowResult]:
     """Run the full rolling-window study and write all reports. With
     config.n_jobs > 1, up to that many windows run at once in worker
-    processes; results are the same at any n_jobs."""
+    processes; results are the same at any n_jobs. A window's exception
+    ends the run: no window starts after it is seen."""
     series = load_candles(config.data)
     windows = make_windows(len(series), config.train_len, config.test_len, config.stride)
     log.info("running %d windows over %d hours", len(windows), len(series))
@@ -379,11 +381,31 @@ def run_experiment(config: ExperimentConfig) -> list[WindowResult]:
         # imported here: it loads multiprocessing, which only this branch uses
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as executor:
-            # map yields in window order, whatever order the windows finish in
-            results = list(executor.map(run, _announced(windows)))
+            results = _run_bounded(executor, run, windows, workers)
     else:
         results = list(map(run, _announced(windows)))
     emit_report(results, config.output_dir)
+    return results
+
+
+def _run_bounded(executor, run, windows, limit: int) -> list:
+    """`run` of each window on `executor`, in window order, with at most
+    `limit` windows submitted at a time: the next is submitted as one
+    finishes. A window's exception propagates as soon as it is read, and no
+    window is submitted after it. `executor.map` would submit every window
+    at once, and a pool's call queue holds windows that cancelling cannot
+    reach."""
+    from concurrent.futures import FIRST_COMPLETED, wait
+
+    results = [None] * len(windows)
+    queue = enumerate(_announced(windows))
+    pending = {executor.submit(run, window): i for i, window in islice(queue, limit)}
+    while pending:
+        finished, _ = wait(pending, return_when=FIRST_COMPLETED)
+        for future in finished:
+            results[pending.pop(future)] = future.result()
+            for i, window in islice(queue, 1):
+                pending[executor.submit(run, window)] = i
     return results
 
 

@@ -13,10 +13,12 @@ parameter buffer (`_ActorCritic`): each rollout makes one stacked per-row
 critic forward over all its steps, and each minibatch one objective, whose
 forward and backward run the hidden layers of both networks as one stacked
 pass, and one Adam step over the whole buffer. Actions are sampled per
-agent, by its env's `walk`, which reads the actor's logits in blocks rather
-than one forward per step. Every agent keeps its own random stream and call
-order and computes bitwise what it would compute alone; `train` is the
-population of one.
+agent, by its env's `walk`, which follows each range from its deploy to its
+exit with hold ladders, a `forward_rows` call per hold level over every
+range that could open in a block of steps, rather than one forward per
+step, and rebuilds the walked steps' logits in one call. Every agent keeps
+its own random stream and call order and computes bitwise what it would
+compute alone; `train` is the population of one.
 """
 
 from __future__ import annotations
@@ -260,18 +262,23 @@ def _row_starts(shape, m: int) -> np.ndarray:
 def _draw(probs: np.ndarray, u) -> np.ndarray:
     """Inverse-CDF draws, one per row of `probs` (..., m) with its uniform in
     `u` (...): the index of the first cumulative sum that u is not at or
-    above, clamped to the last category, so the number of sums at or below
-    u. `np.cumsum` adds along a row in order."""
-    below = np.asarray(u)[..., None] >= np.cumsum(probs, axis=-1)
-    below[..., -1] = False
-    return below.argmin(axis=-1)
+    above, clamped to the last category, so the number of the first m - 1
+    sums at or below u (the sums do not decrease). The sums are added a
+    column at a time, in row order, as `np.cumsum` adds along a row: numpy
+    reduces along a short last axis one row at a time."""
+    total = probs[..., 0]
+    drawn = np.zeros(total.shape, dtype=np.int64)
+    for j in range(1, probs.shape[-1]):
+        drawn += u >= total
+        total = total + probs[..., j]
+    return drawn
 
 
 def _sampler(u):
     """The `decide` of a sampled walk (see `env.LPEnv.walk`): step i of the
     walk draws from the softmax of its logits with uniform u[i]."""
-    def decide(logits, lo, hi):
-        return _draw(_softmax(logits)[0], u[lo:hi])
+    def decide(logits, steps):
+        return _draw(_softmax(logits)[0], u[steps])
     return decide
 
 
@@ -801,9 +808,11 @@ def train_population(envs, specs, seeds) -> list:
     `rewards(lo, hi)`, the rewards of steps [lo, hi) of the episode in
     progress, and `walk(actor, decide, n) -> (observations, logits,
     actions, done)`, which takes up to n decisions from the current step
-    and stops at the episode's end (see `env.LPEnv.walk`). The trainer's
-    `decide` draws each step's action from the softmax of its logits with
-    that step's uniform; an agent draws a rollout's uniforms in one call.
+    and stops at the episode's end (see `env.LPEnv.walk`). The walk calls
+    `decide(logits, steps)` on rows of logits in any order and grouping,
+    each row that of step `steps[i]` of the walk; the trainer's `decide`
+    draws each row's action from the softmax of its logits with its step's
+    uniform, and an agent draws a rollout's uniforms in one call.
 
     Early stopping: after each update, the mean return of episodes finished
     since the last evaluation must beat the best seen by more than

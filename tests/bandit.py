@@ -34,7 +34,7 @@ class ContextualBandit:
         for i in range(steps):
             obs[i] = self._obs
             logits[i] = actor.forward(self._obs[None, None])[0, 0]
-            self._actions.append(int(decide(logits[i:i + 1], i, i + 1)[0]))
+            self._actions.append(int(decide(logits[i:i + 1], np.arange(i, i + 1))[0]))
             self._obs = self._rng.standard_normal(self.obs_dim)
         actions = np.array(self._actions[-steps:], dtype=np.int64)
         return obs, logits, actions, len(self._actions) >= self.episode_len

@@ -1,5 +1,5 @@
 """The greedy pass one `Mlp.forward` per step: the reference for
-`env.run_policy`, which computes the same logits in blocks.
+`env.run_policy`, which computes the same logits many rows per call.
 
 It decides every step with `LPEnv.advance`, taking the action of the
 largest logit of `actor` on the observation that `reset` or the last

@@ -8,8 +8,8 @@ import pytest
 from activelp import amm, data, env, indicators
 from activelp.amm import PoolSpec
 from activelp.data import HOUR, PriceSeries
-from activelp.env import MIN_HISTORY, EnvConfig, LPEnv, MarketTape
-from activelp.ppo import ACTIVATIONS, Mlp
+from activelp.env import MIN_HISTORY, OBS_SIZE, EnvConfig, LPEnv, MarketTape
+from activelp.ppo import ACTIVATIONS, Mlp, _sampler
 import amm_oracle as oracle
 from greedy import stepped_policy
 from stepper import Stepper, stepped_trace
@@ -860,6 +860,83 @@ class TestWalk:
         assert done and obs.shape == (10, 13) and logits.shape == (10, 3) and actions.size == 10
         with pytest.raises(RuntimeError, match=r"walk\(\) called after the episode ended"):
             e.walk(actor, env._greedy, 1)
+
+
+def hold_always_actor(e):
+    """A linear (13, n_actions) actor that deploys the narrowest width with
+    no range open and holds any open range: its hold logit is 1e3 times the
+    distance of the width entry above the midpoint between the entry of no
+    range and that of the narrowest width."""
+    none, narrowest = e._obs[e._start, 2], e._range_entries(1, e._start)[0]
+    weight = np.zeros((1, OBS_SIZE, e.n_actions))
+    bias = np.zeros((1, 1, e.n_actions))
+    weight[0, 2, 0] = 1e3
+    bias[0, 0, 0] = -1e3 * (none + narrowest) / 2
+    return Mlp([weight], [bias], "tanh")
+
+
+class TestRowBudget:
+    """Rows of `forward_rows` that a walk of n steps computes, with K
+    actions. The block tables that hold ladders replaced computed 2K - 1
+    rows per step, for every state of the range, plus hold chunks."""
+
+    LENGTHS = (40, env._POLICY_BLOCK + 1, 3 * env._POLICY_BLOCK + 100)
+
+    @staticmethod
+    def counted_rows(monkeypatch) -> list:
+        rows = []
+        forward_rows = Mlp.forward_rows
+
+        def counted(self, x):
+            rows.append(x.shape[1])
+            return forward_rows(self, x)
+
+        monkeypatch.setattr(Mlp, "forward_rows", counted)
+        return rows
+
+    @pytest.mark.parametrize("n_steps", LENGTHS)
+    def test_never_hold_decides_k_minus_one_rows_per_step(self, monkeypatch, n_steps):
+        """An actor that deploys at every step: the no-position stretch is
+        step 0, one hold chunk, and each later step is one level-1 row per
+        width of a ladder; no level-1 row holds, so no level 2 runs. A
+        sampled walk adds one row per step for its record."""
+        config = EnvConfig(pool=POOL, action_set=(0, 10, 20, 30), x0=2.0,
+                           data=policy_tape(n_steps))
+        e = LPEnv(config)
+        actor, k = greedy_actor(e, "tanh", "every"), e.n_actions
+        rows = self.counted_rows(monkeypatch)
+        assert np.all(env.run_policy(e, actor).action != 0)
+        assert sum(rows) == env._HOLD_CHUNK + (k - 1) * (n_steps - 1)
+        rows.clear()
+        e.reset()
+        u = np.random.default_rng(1).random(n_steps)
+        actions, done = e.walk(actor, _sampler(u), n_steps)[2:]
+        assert done and np.all(actions != 0)
+        assert sum(rows) == env._HOLD_CHUNK + (k - 1) * (n_steps - 1) + n_steps
+
+    @pytest.mark.parametrize("n_steps", LENGTHS)
+    def test_hold_always_stays_within_one_block_table(self, monkeypatch, n_steps):
+        """An actor that deploys at step 0 and then holds: one chunk for
+        step 0; one ladder over the first block of opening steps, whose two
+        levels hold every row, so it stops; hold chunks over the steps from
+        the third on. The ladder computes 2(K - 1) rows per opening step,
+        fewer than one block table's 2K - 1 per step."""
+        config = EnvConfig(pool=POOL, action_set=(0, 10, 20, 30), x0=2.0,
+                           data=policy_tape(n_steps))
+        e = LPEnv(config)
+        actor, k = hold_always_actor(e), e.n_actions
+        rows = self.counted_rows(monkeypatch)
+        actions = env.run_policy(e, actor).action
+        assert actions[0] == 1 and not np.any(actions[1:])
+        block = min(env._POLICY_BLOCK, n_steps - 1)
+        ladder = (k - 1) * (block + min(block, n_steps - 2))
+        assert ladder <= (2 * k - 1) * block
+        assert sum(rows) == env._HOLD_CHUNK + ladder + n_steps - 3
+        rows.clear()
+        e.reset()
+        u = np.random.default_rng(2).random(n_steps)
+        assert e.walk(actor, _sampler(u), n_steps)[2].tolist() == actions.tolist()
+        assert sum(rows) == env._HOLD_CHUNK + ladder + n_steps - 3 + n_steps
 
 
 class TestStepper:

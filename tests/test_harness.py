@@ -293,6 +293,26 @@ class TestRunExperiment:
         assert ((tmp_path / "seq" / "summary.csv").read_bytes()
                 == (tmp_path / "par" / "summary.csv").read_bytes())
 
+    def test_a_failing_window_stops_the_pool(self, tmp_path, monkeypatch):
+        """With two workers, window 0 raises at once and every other window
+        leaves a marker, then runs after a pause: only the window that ran
+        beside window 0 may start. `executor.map` would have queued more."""
+        def failing_first(train_tape, window, config):
+            if window.index == 0:
+                raise RuntimeError("window 0 failed")
+            (tmp_path / f"ran_{window.index}").touch()
+            time.sleep(1.0)
+            return train_and_select(train_tape, window, config)
+
+        # forked workers inherit the patch
+        monkeypatch.setattr(harness, "train_and_select", failing_first)
+        config = self._config(tmp_path, "out", n_agents=1, seed=3, n_jobs=2, stride=50)
+        assert len(make_windows(len(tiny_series()), 400, 100, 50)) == 7
+        with pytest.raises(RuntimeError, match="window 0 failed"):
+            harness.run_experiment(config)
+        assert len(list(tmp_path.glob("ran_*"))) <= 1
+        assert not (tmp_path / "out").exists()
+
     def test_one_window_starts_no_process_pool(self, tmp_path, monkeypatch):
         import concurrent.futures
 

@@ -308,6 +308,19 @@ class TestCategorical:
                 want = int(np.minimum(idx, probs.size - 1)[0])
                 assert drawn == want, (probs, u)
 
+    def test_sampler_draws_each_row_with_its_steps_uniform(self):
+        """A walk's `decide` gets rows of scattered, repeated and unordered
+        steps: each row draws as a 1-row `_draw` with the uniform of its
+        step."""
+        rng = np.random.default_rng(59)
+        u = rng.random(40)
+        steps = np.array([3, 0, 39, 17, 17, 5, 38, 22, 1, 9, 9, 30])
+        logits = rng.standard_normal((steps.size, 4)) * 2.0
+        got = ppo._sampler(u)(logits, steps)
+        want = [int(ppo._draw(Categorical(logits[i:i + 1]).probs, u[step:step + 1])[0])
+                for i, step in enumerate(steps.tolist())]
+        assert got.tolist() == want and len(set(want)) > 1
+
 
 class TestReturnsAndAdvantages:
     def test_hand_recursion(self):
@@ -1178,12 +1191,14 @@ class TestDecideThenScore:
         assert "advance" not in calls
         assert calls.pop("forward") == 2 * 4
         assert calls.pop("ppo_objective") == 4
-        # one stacked per-row critic forward per rollout; per agent, one walk
-        # per episode segment (6), each with one block table (a walk is
-        # shorter than a block); and 12 hold chunks in all, one per step that
-        # a range held twice reaches within a walk, or that a walk starts at
-        # holding an older range
-        assert calls.pop("forward_rows") == 4 + 2 * 6 + 12
+        # one stacked per-row critic forward per rollout (4); per agent, one
+        # walk per episode segment (6), each of which starts with a hold
+        # chunk, under no range or one carried in from the walk before (12),
+        # builds one hold ladder (a walk is shorter than a block), whose
+        # levels are 33 calls over the 12 ladders, reads one more chunk for
+        # the one range that the ladders left unresolved (1), and rebuilds
+        # its record with one call (12)
+        assert calls.pop("forward_rows") == 4 + 2 * 6 + 33 + 1 + 2 * 6
         # a rollout scores each episode segment it holds once: per agent,
         # 4 rollouts over 40-step episodes cut 6 segments, and each is one
         # kernel call for fees and one for LVR, not one per step
@@ -1193,11 +1208,13 @@ class TestDecideThenScore:
         for e, result in zip(envs, results):
             trace = env.run_policy(e, result.actor)
             assert trace.t.size == 40
-        # the greedy passes make no 1-row forward: per episode, one block
-        # table (40 steps fit in one block) and one hold chunk per range
-        # held twice that reaches a third step, 3 in each episode
+        # the greedy passes make no 1-row forward: per episode, one chunk
+        # for the stretch with no range before the first deploy, one hold
+        # ladder (40 steps fit in one block) that stops after its two
+        # levels, as more than half of the second level's rows hold, and
+        # one chunk per range held at both levels, 3 in each episode
         assert "forward" not in calls and "advance" not in calls
-        assert calls.pop("forward_rows") == 2 + 3 + 3
+        assert calls.pop("forward_rows") == 2 * (1 + 2 + 3)
         assert calls.pop("_score") == calls.pop("activelp.amm.fee_for_move") == 2
         assert calls.pop("activelp.amm.lvr_penalty") == 2 and calls == {}
         # the oracle counters do count, and the Stepper decides with `advance`
@@ -1271,6 +1288,100 @@ class TestWalkBoundaries:
             # block: its hold chunks run past the end of the block whose
             # table decided its first steps
             assert np.count_nonzero(taken) > 10 and longest_hold(taken) > self.BLOCK + 2
+
+
+def record_ladders(monkeypatch) -> list:
+    """Wrap `env._ladder`; the returned list gets, per ladder, its number
+    of levels (its `forward_rows` calls) and whether it left a range
+    unresolved, holding at a step before the walk's end."""
+    from activelp import env
+
+    ladders, calls = [], [0]
+    ladder, forward_rows = env._ladder, Mlp.forward_rows
+
+    def counted(self, x):
+        calls[0] += 1
+        return forward_rows(self, x)
+
+    def recorded(e, actor, decide, o, end, t0):
+        before = calls[0]
+        out = ladder(e, actor, decide, o, end, t0)
+        exit_at, exit_action = out[1:3]
+        ladders.append((calls[0] - before, any(
+            a == 0 and at < end for at, a in zip(exit_at, exit_action))))
+        return out
+
+    monkeypatch.setattr(Mlp, "forward_rows", counted)
+    monkeypatch.setattr(env, "_ladder", recorded)
+    return ladders
+
+
+class TestLadderBoundaries:
+    """Hold ladders over blocks of 5 opening steps and hold chunks from 2
+    rows, so ladders and chunks cut the 40-step episodes, for two policies:
+    one whose ladders stop at level 2, as most rows hold, and one whose
+    ladders run until every range has deployed, as most rows deploy. The
+    sampled walks of `_Group.rollout` match the scalar reference rollout,
+    and the greedy pass matches the per-step loop."""
+
+    HOLD_BIAS = {"level 2": 4.0, "empty": -1.5}  # added to the hold logit
+
+    def actor(self, kind):
+        rng = np.random.default_rng(9)
+        actor = ReferenceMlp.build([13, 8, 3], "tanh", rng, out_gain=3.0)
+        actor.biases[-1][0] += self.HOLD_BIAS[kind]
+        return actor, ReferenceMlp.build([13, 8, 1], "tanh", rng)
+
+    def check_ladders(self, kind, ladders):
+        if kind == "level 2":  # ladders stop after two levels, and chunks follow
+            assert sum(n == 2 and unresolved for n, unresolved in ladders) > len(ladders) / 2
+        else:  # ladders run past level 2 and resolve every range
+            assert sum(not unresolved for _, unresolved in ladders) > len(ladders) / 2
+            assert any(n > 2 and not unresolved for n, unresolved in ladders)
+
+    @pytest.mark.parametrize("kind", ["level 2", "empty"])
+    def test_sampled_walk_matches_reference(self, monkeypatch, kind):
+        from activelp import env
+        from activelp.env import LPEnv
+
+        monkeypatch.setattr(env, "_POLICY_BLOCK", 5)
+        monkeypatch.setattr(env, "_HOLD_CHUNK", 2)
+        ladders = record_ladders(monkeypatch)
+        config = lp_config()
+        actor, critic = self.actor(kind)
+        group = ppo._Group([ppo._Agent(0, AgentSpec(action_set=config.action_set),
+                                       LPEnv(config), np.random.default_rng(6))],
+                           as_mlp(actor), as_mlp(critic))
+        ref, ref_rng = Stepper(config), np.random.default_rng(6)
+        obs, returns, running = ref.reset(), [], [0.0]
+        for _ in range(16):  # 13-step rollouts cut episodes everywhere
+            group.rollout(13)
+            want, obs = reference_collect_rollout(ref, actor, critic, ref_rng, 13, obs,
+                                                  returns, running)
+            for name in ("observations", "actions", "log_probs", "rewards", "values", "dones"):
+                a, b = getattr(group.batch, name)[0], getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            assert group.agents[0].env._observe().tobytes() == obs.tobytes()
+        assert group.agents[0].returns == returns and len(returns) == 5
+        self.check_ladders(kind, ladders)
+
+    @pytest.mark.parametrize("kind", ["level 2", "empty"])
+    def test_greedy_pass_matches_the_per_step_loop(self, monkeypatch, kind):
+        from activelp import env
+        from activelp.env import LPEnv
+
+        monkeypatch.setattr(env, "_POLICY_BLOCK", 5)
+        monkeypatch.setattr(env, "_HOLD_CHUNK", 2)
+        ladders = record_ladders(monkeypatch)
+        actor = as_mlp(self.actor(kind)[0])
+        for n_steps in (40, 97):
+            config = lp_config(n_steps=n_steps)
+            e, ref = LPEnv(config), LPEnv(config)
+            got, want = run_policy(e, actor), stepped_policy(ref, actor)
+            for name in ("action", "width", "liquidity", "fee", "lvr", "gas", "reward"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert np.array(e._position_obs).tobytes() == np.array(ref._position_obs).tobytes()
+        self.check_ladders(kind, ladders)
 
 
 class HugeRewards:
