@@ -34,7 +34,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _pool_from_args(args) -> PoolSpec:
+def _pool_from_args(args):
     from .amm import PoolSpec
 
     return PoolSpec(fee_rate=args.fee_rate, tick_spacing=args.tick_spacing,
@@ -105,7 +105,7 @@ def _config_error(message):
     return ConfigError(message)
 
 
-def _load_spec(path, timesteps) -> ppo.AgentSpec:
+def _load_spec(path, timesteps):
     from . import ppo
 
     overrides = {}

@@ -257,7 +257,6 @@ class LPEnv:
         self._t = None
         # action index taken at each step of the episode in progress
         self._actions = np.zeros(self._last - self._start, dtype=np.int64)
-        self._position_obs = None  # the open position's normalized (width, liquidity)
 
     @property
     def obs_dim(self) -> int:
@@ -274,7 +273,6 @@ class LPEnv:
     def reset(self) -> np.ndarray:
         self._t = self._start
         self._actions.fill(0)
-        self._position_obs = None
         return self._observe()
 
     def advance(self, action_index: int) -> tuple[np.ndarray, bool]:
@@ -288,8 +286,6 @@ class LPEnv:
             raise RuntimeError("advance() called after the episode ended")
         if not 0 <= action_index < self._n_actions:
             raise ValueError(f"action index {action_index} out of range")
-        if action_index != 0:
-            self._position_obs = self._range_entries(action_index, self._t)
         self._actions[self._t - self._start] = action_index
         self._t += 1
         return self._observe(), self._t >= self._last
@@ -300,32 +296,37 @@ class LPEnv:
         outputs, stopping at the episode's end. `decide(logits, steps)`
         gives the action of each row of logits (rows, n_actions); row i is
         that of step `steps[i]` of this walk, counted from 0 at its first.
-        Returns the observation, logits and action of each step taken and
-        whether the episode is over; each is bitwise what deciding step by
-        step with `advance` and a 1-row `forward` gives, and `rewards`
-        scores the steps as it would.
+        Returns the observation, action and reward of each step taken and
+        whether the episode is over: the scored segment, bitwise what
+        deciding step by step with `advance` and a 1-row `forward` and
+        scoring with `rewards` give. The rewards are this env's `rewards`
+        of the walked steps.
 
-        `_walk` decides the steps; the record is rebuilt from its actions
-        afterwards: each step's observation is one gather of the range live
-        at it, and its logits one `forward_rows` call over them, bitwise the
-        rows the walk decided with."""
+        `_walk` decides the steps; each step's observation is then one
+        gather of the range live at it, rebuilt from the actions."""
         if self._t is None:
             raise RuntimeError("reset() must be called before walk()")
         if self._t >= self._last:
             raise RuntimeError("walk() called after the episode ended")
+        if n < 1:
+            raise ValueError(f"walk() needs n >= 1 steps, got {n}")
         t0 = self._t - self._start
         _walk(self, actor, decide, n)
         t1 = self._t - self._start
-        obs = self._observations(t0, t1)
-        return (obs, actor.forward_rows(obs[None])[0], self._actions[t0:t1].copy(),
+        return (self._observations(t0, t1), self._actions[t0:t1].copy(), self.rewards(t0, t1),
                 self._t >= self._last)
+
+    def _opened(self, lo: int) -> int:
+        """The step at which the range live at step `lo` of the episode in
+        progress opened, the last deploy before it; -1 for none."""
+        before = np.flatnonzero(self._actions[:lo])
+        return int(before[-1]) if before.size else -1
 
     def _observations(self, lo: int, hi: int) -> np.ndarray:
         """The observation of each of steps [lo, hi) of the episode in
         progress, from the actions recorded before each: the market row and
         the entries of the range opened at the last deploy before it."""
-        before = np.flatnonzero(self._actions[:lo])
-        opened = int(before[-1]) if before.size else -1
+        opened = self._opened(lo)
         # the last deploy at or before each step, then the one before it:
         # the step at which the range live at the step opened, -1 for none
         last = np.maximum.accumulate(
@@ -348,9 +349,7 @@ class LPEnv:
         taken = 0 if self._t is None else self._t - self._start
         if not 0 <= lo <= hi <= taken:
             raise ValueError(f"steps [{lo}, {hi}) are not within the {taken} taken")
-        before = np.flatnonzero(self._actions[:lo])
-        opened = int(before[-1]) if before.size else -1
-        return _score(self.config, self._actions, lo, hi, opened)
+        return _score(self.config, self._actions, lo, hi, self._opened(lo))
 
     def _range_entries(self, action_index: int, hours) -> np.ndarray:
         """Normalized (width, liquidity), (..., 2), of the ranges `action_index`
@@ -360,9 +359,11 @@ class LPEnv:
         return self._position_stats.normalize(entries, out=entries)
 
     def _observe(self) -> np.ndarray:
+        """The observation of the current step, under the range live at it."""
         obs = self._obs[self._t].copy()
-        if self._position_obs is not None:
-            obs[2], obs[3] = self._position_obs
+        opened = self._opened(self._t - self._start)
+        if opened >= 0:
+            obs[2:4] = self._range_entries(self._actions[opened], self._start + opened)
         return obs
 
 
@@ -450,7 +451,8 @@ def _walk(env: LPEnv, actor, decide, n: int) -> None:
     end = min(t0 + n, env.n_steps)
     obs = env._obs[start:env._last]  # each step's observation with no position open
     # the entries of the range held from step i; None for no range
-    held = env._position_obs if np.any(env._actions[:t0]) else None
+    opened = env._opened(t0)
+    held = None if opened < 0 else env._range_entries(env._actions[opened], start + opened)
     deploys, taken = [], []
     i = lo = hi = t0  # the ladder's opening steps are [lo, hi)
     while i < end:
@@ -483,7 +485,6 @@ def _walk(env: LPEnv, actor, decide, n: int) -> None:
             held = entries[c]  # the range the ladder left holding at step i
     if deploys:
         env._actions[deploys] = taken
-        env._position_obs = env._range_entries(taken[-1], start + deploys[-1])
     env._t = start + end
 
 

@@ -343,18 +343,18 @@ class ExperimentConfig:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"invalid pool spec: {exc}") from None
         if "grid" in kwargs:
+            g = kwargs["grid"]
+            if not isinstance(g, dict):
+                raise ConfigError("grid must be a JSON object")
+            unknown, missing = sorted(set(g) - set(_SEARCHED)), sorted(set(_SEARCHED) - set(g))
+            if unknown or missing:
+                raise ConfigError(f"grid keys unknown: {unknown}, missing: {missing}")
             try:
-                g = kwargs["grid"]
-                kwargs["grid"] = SearchGrid(
-                    action_sets=tuple(tuple(a) for a in g["action_sets"]),
-                    activations=tuple(g["activations"]),
-                    hidden_layers=tuple(tuple(h) for h in g["hidden_layers"]),
-                    learning_rates=tuple(g["learning_rates"]),
-                    clip_ranges=tuple(g["clip_ranges"]),
-                    entropy_coefs=tuple(g["entropy_coefs"]),
-                    gammas=tuple(g["gammas"]),
-                )
-            except (KeyError, TypeError) as exc:
+                # JSON lists become tuples, one level down too (action sets, layers)
+                kwargs["grid"] = SearchGrid(**{
+                    dim: tuple(tuple(v) if isinstance(v, list) else v for v in g[dim])
+                    for dim in _SEARCHED})
+            except TypeError as exc:
                 raise ConfigError(f"invalid grid override: {exc}") from None
         return cls(**kwargs)
 

@@ -10,15 +10,15 @@ Training runs a population at a time, on one schedule. An `Mlp` holds A
 networks of one shape, and `train_population` trains the agents that share a
 network shape in lockstep. A group keeps its actors and critics in one
 parameter buffer (`_ActorCritic`): each rollout makes one stacked per-row
-critic forward over all its steps, and each minibatch one objective, whose
-forward and backward run the hidden layers of both networks as one stacked
-pass, and one Adam step over the whole buffer. Actions are sampled per
-agent, by its env's `walk`, which follows each range from its deploy to its
-exit with hold ladders, a `forward_rows` call per hold level over every
-range that could open in a block of steps, rather than one forward per
-step, and rebuilds the walked steps' logits in one call. Every agent keeps
-its own random stream and call order and computes bitwise what it would
-compute alone; `train` is the population of one.
+actor forward and one critic forward over all its steps, and each minibatch
+one objective, whose forward and backward run the hidden layers of both
+networks as one stacked pass, and one Adam step over the whole buffer.
+Actions are sampled per agent, by its env's `walk`, which follows each range
+from its deploy to its exit with hold ladders, a `forward_rows` call per
+hold level over every range that could open in a block of steps, rather
+than one forward per step, and returns the walked segment scored. Every
+agent keeps its own random stream and call order and computes bitwise what
+it would compute alone; `train` is the population of one.
 """
 
 from __future__ import annotations
@@ -668,7 +668,6 @@ class _Agent:
     curve: list = field(default_factory=list)
     returns: list = field(default_factory=list)  # of the finished episodes
     episode_return: float = 0.0  # so far, of the episode in progress
-    episode_steps: int = 0
     best: float = -np.inf
     misses: int = 0
     evaluated: int = 0
@@ -726,36 +725,39 @@ class _Group:
     def rollout(self, n):
         """Take n steps per agent: each agent walks its env (`walk`, one call
         per episode segment) with its own network and its uniforms, drawn in
-        one call as it would draw them alone, and each segment is scored with
-        `env.rewards` once it is walked. An episode (and its open position)
-        carries over into the next rollout. Afterwards the critic reads every
-        step at once with `forward_rows`, bitwise its per-step values;
-        log-probs come from the walked logits, then each agent's returns and
-        advantages; `batch` holds the result."""
+        one call as it would draw them alone, and each walk returns its
+        segment scored. An episode (and its open position) carries over into
+        the next rollout. Afterwards the actor and the critic each read every
+        step at once with `forward_rows`, bitwise their per-step logits and
+        values; log-probs come from those logits, then each agent's returns
+        and advantages; `batch` holds the result."""
         self.batch = None  # the last rollout's, no longer needed
-        agents, critic = self.agents, self.critic
+        agents, actor, critic = self.agents, self.actor, self.critic
         size = len(agents)
         obs = np.empty((size, n, critic.weights[0].shape[1]))
-        logits = np.empty((size, n, self.actor.biases[-1].shape[-1]))
         actions = np.empty((size, n), dtype=np.int64)
         rewards = np.empty((size, n))
         dones = np.zeros((size, n), dtype=bool)
         for r, agent in enumerate(agents):
             u = agent.rng.random(n)
-            actor = self.actor.take([r])
+            net = actor.take([r])
             i = 0
             while i < n:
-                seg_obs, seg_logits, seg_actions, done = agent.env.walk(
-                    actor, _sampler(u[i:]), n - i)
+                seg_obs, seg_actions, seg_rewards, done = agent.env.walk(
+                    net, _sampler(u[i:]), n - i)
                 j = i + seg_actions.size
-                obs[r, i:j], logits[r, i:j], actions[r, i:j] = seg_obs, seg_logits, seg_actions
-                self._score(agent, rewards[r, i:j])
+                obs[r, i:j], actions[r, i:j], rewards[r, i:j] = seg_obs, seg_actions, seg_rewards
+                total = agent.episode_return
+                for x in seg_rewards.tolist():  # one at a time, in step order
+                    total += x
+                agent.episode_return = total
                 if done:
                     dones[r, j - 1] = True
                     agent.returns.append(agent.episode_return)
-                    agent.episode_return, agent.episode_steps = 0.0, 0
+                    agent.episode_return = 0.0
                     agent.env.reset()
                 i = j
+        logits = actor.forward_rows(obs)
         values = critic.forward_rows(obs)[..., 0]
         returns = np.stack([compute_returns(r, agent.spec.gamma, d)
                             for agent, r, d in zip(agents, rewards, dones)])
@@ -770,17 +772,6 @@ class _Group:
         loss = self.nets.loss(self.clip_range, self.value_coef, self.entropy_coef)
         return loss.evaluate(batch, self.actor.forward(batch.observations),
                              self.critic.forward(batch.observations))
-
-    @staticmethod
-    def _score(agent, out):
-        """Fill `out` with the rewards of the episode's next len(out) steps."""
-        lo = agent.episode_steps
-        hi = lo + out.size
-        out[...] = agent.env.rewards(lo, hi)
-        total = agent.episode_return
-        for r in out.tolist():  # one at a time, in step order
-            total += r
-        agent.episode_return, agent.episode_steps = total, hi
 
 
 def lockstep_groups(envs, specs) -> list[list[int]]:
@@ -804,11 +795,12 @@ def train_population(envs, specs, seeds) -> list:
     length, total steps, epochs and minibatch size in which the specs
     differ.
 
-    Envs are distinct objects providing `obs_dim`, `n_actions`, `reset()`,
-    `rewards(lo, hi)`, the rewards of steps [lo, hi) of the episode in
-    progress, and `walk(actor, decide, n) -> (observations, logits,
-    actions, done)`, which takes up to n decisions from the current step
-    and stops at the episode's end (see `env.LPEnv.walk`). The walk calls
+    Envs are distinct objects providing `obs_dim`, `n_actions`, `reset()`
+    and `walk(actor, decide, n) -> (observations, actions, rewards, done)`,
+    which takes up to n decisions from the current step, stops at the
+    episode's end and returns the walked segment scored (see
+    `env.LPEnv.walk`). The trainer reads the logits of every step of a
+    rollout in one stacked `forward_rows` call afterwards. The walk calls
     `decide(logits, steps)` on rows of logits in any order and grouping,
     each row that of step `steps[i]` of the walk; the trainer's `decide`
     draws each row's action from the softmax of its logits with its step's

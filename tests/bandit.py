@@ -2,9 +2,10 @@
 
 Observations are uninformative noise; the target action pays 1, the rest 0,
 so the optimal policy is context-independent and known by construction. It
-speaks the trainer's env protocol: `walk` decides steps, one 1-row actor
-`forward` per step, and records each action, and `rewards` scores a range
-of recorded steps.
+speaks the trainer's four-member env protocol (`obs_dim`, `n_actions`,
+`reset`, `walk`): `walk` decides steps, one 1-row actor `forward` per step,
+records each action and returns the segment scored by `rewards`, which a
+subclass may override to change the payoff.
 """
 
 import numpy as np
@@ -26,18 +27,19 @@ class ContextualBandit:
         return self._obs
 
     def walk(self, actor, decide, n):
-        steps = min(n, self.episode_len - len(self._actions))
+        lo = len(self._actions)
+        steps = min(n, self.episode_len - lo)
         if steps <= 0:
             raise RuntimeError("walk() after episode end")
         obs = np.empty((steps, self.obs_dim))
-        logits = np.empty((steps, self.n_actions))
         for i in range(steps):
             obs[i] = self._obs
-            logits[i] = actor.forward(self._obs[None, None])[0, 0]
-            self._actions.append(int(decide(logits[i:i + 1], np.arange(i, i + 1))[0]))
+            logits = actor.forward(self._obs[None, None])[0]
+            self._actions.append(int(decide(logits, np.arange(i, i + 1))[0]))
             self._obs = self._rng.standard_normal(self.obs_dim)
-        actions = np.array(self._actions[-steps:], dtype=np.int64)
-        return obs, logits, actions, len(self._actions) >= self.episode_len
+        actions = np.array(self._actions[lo:], dtype=np.int64)
+        return (obs, actions, self.rewards(lo, len(self._actions)),
+                len(self._actions) >= self.episode_len)
 
     def rewards(self, lo, hi):
         return np.array([1.0 if a == self.target else 0.0 for a in self._actions[lo:hi]])

@@ -768,7 +768,7 @@ class TestRunPolicy:
             assert_same_trace(got, stepped_policy(ref, actor))
             # the env is left at the end of the episode, as the loop leaves it
             assert e.rewards(0, e.n_steps).tobytes() == got.reward.tobytes()
-            assert np.array(e._position_obs).tobytes() == np.array(ref._position_obs).tobytes()
+            assert e._observe().tobytes() == ref._observe().tobytes()
             deploys = np.count_nonzero(got.action)
             if kind == "never":
                 assert deploys == 0
@@ -790,7 +790,7 @@ class TestRunPolicy:
             actor = greedy_actor(e, "tanh", kind)
             got = env.run_policy(e, actor)
             assert_same_trace(got, stepped_policy(ref, actor))
-            assert np.array(e._position_obs).tobytes() == np.array(ref._position_obs).tobytes()
+            assert e._observe().tobytes() == ref._observe().tobytes()
             if kind == "hold":
                 assert np.count_nonzero(got.action) > 1 and longest_hold(got.action) > 5 + 2
             elif kind == "every":
@@ -837,16 +837,16 @@ class TestWalk:
             x.reset()
             for a in prefix:
                 x.advance(a)
-        obs, logits, actions, done = e.walk(actor, env._greedy, 12)
+        obs, actions, rewards, done = e.walk(actor, env._greedy, 12)
         want_obs, want_logits = [ref._observe()], []
         for _ in range(12):
             want_logits.append(actor.forward(want_obs[-1][None, None])[0, 0])
             want_obs.append(ref.advance(int(want_logits[-1].argmax()))[0])
         assert obs.tobytes() == np.array(want_obs[:-1]).tobytes()
-        assert logits.tobytes() == np.array(want_logits).tobytes()
         assert actions.tolist() == np.array(want_logits).argmax(axis=1).tolist()
         assert not done and e._observe().tobytes() == want_obs[-1].tobytes()
         taken = len(prefix) + 12
+        assert rewards.tobytes() == ref.rewards(len(prefix), taken).tobytes()
         assert e.rewards(0, taken).tobytes() == ref.rewards(0, taken).tobytes()
 
     def test_stops_at_the_episode_end(self):
@@ -856,10 +856,41 @@ class TestWalk:
             e.walk(actor, env._greedy, 5)
         e.reset()
         assert e.walk(actor, env._greedy, 30)[3] is False
-        obs, logits, actions, done = e.walk(actor, env._greedy, 30)
-        assert done and obs.shape == (10, 13) and logits.shape == (10, 3) and actions.size == 10
+        obs, actions, rewards, done = e.walk(actor, env._greedy, 30)
+        assert done and obs.shape == (10, 13) and actions.size == rewards.size == 10
         with pytest.raises(RuntimeError, match=r"walk\(\) called after the episode ended"):
             e.walk(actor, env._greedy, 1)
+
+    @pytest.mark.parametrize("n", [0, -20])
+    def test_refuses_fewer_than_one_step(self, n):
+        """A walk of no steps or a negative count is refused before the env
+        moves: the step and the action record stay where they were."""
+        e = LPEnv(EnvConfig(pool=POOL, action_set=(0, 10, 20), x0=2.0, data=policy_tape(60)))
+        actor = greedy_actor(e, "tanh", "spread")
+        e.reset()
+        e.walk(actor, env._greedy, 50)
+        t, actions = e._t, e._actions.copy()
+        with pytest.raises(ValueError, match="n >= 1"):
+            e.walk(actor, env._greedy, n)
+        assert e._t == t and e._actions.tobytes() == actions.tobytes()
+
+    def test_segments_score_as_replay(self):
+        """The rewards of an episode's walks, cut at several lengths, are
+        `replay`'s rewards of the actions they took."""
+        config = EnvConfig(pool=POOL, action_set=(0, 10, 20, 30), x0=2.0, data=policy_tape(97))
+        e = LPEnv(config)
+        actor = greedy_actor(e, "tanh", "spread")
+        e.reset()
+        u = np.random.default_rng(4).random(97)
+        actions, rewards, done, i = [], [], False, 0
+        for n in (1, 7, 30, 2, 100):
+            _, seg_actions, seg_rewards, done = e.walk(actor, _sampler(u[i:]), n)
+            i += seg_actions.size
+            actions.append(seg_actions)
+            rewards.append(seg_rewards)
+        assert done and np.count_nonzero(np.concatenate(actions)) > 1
+        want = env.replay(config, np.concatenate(actions)).reward
+        assert np.concatenate(rewards).tobytes() == want.tobytes()
 
 
 def hold_always_actor(e):
@@ -899,7 +930,7 @@ class TestRowBudget:
         """An actor that deploys at every step: the no-position stretch is
         step 0, one hold chunk, and each later step is one level-1 row per
         width of a ladder; no level-1 row holds, so no level 2 runs. A
-        sampled walk adds one row per step for its record."""
+        sampled walk computes the same rows."""
         config = EnvConfig(pool=POOL, action_set=(0, 10, 20, 30), x0=2.0,
                            data=policy_tape(n_steps))
         e = LPEnv(config)
@@ -910,9 +941,9 @@ class TestRowBudget:
         rows.clear()
         e.reset()
         u = np.random.default_rng(1).random(n_steps)
-        actions, done = e.walk(actor, _sampler(u), n_steps)[2:]
+        _, actions, _, done = e.walk(actor, _sampler(u), n_steps)
         assert done and np.all(actions != 0)
-        assert sum(rows) == env._HOLD_CHUNK + (k - 1) * (n_steps - 1) + n_steps
+        assert sum(rows) == env._HOLD_CHUNK + (k - 1) * (n_steps - 1)
 
     @pytest.mark.parametrize("n_steps", LENGTHS)
     def test_hold_always_stays_within_one_block_table(self, monkeypatch, n_steps):
@@ -935,8 +966,8 @@ class TestRowBudget:
         rows.clear()
         e.reset()
         u = np.random.default_rng(2).random(n_steps)
-        assert e.walk(actor, _sampler(u), n_steps)[2].tolist() == actions.tolist()
-        assert sum(rows) == env._HOLD_CHUNK + ladder + n_steps - 3 + n_steps
+        assert e.walk(actor, _sampler(u), n_steps)[1].tolist() == actions.tolist()
+        assert sum(rows) == env._HOLD_CHUNK + ladder + n_steps - 3
 
 
 class TestStepper:

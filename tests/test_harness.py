@@ -574,6 +574,24 @@ class TestExperimentConfig:
         })
         assert config.grid.action_sets == ((0, 20),)
 
+    @pytest.mark.parametrize("change,named", [
+        ({"gamma": [0.9]}, r"unknown: \['gamma'\], missing: \[\]"),
+        ({"gammas": None}, r"unknown: \[\], missing: \['gammas'\]"),
+        ({"gamma": [0.9], "gammas": None}, r"unknown: \['gamma'\], missing: \['gammas'\]"),
+    ])
+    def test_grid_keys_are_the_searched_dimensions(self, change, named):
+        grid = {"action_sets": [[0, 20]], "activations": ["tanh"], "hidden_layers": [[4]],
+                "learning_rates": [1e-3], "clip_ranges": [0.2], "entropy_coefs": [1e-3],
+                "gammas": [0.99], **change}
+        grid = {key: value for key, value in grid.items() if value is not None}
+        with pytest.raises(ConfigError, match=f"grid keys {named}"):
+            ExperimentConfig.from_dict({"data": "x", "output_dir": "y", "grid": grid})
+
+    @pytest.mark.parametrize("grid", [[1, 2], 3, "gammas"])
+    def test_grid_must_be_an_object(self, grid):
+        with pytest.raises(ConfigError, match="grid must be a JSON object"):
+            ExperimentConfig.from_dict({"data": "x", "output_dir": "y", "grid": grid})
+
     @pytest.mark.parametrize("dim,values", [("hidden_layers", [[4], [8.5]]),
                                             ("action_sets", [[0, 20], [0, 15]])])
     def test_every_grid_value_is_checked(self, dim, values):

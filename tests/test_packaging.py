@@ -9,12 +9,15 @@ imports of every module instead of running them.
 """
 
 import ast
+import importlib
+import inspect
 import json
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -139,6 +142,35 @@ class TestPackageExports:
     def test_unknown_attribute_raises_naming_it(self):
         with pytest.raises(AttributeError, match="'activelp' has no attribute 'no_such_name'"):
             activelp.no_such_name
+
+
+def functions_of(module):
+    """Every function, class and method defined in `module`: methods,
+    class and static methods, property getters and cached properties."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            yield obj
+            for member in vars(obj).values():
+                for attr in ("__func__", "fget", "func"):
+                    member = getattr(member, attr, member)
+                if inspect.isfunction(member):
+                    yield member
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_annotations_resolve(name):
+    # an annotation that names something its module imports only inside a
+    # function, to keep its import set small, raises NameError here
+    module = importlib.import_module(f"activelp.{name}")
+    checked = 0
+    for fn in functions_of(module):
+        typing.get_type_hints(fn)
+        checked += 1
+    assert checked
 
 
 class TestImportSets:

@@ -1136,6 +1136,24 @@ class TestDecideThenScore:
         assert np.array_equal(flat(got.critic), flat(critic))
         assert [s.objective for s in got.curve] == objectives
 
+    def test_trains_on_the_four_member_protocol(self):
+        """`train` needs of its env only `obs_dim`, `n_actions`, `reset` and
+        `walk`: on an object holding just those it trains bitwise as on the
+        LPEnv they come from."""
+        from types import SimpleNamespace
+
+        from activelp.env import LPEnv
+
+        spec = AgentSpec(action_set=(0, 10, 20), hidden_layers=(4,), rollout_length=30,
+                         total_timesteps=90, epochs=1, patience=10**6)
+        e = LPEnv(lp_config())
+        walk_only = SimpleNamespace(obs_dim=e.obs_dim, n_actions=e.n_actions, reset=e.reset,
+                                    walk=e.walk)
+        got, want = train(walk_only, spec, seed=3), train(LPEnv(lp_config()), spec, seed=3)
+        assert flat(got.actor).tobytes() == flat(want.actor).tobytes()
+        assert flat(got.critic).tobytes() == flat(want.critic).tobytes()
+        assert repr(got.curve) == repr(want.curve)
+
     def test_no_per_step_scoring_or_cached_forward(self, monkeypatch):
         """Deterministic guard: training a group on LPEnvs and the greedy
         passes score each episode segment with one call of the `amm` kernel,
@@ -1195,10 +1213,10 @@ class TestDecideThenScore:
         # walk per episode segment (6), each of which starts with a hold
         # chunk, under no range or one carried in from the walk before (12),
         # builds one hold ladder (a walk is shorter than a block), whose
-        # levels are 33 calls over the 12 ladders, reads one more chunk for
-        # the one range that the ladders left unresolved (1), and rebuilds
-        # its record with one call (12)
-        assert calls.pop("forward_rows") == 4 + 2 * 6 + 33 + 1 + 2 * 6
+        # levels are 33 calls over the 12 ladders, and reads one more chunk
+        # for the one range that the ladders left unresolved (1); one
+        # stacked per-row actor forward per rollout for the logits (4)
+        assert calls.pop("forward_rows") == 4 + 2 * 6 + 33 + 1 + 4
         # a rollout scores each episode segment it holds once: per agent,
         # 4 rollouts over 40-step episodes cut 6 segments, and each is one
         # kernel call for fees and one for LVR, not one per step
@@ -1380,7 +1398,7 @@ class TestLadderBoundaries:
             got, want = run_policy(e, actor), stepped_policy(ref, actor)
             for name in ("action", "width", "liquidity", "fee", "lvr", "gas", "reward"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-            assert np.array(e._position_obs).tobytes() == np.array(ref._position_obs).tobytes()
+            assert e._observe().tobytes() == ref._observe().tobytes()
         self.check_ladders(kind, ladders)
 
 
@@ -1392,10 +1410,11 @@ class HugeRewards:
 
         self.env = LPEnv(config)
         self.obs_dim, self.n_actions = self.env.obs_dim, self.env.n_actions
-        self.reset, self.walk = self.env.reset, self.env.walk
+        self.reset = self.env.reset
 
-    def rewards(self, lo, hi):
-        return self.env.rewards(lo, hi) * 1e200
+    def walk(self, actor, decide, n):
+        obs, actions, rewards, done = self.env.walk(actor, decide, n)
+        return obs, actions, rewards * 1e200, done
 
 
 class TestPopulation:
