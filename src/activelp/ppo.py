@@ -148,8 +148,7 @@ class Mlp:
             raise ValueError(f"expected input of shape ({size}, N, {n_in}), got {x.shape}")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """`forward_cached`'s output without the backward cache; the training
-        curve runs it."""
+        """The networks' outputs on x, (A, n, n_in); the training curve runs it."""
         self._check_input(x)
         h = x
         for w, b in self._hidden:
@@ -166,24 +165,6 @@ class Mlp:
         for w, b in self._hidden:
             h = self._act(h @ w[:, None] + b[:, None])
         return (h @ self.weights[-1][:, None] + self.biases[-1][:, None])[:, :, 0]
-
-    def forward_cached(self, x: np.ndarray):
-        """The output and the cache that `backward` reads."""
-        self._check_input(x)
-        pre, act = _hidden_forward(x, self._hidden, self._act)
-        return act[-1] @ self.weights[-1] + self.biases[-1], (pre, act)
-
-    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        """Gradient of sum(grad_out * output) w.r.t. each network's
-        parameters, laid out like `theta` (see `views`)."""
-        pre, act = cache
-        grad = np.empty(self.theta.shape)
-        views = self.views(grad)
-        _layer_backward(act[-1], grad_out, *views[-2:])
-        if self._hidden:
-            _hidden_backward(grad_out @ self.weights[-1].swapaxes(-1, -2), self._hidden, pre,
-                             act, self._act_grad, list(zip(views[:-2:2], views[1:-2:2])))
-        return grad
 
 
 def _hidden_forward(x, hidden, act):
@@ -203,13 +184,15 @@ def _hidden_forward(x, hidden, act):
 
 
 def _layer_backward(x, delta, grad_w, grad_b):
-    """Write the gradient of an affine layer with input x and output
-    gradient `delta` into the views `grad_w` and `grad_b`. The product is
-    made in a fresh C-ordered array and then copied: into a Fortran-ordered
-    output numpy computes the transposed product, which BLAS need not sum in
-    the same order."""
-    grad_w[...] = x.swapaxes(-1, -2) @ delta
-    grad_b[...] = np.add.reduce(delta, axis=-2, keepdims=True)
+    """Write the gradient of an affine layer with input x and output gradient
+    `delta` into the views `grad_w` and `grad_b`. Into a Fortran-ordered view
+    numpy computes the transposed product, which BLAS may sum in another order,
+    so it is made C-ordered and copied. The bias sum adds rows in sequence."""
+    if grad_w.strides[-1] == grad_w.itemsize:
+        np.matmul(x.swapaxes(-1, -2), delta, out=grad_w)
+    else:
+        grad_w[...] = x.swapaxes(-1, -2) @ delta
+    np.add.reduce(delta, axis=-2, keepdims=True, out=grad_b)
 
 
 def _hidden_backward(delta, hidden, pre, acts, act_grad, grads):
@@ -228,12 +211,29 @@ def _hidden_backward(delta, hidden, pre, acts, act_grad, grads):
 # categorical policy head
 
 
-def _softmax(logits):
-    """(probs, log-probs) over the last axis, stabilized by max subtraction."""
-    z = logits - logits.max(axis=-1, keepdims=True)
+def _by_columns(op, x):
+    """`op.reduce(x, axis=-1)` for `np.maximum` or `np.add`, over 2 to 7 columns
+    a column at a time, without numpy's loop per row; else numpy's own. numpy
+    adds under 8 terms in sequence onto +0.0 (from 8, pairwise), so only a row
+    of all -0.0 sums apart, and no row of p or p log p is one; maxima match."""
+    m = x.shape[-1]
+    if not 2 <= m < 8:
+        return op.reduce(x, axis=-1)
+    cols = x.reshape(-1, m)  # 2-d columns cost less per call
+    out = op(cols[:, 0], cols[:, 1])
+    for j in range(2, m):
+        op(out, cols[:, j], out=out)
+    return out.reshape(x.shape[:-1])
+
+
+def _softmax(logits, logs: bool = True):
+    """(probs, log-probs) over the last axis, stabilized by max subtraction, or
+    the probs alone. Rows sum as numpy's do: in sequence below 8 columns, else pairwise."""
+    z = logits - _by_columns(np.maximum, logits)[..., None]
     ez = np.exp(z)
-    total = ez.sum(axis=-1, keepdims=True)
-    return ez / total, z - np.log(total)
+    total = _by_columns(np.add, ez)[..., None]
+    probs = ez / total
+    return (probs, z - np.log(total)) if logs else probs
 
 
 @dataclass
@@ -250,7 +250,7 @@ class Categorical:
                                       + actions]
 
     def entropy(self) -> np.ndarray:
-        return -(self.probs * self.logps).sum(axis=-1)
+        return -_by_columns(np.add, self.probs * self.logps)
 
 
 def _row_starts(shape, m: int) -> np.ndarray:
@@ -264,8 +264,9 @@ def _draw(probs: np.ndarray, u) -> np.ndarray:
     `u` (...): the index of the first cumulative sum that u is not at or
     above, clamped to the last category, so the number of the first m - 1
     sums at or below u (the sums do not decrease). The sums are added a
-    column at a time, in row order, as `np.cumsum` adds along a row: numpy
-    reduces along a short last axis one row at a time."""
+    column at a time, in row order, as `np.cumsum` adds along a row at any
+    width; `np.sum` adds in sequence only below 8 columns, and pairwise from
+    8 (see `_by_columns`)."""
     total = probs[..., 0]
     drawn = np.zeros(total.shape, dtype=np.int64)
     for j in range(1, probs.shape[-1]):
@@ -278,7 +279,7 @@ def _sampler(u):
     """The `decide` of a sampled walk (see `env.LPEnv.walk`): step i of the
     walk draws from the softmax of its logits with uniform u[i]."""
     def decide(logits, steps):
-        return _draw(_softmax(logits)[0], u[steps])
+        return _draw(_softmax(logits, logs=False), u[steps])
     return decide
 
 
@@ -338,12 +339,20 @@ class RolloutBatch:
 
     def select(self, idx) -> "RolloutBatch":
         """Each agent's steps at its row of `idx`, (A, k)."""
-        rows = np.arange(idx.shape[0])[:, None]
-        # the (A, n) fields are C-contiguous: take from them flattened
-        flat = idx + rows * self.actions.shape[1]
-        return RolloutBatch(self.observations[rows, idx], *(
-            a.take(flat) for a in (self.actions, self.log_probs, self.rewards, self.values,
-                                   self.dones, self.returns, self.advantages)))
+        out, flat = self._gather(idx)
+        out.rewards, out.values, out.dones = (
+            a.take(flat) for a in (self.rewards, self.values, self.dones))
+        return out
+
+    def _gather(self, idx):
+        """`select` of only what the loss reads, None for rewards, values and
+        dones, and the flat index of its steps: every field is C-contiguous,
+        so each is one `take` from its flattened rows."""
+        flat = idx + _row_starts((idx.shape[0], 1), self.actions.shape[1])
+        obs = self.observations
+        return RolloutBatch(obs.reshape(-1, obs.shape[-1]).take(flat, axis=0),
+                            self.actions.take(flat), self.log_probs.take(flat), None, None,
+                            None, self.returns.take(flat), self.advantages.take(flat)), flat
 
     def rows(self, rows) -> "RolloutBatch":
         """The steps of the agents at `rows`."""
@@ -396,7 +405,7 @@ class _Loss:
         clipped = np.minimum(np.maximum(ratio, self.lo), self.hi)
         surr1 = ratio * adv
         surr2 = clipped * adv
-        ent = -np.add.reduce(probs * logps, axis=-1)
+        ent = -_by_columns(np.add, probs * logps)
         err = values[..., 0] - batch.returns
         # sum / n is np.mean's arithmetic without its per-call overhead
         terms = {"policy": np.add.reduce(np.minimum(surr1, surr2), axis=1) / n,
@@ -407,15 +416,16 @@ class _Loss:
         if not grads:
             return objective, terms
 
-        # d policy_term / d log-prob of the taken action; the clipped branch is
-        # flat in ratio whenever it is strictly selected.
-        coeff = np.where(surr1 <= surr2, adv * ratio, 0.0) / n
-        # one_hot - probs, with 1.0 - p as -p + 1.0
+        # d policy_term / d log-prob of the taken action, adv * ratio; the
+        # clipped branch is flat in ratio whenever it is strictly selected.
+        coeff = np.where(surr1 <= surr2, surr1, 0.0) / n
         d_logits = -probs
+        # entropy bonus: dH/dz_j = -p_j * (log p_j + H)
+        d_entropy = d_entropy_coef * (d_logits * (logps + ent[..., None]))
+        # one_hot - probs, with 1.0 - p as -p + 1.0
         d_logits.reshape(-1)[taken] += 1.0
         d_logits *= coeff[..., None]
-        # entropy bonus: dH/dz_j = -p_j * (log p_j + H)
-        d_logits += d_entropy_coef * (-probs * (logps + ent[..., None]))
+        d_logits += d_entropy
         return objective, terms, d_logits, d_value_coef * err
 
 
@@ -432,7 +442,7 @@ class _ActorCritic:
     matrix keeps its memory order, so each network computes bitwise as it
     would alone. The output layers differ in width and run apart.
 
-    `grad` is laid out like `theta` and holds the last `ppo_objective`
+    `grad` is laid out like `theta` and holds the last `objective`'s
     gradients; its padding is never written, so it stays zero and Adam
     leaves the padding of `theta` at zero."""
 
@@ -456,7 +466,6 @@ class _ActorCritic:
         self._hidden = list(zip(views[0::2], views[1::2]))
         self._grad_hidden = list(zip(grad_views[0::2], grad_views[1::2]))
         self._act, self._act_grad = _ACTIVATIONS[activation]
-        self._loss = None
 
     @classmethod
     def join(cls, actor: Mlp, critic: Mlp) -> "_ActorCritic":
@@ -486,20 +495,9 @@ class _ActorCritic:
         their own."""
         return type(self)(self.theta[rows], self.grad[rows], self._layouts, self.activation)
 
-    def loss(self, clip_range, value_coef, entropy_coef) -> _Loss:
-        """The loss with these coefficients. It is kept while they are the
-        same objects, as a group's are until it drops agents, so its
-        constants are made once."""
-        loss = self._loss
-        if loss is None or any(a is not b for a, b in zip(
-                loss.coefs, (clip_range, value_coef, entropy_coef))):
-            loss = self._loss = _Loss(clip_range, value_coef, entropy_coef)
-        return loss
-
     def forward_cached(self, x: np.ndarray):
         """Both networks on x, (A, n, n_in): the logits, the values and the
         cache that `backward` reads."""
-        self.actor._check_input(x)
         pre, acts = _hidden_forward(x[:, None], self._hidden, self._act)
         # without hidden layers acts[-1] is x[:, None], so both heads read x
         h = acts[-1]
@@ -518,6 +516,14 @@ class _ActorCritic:
             np.matmul(d_logits, self.actor.weights[-1].swapaxes(-1, -2), out=delta[:, 0])
             np.matmul(d_values, self.critic.weights[-1].swapaxes(-1, -2), out=delta[:, 1])
             _hidden_backward(delta, self._hidden, pre, acts, self._act_grad, self._grad_hidden)
+
+    def objective(self, batch: RolloutBatch, loss: _Loss):
+        """`ppo_objective` without its checks: the objective and its terms
+        per agent, with the gradients written into `grad`."""
+        logits, values, cache = self.forward_cached(batch.observations)
+        objective, terms, d_logits, d_values = loss.evaluate(batch, logits, values, grads=True)
+        self.backward(cache, d_logits, d_values[..., None])
+        return objective, terms
 
 
 def ppo_objective(batch: RolloutBatch, actor: Mlp, critic: Mlp,
@@ -540,10 +546,8 @@ def ppo_objective(batch: RolloutBatch, actor: Mlp, critic: Mlp,
     if len(batch) == 0:
         raise ValueError("empty batch")
     nets = _ActorCritic.of(actor, critic)
-    logits, values, cache = nets.forward_cached(batch.observations)
-    objective, terms, d_logits, d_values = nets.loss(
-        clip_range, value_coef, entropy_coef).evaluate(batch, logits, values, grads=True)
-    nets.backward(cache, d_logits, d_values[..., None])
+    nets.actor._check_input(batch.observations)
+    objective, terms = nets.objective(batch, _Loss(clip_range, value_coef, entropy_coef))
     return objective, terms, nets.actor_grad, nets.critic_grad
 
 
@@ -677,16 +681,16 @@ class _Group:
     """Agents of one network shape, trained in lockstep. Row r of
     every stacked array (parameters, Adam moments, coefficients and rollout)
     belongs to `agents[r]`. The actors and critics live in one
-    `_ActorCritic`, `nets`, and one Adam steps its whole buffer."""
+    `_ActorCritic`, `nets`, and one Adam steps its whole buffer; `loss`
+    holds the agents' PPO coefficients."""
 
     def __init__(self, agents: list[_Agent], actor: Mlp, critic: Mlp):
         self.agents = agents
         self.nets = _ActorCritic.join(actor, critic)
         specs = [agent.spec for agent in agents]
         self.opt = Adam(self.nets.theta, [s.learning_rate for s in specs])
-        self.clip_range = np.array([s.clip_range for s in specs])
-        self.value_coef = np.array([s.value_coef for s in specs])
-        self.entropy_coef = np.array([s.entropy_coef for s in specs])
+        self.loss = _Loss(*(np.array([getattr(s, name) for s in specs])
+                            for name in ("clip_range", "value_coef", "entropy_coef")))
         for agent in agents:
             agent.env.reset()
         self.batch = None
@@ -704,8 +708,7 @@ class _Group:
         self.agents = [self.agents[r] for r in rows]
         self.nets = self.nets.take(rows)
         self.opt.keep(rows, self.nets.theta)
-        self.clip_range, self.value_coef, self.entropy_coef = (
-            self.clip_range[rows], self.value_coef[rows], self.entropy_coef[rows])
+        self.loss = _Loss(*(coef[rows] for coef in self.loss.coefs))
         self.batch = self.batch.rows(rows)
 
     def drop(self, bad, make_outcome, out):
@@ -769,9 +772,8 @@ class _Group:
         """The objective and its terms on the whole rollout, per agent, for
         the training curve: no gradient, so forward passes only."""
         batch = self.batch
-        loss = self.nets.loss(self.clip_range, self.value_coef, self.entropy_coef)
-        return loss.evaluate(batch, self.actor.forward(batch.observations),
-                             self.critic.forward(batch.observations))
+        return self.loss.evaluate(batch, self.actor.forward(batch.observations),
+                                  self.critic.forward(batch.observations))
 
 
 def lockstep_groups(envs, specs) -> list[list[int]]:
@@ -847,10 +849,8 @@ def _train_group(group: _Group, out: list):
             order = np.stack([agent.rng.permutation(n) for agent in group.agents])
             for lo in range(0, n, schedule.minibatch_size):
                 # the gradients land in group.nets.grad, whose rows `drop` compacts too
-                objective, _, _, _ = ppo_objective(
-                    group.batch.select(order[:, lo:lo + schedule.minibatch_size]),
-                    group.actor, group.critic, group.clip_range, group.value_coef,
-                    group.entropy_coef)
+                batch, _ = group.batch._gather(order[:, lo:lo + schedule.minibatch_size])
+                objective, _ = group.nets.objective(batch, group.loss)
                 bad = ~np.isfinite(objective)
                 if bad.any():
                     if not group.drop(bad, lambda r: TrainingDiverged(diverged), out):

@@ -13,6 +13,7 @@ from activelp.ppo import (ACTIVATIONS, Adam, AgentSpec, Categorical, Mlp, Rollou
                           TrainingDiverged, advantages, compute_returns,
                           ppo_objective, train, train_population)
 import amm_oracle
+from backprop import backward, forward_cached
 from bandit import ContextualBandit
 from greedy import stepped_policy
 from stepper import Stepper
@@ -191,13 +192,14 @@ class TestMlpBuffer:
         for n in (1, 64):
             x = rng.standard_normal((3, n, self.SIZES[0]))
             grad_out = rng.standard_normal((3, n, self.SIZES[-1]))
-            out, cache = pop.forward_cached(x)
-            grads = pop.backward(cache, grad_out)
+            out, cache = forward_cached(pop, x)
+            grads = backward(pop, cache, grad_out)
             assert pop.forward(x).tobytes() == out.tobytes()
             for r, net in enumerate(nets):
-                want, want_cache = net.forward_cached(x[r:r + 1])
+                want, want_cache = forward_cached(net, x[r:r + 1])
                 assert out[r].tobytes() == want[0].tobytes()
-                assert grads[r].tobytes() == net.backward(want_cache, grad_out[r:r + 1])[0].tobytes()
+                want_grads = backward(net, want_cache, grad_out[r:r + 1])
+                assert grads[r].tobytes() == want_grads[0].tobytes()
         back = pop.take([2, 0])
         assert back.theta.tobytes() == np.concatenate([nets[2].theta, nets[0].theta]).tobytes()
         assert not np.shares_memory(back.theta, pop.theta)
@@ -322,6 +324,40 @@ class TestCategorical:
         assert got.tolist() == want and len(set(want)) > 1
 
 
+class TestByColumns:
+    """`_by_columns` against numpy's own maxima and sums over the last
+    axis, bit for bit, on random rows and on rows of special values. A NaN
+    need only be a NaN: which of two NaNs of opposite sign a maximum keeps
+    is not numpy's contract."""
+
+    SPECIALS = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 1e300,
+                         -1e300, 5e-324])
+
+    @staticmethod
+    def same(got, want):
+        nan = np.isnan(want)
+        return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+                and got[~nan].tobytes() == want[~nan].tobytes())
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bitwise_numpy_reductions(self, m):
+        rng = np.random.default_rng(200 + m)
+        for rows in ((1, 2500), (2, 64), (16, 64), (7,), ()):
+            shape = (*rows, m)
+            # magnitudes over 16 decades, so a sum in another order rounds apart
+            mixed = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+            for x in (mixed, rng.choice(self.SPECIALS, shape),
+                      rng.choice(self.SPECIALS[2:4], shape)):
+                assert self.same(ppo._by_columns(np.maximum, x), x.max(axis=-1))
+                want = x.sum(axis=-1)
+                if 2 <= m < 8:
+                    # numpy adds onto +0.0, so only a row of -0.0 sums apart
+                    negative_zeros = np.all((x == 0.0) & np.signbit(x), axis=-1)
+                    want = np.where(negative_zeros, -0.0, want)
+                assert self.same(ppo._by_columns(np.add, x), want)
+
+
 class TestReturnsAndAdvantages:
     def test_hand_recursion(self):
         np.testing.assert_allclose(compute_returns([1.0, 1.0, 1.0], 0.5),
@@ -431,12 +467,12 @@ class TestObjective:
         batch = random_batch(rng, actor, critic, n=16, logp_jitter=0.0)
 
         # vanilla policy gradient of mean(log pi(a|s) * A)
-        logits, cache = actor.forward_cached(batch.observations)
+        logits, cache = forward_cached(actor, batch.observations)
         dist = Categorical(logits)
         one_hot = np.zeros_like(dist.probs)
         one_hot[0, np.arange(len(batch)), batch.actions[0]] = 1.0
         coeff = batch.advantages[..., None] / len(batch)
-        vanilla = actor.backward(cache, coeff * (one_hot - dist.probs))
+        vanilla = backward(actor, cache, coeff * (one_hot - dist.probs))
 
         _, _, ppo_grads, _ = ppo_objective(batch, actor, critic, 1e9, 0.0, 0.0)
 
@@ -453,6 +489,31 @@ class TestObjective:
         batch = random_batch(rng, actor, critic, n=4).select(np.zeros((1, 0), dtype=int))
         with pytest.raises(ValueError):
             ppo_objective(batch, actor, critic, 0.2, 0.5, 0.01)
+
+
+class TestGather:
+    def test_gather_is_select_of_what_the_loss_reads(self):
+        """`_gather` takes the observations, actions, log-probs, returns and
+        advantages of `select`, bit for bit, and nothing else; `select`
+        takes each agent's steps at its row of the order."""
+        rng = np.random.default_rng(73)
+        size, n = 3, 50
+        batch = RolloutBatch(
+            rng.standard_normal((size, n, 13)), rng.integers(0, 4, (size, n)),
+            rng.standard_normal((size, n)), rng.standard_normal((size, n)),
+            rng.standard_normal((size, n)), rng.random((size, n)) < 0.1,
+            rng.standard_normal((size, n)), rng.standard_normal((size, n)))
+        idx = np.stack([rng.permutation(n)[:16] for _ in range(size)])
+        (got, _), want = batch._gather(idx), batch.select(idx)
+        for name in ("observations", "actions", "log_probs", "returns", "advantages"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.rewards is None and got.values is None and got.dones is None
+        for name in ("observations", "actions", "log_probs", "rewards", "values", "dones",
+                     "returns", "advantages"):
+            picked = getattr(want, name)
+            for r in range(size):
+                assert picked[r].tobytes() == getattr(batch, name)[r, idx[r]].tobytes(), name
 
 
 BANDIT_SPEC = AgentSpec(
@@ -1158,8 +1219,8 @@ class TestDecideThenScore:
         """Deterministic guard: training a group on LPEnvs and the greedy
         passes score each episode segment with one call of the `amm` kernel,
         never step the scalar oracles or `advance`, make no actor forward
-        per step, call the cached forward only in the update, and the group
-        shares each critic forward and objective."""
+        per step, call the pair's cached forward only in the update, and the
+        group shares each critic forward and objective."""
         from activelp import amm, env
         from activelp.env import LPEnv
 
@@ -1172,7 +1233,7 @@ class TestDecideThenScore:
             return wrapper
 
         in_update = [False]
-        objective = ppo.ppo_objective
+        objective = ppo._ActorCritic.objective
 
         def update_objective(*args, **kwargs):
             in_update[0] = True
@@ -1181,7 +1242,7 @@ class TestDecideThenScore:
             finally:
                 in_update[0] = False
 
-        forward_cached = Mlp.forward_cached
+        forward_cached = ppo._ActorCritic.forward_cached
 
         def rollout_forward_cached(self, x):
             if not in_update[0]:
@@ -1193,8 +1254,8 @@ class TestDecideThenScore:
                 monkeypatch.setattr(module, name, counted(f"{module.__name__}.{name}",
                                                           getattr(module, name)))
         monkeypatch.setattr(env, "_score", counted("_score", env._score))
-        monkeypatch.setattr(ppo, "ppo_objective", counted("ppo_objective", update_objective))
-        monkeypatch.setattr(Mlp, "forward_cached", rollout_forward_cached)
+        monkeypatch.setattr(ppo._ActorCritic, "objective", counted("objective", update_objective))
+        monkeypatch.setattr(ppo._ActorCritic, "forward_cached", rollout_forward_cached)
         monkeypatch.setattr(Mlp, "forward", counted("forward", Mlp.forward))
         monkeypatch.setattr(Mlp, "forward_rows", counted("forward_rows", Mlp.forward_rows))
         monkeypatch.setattr(LPEnv, "advance", counted("advance", LPEnv.advance))
@@ -1208,7 +1269,7 @@ class TestDecideThenScore:
         # update for the curve, and one objective per minibatch for the group
         assert "advance" not in calls
         assert calls.pop("forward") == 2 * 4
-        assert calls.pop("ppo_objective") == 4
+        assert calls.pop("objective") == 4
         # one stacked per-row critic forward per rollout (4); per agent, one
         # walk per episode segment (6), each of which starts with a hold
         # chunk, under no range or one carried in from the walk before (12),
@@ -1474,6 +1535,40 @@ class TestPopulation:
                 assert getattr(traces[0], name).tobytes() == getattr(traces[1], name).tobytes()
         assert results[self.STOPS].timesteps == 96
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_dropped_agent_leaves_the_batch_the_loop_gathers_from(self, monkeypatch):
+        """The diverging agent's group drops its middle row in the middle of
+        an epoch: every later minibatch is gathered from the rollout
+        compacted to the two agents kept, at their rows of the order, as
+        they train alone."""
+        gathers = []
+        gather = RolloutBatch._gather
+
+        def recorded(batch, idx):
+            out, flat = gather(batch, idx)
+            gathers.append((batch, idx, out))
+            return out, flat
+
+        monkeypatch.setattr(RolloutBatch, "_gather", recorded)
+        members = [0, self.DIVERGES, 2]  # one network shape
+        envs, specs, seeds = zip(*(self._setup(k) for k in members))
+        results = train_population(envs, specs, seeds)
+        monkeypatch.undo()
+        assert isinstance(results[1], TrainingDiverged)
+        sizes = [len(batch.actions) for batch, _, _ in gathers]
+        cut = sizes.index(2)
+        assert cut > 0 and set(sizes[:cut]) == {3} and set(sizes[cut:]) == {2}
+        before, after = gathers[cut - 1][0], gathers[cut][0]
+        for name in ("observations", "actions", "log_probs", "returns", "advantages"):
+            assert getattr(after, name).tobytes() == getattr(before, name)[[0, 2]].tobytes(), name
+        for batch, idx, out in gathers:
+            assert idx.shape[0] == len(batch.actions)
+            assert out.observations.tobytes() == batch.select(idx).observations.tobytes()
+        for k, got in ((0, results[0]), (2, results[2])):
+            solo = train(*self._setup(k))
+            assert flat(got.actor).tobytes() == flat(solo.actor).tobytes(), k
+            assert repr(got.curve) == repr(solo.curve), k
+
     @pytest.mark.parametrize("changes,field", [
         ({"rollout_length": 24}, "rollout_length"),
         ({"total_timesteps": 96}, "total_timesteps"),
@@ -1536,8 +1631,9 @@ class TestActorCritic:
         self._group_vs_solo((), "tanh", size)
 
     def test_one_objective_and_one_adam_step_per_minibatch(self, monkeypatch):
-        """Deterministic guard: a group of two makes one `ppo_objective` and
-        one `Adam.ascend` call per minibatch, for actors and critics alike."""
+        """Deterministic guard: a group of two makes one objective of its
+        actor-critic pair and one `Adam.ascend` call per minibatch, for
+        actors and critics alike, and gathers each minibatch once."""
         from activelp.env import LPEnv
 
         calls = {}
@@ -1548,15 +1644,18 @@ class TestActorCritic:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(ppo, "ppo_objective", counted("ppo_objective", ppo.ppo_objective))
+        monkeypatch.setattr(ppo._ActorCritic, "objective",
+                            counted("objective", ppo._ActorCritic.objective))
         monkeypatch.setattr(Adam, "ascend", counted("ascend", Adam.ascend))
+        monkeypatch.setattr(RolloutBatch, "_gather", counted("_gather", RolloutBatch._gather))
         spec = AgentSpec(action_set=(0, 10, 20), rollout_length=40, total_timesteps=100,
                          epochs=3, minibatch_size=16, patience=10**6)
         results = train_population([LPEnv(lp_config()) for _ in range(2)],
                                    [spec, replace(spec, learning_rate=1e-3)], [3, 4])
         assert all(isinstance(r, ppo.TrainResult) for r in results)
         # rollouts of 40, 40 and 20 steps, 3, 3 and 2 minibatches per epoch
-        assert calls == {"ppo_objective": 3 * (3 + 3 + 2), "ascend": 3 * (3 + 3 + 2)}
+        steps = 3 * (3 + 3 + 2)
+        assert calls == {"objective": steps, "ascend": steps, "_gather": steps}
 
     def test_one_buffer_with_zero_padding(self):
         """The group's actor and critic views, and the stacked hidden views,
@@ -1596,8 +1695,7 @@ class TestActorCritic:
                 order = np.stack([agent.rng.permutation(48) for agent in group.agents])
                 for lo in range(0, 48, 16):
                     ppo_objective(group.batch.select(order[:, lo:lo + 16]), group.actor,
-                                  group.critic, group.clip_range, group.value_coef,
-                                  group.entropy_coef)
+                                  group.critic, *group.loss.coefs)
                     group.opt.ascend(nets.grad)
         assert group.opt.t == 12 and np.isfinite(nets.theta).all()
         assert not padding.any() and not nets.grad.reshape(2, 2, -1)[:, 1, width:].any()
