@@ -275,21 +275,6 @@ class LPEnv:
         self._actions.fill(0)
         return self._observe()
 
-    def advance(self, action_index: int) -> tuple[np.ndarray, bool]:
-        """Take one decision without scoring it: open the chosen range (or
-        hold), record the action and move to the next hour. Returns the next
-        observation and whether the episode is over; `rewards` scores the
-        recorded steps."""
-        if self._t is None:
-            raise RuntimeError("reset() must be called before advance()")
-        if self._t >= self._last:
-            raise RuntimeError("advance() called after the episode ended")
-        if not 0 <= action_index < self._n_actions:
-            raise ValueError(f"action index {action_index} out of range")
-        self._actions[self._t - self._start] = action_index
-        self._t += 1
-        return self._observe(), self._t >= self._last
-
     def walk(self, actor, decide, n: int):
         """Take up to `n` decisions from the current step with `actor`, a
         single-network `ppo.Mlp` with `obs_dim` inputs and `n_actions`
@@ -298,7 +283,7 @@ class LPEnv:
         that of step `steps[i]` of this walk, counted from 0 at its first.
         Returns the observation, action and reward of each step taken and
         whether the episode is over: the scored segment, bitwise what
-        deciding step by step with `advance` and a 1-row `forward` and
+        deciding each step on a 1-row `forward` of its observation and
         scoring with `rewards` give. The rewards are this env's `rewards`
         of the walked steps.
 
@@ -405,8 +390,8 @@ def run_policy(env: LPEnv, actor) -> EpisodeTrace:
     The episode is one `_walk`, which keeps nothing per step but the env's
     action record: the logits come from hold ladders and hold chunks, not
     one `forward` per step, and the actions and the trace are bitwise those
-    of deciding every step with `advance`. The env is left at the end of
-    the episode as that loop leaves it."""
+    of deciding every step on its own 1-row `forward`. The env is left at
+    the end of the episode."""
     n_networks, n_in, _ = actor.weights[0].shape
     n_out = actor.weights[-1].shape[2]
     if (n_networks, n_in, n_out) != (1, env.obs_dim, env.n_actions):
@@ -444,7 +429,7 @@ def _walk(env: LPEnv, actor, decide, n: int) -> None:
     chunks double while the agent holds, from `_HOLD_CHUNK` rows up to the
     block size. `forward_rows` gives each row the bits of its own 1-row
     `forward`, and the rows' position entries come from
-    `FeatureStats.normalize`, as `advance`'s do. Memory is bounded by the
+    `FeatureStats.normalize`, as `_observe`'s do. Memory is bounded by the
     block size."""
     start = env._start
     t0 = env._t - start
@@ -530,8 +515,8 @@ def _ladder(env: LPEnv, actor, decide, o: int, end: int, t0: int):
 
 def replay(config: EnvConfig, actions) -> EpisodeTrace:
     """The trace of this sequence of action indices over `config`, bitwise
-    equal to deciding them one by one with `LPEnv.advance` and scoring with
-    `LPEnv.rewards`, computed without an environment."""
+    equal to taking them in an `LPEnv` and scoring with `LPEnv.rewards`,
+    computed without an environment."""
     n = len(config.data) - MIN_HISTORY
     actions = np.asarray(actions)
     if actions.shape != (n,):

@@ -64,8 +64,6 @@ class Mlp:
     population first: (A, n, features).
     """
 
-    pair = None  # the _ActorCritic whose buffer holds this population, if any
-
     def __init__(self, weights, biases, activation):
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
@@ -338,21 +336,14 @@ class RolloutBatch:
         return self.actions.shape[1]
 
     def select(self, idx) -> "RolloutBatch":
-        """Each agent's steps at its row of `idx`, (A, k)."""
-        out, flat = self._gather(idx)
-        out.rewards, out.values, out.dones = (
-            a.take(flat) for a in (self.rewards, self.values, self.dones))
-        return out
-
-    def _gather(self, idx):
-        """`select` of only what the loss reads, None for rewards, values and
-        dones, and the flat index of its steps: every field is C-contiguous,
-        so each is one `take` from its flattened rows."""
+        """Each agent's steps at its row of `idx`, (A, k), of only what the
+        loss reads: rewards, values and dones are None. Every field is
+        C-contiguous, so each is one `take` from its flattened rows."""
         flat = idx + _row_starts((idx.shape[0], 1), self.actions.shape[1])
         obs = self.observations
         return RolloutBatch(obs.reshape(-1, obs.shape[-1]).take(flat, axis=0),
                             self.actions.take(flat), self.log_probs.take(flat), None, None,
-                            None, self.returns.take(flat), self.advantages.take(flat)), flat
+                            None, self.returns.take(flat), self.advantages.take(flat))
 
     def rows(self, rows) -> "RolloutBatch":
         """The steps of the agents at `rows`."""
@@ -457,7 +448,6 @@ class _ActorCritic:
             nets.append(Mlp._on(halves[:, k, :width], layout, activation))
             grads.append(grad_halves[:, k, :width])
         self.actor, self.critic = nets
-        self.actor.pair = self.critic.pair = self
         self.actor_grad, self.critic_grad = grads
         self._grad_heads = [net.views(g)[-2:] for net, g in zip(nets, grads)]
         # the actor's layout on (A, 2, P) views both halves' hidden layers
@@ -483,12 +473,6 @@ class _ActorCritic:
         theta = theta.reshape(rows, 2 * size)
         return cls(theta, np.zeros_like(theta), (actor._layout, critic._layout),
                    actor.activation)
-
-    @classmethod
-    def of(cls, actor: Mlp, critic: Mlp) -> "_ActorCritic":
-        """The pair that holds `actor` and `critic`, or a joined copy."""
-        pair = actor.pair
-        return pair if pair is not None and critic.pair is pair else cls.join(actor, critic)
 
     def take(self, rows) -> "_ActorCritic":
         """The agents at `rows`, parameters and gradients, in buffers of
@@ -538,17 +522,19 @@ def ppo_objective(batch: RolloutBatch, actor: Mlp, critic: Mlp,
     gradients point in the ascent direction of J and are laid out like each
     network's `theta`.
 
-    The two networks need one hidden layout and activation. When they are
-    the actor and critic of one `_ActorCritic`, as a training group's are,
-    the gradients are views of its `grad`, which the next call overwrites;
-    any other two networks are first copied into a pair of their own.
+    The two networks need one hidden layout and activation; they are
+    copied into one `_ActorCritic`, whose `objective` a training group
+    calls on its own pair.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
-    nets = _ActorCritic.of(actor, critic)
+    nets = _ActorCritic.join(actor, critic)
     nets.actor._check_input(batch.observations)
     objective, terms = nets.objective(batch, _Loss(clip_range, value_coef, entropy_coef))
     return objective, terms, nets.actor_grad, nets.critic_grad
+
+
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
 class Adam:
@@ -558,26 +544,23 @@ class Adam:
     step over a group's joint actor-critic buffer is bitwise a step per
     network, and zero-gradient padding stays where it is."""
 
-    def __init__(self, theta, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, theta, lr):
         self.theta = theta
         self.lr = _column(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros_like(theta)
         self.v = np.zeros_like(theta)
         self.t = 0
 
     def ascend(self, grad):
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - _BETA1 ** self.t
+        b2c = 1.0 - _BETA2 ** self.t
         # in place, with the arithmetic of m = beta1 * m + (1 - beta1) * grad
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grad
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * (grad * grad)
-        self.theta += self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.eps)
+        self.m *= _BETA1
+        self.m += (1.0 - _BETA1) * grad
+        self.v *= _BETA2
+        self.v += (1.0 - _BETA2) * (grad * grad)
+        self.theta += self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + _EPS)
 
     def keep(self, rows, theta):
         """Drop every row but `rows`, whose parameters now live in `theta`."""
@@ -849,7 +832,7 @@ def _train_group(group: _Group, out: list):
             order = np.stack([agent.rng.permutation(n) for agent in group.agents])
             for lo in range(0, n, schedule.minibatch_size):
                 # the gradients land in group.nets.grad, whose rows `drop` compacts too
-                batch, _ = group.batch._gather(order[:, lo:lo + schedule.minibatch_size])
+                batch = group.batch.select(order[:, lo:lo + schedule.minibatch_size])
                 objective, _ = group.nets.objective(batch, group.loss)
                 bad = ~np.isfinite(objective)
                 if bad.any():

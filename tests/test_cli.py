@@ -183,7 +183,7 @@ class TestTrainEvaluate:
         def no_training(*args, **kwargs):
             raise AssertionError("an agent was trained")
 
-        monkeypatch.setattr(ppo, "train_population", no_training)
+        monkeypatch.setattr(ppo, "train", no_training)
         spec_file = tmp_path / "spec.json"
         bad_specs = ({"clip_range": 7.0}, {"hidden_layers": [8.5]}, {"hidden_layers": 8},
                      {"action_set": [0, "10", 20]}, {"learning_rate": float("nan")},

@@ -12,7 +12,7 @@ from activelp.env import MIN_HISTORY, OBS_SIZE, EnvConfig, LPEnv, MarketTape
 from activelp.ppo import ACTIVATIONS, Mlp, _sampler
 import amm_oracle as oracle
 from greedy import stepped_policy
-from stepper import Stepper, stepped_trace
+from stepper import Stepper, stepped_observations, stepped_trace, walk_scripted
 
 POOL = PoolSpec(fee_rate=0.0005, tick_spacing=10, gas_cost=5.0)
 
@@ -183,26 +183,25 @@ class TestStepMechanics:
         assert s.step(2).gas == POOL.gas_cost
 
     def test_step_after_done_raises(self):
-        e = LPEnv(EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0,
-                            data=MarketTape(flat_series(MIN_HISTORY + 2))))
-        e.reset()
-        assert e.n_steps == 2
-        e.advance(0)
-        _, done = e.advance(0)
-        assert done
+        s = Stepper(EnvConfig(pool=POOL, action_set=(0, 50), x0=2.0,
+                              data=MarketTape(flat_series(MIN_HISTORY + 2))))
+        s.reset()
+        assert s.n_steps == 2
+        s.step(0)
+        assert s.step(0).done
         with pytest.raises(RuntimeError):
-            e.advance(0)
+            s.step(0)
 
     def test_invalid_action_raises(self):
-        e = gbm_env()
-        e.reset()
+        s = gbm_stepper()
+        s.reset()
         with pytest.raises(ValueError):
-            e.advance(5)
+            s.step(5)
 
     def test_step_before_reset_raises(self):
-        e = gbm_env()
+        s = gbm_stepper()
         with pytest.raises(RuntimeError):
-            e.advance(0)
+            s.step(0)
 
     def test_position_sizing_follows_x0(self):
         for x0 in (2.0, 10.0):
@@ -291,11 +290,9 @@ class TestObservation:
 
     def test_entries_always_finite(self):
         e = gbm_env(seed=13, vol=0.05)
-        obs = e.reset()
-        done = False
-        while not done:
-            assert np.all(np.isfinite(obs))
-            obs, done = e.advance(1)
+        e.reset()
+        obs, _, _, done = walk_scripted(e, np.ones(e.n_steps))
+        assert done and np.all(np.isfinite(obs)) and np.all(np.isfinite(e._observe()))
 
     def test_width_and_liquidity_zero_without_position(self):
         series = data.gbm_generate(seed=15, n_hours=300, p_start=3000.0, vol=0.01)
@@ -436,10 +433,9 @@ class TestNoLookahead:
     @staticmethod
     def observations(tape, action_set, stats, actions):
         e = LPEnv(EnvConfig(pool=POOL, action_set=action_set, x0=2.0, data=tape, stats=stats))
-        obs = [e.reset()]
-        for a in actions:
-            obs.append(e.advance(int(a))[0])
-        return np.array(obs)
+        e.reset()
+        obs = walk_scripted(e, actions)[0]
+        return np.concatenate([obs, e._observe()[None]])
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_later_candles_change_nothing_up_to_t(self, seed):
@@ -606,8 +602,9 @@ class TestReplay:
 
 
 class TestAdvanceRewards:
-    """`advance` decides and `rewards(lo, hi)` scores: together they must
-    give what the scalar stepper gives, bitwise, however the episode is cut."""
+    """Scripted walks decide and `rewards(lo, hi)` scores: together they
+    must give what the scalar stepper gives, bitwise, however the episode is
+    cut."""
 
     @staticmethod
     def stepped(config, actions):
@@ -623,18 +620,18 @@ class TestAdvanceRewards:
 
     @staticmethod
     def advanced(config, actions, cuts):
-        """Advance through the episode and score each segment between
-        consecutive cuts as soon as its last step is taken."""
+        """Walk through the episode one segment between consecutive cuts at
+        a time and score each segment as soon as its last step is taken."""
         e = LPEnv(config)
-        obs = [e.reset()]
-        rewards = []
+        e.reset()
+        obs, rewards = [], []
         bounds = sorted(set(cuts) | {0, len(actions)})
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            for a in actions[lo:hi]:
-                ob, done = e.advance(int(a))
-                obs.append(ob)
+            ob, _, _, done = walk_scripted(e, actions[lo:hi])
+            obs.extend(ob)
             rewards.extend(e.rewards(lo, hi).tolist())
         assert done
+        obs.append(e._observe())
         return np.array(obs), np.array(rewards)
 
     def assert_same(self, config, actions, cuts):
@@ -669,8 +666,7 @@ class TestAdvanceRewards:
             self.assert_same(config, actions, cuts)
         e = LPEnv(config)
         e.reset()
-        for a in actions:
-            e.advance(int(a))
+        walk_scripted(e, actions)
         # a segment that starts after the opening step still scores that position
         assert e.rewards(10, 11)[0] != 0.0 and e.rewards(0, 3).tolist() == [0.0] * 3
 
@@ -691,30 +687,36 @@ class TestAdvanceRewards:
     def test_reset_clears_the_record(self):
         e = gbm_env(n_hours=MIN_HISTORY + 30, seed=11)
         e.reset()
-        for _ in range(30):
-            e.advance(2)
+        walk_scripted(e, [2] * 30)
         e.reset()
-        obs, _ = e.advance(0)
+        walk_scripted(e, [0])
         assert e.rewards(0, 1).tolist() == [0.0]
         fresh = gbm_env(n_hours=MIN_HISTORY + 30, seed=11)
         fresh.reset()
-        assert obs.tobytes() == fresh.advance(0)[0].tobytes()  # no position left open
+        walk_scripted(fresh, [0])
+        assert e._observe().tobytes() == fresh._observe().tobytes()  # no position left open
 
     def test_checks(self):
         e = gbm_env(n_hours=MIN_HISTORY + 5, seed=12)
-        with pytest.raises(RuntimeError, match=r"reset\(\) must be called before advance\(\)"):
-            e.advance(0)
-        e.reset()
+        s = Stepper(e.config)
+        with pytest.raises(RuntimeError, match=r"reset\(\) must be called before walk\(\)"):
+            walk_scripted(e, [0])
+        with pytest.raises(RuntimeError, match=r"reset\(\) must be called before step\(\)"):
+            s.step(0)
+        s.reset()
         with pytest.raises(ValueError, match="out of range"):
-            e.advance(3)
+            s.step(3)
         with pytest.raises(ValueError, match="out of range"):
-            e.advance(-1)
+            s.step(-1)
         for _ in range(4):
-            e.advance(1)
-        _, done = e.advance(0)
-        assert done
-        with pytest.raises(RuntimeError, match=r"advance\(\) called after the episode ended"):
-            e.advance(0)
+            s.step(1)
+        assert s.step(0).done
+        with pytest.raises(RuntimeError, match=r"step\(\) called after the episode ended"):
+            s.step(0)
+        e.reset()
+        assert walk_scripted(e, [1, 1, 1, 1, 0])[3]
+        with pytest.raises(RuntimeError, match=r"walk\(\) called after the episode ended"):
+            walk_scripted(e, [0])
         for lo, hi in ((0, 6), (-1, 2), (3, 2)):
             with pytest.raises(ValueError, match="taken"):
                 e.rewards(lo, hi)
@@ -750,7 +752,8 @@ def longest_hold(actions) -> int:
 
 class TestRunPolicy:
     """`run_policy` computes its logits in blocks; `tests/greedy.py`'s
-    per-step loop, one `forward` and `advance` per step, is the reference."""
+    per-step loop, one `forward` and `Stepper.step` per step, is the
+    reference."""
 
     # shorter than a block, one block, one block and a step, several blocks
     LENGTHS = (40, env._POLICY_BLOCK, env._POLICY_BLOCK + 1, 3 * env._POLICY_BLOCK + 100)
@@ -768,7 +771,7 @@ class TestRunPolicy:
             assert_same_trace(got, stepped_policy(ref, actor))
             # the env is left at the end of the episode, as the loop leaves it
             assert e.rewards(0, e.n_steps).tobytes() == got.reward.tobytes()
-            assert e._observe().tobytes() == ref._observe().tobytes()
+            assert e._observe().tobytes() == stepped_observations(config, got.action)[-1].tobytes()
             deploys = np.count_nonzero(got.action)
             if kind == "never":
                 assert deploys == 0
@@ -790,7 +793,7 @@ class TestRunPolicy:
             actor = greedy_actor(e, "tanh", kind)
             got = env.run_policy(e, actor)
             assert_same_trace(got, stepped_policy(ref, actor))
-            assert e._observe().tobytes() == ref._observe().tobytes()
+            assert e._observe().tobytes() == stepped_observations(config, got.action)[-1].tobytes()
             if kind == "hold":
                 assert np.count_nonzero(got.action) > 1 and longest_hold(got.action) > 5 + 2
             elif kind == "every":
@@ -823,31 +826,34 @@ class TestRunPolicy:
 
 
 class TestWalk:
-    """`LPEnv.walk` takes up the episode where `advance` left it, in each
-    state of the walker: no range, one opened one or two steps before, and
-    an older one. The reference advances one step at a time on the logits of
-    a 1-row `forward`."""
+    """`LPEnv.walk` takes up the episode where an earlier walk left it, in
+    each state of the walker: no range, one opened one or two steps before,
+    and an older one. The reference steps the `Stepper` one step at a time
+    on the logits of a 1-row `forward`."""
 
     @pytest.mark.parametrize("prefix", [[], [0, 0], [2], [2, 0], [2, 0, 0], [1, 0, 0, 0, 0]])
     def test_continues_an_advanced_episode(self, prefix):
         config = EnvConfig(pool=POOL, action_set=(0, 10, 20), x0=2.0, data=policy_tape(40))
-        e, ref = LPEnv(config), LPEnv(config)
+        e, ref = LPEnv(config), Stepper(config)
         actor = greedy_actor(e, "tanh", "spread")
-        for x in (e, ref):
-            x.reset()
-            for a in prefix:
-                x.advance(a)
+        e.reset()
+        if prefix:
+            walk_scripted(e, prefix)
+        ref.reset()
+        want_rewards = [ref.step(a).reward for a in prefix]
         obs, actions, rewards, done = e.walk(actor, env._greedy, 12)
-        want_obs, want_logits = [ref._observe()], []
+        want_obs, want_logits = [ref.observe()], []
         for _ in range(12):
             want_logits.append(actor.forward(want_obs[-1][None, None])[0, 0])
-            want_obs.append(ref.advance(int(want_logits[-1].argmax()))[0])
+            out = ref.step(int(want_logits[-1].argmax()))
+            want_obs.append(out.observation)
+            want_rewards.append(out.reward)
         assert obs.tobytes() == np.array(want_obs[:-1]).tobytes()
         assert actions.tolist() == np.array(want_logits).argmax(axis=1).tolist()
         assert not done and e._observe().tobytes() == want_obs[-1].tobytes()
         taken = len(prefix) + 12
-        assert rewards.tobytes() == ref.rewards(len(prefix), taken).tobytes()
-        assert e.rewards(0, taken).tobytes() == ref.rewards(0, taken).tobytes()
+        assert rewards.tobytes() == np.array(want_rewards[len(prefix):]).tobytes()
+        assert e.rewards(0, taken).tobytes() == np.array(want_rewards).tobytes()
 
     def test_stops_at_the_episode_end(self):
         e = LPEnv(EnvConfig(pool=POOL, action_set=(0, 10, 20), x0=2.0, data=policy_tape(40)))
@@ -972,12 +978,12 @@ class TestRowBudget:
 
 class TestStepper:
     def test_calls_none_of_the_code_it_checks(self, monkeypatch):
-        """The oracle steps a full episode with the scoring, `replay`, the
-        range tables and the `amm` array kernel disabled."""
+        """The oracle is built and steps a full episode with the env, its
+        observations, the scoring, `replay`, the range tables and the `amm`
+        array kernel disabled."""
         config = gbm_env(n_hours=MIN_HISTORY + 80, seed=14, vol=0.02).config
         actions = np.random.default_rng(14).integers(0, 3, 80)
         want = env.replay(config, actions)
-        s = Stepper(config)  # its LPEnv builds range tables here, before the patches
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the stepper called the code under test")
@@ -985,11 +991,41 @@ class TestStepper:
         monkeypatch.setattr(env, "_score", forbidden)
         monkeypatch.setattr(env, "replay", forbidden)
         monkeypatch.setattr(env.MarketTape, "range_table", forbidden)
+        for method in ("__init__", "_observations", "_observe", "_range_entries"):
+            monkeypatch.setattr(LPEnv, method, forbidden)
         for kernel in ("align_range", "liquidity_from_x", "fee_for_move", "lvr_penalty"):
             monkeypatch.setattr(amm, kernel, forbidden)
+        s = Stepper(config)
         s.reset()
         rewards = [s.step(int(a)).reward for a in actions]
         assert s.done and np.array(rewards).tobytes() == want.reward.tobytes()
+
+    @pytest.mark.parametrize("own_stats", [True, False])
+    @pytest.mark.parametrize("spacing,action_set", [(1, (0, 1, 7, 50)), (10, (0, 10, 20, 30)),
+                                                    (60, (0, 60, 120))])
+    def test_observations_are_the_walks(self, spacing, action_set, own_stats):
+        """The Stepper's observation at every step of a scripted episode,
+        and after its last step, is bitwise the one `walk` gives, under the
+        env's own stats and under those of another slice."""
+        pool = PoolSpec(fee_rate=0.003, tick_spacing=spacing, gas_cost=5.0)
+        rng = np.random.default_rng(spacing)
+        other = MarketTape(data.gbm_generate(seed=spacing + 1, n_hours=300, p_start=2500.0,
+                                             vol=0.02))
+        stats = None if own_stats else env.compute_stats(other, action_set, pool, 2.0)
+        for series in (data.gbm_generate(seed=spacing, n_hours=400, p_start=3000.0, vol=0.03),
+                       tick_series(400, spacing, seed=spacing + 1)):
+            config = EnvConfig(pool=pool, action_set=action_set, x0=2.0,
+                               data=MarketTape(series), stats=stats)
+            n = len(series) - MIN_HISTORY
+            for density in (0.02, 0.3, 1.0):
+                actions = np.where(rng.random(n) < density,
+                                   rng.integers(1, len(action_set), n), 0)
+                e = LPEnv(config)
+                e.reset()
+                obs, _, _, done = walk_scripted(e, actions)
+                assert done
+                got = np.concatenate([obs, e._observe()[None]])
+                assert got.tobytes() == stepped_observations(config, actions).tobytes()
 
 
 def reference_to_csv(trace, path):

@@ -38,25 +38,34 @@ def imported_roots(path):
             yield node.module.split(".")[0]
 
 
-def taken_from_amm(path):
-    """The names one module imports from `activelp.amm`; "activelp.amm" for
-    an import that reaches the whole module."""
+def taken_from(path, module="amm"):
+    """The names one module imports from `activelp.<module>`;
+    "activelp.<module>" for an import that reaches the whole module."""
+    whole = f"activelp.{module}"
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
-            yield from ("activelp.amm" for alias in node.names
+            yield from (whole for alias in node.names
                         if alias.name.split(".")[0] == "activelp")
-        elif isinstance(node, ast.ImportFrom) and node.module == "activelp.amm":
+        elif isinstance(node, ast.ImportFrom) and node.module == whole:
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module == "activelp":
-            yield from ("activelp.amm" for alias in node.names if alias.name == "amm")
+            yield from (whole for alias in node.names if alias.name == module)
 
 
 @pytest.mark.parametrize("oracle", ["amm_oracle.py", "stepper.py"])
 def test_oracles_take_only_scalar_tick_math_from_amm(oracle):
     # the scalar oracles are the reference for the array kernel in amm, so
     # they may share the tick math but not the formulas they check
-    taken = set(taken_from_amm(ROOT / "tests" / oracle))
+    taken = set(taken_from(ROOT / "tests" / oracle))
     assert taken and taken <= {"tick_index", "price_at_tick", "PoolSpec"}
+
+
+@pytest.mark.parametrize("oracle", ["stepper.py", "greedy.py"])
+def test_oracles_take_nothing_that_decides_observes_or_scores_from_env(oracle):
+    # the per-step references for walk, replay and run_policy may share the
+    # env's constants and data types, not the code they check
+    taken = set(taken_from(ROOT / "tests" / oracle, "env"))
+    assert taken.isdisjoint({"activelp.env", "LPEnv", "replay", "run_policy", "_score"})
 
 
 def test_csv_oracle_imports_nothing_from_the_package():

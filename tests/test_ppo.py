@@ -16,7 +16,7 @@ import amm_oracle
 from backprop import backward, forward_cached
 from bandit import ContextualBandit
 from greedy import stepped_policy
-from stepper import Stepper
+from stepper import Stepper, stepped_observations
 
 
 def params(net):
@@ -493,9 +493,9 @@ class TestObjective:
 
 class TestGather:
     def test_gather_is_select_of_what_the_loss_reads(self):
-        """`_gather` takes the observations, actions, log-probs, returns and
-        advantages of `select`, bit for bit, and nothing else; `select`
-        takes each agent's steps at its row of the order."""
+        """`select` takes each agent's steps at its row of the order of the
+        observations, actions, log-probs, returns and advantages, bit for
+        bit, and nothing else."""
         rng = np.random.default_rng(73)
         size, n = 3, 50
         batch = RolloutBatch(
@@ -504,16 +504,13 @@ class TestGather:
             rng.standard_normal((size, n)), rng.random((size, n)) < 0.1,
             rng.standard_normal((size, n)), rng.standard_normal((size, n)))
         idx = np.stack([rng.permutation(n)[:16] for _ in range(size)])
-        (got, _), want = batch._gather(idx), batch.select(idx)
-        for name in ("observations", "actions", "log_probs", "returns", "advantages"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        got = batch.select(idx)
         assert got.rewards is None and got.values is None and got.dones is None
-        for name in ("observations", "actions", "log_probs", "rewards", "values", "dones",
-                     "returns", "advantages"):
-            picked = getattr(want, name)
+        for name in ("observations", "actions", "log_probs", "returns", "advantages"):
+            picked, field = getattr(got, name), getattr(batch, name)
+            assert picked.shape == (size, 16, *field.shape[2:]) and picked.dtype == field.dtype
             for r in range(size):
-                assert picked[r].tobytes() == getattr(batch, name)[r, idx[r]].tobytes(), name
+                assert picked[r].tobytes() == field[r, idx[r]].tobytes(), name
 
 
 BANDIT_SPEC = AgentSpec(
@@ -1218,7 +1215,7 @@ class TestDecideThenScore:
     def test_no_per_step_scoring_or_cached_forward(self, monkeypatch):
         """Deterministic guard: training a group on LPEnvs and the greedy
         passes score each episode segment with one call of the `amm` kernel,
-        never step the scalar oracles or `advance`, make no actor forward
+        never step the scalar oracles, make no actor forward
         per step, call the pair's cached forward only in the update, and the
         group shares each critic forward and objective."""
         from activelp import amm, env
@@ -1258,7 +1255,6 @@ class TestDecideThenScore:
         monkeypatch.setattr(ppo._ActorCritic, "forward_cached", rollout_forward_cached)
         monkeypatch.setattr(Mlp, "forward", counted("forward", Mlp.forward))
         monkeypatch.setattr(Mlp, "forward_rows", counted("forward_rows", Mlp.forward_rows))
-        monkeypatch.setattr(LPEnv, "advance", counted("advance", LPEnv.advance))
 
         envs = [LPEnv(lp_config()) for _ in range(2)]
         spec = AgentSpec(action_set=(0, 10, 20), rollout_length=30, total_timesteps=100,
@@ -1267,7 +1263,6 @@ class TestDecideThenScore:
         # two agents over 100 steps in 4 rollouts of at most one minibatch:
         # no actor forward per step, one actor and one critic forward per
         # update for the curve, and one objective per minibatch for the group
-        assert "advance" not in calls
         assert calls.pop("forward") == 2 * 4
         assert calls.pop("objective") == 4
         # one stacked per-row critic forward per rollout (4); per agent, one
@@ -1292,16 +1287,15 @@ class TestDecideThenScore:
         # ladder (40 steps fit in one block) that stops after its two
         # levels, as more than half of the second level's rows hold, and
         # one chunk per range held at both levels, 3 in each episode
-        assert "forward" not in calls and "advance" not in calls
+        assert "forward" not in calls
         assert calls.pop("forward_rows") == 2 * (1 + 2 + 3)
         assert calls.pop("_score") == calls.pop("activelp.amm.fee_for_move") == 2
         assert calls.pop("activelp.amm.lvr_penalty") == 2 and calls == {}
-        # the oracle counters do count, and the Stepper decides with `advance`
+        # the oracle counters do count
         s = Stepper(lp_config())
         s.reset()
         s.step(1)
-        assert calls == {"amm_oracle.fee_for_move": 1, "amm_oracle.lvr_penalty": 1,
-                         "advance": 1}
+        assert calls == {"amm_oracle.fee_for_move": 1, "amm_oracle.lvr_penalty": 1}
 
 
 def as_mlp(net: ReferenceMlp) -> Mlp:
@@ -1459,7 +1453,7 @@ class TestLadderBoundaries:
             got, want = run_policy(e, actor), stepped_policy(ref, actor)
             for name in ("action", "width", "liquidity", "fee", "lvr", "gas", "reward"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-            assert e._observe().tobytes() == ref._observe().tobytes()
+            assert e._observe().tobytes() == stepped_observations(config, got.action)[-1].tobytes()
         self.check_ladders(kind, ladders)
 
 
@@ -1542,14 +1536,14 @@ class TestPopulation:
         compacted to the two agents kept, at their rows of the order, as
         they train alone."""
         gathers = []
-        gather = RolloutBatch._gather
+        gather = RolloutBatch.select
 
         def recorded(batch, idx):
-            out, flat = gather(batch, idx)
+            out = gather(batch, idx)
             gathers.append((batch, idx, out))
-            return out, flat
+            return out
 
-        monkeypatch.setattr(RolloutBatch, "_gather", recorded)
+        monkeypatch.setattr(RolloutBatch, "select", recorded)
         members = [0, self.DIVERGES, 2]  # one network shape
         envs, specs, seeds = zip(*(self._setup(k) for k in members))
         results = train_population(envs, specs, seeds)
@@ -1563,7 +1557,8 @@ class TestPopulation:
             assert getattr(after, name).tobytes() == getattr(before, name)[[0, 2]].tobytes(), name
         for batch, idx, out in gathers:
             assert idx.shape[0] == len(batch.actions)
-            assert out.observations.tobytes() == batch.select(idx).observations.tobytes()
+            assert out.observations.tobytes() == batch.observations[
+                np.arange(len(idx))[:, None], idx].tobytes()
         for k, got in ((0, results[0]), (2, results[2])):
             solo = train(*self._setup(k))
             assert flat(got.actor).tobytes() == flat(solo.actor).tobytes(), k
@@ -1647,7 +1642,7 @@ class TestActorCritic:
         monkeypatch.setattr(ppo._ActorCritic, "objective",
                             counted("objective", ppo._ActorCritic.objective))
         monkeypatch.setattr(Adam, "ascend", counted("ascend", Adam.ascend))
-        monkeypatch.setattr(RolloutBatch, "_gather", counted("_gather", RolloutBatch._gather))
+        monkeypatch.setattr(RolloutBatch, "select", counted("select", RolloutBatch.select))
         spec = AgentSpec(action_set=(0, 10, 20), rollout_length=40, total_timesteps=100,
                          epochs=3, minibatch_size=16, patience=10**6)
         results = train_population([LPEnv(lp_config()) for _ in range(2)],
@@ -1655,7 +1650,7 @@ class TestActorCritic:
         assert all(isinstance(r, ppo.TrainResult) for r in results)
         # rollouts of 40, 40 and 20 steps, 3, 3 and 2 minibatches per epoch
         steps = 3 * (3 + 3 + 2)
-        assert calls == {"objective": steps, "ascend": steps, "_gather": steps}
+        assert calls == {"objective": steps, "ascend": steps, "select": steps}
 
     def test_one_buffer_with_zero_padding(self):
         """The group's actor and critic views, and the stacked hidden views,
@@ -1676,7 +1671,6 @@ class TestActorCritic:
         assert nets.theta.flags.c_contiguous and nets.theta.shape == (2, 2 * actors[0].theta.size)
         assert group.opt.theta is nets.theta
         for net, want in ((group.actor, actors), (group.critic, critics)):
-            assert net.pair is nets
             assert net.theta.tobytes() == np.concatenate([n.theta for n in want]).tobytes()
             for p in params(net):
                 assert np.shares_memory(p, nets.theta)
@@ -1694,14 +1688,14 @@ class TestActorCritic:
             for _ in range(2):
                 order = np.stack([agent.rng.permutation(48) for agent in group.agents])
                 for lo in range(0, 48, 16):
-                    ppo_objective(group.batch.select(order[:, lo:lo + 16]), group.actor,
-                                  group.critic, *group.loss.coefs)
+                    nets.objective(group.batch.select(order[:, lo:lo + 16]), group.loss)
                     group.opt.ascend(nets.grad)
         assert group.opt.t == 12 and np.isfinite(nets.theta).all()
         assert not padding.any() and not nets.grad.reshape(2, 2, -1)[:, 1, width:].any()
         group.keep([1])
         assert group.nets.theta.tobytes() == nets.theta[1:].tobytes()
-        assert group.actor.pair is group.nets and group.opt.theta is group.nets.theta
+        assert np.shares_memory(group.actor.theta, group.nets.theta)
+        assert group.opt.theta is group.nets.theta
 
     def test_objective_needs_one_hidden_layout(self):
         rng = np.random.default_rng(71)
