@@ -21,9 +21,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_TRAINING = 3
 
-log = logging.getLogger("activelp")
-
-
 class UsageError(Exception):
     pass
 
@@ -250,10 +247,7 @@ def main(argv=None) -> int:
     except _raised_by("harness", "ConfigError") as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except data.DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (data.DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except _raised_by("ppo", "TrainingDiverged") as exc:

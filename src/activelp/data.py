@@ -244,24 +244,6 @@ def _read_columns(path, required):
     return [table[col].copy() for col in cols]
 
 
-def _read_blocks(path, required):
-    """Yield (row, cells) for consecutive blocks of the CSV's data rows.
-
-    `row` numbers the block's first row (the header is row 1). `cells` maps
-    each column of `_columns` to the block's cells: strings, or None where a
-    row is too short. As with csv.DictReader, blank lines are skipped without
-    a number.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        wanted = _columns(path, next(reader, None), required)
-        row = 2
-        for block in _blocks(reader):
-            yield row, {col: [r[j] if j < len(r) else None for r in block]
-                        for col, j in wanted.items()}
-            row += len(block)
-
-
 def _blocks(reader):
     """Lists of up to _BLOCK_ROWS non-blank rows. Rows read before a line
     csv rejects come out before its csv.Error, so an earlier bad row is
@@ -291,17 +273,31 @@ def _int64(values) -> np.ndarray:
 
 
 def _parse_rows(path, required, parse_row):
-    """The file's columns, read by the csv reader and parsed row by row,
-    each row's checks in order, so the first bad row raises its error; and
-    whether any volume cell is non-empty."""
+    """The columns of `_columns`, read by the csv reader a block of rows at a
+    time and parsed row by row, each row's checks in order, so the first bad
+    row raises its error; and whether any volume cell is non-empty.
+
+    `parse_row(cells, row)` gets a row's cells in column order, strings or
+    None where the row is too short, and its number (the header is row 1).
+    As with csv.DictReader, blank lines are skipped without a number."""
     blocks, has_volume = [], False
-    for row, cells in _read_blocks(path, required):
-        rows = [parse_row(values, row + k) for k, values in enumerate(zip(*cells.values()))]
-        ts, *rest = zip(*rows)
-        blocks.append((_int64(ts), *(np.array(col, dtype=float) for col in rest)))
-        has_volume = has_volume or any(cells.get("volume", ()))
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        wanted = _columns(path, next(reader, None), required)
+        row = 2
+        for block in _blocks(reader):
+            cells = {col: [r[j] if j < len(r) else None for r in block]
+                     for col, j in wanted.items()}
+            rows = [parse_row(values, row + k) for k, values in enumerate(zip(*cells.values()))]
+            ts, *rest = zip(*rows)
+            blocks.append((_int64(ts), *(np.array(col, dtype=float) for col in rest)))
+            has_volume = has_volume or any(cells.get("volume", ()))
+            row += len(block)
     if not blocks:
         raise DataError(f"{path}: no data rows")
+    # a closed file still holds its last chunk; drop it and the last
+    # block's rows before the join, which is when the most is live
+    del fh, reader, block
     cols = [np.concatenate(col) for col in zip(*blocks)]
     cols[0] = cols[0].astype(np.int64, copy=False)
     return cols, has_volume

@@ -233,27 +233,26 @@ class LPEnv:
     """Gym-style environment over one candle slice.
 
     The episode starts once every feature has warmed up and runs
-    ``len(data) - MIN_HISTORY`` steps, one per remaining hour.
+    ``len(data) - MIN_HISTORY`` steps, one per remaining hour. The env
+    holds every observation with no position open, z-scored, and the
+    action record of the episode in progress; the config holds the rest,
+    and the range each action opens comes from the tape's cached
+    `MarketTape.range_table`.
     """
 
     def __init__(self, config: EnvConfig):
         self.config = config
         tape = config.data
-        self._stats = config.stats or compute_stats(
-            tape, config.action_set, config.pool, config.x0)
-        # the range each action opens at each hour; None for hold
-        self._tables = [None] + [tape.range_table(width, config.pool.tick_spacing, config.x0)
-                                 for width in config.action_set[1:]]
+        stats = config.stats or compute_stats(tape, config.action_set, config.pool, config.x0)
         # every observation z-scored up front; width and liquidity are raw
         # zeros here, the no-position value, and overwritten while a
         # position is open
         obs = np.zeros((len(tape), OBS_SIZE))
         obs[:, MARKET_ENTRIES] = tape.market
-        self._obs = self._stats.normalize(obs, out=obs)
-        self._position_stats = FeatureStats(self._stats.mean[2:4], self._stats.std[2:4])
+        self._obs = stats.normalize(obs, out=obs)
+        self._position_stats = FeatureStats(stats.mean[2:4], stats.std[2:4])
         self._start = MIN_HISTORY - 1
         self._last = len(tape) - 1
-        self._n_actions = len(config.action_set)
         self._t = None
         # action index taken at each step of the episode in progress
         self._actions = np.zeros(self._last - self._start, dtype=np.int64)
@@ -264,7 +263,7 @@ class LPEnv:
 
     @property
     def n_actions(self) -> int:
-        return self._n_actions
+        return len(self.config.action_set)
 
     @property
     def n_steps(self) -> int:
@@ -319,7 +318,7 @@ class LPEnv:
         live_from = np.append(opened, last)[:-1]
         obs = self._obs[self._start + lo:self._start + hi].copy()
         action = np.where(live_from >= 0, self._actions[live_from], 0)
-        for k in range(1, self._n_actions):
+        for k in range(1, self.n_actions):
             at = np.flatnonzero(action == k)
             if at.size:
                 obs[at, 2:4] = self._range_entries(k, self._start + live_from[at])
@@ -339,7 +338,9 @@ class LPEnv:
     def _range_entries(self, action_index: int, hours) -> np.ndarray:
         """Normalized (width, liquidity), (..., 2), of the ranges `action_index`
         opens at `hours`, an hour or a slice of them."""
-        table = self._tables[action_index][hours]
+        config = self.config
+        table = config.data.range_table(config.action_set[action_index],
+                                        config.pool.tick_spacing, config.x0)[hours]
         entries = np.stack([(table[..., 1] - table[..., 0]) / 2.0, table[..., 2]], axis=-1)
         return self._position_stats.normalize(entries, out=entries)
 

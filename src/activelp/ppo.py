@@ -538,20 +538,21 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator 
 
 
 class Adam:
-    """Adaptive moment estimation over an (A, P) parameter buffer, a row per
-    agent, updated in place as gradient ascent on the objective; `lr` is
-    one rate per row, or one for all. Every operation is elementwise, so one
-    step over a group's joint actor-critic buffer is bitwise a step per
-    network, and zero-gradient padding stays where it is."""
+    """Adaptive moment estimation for an (A, P) parameter buffer, a row per
+    agent: `ascend` updates the buffer it is given in place, as gradient
+    ascent on the objective, and the optimizer keeps only the rates and
+    moments. `lr` is one rate per row, or one for all. Every operation is
+    elementwise, so one step over a group's joint actor-critic buffer is
+    bitwise a step per network, and zero-gradient padding stays where it
+    is."""
 
     def __init__(self, theta, lr):
-        self.theta = theta
         self.lr = _column(lr)
         self.m = np.zeros_like(theta)
         self.v = np.zeros_like(theta)
         self.t = 0
 
-    def ascend(self, grad):
+    def ascend(self, theta, grad):
         self.t += 1
         b1c = 1.0 - _BETA1 ** self.t
         b2c = 1.0 - _BETA2 ** self.t
@@ -560,11 +561,10 @@ class Adam:
         self.m += (1.0 - _BETA1) * grad
         self.v *= _BETA2
         self.v += (1.0 - _BETA2) * (grad * grad)
-        self.theta += self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + _EPS)
+        theta += self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + _EPS)
 
-    def keep(self, rows, theta):
-        """Drop every row but `rows`, whose parameters now live in `theta`."""
-        self.theta = theta
+    def keep(self, rows):
+        """Drop every row but `rows`."""
         self.lr, self.m, self.v = self.lr[rows], self.m[rows], self.v[rows]
 
 
@@ -678,19 +678,11 @@ class _Group:
             agent.env.reset()
         self.batch = None
 
-    @property
-    def actor(self) -> Mlp:
-        return self.nets.actor
-
-    @property
-    def critic(self) -> Mlp:
-        return self.nets.critic
-
     def keep(self, rows):
         """Compact every stacked array to the agents at `rows`."""
         self.agents = [self.agents[r] for r in rows]
         self.nets = self.nets.take(rows)
-        self.opt.keep(rows, self.nets.theta)
+        self.opt.keep(rows)
         self.loss = _Loss(*(coef[rows] for coef in self.loss.coefs))
         self.batch = self.batch.rows(rows)
 
@@ -704,8 +696,8 @@ class _Group:
 
     def result(self, r, timesteps, stopped_early) -> TrainResult:
         agent = self.agents[r]
-        return TrainResult(spec=agent.spec, actor=self.actor.take([r]),
-                           critic=self.critic.take([r]), curve=agent.curve,
+        return TrainResult(spec=agent.spec, actor=self.nets.actor.take([r]),
+                           critic=self.nets.critic.take([r]), curve=agent.curve,
                            timesteps=timesteps, stopped_early=stopped_early)
 
     def rollout(self, n):
@@ -718,7 +710,7 @@ class _Group:
         values; log-probs come from those logits, then each agent's returns
         and advantages; `batch` holds the result."""
         self.batch = None  # the last rollout's, no longer needed
-        agents, actor, critic = self.agents, self.actor, self.critic
+        agents, actor, critic = self.agents, self.nets.actor, self.nets.critic
         size = len(agents)
         obs = np.empty((size, n, critic.weights[0].shape[1]))
         actions = np.empty((size, n), dtype=np.int64)
@@ -755,8 +747,8 @@ class _Group:
         """The objective and its terms on the whole rollout, per agent, for
         the training curve: no gradient, so forward passes only."""
         batch = self.batch
-        return self.loss.evaluate(batch, self.actor.forward(batch.observations),
-                                  self.critic.forward(batch.observations))
+        return self.loss.evaluate(batch, self.nets.actor.forward(batch.observations),
+                                  self.nets.critic.forward(batch.observations))
 
 
 def lockstep_groups(envs, specs) -> list[list[int]]:
@@ -839,7 +831,7 @@ def _train_group(group: _Group, out: list):
                     if not group.drop(bad, lambda r: TrainingDiverged(diverged), out):
                         return
                     order = order[~bad]
-                group.opt.ascend(group.nets.grad)
+                group.opt.ascend(group.nets.theta, group.nets.grad)
         bad = ~np.isfinite(group.nets.theta).all(axis=1)
         if bad.any() and not group.drop(
                 bad, lambda r: TrainingDiverged(f"non-finite parameters at update {update}"),
@@ -918,8 +910,12 @@ def _layer_sizes(name, blob: dict, layers: int) -> list[int]:
 
 
 def _check_networks(spec: AgentSpec, meta: dict, blob: dict):
-    """Both networks chain, read one input size and have the spec's hidden
-    sizes; the actor has one output per action and the critic one."""
+    """Both networks have the spec's activation, chain, read one input size
+    and have the spec's hidden sizes; the actor has one output per action
+    and the critic one."""
+    if meta["activation"] != spec.activation:
+        raise ValueError(f"checkpoint activation {meta['activation']!r} differs from its "
+                         f"spec's {spec.activation!r}")
     sizes = {name: _layer_sizes(name, blob, meta[f"{name}_layers"])
              for name in ("actor", "critic")}
     if sizes["actor"][0] != sizes["critic"][0]:
@@ -936,6 +932,10 @@ def save_checkpoint(path, result: TrainResult):
 
     Networks that the loader would refuse raise ValueError before the file
     is opened."""
+    if result.critic.activation != result.actor.activation:
+        raise ValueError(f"a checkpoint holds one activation, but the actor's is "
+                         f"{result.actor.activation!r} and the critic's "
+                         f"{result.critic.activation!r}")
     meta = {
         "version": CHECKPOINT_VERSION,
         "spec": asdict(result.spec),

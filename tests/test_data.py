@@ -671,9 +671,9 @@ class TestBlocks:
         ref = rowwise_load_trades(trades)
 
         def refuse(*args):
-            raise AssertionError("_read_blocks was called")
+            raise AssertionError("_parse_rows was called")
 
-        monkeypatch.setattr(data, "_read_blocks", refuse)
+        monkeypatch.setattr(data, "_parse_rows", refuse)
         assert data.load_candles(candles) == series
         assert all(bitwise_equal(a, b) for a, b in zip(data.load_trades(trades), ref))
 

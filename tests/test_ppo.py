@@ -478,8 +478,8 @@ class TestObjective:
 
         actor_a = Mlp(actor.weights, actor.biases, actor.activation)
         actor_b = Mlp(actor.weights, actor.biases, actor.activation)
-        Adam(actor_a.theta, lr=1e-3).ascend(ppo_grads)
-        Adam(actor_b.theta, lr=1e-3).ascend(vanilla)
+        Adam(actor_a.theta, lr=1e-3).ascend(actor_a.theta, ppo_grads)
+        Adam(actor_b.theta, lr=1e-3).ascend(actor_b.theta, vanilla)
         np.testing.assert_allclose(flat(actor_a), flat(actor_b), atol=1e-10)
 
     def test_empty_batch_rejected(self):
@@ -643,6 +643,37 @@ class TestPersistence:
                                              r"but its spec asks for \[4, 2\]"):
             ppo.save_checkpoint(path, result)
         assert not path.exists()
+
+    @pytest.mark.parametrize("actor,critic,spec,match", [
+        ("relu", "sigmoid", "relu", "the actor's is 'relu' and the critic's 'sigmoid'"),
+        ("relu", "relu", "tanh", "activation 'relu' differs from its spec's 'tanh'"),
+    ], ids=["actor-and-critic", "networks-and-spec"])
+    def test_save_refuses_more_than_one_activation(self, tmp_path, actor, critic, spec, match):
+        """The file holds one activation, for both networks and the spec."""
+        rng = np.random.default_rng(5)
+        result = ppo.TrainResult(AgentSpec(action_set=(0, 10, 20), activation=spec,
+                                           hidden_layers=(4,)),
+                                 Mlp.build([13, 4, 3], actor, rng),
+                                 Mlp.build([13, 4, 1], critic, rng), [], 0, False)
+        path = tmp_path / "agent.npz"
+        with pytest.raises(ValueError, match=match):
+            ppo.save_checkpoint(path, result)
+        assert not path.exists()
+
+    def test_load_refuses_an_activation_other_than_the_spec(self, tmp_path):
+        rng = np.random.default_rng(6)
+        spec = AgentSpec(action_set=(0, 10, 20), activation="tanh", hidden_layers=(4,))
+        path = tmp_path / "agent.npz"
+        ppo.save_checkpoint(path, ppo.TrainResult(spec, Mlp.build([13, 4, 3], "tanh", rng),
+                                                  Mlp.build([13, 4, 1], "tanh", rng), [], 0,
+                                                  False))
+        blob = dict(np.load(path, allow_pickle=False))
+        meta = json.loads(str(blob["meta"]))
+        meta["activation"] = "relu"
+        blob["meta"] = json.dumps(meta)
+        np.savez(path, **blob)
+        with pytest.raises(ValueError, match="activation 'relu' differs from its spec's 'tanh'"):
+            ppo.load_checkpoint(path)
 
     def test_unsupported_checkpoint_version_rejected(self, tmp_path):
         spec = AgentSpec(action_set=(0, 10, 20), activation="tanh", hidden_layers=(4,),
@@ -1669,17 +1700,16 @@ class TestActorCritic:
                             for r in range(2)], Mlp.stack(actors), Mlp.stack(critics))
         nets = group.nets
         assert nets.theta.flags.c_contiguous and nets.theta.shape == (2, 2 * actors[0].theta.size)
-        assert group.opt.theta is nets.theta
-        for net, want in ((group.actor, actors), (group.critic, critics)):
+        for net, want in ((nets.actor, actors), (nets.critic, critics)):
             assert net.theta.tobytes() == np.concatenate([n.theta for n in want]).tobytes()
             for p in params(net):
                 assert np.shares_memory(p, nets.theta)
-        for (w, b), a, c in zip(nets._hidden, group.actor._hidden, group.critic._hidden):
+        for (w, b), a, c in zip(nets._hidden, nets.actor._hidden, nets.critic._hidden):
             assert w.shape == (2, 2, *a[0].shape[1:]) and np.shares_memory(w, nets.theta)
             assert is_fortran(w[0, 0]) == is_fortran(a[0][0]) == is_fortran(c[0][0])
             assert w[:, 0].tobytes() == a[0].tobytes() and w[:, 1].tobytes() == c[0].tobytes()
             assert b[:, 0].tobytes() == a[1].tobytes() and b[:, 1].tobytes() == c[1].tobytes()
-        width = group.critic.theta.shape[1]
+        width = nets.critic.theta.shape[1]
         padding = nets.theta.reshape(2, 2, -1)[:, 1, width:]
         assert padding.size == 2 * (9 * 3 - 9 * 1) and not padding.any()
 
@@ -1689,13 +1719,16 @@ class TestActorCritic:
                 order = np.stack([agent.rng.permutation(48) for agent in group.agents])
                 for lo in range(0, 48, 16):
                     nets.objective(group.batch.select(order[:, lo:lo + 16]), group.loss)
-                    group.opt.ascend(nets.grad)
+                    group.opt.ascend(nets.theta, nets.grad)
         assert group.opt.t == 12 and np.isfinite(nets.theta).all()
         assert not padding.any() and not nets.grad.reshape(2, 2, -1)[:, 1, width:].any()
         group.keep([1])
         assert group.nets.theta.tobytes() == nets.theta[1:].tobytes()
-        assert np.shares_memory(group.actor.theta, group.nets.theta)
-        assert group.opt.theta is group.nets.theta
+        assert np.shares_memory(group.nets.actor.theta, group.nets.theta)
+        # a step after the compaction updates the group's buffer in place
+        before = group.nets.theta.copy()
+        group.opt.ascend(group.nets.theta, np.ones_like(before))
+        assert (group.nets.theta != before).all()
 
     def test_objective_needs_one_hidden_layout(self):
         rng = np.random.default_rng(71)
