@@ -16,9 +16,9 @@ _EXPORTS = {
             "compute_features", "compute_stats", "replay", "run_passive", "run_policy"),
     "harness": ("ConfigError", "ExperimentConfig", "SearchGrid", "Window", "WindowResult",
                 "emit_report", "make_windows", "run_experiment", "run_window", "sample_spec"),
-    "ppo": ("AgentSpec", "Categorical", "Mlp", "RolloutBatch", "TrainingDiverged",
-            "TrainResult", "advantages", "compute_returns", "load_checkpoint",
-            "ppo_objective", "save_checkpoint", "train", "train_population"),
+    "ppo": ("AgentSpec", "Mlp", "RolloutBatch", "TrainingDiverged", "TrainResult",
+            "advantages", "compute_returns", "load_checkpoint", "save_checkpoint", "train",
+            "train_population"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = ("amm", "cli", "data", "env", "harness", "indicators", "ppo")

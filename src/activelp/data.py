@@ -281,18 +281,22 @@ def _parse_rows(path, required, parse_row):
     None where the row is too short, and its number (the header is row 1).
     As with csv.DictReader, blank lines are skipped without a number."""
     blocks, has_volume = [], False
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        wanted = _columns(path, next(reader, None), required)
-        row = 2
-        for block in _blocks(reader):
-            cells = {col: [r[j] if j < len(r) else None for r in block]
-                     for col, j in wanted.items()}
-            rows = [parse_row(values, row + k) for k, values in enumerate(zip(*cells.values()))]
-            ts, *rest = zip(*rows)
-            blocks.append((_int64(ts), *(np.array(col, dtype=float) for col in rest)))
-            has_volume = has_volume or any(cells.get("volume", ()))
-            row += len(block)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            wanted = _columns(path, next(reader, None), required)
+            row = 2
+            for block in _blocks(reader):
+                cells = {col: [r[j] if j < len(r) else None for r in block]
+                         for col, j in wanted.items()}
+                rows = [parse_row(values, row + k)
+                        for k, values in enumerate(zip(*cells.values()))]
+                ts, *rest = zip(*rows)
+                blocks.append((_int64(ts), *(np.array(col, dtype=float) for col in rest)))
+                has_volume = has_volume or any(cells.get("volume", ()))
+                row += len(block)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     if not blocks:
         raise DataError(f"{path}: no data rows")
     # a closed file still holds its last chunk; drop it and the last

@@ -307,15 +307,17 @@ class LPEnv:
         return int(before[-1]) if before.size else -1
 
     def _observations(self, lo: int, hi: int) -> np.ndarray:
-        """The observation of each of steps [lo, hi) of the episode in
-        progress, from the actions recorded before each: the market row and
-        the entries of the range opened at the last deploy before it."""
+        """The observation of each of steps [lo, hi), lo < hi, of the episode
+        in progress, from the actions recorded before each: the market row
+        and the entries of the range opened at the last deploy before it.
+        Step hi - 1's own action is not read, so hi may be `n_steps` + 1,
+        the step after the last, which has no action slot."""
         opened = self._opened(lo)
-        # the last deploy at or before each step, then the one before it:
-        # the step at which the range live at the step opened, -1 for none
+        # the last deploy before each step: the step at which the range live
+        # at the step opened, -1 for none
         last = np.maximum.accumulate(
-            np.where(self._actions[lo:hi] != 0, np.arange(lo, hi), opened))
-        live_from = np.append(opened, last)[:-1]
+            np.where(self._actions[lo:hi - 1] != 0, np.arange(lo, hi - 1), opened))
+        live_from = np.append(opened, last)
         obs = self._obs[self._start + lo:self._start + hi].copy()
         action = np.where(live_from >= 0, self._actions[live_from], 0)
         for k in range(1, self.n_actions):
@@ -346,11 +348,8 @@ class LPEnv:
 
     def _observe(self) -> np.ndarray:
         """The observation of the current step, under the range live at it."""
-        obs = self._obs[self._t].copy()
-        opened = self._opened(self._t - self._start)
-        if opened >= 0:
-            obs[2:4] = self._range_entries(self._actions[opened], self._start + opened)
-        return obs
+        t = self._t - self._start
+        return self._observations(t, t + 1)[0]
 
 
 @dataclass
@@ -426,27 +425,25 @@ def _walk(env: LPEnv, actor, decide, n: int) -> None:
     is one lookup in Python lists. A range the ladder left unresolved, a
     range carried in from before the walk and the stretch with no range
     before the first deploy read hold chunks: one `forward_rows` call over
-    the next observations under that range, used up to the first deploy;
-    chunks double while the agent holds, from `_HOLD_CHUNK` rows up to the
-    block size. `forward_rows` gives each row the bits of its own 1-row
-    `forward`, and the rows' position entries come from
-    `FeatureStats.normalize`, as `_observe`'s do. Memory is bounded by the
-    block size."""
+    the next observations with the held range's entries (at first those of
+    `_observe`, with no range the no-position ones that `_obs` holds), used
+    up to the first deploy; chunks double while the agent holds, from
+    `_HOLD_CHUNK` rows up to the block size. `forward_rows` gives each row
+    the bits of its own 1-row `forward`. Memory is bounded by the block
+    size."""
     start = env._start
     t0 = env._t - start
     end = min(t0 + n, env.n_steps)
     obs = env._obs[start:env._last]  # each step's observation with no position open
-    # the entries of the range held from step i; None for no range
-    opened = env._opened(t0)
-    held = None if opened < 0 else env._range_entries(env._actions[opened], start + opened)
+    # the entries of the range held from step i; with none, the no-position ones
+    held = env._observe()[2:4]
     deploys, taken = [], []
     i = lo = hi = t0  # the ladder's opening steps are [lo, hi)
     while i < end:
         chunk, a = _HOLD_CHUNK, 0
         while i < end:
             x = obs[i:min(i + chunk, end)].copy()
-            if held is not None:
-                x[:, 2:4] = held
+            x[:, 2:4] = held
             acts = decide(actor.forward_rows(x[None])[0], np.arange(i - t0, i - t0 + len(x)))
             first = int((acts != 0).argmax())  # the first deploy, 0 if there is none
             a = int(acts[first])

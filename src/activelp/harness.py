@@ -269,6 +269,10 @@ class ExperimentConfig:
     training: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for key in ("data", "output_dir"):
+            value = getattr(self, key)
+            if not isinstance(value, str) or not value:
+                raise ConfigError(f"{key} must be a non-empty path string, got {value!r}")
         for key in ("train_len", "test_len", "stride", "n_agents", "seed", "passive_width",
                     "passive_period", "n_jobs"):
             value = getattr(self, key)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
@@ -234,23 +235,6 @@ def _softmax(logits, logs: bool = True):
     return (probs, z - np.log(total)) if logs else probs
 
 
-@dataclass
-class Categorical:
-    """Softmax distribution over the last axis of logits."""
-
-    logits: np.ndarray
-
-    def __post_init__(self):
-        self.probs, self.logps = _softmax(self.logits)
-
-    def log_prob(self, actions: np.ndarray) -> np.ndarray:
-        return self.logps.reshape(-1)[_row_starts(actions.shape, self.logps.shape[-1])
-                                      + actions]
-
-    def entropy(self) -> np.ndarray:
-        return -_by_columns(np.add, self.probs * self.logps)
-
-
 def _row_starts(shape, m: int) -> np.ndarray:
     """Where each row of a flattened (*shape, m) array starts: add the
     column to get an entry's flat index."""
@@ -331,9 +315,6 @@ class RolloutBatch:
     dones: np.ndarray
     returns: np.ndarray = field(default=None)
     advantages: np.ndarray = field(default=None)
-
-    def __len__(self):
-        return self.actions.shape[1]
 
     def select(self, idx) -> "RolloutBatch":
         """Each agent's steps at its row of `idx`, (A, k), of only what the
@@ -502,36 +483,13 @@ class _ActorCritic:
             _hidden_backward(delta, self._hidden, pre, acts, self._act_grad, self._grad_hidden)
 
     def objective(self, batch: RolloutBatch, loss: _Loss):
-        """`ppo_objective` without its checks: the objective and its terms
-        per agent, with the gradients written into `grad`."""
+        """Each agent's J = E[min(r*A, clip(r, 1-eps, 1+eps)*A)] - c1*MSE(V, G)
+        + c2*E[H] on `batch`, r the ratio to the collection-time probability,
+        and its terms, (A,) each; J's ascent gradients are written into `grad`."""
         logits, values, cache = self.forward_cached(batch.observations)
         objective, terms, d_logits, d_values = loss.evaluate(batch, logits, values, grads=True)
         self.backward(cache, d_logits, d_values[..., None])
         return objective, terms
-
-
-def ppo_objective(batch: RolloutBatch, actor: Mlp, critic: Mlp,
-                  clip_range, value_coef, entropy_coef):
-    """Clipped-surrogate objective and its gradients, for each agent of a
-    population at once.
-
-    J = E[min(r*A, clip(r, 1-eps, 1+eps)*A)] - c1*MSE(V, G) + c2*E[H], with r
-    the probability ratio against the collection-time log-probs. The
-    coefficients are per agent, (A,), or one value for all. Returns
-    (J, terms, actor_grads, critic_grads): J and each term are (A,), and the
-    gradients point in the ascent direction of J and are laid out like each
-    network's `theta`.
-
-    The two networks need one hidden layout and activation; they are
-    copied into one `_ActorCritic`, whose `objective` a training group
-    calls on its own pair.
-    """
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    nets = _ActorCritic.join(actor, critic)
-    nets.actor._check_input(batch.observations)
-    objective, terms = nets.objective(batch, _Loss(clip_range, value_coef, entropy_coef))
-    return objective, terms, nets.actor_grad, nets.critic_grad
 
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
@@ -736,12 +694,13 @@ class _Group:
                     agent.env.reset()
                 i = j
         logits = actor.forward_rows(obs)
+        logps = _softmax(logits)[1].take(_row_starts(actions.shape, logits.shape[-1]) + actions)
         values = critic.forward_rows(obs)[..., 0]
         returns = np.stack([compute_returns(r, agent.spec.gamma, d)
                             for agent, r, d in zip(agents, rewards, dones)])
         self.batch = RolloutBatch(
-            obs, actions, Categorical(logits).log_prob(actions), rewards, values, dones,
-            returns, np.stack([advantages(g, v) for g, v in zip(returns, values)]))
+            obs, actions, logps, rewards, values, dones, returns,
+            np.stack([advantages(g, v) for g, v in zip(returns, values)]))
 
     def curve_terms(self):
         """The objective and its terms on the whole rollout, per agent, for
@@ -957,11 +916,16 @@ def save_checkpoint(path, result: TrainResult):
 
 
 def load_checkpoint(path) -> TrainResult:
-    archive = np.load(path, allow_pickle=False)
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise ValueError(f"{path} is not a checkpoint archive")
-    with archive:
-        blob = {name: archive[name] for name in archive.files}
+    # through a handle: np.load leaves a file it opened open when zipfile rejects it
+    with open(path, "rb") as fh:
+        try:
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError(f"{path} is not a checkpoint archive")
+            with archive:
+                blob = {name: archive[name] for name in archive.files}
+        except zipfile.BadZipFile as exc:
+            raise ValueError(f"{path} is not a readable checkpoint archive: {exc}") from None
     # the metadata names the other arrays, so it is checked for first
     _check_keys("arrays", set(blob) & {"meta"}, {"meta"})
     meta = json.loads(str(blob["meta"]))

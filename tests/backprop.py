@@ -1,7 +1,7 @@
 """The cached forward and the backward pass of one `ppo.Mlp` population on
-its own, as the gradient checks use them. The trainer runs only the
-actor-critic pair's (`ppo._ActorCritic`), which shares the hidden-layer
-loops below."""
+its own, and the PPO objective of a lone actor and critic, as the gradient
+checks use them. The trainer runs only the actor-critic pair's
+(`ppo._ActorCritic`), which shares the hidden-layer loops below."""
 
 import numpy as np
 
@@ -27,3 +27,11 @@ def backward(net, cache, grad_out: np.ndarray) -> np.ndarray:
         ppo._hidden_backward(grad_out @ net.weights[-1].swapaxes(-1, -2), net._hidden, pre,
                              act, net._act_grad, list(zip(views[:-2:2], views[1:-2:2])))
     return grad
+
+
+def ppo_objective(batch, actor, critic, clip, c1, c2):
+    """(J, terms, actor gradients, critic gradients) per agent: copies of the
+    networks joined into one `ppo._ActorCritic` and its `objective`."""
+    nets = ppo._ActorCritic.join(actor, critic)
+    objective, terms = nets.objective(batch, ppo._Loss(clip, c1, c2))
+    return objective, terms, nets.actor_grad, nets.critic_grad

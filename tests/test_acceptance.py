@@ -14,6 +14,7 @@ from activelp import amm, cli, data, env, ppo
 from activelp.amm import PoolSpec
 from activelp.env import MIN_HISTORY, EnvConfig, LPEnv, MarketTape
 import amm_oracle as oracle
+from backprop import ppo_objective
 from bandit import ContextualBandit
 from stepper import stepped_trace
 from test_amm import brute_force_fee
@@ -95,7 +96,7 @@ def test_ppo_gradient_check():
         actor = ppo.Mlp.build([3, 4, 2], activation, rng)   # 26 parameters
         critic = ppo.Mlp.build([3, 4, 1], activation, rng)  # 21 parameters
         batch = random_batch(rng, actor, critic)
-        _, _, ga, gc = ppo.ppo_objective(batch, actor, critic, clip, 0.5, 0.01)
+        _, _, ga, gc = ppo_objective(batch, actor, critic, clip, 0.5, 0.01)
         analytic = flat_grads(ga, gc)
         numeric = fd_grads(batch, actor, critic, clip, 0.5, 0.01, h=1e-5)
         err = np.linalg.norm(analytic - numeric) / max(

@@ -1,7 +1,9 @@
 import csv
+import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -48,6 +50,19 @@ def write_checkpoint(path):
     ppo.save_checkpoint(path, ppo.TrainResult(spec, ppo.Mlp.build([13, 4, 3], "tanh", rng),
                                               ppo.Mlp.build([13, 4, 1], "tanh", rng), [], 0,
                                               False))
+
+
+def damage_checkpoint(path, how):
+    """Cut the archive at `path` in half, or flip the last byte of its
+    `actor_b1.npy` member, which leaves a zip whose CRC check fails."""
+    raw = bytearray(path.read_bytes())
+    if how == "truncated":
+        del raw[len(raw) // 2:]
+    else:
+        member = io.BytesIO()
+        np.save(member, np.load(path, allow_pickle=False)["actor_b1"])
+        raw[raw.index(member.getvalue()) + len(member.getvalue()) - 1] ^= 0xFF
+    path.write_bytes(raw)
 
 
 class TestGenerate:
@@ -103,6 +118,14 @@ class TestIngest:
         out = tmp_path / "out.csv"
         assert run(["ingest", "--candles", str(tmp_path / "nope.csv"),
                     "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("kind", ["candles", "trades"])
+    def test_undecodable_file_exits_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "in.csv"
+        header = b"timestamp,open,high,low,close\n" if kind == "candles" else b"timestamp,price\n"
+        path.write_bytes(header + b"1609459200,1\xff\n")
+        assert run(["ingest", f"--{kind}", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {path}: not UTF-8 text")
 
 
 class TestBaseline:
@@ -252,6 +275,16 @@ class TestTrainEvaluate:
         assert capsys.readouterr().err == (
             f"error: checkpoint actor has layer sizes [4, {n_out}] after its inputs, but its "
             f"spec asks for [4, 3]\n")
+
+    @pytest.mark.parametrize("how", ["truncated", "flipped-byte"])
+    def test_damaged_checkpoint_exits_1(self, tmp_path, candle_file, capsys, how):
+        ckpt = tmp_path / "agent.npz"
+        write_checkpoint(ckpt)
+        damage_checkpoint(ckpt, how)
+        with pytest.raises(ValueError, match=re.escape(f"{ckpt} is not a readable checkpoint")):
+            ppo.load_checkpoint(ckpt)
+        assert run(["evaluate", "--candles", str(candle_file), "--checkpoint", str(ckpt)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {ckpt} is not a readable checkpoint")
 
     def test_plain_array_checkpoint_exits_1(self, tmp_path, candle_file, capsys):
         # an .npy file under a checkpoint's name: np.load reads it as one array

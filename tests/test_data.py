@@ -1,5 +1,10 @@
 import csv
 import math
+import os
+import pathlib
+import re
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +153,34 @@ class TestLoadCandles:
         path.write_text("timestamp,open,close\n1,1,1\n")
         with pytest.raises(DataError, match="high"):
             data.load_candles(path)
+
+
+class TestEncoding:
+    """Files that the row reader parses are UTF-8, whatever the locale."""
+
+    @pytest.mark.parametrize("load,header", [
+        (data.load_candles, "timestamp,open,high,low,close"),
+        (data.load_trades, "timestamp,price"),
+    ], ids=["candles", "trades"])
+    def test_undecodable_bytes_raise_naming_the_file(self, tmp_path, load, header):
+        path = tmp_path / "c.csv"
+        path.write_bytes(header.encode() + b"\n1609459200,1,1,1,1\n1609462800,1,1\xff,1,1\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            load(path)
+
+    def test_utf8_under_an_ascii_locale(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("timestamp,open,high,low,close,note\n1609459200,1,2,1,2,caf\u00e9\n",
+                        encoding="utf-8")
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": str(src)}
+        code = ("import locale, sys; from activelp import data; "
+                "print(locale.getpreferredencoding(False), data.load_candles(sys.argv[1]).closes)")
+        out = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "ANSI_X3.4-1968 [2.]\n"
 
 
 class TestResample:

@@ -33,7 +33,7 @@ TINY_TRAINING = {"rollout_length": 300, "total_timesteps": 900, "patience": 50}
 
 def tiny_config(**overrides):
     # run_window reads neither data nor output_dir
-    settings = dict(data="", output_dir="", grid=TINY_GRID, pool=POOL, x0=2.0,
+    settings = dict(data="unread.csv", output_dir="unread", grid=TINY_GRID, pool=POOL, x0=2.0,
                     training=TINY_TRAINING)
     return ExperimentConfig(**{**settings, **overrides})
 
@@ -619,6 +619,14 @@ class TestExperimentConfig:
             bad = {**bad, "pool": PoolSpec(**bad["pool"])}
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig(data="x", output_dir="y", **bad)
+
+    @pytest.mark.parametrize("key", ["data", "output_dir"])
+    @pytest.mark.parametrize("bad", [0, 5, None, [], ""], ids=repr)
+    def test_paths_must_be_non_empty_strings(self, key, bad):
+        with pytest.raises(ConfigError, match=f"{key} must be a non-empty path string"):
+            ExperimentConfig.from_dict({"data": "x", "output_dir": "y", key: bad})
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(**{"data": "x", "output_dir": "y", key: bad})
 
     def test_x0_key_switches_sizing(self):
         config = ExperimentConfig.from_dict({"data": "x", "output_dir": "y", "x0": 10.0})

@@ -9,11 +9,10 @@ import pytest
 from activelp import ppo
 from activelp.env import run_policy
 from activelp.harness import SearchGrid
-from activelp.ppo import (ACTIVATIONS, Adam, AgentSpec, Categorical, Mlp, RolloutBatch,
-                          TrainingDiverged, advantages, compute_returns,
-                          ppo_objective, train, train_population)
+from activelp.ppo import (ACTIVATIONS, Adam, AgentSpec, Mlp, RolloutBatch, TrainingDiverged,
+                          advantages, compute_returns, train, train_population)
 import amm_oracle
-from backprop import backward, forward_cached
+from backprop import backward, forward_cached, ppo_objective
 from bandit import ContextualBandit
 from greedy import stepped_policy
 from stepper import Stepper, stepped_observations
@@ -61,8 +60,8 @@ def random_batch(rng, actor, critic, n=8, logp_jitter=0.05):
     obs = rng.standard_normal((n, actor.weights[0].shape[1]))
     n_actions = actor.biases[-1].shape[-1]
     actions = rng.integers(0, n_actions, n)
-    dist = Categorical(actor.forward(obs[None])[0])
-    old_logp = dist.log_prob(actions) + rng.uniform(-logp_jitter, logp_jitter, n)
+    logps = ppo._softmax(actor.forward(obs[None])[0])[1]
+    old_logp = logps[np.arange(n), actions] + rng.uniform(-logp_jitter, logp_jitter, n)
     returns = rng.standard_normal(n)
     adv = rng.standard_normal(n)
     adv = (adv - adv.mean()) / max(adv.std(), 1e-12)
@@ -242,42 +241,47 @@ class TestMlpBuffer:
                 assert np.shares_memory(a, back.theta) and a.strides == b.strides
 
 
+def entropy(probs, logps):
+    """The entropy of each row, as the loss sums it."""
+    return -ppo._by_columns(np.add, probs * logps)
+
+
 class TestCategorical:
+    """The softmax policy head: `_softmax`, and `_draw` on its probs."""
+
     def test_uniform_from_zero_logits(self):
-        dist = Categorical(np.zeros((3, 5)))
-        np.testing.assert_allclose(dist.probs, 0.2)
-        np.testing.assert_allclose(dist.entropy(), math.log(5), rtol=1e-12)
+        probs, logps = ppo._softmax(np.zeros((3, 5)))
+        np.testing.assert_allclose(probs, 0.2)
+        np.testing.assert_allclose(entropy(probs, logps), math.log(5), rtol=1e-12)
 
     def test_extreme_logits_stable(self):
-        dist = Categorical(np.array([[1000.0, 0.0]]))
-        assert np.all(np.isfinite(dist.probs))
-        assert dist.probs[0, 0] == pytest.approx(1.0)
-        assert dist.probs[0, 1] == pytest.approx(0.0, abs=1e-300)
+        probs = ppo._softmax(np.array([[1000.0, 0.0]]), logs=False)
+        assert np.all(np.isfinite(probs))
+        assert probs[0, 0] == pytest.approx(1.0)
+        assert probs[0, 1] == pytest.approx(0.0, abs=1e-300)
 
     def test_probs_sum_to_one(self):
         rng = np.random.default_rng(49)
-        dist = Categorical(rng.standard_normal((100, 7)) * 5)
-        np.testing.assert_allclose(dist.probs.sum(axis=1), 1.0, atol=1e-12)
+        probs = ppo._softmax(rng.standard_normal((100, 7)) * 5, logs=False)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_entropy_matches_direct_sum(self):
         rng = np.random.default_rng(51)
-        logits = rng.standard_normal((50, 4)) * 3
-        dist = Categorical(logits)
-        want = np.array([-sum(p * math.log(p) for p in row if p > 0)
-                         for row in dist.probs])
-        np.testing.assert_allclose(dist.entropy(), want, atol=1e-12)
+        probs, logps = ppo._softmax(rng.standard_normal((50, 4)) * 3)
+        want = np.array([-sum(p * math.log(p) for p in row if p > 0) for row in probs])
+        np.testing.assert_allclose(entropy(probs, logps), want, atol=1e-12)
 
     def test_log_prob_of_samples_finite(self):
         rng = np.random.default_rng(53)
-        dist = Categorical(rng.standard_normal((200, 5)))
-        actions = np.array(ppo._draw(dist.probs, rng.random(200)))
-        assert np.all(np.isfinite(dist.log_prob(actions)))
+        probs, logps = ppo._softmax(rng.standard_normal((200, 5)))
+        actions = np.array(ppo._draw(probs, rng.random(200)))
+        assert np.all(np.isfinite(logps[np.arange(200), actions]))
 
     def test_sampling_frequencies(self):
         rng = np.random.default_rng(55)
         logits = np.tile(np.log(np.array([0.5, 0.3, 0.2])), (20000, 1))
         u = rng.random(20000)
-        counts = np.bincount(ppo._draw(Categorical(logits).probs, u), minlength=3)
+        counts = np.bincount(ppo._draw(ppo._softmax(logits, logs=False), u), minlength=3)
         np.testing.assert_allclose(counts / 20000, [0.5, 0.3, 0.2], atol=0.02)
 
     def test_sample_counts_cdf_entries_at_or_below_u(self):
@@ -296,7 +300,7 @@ class TestCategorical:
         clamped, on rows with ties, zeros, tiny and near-one probabilities;
         drawn for many rows at once."""
         rng = np.random.default_rng(57)
-        rows = [Categorical(rng.standard_normal((1, k)) * scale).probs[0]
+        rows = [ppo._softmax(rng.standard_normal((1, k)) * scale, logs=False)[0]
                 for k in (1, 2, 3, 4, 5, 7) for scale in (0.01, 1.0, 30.0, 800.0)
                 for _ in range(40)]
         rows += [np.array(r) for r in ([0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [1e-300, 1.0],
@@ -319,7 +323,7 @@ class TestCategorical:
         steps = np.array([3, 0, 39, 17, 17, 5, 38, 22, 1, 9, 9, 30])
         logits = rng.standard_normal((steps.size, 4)) * 2.0
         got = ppo._sampler(u)(logits, steps)
-        want = [int(ppo._draw(Categorical(logits[i:i + 1]).probs, u[step:step + 1])[0])
+        want = [int(ppo._draw(ppo._softmax(logits[i:i + 1], logs=False), u[step:step + 1])[0])
                 for i, step in enumerate(steps.tolist())]
         assert got.tolist() == want and len(set(want)) > 1
 
@@ -435,9 +439,8 @@ class TestObjective:
         critic = Mlp.build([4, 1], "tanh", rng)
         obs = rng.standard_normal((1, 1, 4))
         action = np.array([[1]])
-        dist = Categorical(actor.forward(obs))
         # collection-time log-prob far below current: ratio >> 1 + eps
-        old_logp = dist.log_prob(action) - 1.0
+        old_logp = ppo._softmax(actor.forward(obs))[1][..., 1] - 1.0
         batch = RolloutBatch(obs, action, old_logp, np.zeros((1, 1)), np.zeros((1, 1)),
                              np.zeros((1, 1), dtype=bool), np.zeros((1, 1)), np.array([[2.0]]))
         _, _, actor_grads, _ = ppo_objective(batch, actor, critic, 0.2, 0.0, 0.0)
@@ -468,11 +471,12 @@ class TestObjective:
 
         # vanilla policy gradient of mean(log pi(a|s) * A)
         logits, cache = forward_cached(actor, batch.observations)
-        dist = Categorical(logits)
-        one_hot = np.zeros_like(dist.probs)
-        one_hot[0, np.arange(len(batch)), batch.actions[0]] = 1.0
-        coeff = batch.advantages[..., None] / len(batch)
-        vanilla = backward(actor, cache, coeff * (one_hot - dist.probs))
+        probs = ppo._softmax(logits, logs=False)
+        n = batch.actions.shape[1]
+        one_hot = np.zeros_like(probs)
+        one_hot[0, np.arange(n), batch.actions[0]] = 1.0
+        coeff = batch.advantages[..., None] / n
+        vanilla = backward(actor, cache, coeff * (one_hot - probs))
 
         _, _, ppo_grads, _ = ppo_objective(batch, actor, critic, 1e9, 0.0, 0.0)
 
@@ -481,14 +485,6 @@ class TestObjective:
         Adam(actor_a.theta, lr=1e-3).ascend(actor_a.theta, ppo_grads)
         Adam(actor_b.theta, lr=1e-3).ascend(actor_b.theta, vanilla)
         np.testing.assert_allclose(flat(actor_a), flat(actor_b), atol=1e-10)
-
-    def test_empty_batch_rejected(self):
-        rng = np.random.default_rng(69)
-        actor = Mlp.build([4, 3], "tanh", rng)
-        critic = Mlp.build([4, 1], "tanh", rng)
-        batch = random_batch(rng, actor, critic, n=4).select(np.zeros((1, 0), dtype=int))
-        with pytest.raises(ValueError):
-            ppo_objective(batch, actor, critic, 0.2, 0.5, 0.01)
 
 
 class TestGather:
